@@ -151,54 +151,11 @@ cmp results/backward-serial.json results/backward-par.json || {
     exit 1
 }
 
-echo "== SPF cache smoke bench (emits BENCH_pr3.json) =="
-DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench cache
-test -s BENCH_pr3.json || { echo "BENCH_pr3.json missing or empty"; exit 1; }
-
-echo "== parallel sweep smoke bench (emits BENCH_pr4.json) =="
-DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench sweep
-test -s BENCH_pr4.json || { echo "BENCH_pr4.json missing or empty"; exit 1; }
-
-echo "== incremental-SPF smoke bench (emits BENCH_pr8.json, jobs-identical) =="
-DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench incremental -- --jobs 1
-test -s BENCH_pr8.json || { echo "BENCH_pr8.json missing or empty"; exit 1; }
-grep -q '"churn_gate_ok": true' BENCH_pr8.json || {
-    echo "incremental SPF below the 1.5x churn-regime bar"
-    exit 1
-}
-grep -q '"no_pessimization": true' BENCH_pr8.json || {
-    echo "a cached scenario ran slower than from-scratch recompute"
-    exit 1
-}
-eq=$(sed -n 's/.*"equivalence_events": \([0-9]*\).*/\1/p' BENCH_pr8.json)
-[ "${eq:-0}" -gt 0 ] || {
-    echo "no cached-vs-uncached equivalence events were verified"
-    exit 1
-}
-cp results/bench_pr8.report.json results/bench_pr8.report.serial.json
-DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench incremental -- --jobs 4
-cmp results/bench_pr8.report.serial.json results/bench_pr8.report.json || {
-    echo "bench_pr8 reports differ between --jobs 1 and --jobs 4"
-    exit 1
-}
-
-echo "== many-MC smoke bench (emits BENCH_pr9.json, jobs-identical) =="
-DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench many_mc -- --jobs 1
-test -s BENCH_pr9.json || { echo "BENCH_pr9.json missing or empty"; exit 1; }
-grep -q '"many_mc_gate_ok": true' BENCH_pr9.json || {
-    echo "arena event path below the 2x many-MC bar"
-    exit 1
-}
-grep -q '"no_pessimization": true' BENCH_pr9.json || {
-    echo "an arena scenario ran slower than the pre-arena scan path"
-    exit 1
-}
-cp results/bench_pr9.report.json results/bench_pr9.report.serial.json
-DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench many_mc -- --jobs 4
-cmp results/bench_pr9.report.serial.json results/bench_pr9.report.json || {
-    echo "bench_pr9 reports differ between --jobs 1 and --jobs 4"
-    exit 1
-}
+echo "== benchmark package builds and passes its toy-size workloads =="
+# perf/ is its own workspace over the public API of crates/*: a break that
+# would stop `bash perf/run.sh` compiling, or BENCHMARK.json drifting from
+# the workload catalogue, fails here rather than in the next perf PR.
+cargo test --offline -q --manifest-path perf/Cargo.toml
 
 echo "== fig6 preset exposes the cache hit-rate counter =="
 cargo run --offline -q --release -p dgmc-experiments --bin exp1 -- --quick >/dev/null

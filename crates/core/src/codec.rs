@@ -28,7 +28,7 @@
 //! buffer *before* any allocation so a garbage count cannot drive an
 //! out-of-memory abort (the node-facing robustness contract).
 
-use crate::switch::{DataKind, DataMsg, DgmcPayload};
+use crate::proto::{DataKind, DataMsg, DgmcPayload};
 use crate::{McEventKind, McId, McLsa, McSync, Timestamp};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dgmc_lsr::codec::{
@@ -352,7 +352,7 @@ pub fn decode_mc_sync(buf: &mut Bytes) -> Result<McSync, CodecError> {
 
 /// Encodes a database-exchange message: the advertising side's router LSAs
 /// plus its per-MC state snapshots (the payload of
-/// [`crate::switch::SwitchMsg::DbSync`]).
+/// [`crate::proto::Frame::DbSync`]).
 pub fn encode_db_sync(router_lsas: &[RouterLsa], mc_states: &[McSync], out: &mut BytesMut) {
     out.put_u32(u32::try_from(router_lsas.len()).expect("router LSA count fits u32"));
     for lsa in router_lsas {

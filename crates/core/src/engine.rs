@@ -394,10 +394,10 @@ impl DgmcEngine {
     }
 
     /// Reference implementation of [`DgmcEngine::mcs_using_link`]: the
-    /// pre-arena O(resident MCs) scan over every installed topology. Kept
-    /// as the arena's debug oracle and as the measured baseline for the
-    /// PR9 many-MC bench gate.
-    pub fn mcs_using_link_scan(&self, a: NodeId, b: NodeId) -> Vec<McId> {
+    /// pre-arena O(resident MCs) scan over every installed topology, the
+    /// oracle of this module's equivalence tests.
+    #[cfg(test)]
+    fn mcs_using_link_scan(&self, a: NodeId, b: NodeId) -> Vec<McId> {
         self.states.using_edge_scan(a, b)
     }
 
@@ -456,9 +456,9 @@ impl DgmcEngine {
 
     /// Reference implementation of [`DgmcEngine::local_link_event`]: the
     /// pre-arena event path (O(resident MCs) affected-set scan, serial
-    /// per-MC processing). Behaviorally identical; kept as the measured
-    /// baseline for the PR9 many-MC bench gate.
-    pub fn local_link_event_scan(&mut self, a: NodeId, b: NodeId) -> Vec<DgmcAction> {
+    /// per-MC processing), the oracle of this module's equivalence tests.
+    #[cfg(test)]
+    fn local_link_event_scan(&mut self, a: NodeId, b: NodeId) -> Vec<DgmcAction> {
         let affected = self.states.using_edge_scan(a, b);
         let mut actions = Vec::new();
         for mc in affected {

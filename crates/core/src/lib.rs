@@ -15,8 +15,14 @@
 //! * [`McLsa`] — the `(S, F, V, G, P, T)` advertisement tuple,
 //! * [`DgmcEngine`] — the `EventHandler()`/`ReceiveLSA()` state machines of
 //!   the paper's Figures 4 and 5, pure and unit-testable,
-//! * [`switch`] — the simulated switch actor combining the engine with the
-//!   [`dgmc_lsr`] substrate, `Tc`-long computations and a data plane,
+//! * [`proto`] — the switch: [`proto::NodeCore`], the one sans-IO
+//!   implementation combining the engine with the [`dgmc_lsr`] substrate
+//!   and a data plane; inputs are `on_*` calls, effects are returned
+//!   [`proto::Output`]s,
+//! * [`switch`] — the discrete-event adapter over it: delivers simulated
+//!   messages to the core and effects its outputs with the paper's timing
+//!   model (`Tc`-long computations, per-hop delays); the `dgmc-node` crate
+//!   is the UDP adapter over the same core,
 //! * [`convergence`] — consensus checks and convergence-time measurement.
 //!
 //! # Examples
@@ -53,6 +59,7 @@
 pub mod codec;
 pub mod convergence;
 pub mod invariants;
+pub mod proto;
 pub mod spec;
 pub mod switch;
 

@@ -1,0 +1,768 @@
+//! The D-GMC switch: the one implementation of the paper's
+//! `EventHandler()`/`ReceiveLSA()` over a link-state substrate.
+//!
+//! [`NodeCore`] owns the [`DgmcEngine`], the flooder, the LSDB, the routing
+//! table, the local incident-link truth and the data plane. It is sans-IO:
+//! every input is an `on_*` call stamped with the caller's clock, every
+//! effect is an [`Output`] returned in the order it must happen. No sockets,
+//! no clocks, no scheduler — two thin adapters supply those:
+//! [`crate::switch::DgmcSwitch`] (discrete-event simulation) and the
+//! `dgmc-node` UDP driver. What the explorer, the invariant suite and the
+//! fault harness test is therefore what a deployed node runs.
+//!
+//! All seven `on_*` methods are one function, `NodeCore::step`, applied to
+//! an `Input` with the core's own metrics registry and a fresh output list.
+//! The simulated switch calls `step` itself, so that hundreds of cores count
+//! into the simulation's one registry and each reuses one output buffer.
+//!
+//! Input hardening lives here, once: a failed switch drops everything but
+//! its revival, frames from non-neighbours are dropped and counted
+//! ([`counters::UNKNOWN_SENDER`]), and link events naming an unknown
+//! neighbour are ignored.
+
+use crate::{DgmcAction, DgmcEngine, McId, McLsa, McSync};
+use dgmc_lsr::flood::Flooder;
+use dgmc_lsr::lsa::{FloodPacket, LinkAdv, RouterLsa};
+use dgmc_lsr::{Lsdb, RoutingTable};
+use dgmc_mctree::{McAlgorithm, McType, Role};
+use dgmc_obs::{MetricsRegistry, SharedObserver};
+use dgmc_topology::{LinkId, Network, NodeId, SpfCache, SpfCacheStats};
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+/// Everything that can be flooded: the paper's MC and non-MC LSAs.
+#[derive(Debug, Clone)]
+pub enum DgmcPayload {
+    /// A non-MC LSA (`F = ¬mc`), processed by the unicast LSR substrate.
+    Router(RouterLsa),
+    /// An MC LSA (`F = mc`), processed by the D-GMC protocol.
+    Mc(McLsa),
+}
+
+/// A data-plane packet traveling a multipoint connection.
+#[derive(Debug, Clone)]
+pub struct DataMsg {
+    /// The connection carrying the packet.
+    pub mc: McId,
+    /// Unique id assigned by the injecting harness.
+    pub packet_id: u64,
+    /// The switch where the packet entered the network.
+    pub origin: NodeId,
+    /// Delivery phase.
+    pub kind: DataKind,
+}
+
+/// Delivery phase of a [`DataMsg`].
+#[derive(Debug, Clone)]
+pub enum DataKind {
+    /// Being forwarded along tree edges; `via` is the arrival link (`None`
+    /// at the injection point).
+    TreeFlood {
+        /// Arrival link, if any.
+        via: Option<LinkId>,
+    },
+    /// First stage of receiver-only delivery: unicast toward the contact
+    /// node on the tree.
+    UnicastToContact {
+        /// The chosen contact switch.
+        contact: NodeId,
+    },
+}
+
+/// Everything one switch can send another — one simulated message, one UDP
+/// datagram.
+#[derive(Debug, Clone)]
+pub enum Frame {
+    /// A flood packet (router or MC LSA) relayed hop by hop.
+    Flood(FloodPacket<DgmcPayload>),
+    /// OSPF-style database exchange after a link came up.
+    DbSync {
+        /// The sender's router LSA database.
+        router_lsas: Vec<RouterLsa>,
+        /// The sender's per-MC state snapshots.
+        mc_states: Vec<McSync>,
+    },
+    /// A data-plane packet.
+    Data(DataMsg),
+}
+
+/// Counter names bumped by [`NodeCore`].
+pub mod counters {
+    /// Topology computations started (the paper's "proposals per event"
+    /// numerator).
+    pub const COMPUTATIONS: &str = "dgmc.computations";
+    /// MC LSA flooding operations initiated ("floodings per event").
+    pub const FLOODINGS: &str = "dgmc.floodings";
+    /// Topologies installed (routing entries updated).
+    pub const INSTALLS: &str = "dgmc.installs";
+    /// Completed computations withdrawn as stale.
+    pub const WITHDRAWN: &str = "dgmc.withdrawn";
+    /// Membership events accepted from local hosts.
+    pub const MEMBER_EVENTS: &str = "dgmc.member_events";
+    /// Fresh MC LSAs processed.
+    pub const MC_LSAS: &str = "dgmc.mc_lsas";
+    /// Duplicate flood packets suppressed.
+    pub const DUPLICATES: &str = "dgmc.duplicates";
+    /// Router (non-MC) LSA floods originated.
+    pub const ROUTER_FLOODS: &str = "dgmc.router_floods";
+    /// Data packets delivered to member hosts.
+    pub const DATA_DELIVERED: &str = "dgmc.data_delivered";
+    /// Tree edges removed by topology rearrangements: edges present in a
+    /// connection's previously installed topology but absent from the newly
+    /// installed one (the disruption-on-rearrangement numerator).
+    pub const DISRUPTED_EDGES: &str = "dgmc.disrupted_edges";
+    /// SPF computations answered from the epoch-versioned cache.
+    pub const SPF_CACHE_HITS: &str = "spf_cache.hits";
+    /// SPF computations that ran Dijkstra (cache miss).
+    pub const SPF_CACHE_MISSES: &str = "spf_cache.misses";
+    /// Cache misses answered by incremental delta repair of a sibling
+    /// generation's tree instead of a from-scratch Dijkstra.
+    pub const SPF_CACHE_REPAIRS: &str = "spf_cache.repairs";
+    /// Cache generations evicted because the image kept changing.
+    pub const SPF_CACHE_INVALIDATIONS: &str = "spf_cache.invalidations";
+    /// Frames from switches that are not neighbours on any incident link
+    /// (outside input; never bumped inside a simulation).
+    pub const UNKNOWN_SENDER: &str = "node.unknown_sender";
+}
+
+/// Histogram names recorded by [`NodeCore`] and the experiment runner.
+pub mod histograms {
+    /// Links fanned out per flood operation (MC and router LSAs alike).
+    pub const FLOOD_FANOUT: &str = "dgmc.flood_fanout";
+    /// Microseconds from a computation starting (`StartComputation`, the
+    /// proposal's birth) to a topology install at the same switch.
+    pub const INSTALL_LATENCY_US: &str = "dgmc.install_latency_us";
+    /// Withdrawn computations observed at a switch between consecutive
+    /// local membership events.
+    pub const WITHDRAWALS_PER_EVENT: &str = "dgmc.withdrawals_per_event";
+    /// Microseconds from the first measured-phase event to the last topology
+    /// install — the per-connection convergence time (recorded by the
+    /// experiment runner once per measured run).
+    pub const CONVERGENCE_US: &str = "dgmc.convergence_us";
+    /// Microseconds of each traced operation's critical (longest causal)
+    /// path — one sample per measured-phase membership event, recorded by
+    /// the experiment runner when causal tracing is on.
+    pub const OP_CONVERGENCE_US: &str = "dgmc.op_convergence_us";
+    /// Nodes settled per cache-missing SPF run — the deterministic
+    /// compute-work histogram (simulated work, not wall-clock, so that
+    /// metrics stay byte-identical across hosts and cache configurations).
+    pub const SPF_SETTLED_PER_COMPUTE: &str = "spf_cache.settled_per_compute";
+}
+
+/// What the core asks its adapter to do, in order.
+#[derive(Debug, Clone)]
+pub enum Output {
+    /// Deliver `frame` to neighbor `to`.
+    Send {
+        /// Destination switch.
+        to: NodeId,
+        /// The frame to put on the wire.
+        frame: Frame,
+    },
+    /// Arm the `Tc` computation timer for `mc`, `after_nanos` from now; on
+    /// expiry feed [`NodeCore::on_computation_done`].
+    StartTimer {
+        /// The connection being recomputed.
+        mc: McId,
+        /// Delay in tick-domain nanoseconds.
+        after_nanos: u64,
+    },
+}
+
+/// What can happen to a switch; the `on_*` methods of [`NodeCore`] name the
+/// variants and their fields.
+pub(crate) enum Input {
+    Frame(NodeId, Frame),
+    Join(McId, McType, Role),
+    Leave(McId),
+    Link(NodeId, bool, bool),
+    ComputationDone(McId),
+    SendData(McId, u64),
+    Admin(bool),
+}
+
+/// One step's clock reading and where its effects go: the registry the
+/// counters land in and the ordered output list. The caller owns both, so a
+/// simulation can pass its shared registry and reuse one buffer.
+pub(crate) struct Step<'a> {
+    pub(crate) now_nanos: u64,
+    pub(crate) metrics: &'a mut MetricsRegistry,
+    pub(crate) out: &'a mut Vec<Output>,
+}
+
+impl Step<'_> {
+    fn bump(&mut self, counter: &str, by: u64) {
+        *self.metrics.counter_slot(counter) += by;
+    }
+}
+
+/// The sans-IO protocol core (see the module docs).
+#[derive(Debug)]
+pub struct NodeCore {
+    me: NodeId,
+    tc_nanos: u64,
+    flooder: Flooder,
+    lsdb: Lsdb,
+    routes: RoutingTable,
+    /// Local ground truth about incident links: (link, neighbor, cost, up).
+    incident: Vec<(LinkId, NodeId, u64, bool)>,
+    next_router_seq: u64,
+    engine: DgmcEngine,
+    image: Network,
+    last_install_nanos: u64,
+    /// (mc, packet_id) -> copies delivered to the local host.
+    delivered: BTreeMap<(McId, u64), u32>,
+    /// `true` while administratively failed: all traffic is dropped.
+    failed: bool,
+    /// When the in-flight computation for each MC started (latency metric).
+    computation_started: BTreeMap<McId, u64>,
+    /// Edge set of the previously installed topology per MC, for the
+    /// disruption-on-rearrangement counter.
+    installed_edges: BTreeMap<McId, BTreeSet<(NodeId, NodeId)>>,
+    /// Withdrawals seen since the last local membership event.
+    withdrawn_since_event: u64,
+    metrics: MetricsRegistry,
+}
+
+impl NodeCore {
+    /// Creates the core warm-started on the ground-truth network `net`, with
+    /// a private SPF cache and decision observer. `tc_nanos` is the `Tc`
+    /// computation time in the caller's tick domain.
+    pub fn new(
+        me: NodeId,
+        net: &Network,
+        tc_nanos: u64,
+        algorithm: Rc<dyn McAlgorithm>,
+    ) -> NodeCore {
+        let (cache, observer) = (SpfCache::new(), SharedObserver::new());
+        Self::with_shared(me, net, tc_nanos, algorithm, cache, 1, observer)
+    }
+
+    /// [`new`](Self::new) for a simulation: the SPF cache and the observer
+    /// are shared by every switch, `jobs` is the engine's shard worker count.
+    pub(crate) fn with_shared(
+        me: NodeId,
+        net: &Network,
+        tc_nanos: u64,
+        algorithm: Rc<dyn McAlgorithm>,
+        spf_cache: SpfCache,
+        jobs: usize,
+        observer: SharedObserver,
+    ) -> NodeCore {
+        let mut lsdb = Lsdb::new(net.len());
+        for n in net.nodes() {
+            lsdb.install(RouterLsa::describe(net, n, 0));
+        }
+        let image = lsdb.local_image();
+        let routes = RoutingTable::compute_with(&image, me, &spf_cache);
+        let incident = net
+            .links()
+            .filter(|l| l.a == me || l.b == me)
+            .map(|l| (l.id, l.other(me), l.cost, l.is_up()))
+            .collect();
+        let mut engine = DgmcEngine::new(me, net.len(), algorithm);
+        engine.set_spf_cache(spf_cache);
+        engine.set_jobs(jobs);
+        engine.set_observer(observer);
+        NodeCore {
+            me,
+            tc_nanos,
+            flooder: Flooder::new(me),
+            lsdb,
+            routes,
+            incident,
+            next_router_seq: 1,
+            engine,
+            image,
+            last_install_nanos: 0,
+            delivered: BTreeMap::new(),
+            failed: false,
+            computation_started: BTreeMap::new(),
+            installed_edges: BTreeMap::new(),
+            withdrawn_since_event: 0,
+            metrics: MetricsRegistry::new(),
+        }
+    }
+
+    /// The switch id.
+    pub fn id(&self) -> NodeId {
+        self.me
+    }
+
+    /// The network width the core was built for.
+    pub fn width(&self) -> usize {
+        self.lsdb.node_count()
+    }
+
+    /// Read access to the protocol engine.
+    pub fn engine(&self) -> &DgmcEngine {
+        &self.engine
+    }
+
+    /// The core's local image of the network (the LSDB reconstruction its
+    /// computations run against).
+    pub fn image(&self) -> &Network {
+        &self.image
+    }
+
+    /// The unicast routing table.
+    pub fn routes(&self) -> &RoutingTable {
+        &self.routes
+    }
+
+    /// `true` while administratively failed (crashed): all traffic is
+    /// dropped and the switch is excluded from invariant checking.
+    pub fn is_failed(&self) -> bool {
+        self.failed
+    }
+
+    /// Tick-domain instant of the most recent topology install.
+    pub fn last_install_nanos(&self) -> u64 {
+        self.last_install_nanos
+    }
+
+    /// The registry the core's counters and histograms land in.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    /// Mutable registry access, for the adapter's own counters.
+    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
+        &mut self.metrics
+    }
+
+    /// `true` when the engine holds no pending protocol work (mailboxes,
+    /// computations, unproposed flags). Armed timers are the adapter's
+    /// business.
+    pub fn quiet(&self) -> bool {
+        self.engine.is_quiet()
+    }
+
+    /// How many copies of `(mc, packet_id)` the local host received.
+    pub fn delivered_copies(&self, mc: McId, packet_id: u64) -> u32 {
+        self.delivered.get(&(mc, packet_id)).copied().unwrap_or(0)
+    }
+
+    /// All delivery counts, keyed by `(mc, packet_id)`.
+    pub fn deliveries(&self) -> &BTreeMap<(McId, u64), u32> {
+        &self.delivered
+    }
+
+    /// The neighbor at the far end of incident `link`, up or down.
+    pub(crate) fn neighbor_of(&self, link: LinkId) -> Option<NodeId> {
+        self.incident
+            .iter()
+            .find(|&&(l, ..)| l == link)
+            .map(|&(_, n, ..)| n)
+    }
+
+    fn link_to(&self, neighbor: NodeId) -> Option<LinkId> {
+        self.incident
+            .iter()
+            .find(|&&(_, n, _, up)| n == neighbor && up)
+            .map(|&(l, ..)| l)
+    }
+
+    /// The incident link toward `from`, up or down (the arrival link of a
+    /// received frame; a network has at most one link per switch pair).
+    fn link_from(&self, from: NodeId) -> Option<LinkId> {
+        self.incident
+            .iter()
+            .find(|&&(_, n, ..)| n == from)
+            .map(|&(l, ..)| l)
+    }
+
+    /// Sends `packet` on every up link except `except`; returns the fan-out.
+    fn relay(
+        &self,
+        fx: &mut Step<'_>,
+        packet: &FloodPacket<DgmcPayload>,
+        except: Option<LinkId>,
+    ) -> u64 {
+        let mut fanout = 0;
+        for &(link, neighbor, _, up) in &self.incident {
+            if up && Some(link) != except {
+                fanout += 1;
+                fx.out.push(Output::Send {
+                    to: neighbor,
+                    frame: Frame::Flood(packet.clone()),
+                });
+            }
+        }
+        fanout
+    }
+
+    fn flood(&mut self, fx: &mut Step<'_>, payload: DgmcPayload) {
+        let packet = self.flooder.originate(payload);
+        let fanout = self.relay(fx, &packet, None);
+        fx.metrics.observe_named(histograms::FLOOD_FANOUT, fanout);
+    }
+
+    fn execute(&mut self, fx: &mut Step<'_>, actions: Vec<DgmcAction>) {
+        for action in actions {
+            match action {
+                DgmcAction::Flood(lsa) => {
+                    fx.bump(counters::FLOODINGS, 1);
+                    self.flood(fx, DgmcPayload::Mc(lsa));
+                }
+                DgmcAction::StartComputation { mc } => {
+                    fx.bump(counters::COMPUTATIONS, 1);
+                    self.computation_started.entry(mc).or_insert(fx.now_nanos);
+                    fx.out.push(Output::StartTimer {
+                        mc,
+                        after_nanos: self.tc_nanos,
+                    });
+                }
+                DgmcAction::Installed { mc } => {
+                    fx.bump(counters::INSTALLS, 1);
+                    self.last_install_nanos = fx.now_nanos;
+                    if let Some(started) = self.computation_started.remove(&mc) {
+                        let latency = fx.now_nanos.saturating_sub(started);
+                        fx.metrics
+                            .observe_named(histograms::INSTALL_LATENCY_US, latency / 1_000);
+                    }
+                    let edges: BTreeSet<(NodeId, NodeId)> = self
+                        .engine
+                        .installed(mc)
+                        .map(|t| t.edges().collect())
+                        .unwrap_or_default();
+                    if let Some(previous) = self.installed_edges.get(&mc) {
+                        let disrupted = previous.difference(&edges).count();
+                        fx.bump(
+                            counters::DISRUPTED_EDGES,
+                            u64::try_from(disrupted).expect("edge count fits u64"),
+                        );
+                    }
+                    self.installed_edges.insert(mc, edges);
+                }
+                DgmcAction::Withdrawn { mc: _ } => {
+                    fx.bump(counters::WITHDRAWN, 1);
+                    self.withdrawn_since_event += 1;
+                }
+            }
+        }
+    }
+
+    /// A new local membership event starts a fresh withdrawal episode:
+    /// record how many withdrawals the previous one cost.
+    fn close_event_episode(&mut self, fx: &mut Step<'_>) {
+        fx.metrics.observe_named(
+            histograms::WITHDRAWALS_PER_EVENT,
+            self.withdrawn_since_event,
+        );
+        self.withdrawn_since_event = 0;
+    }
+
+    fn member_event(&mut self, fx: &mut Step<'_>, actions: Vec<DgmcAction>) {
+        if !actions.is_empty() {
+            fx.bump(counters::MEMBER_EVENTS, 1);
+            self.close_event_episode(fx);
+        }
+        self.execute(fx, actions);
+    }
+
+    fn refresh_image(&mut self, fx: &mut Step<'_>) {
+        let before = self.engine.spf_cache().stats();
+        self.image = self.lsdb.local_image();
+        self.routes = RoutingTable::compute_with(&self.image, self.me, self.engine.spf_cache());
+        self.record_spf_delta(fx, before);
+    }
+
+    /// Publishes the cache activity caused by one handler step. Only
+    /// deterministic quantities are recorded (hit/miss/invalidation counts
+    /// and settled-node work); wall-clock nanoseconds stay out of the
+    /// registry so `metrics.json` is byte-identical across hosts and runs.
+    fn record_spf_delta(&mut self, fx: &mut Step<'_>, before: SpfCacheStats) {
+        let after = self.engine.spf_cache().stats();
+        fx.bump(counters::SPF_CACHE_HITS, after.hits - before.hits);
+        fx.bump(counters::SPF_CACHE_MISSES, after.misses - before.misses);
+        fx.bump(counters::SPF_CACHE_REPAIRS, after.repairs - before.repairs);
+        fx.bump(
+            counters::SPF_CACHE_INVALIDATIONS,
+            after.invalidations - before.invalidations,
+        );
+        if after.misses > before.misses {
+            fx.metrics.observe_named(
+                histograms::SPF_SETTLED_PER_COMPUTE,
+                after.settled_nodes - before.settled_nodes,
+            );
+        }
+    }
+
+    /// Delivers `data` to the local host if it is a member, then forwards it
+    /// on every installed tree edge except the one toward arrival link `via`.
+    fn forward_tree(&mut self, fx: &mut Step<'_>, data: DataMsg, via: Option<LinkId>) {
+        if self.engine.is_member(data.mc) {
+            fx.bump(counters::DATA_DELIVERED, 1);
+            *self.delivered.entry((data.mc, data.packet_id)).or_insert(0) += 1;
+        }
+        let Some(topology) = self.engine.installed(data.mc) else {
+            return;
+        };
+        let from = via.and_then(|l| self.neighbor_of(l));
+        for n in topology.neighbors_in(self.me) {
+            if Some(n) == from {
+                continue;
+            }
+            if let Some(link) = self.link_to(n) {
+                fx.out.push(Output::Send {
+                    to: n,
+                    frame: Frame::Data(DataMsg {
+                        kind: DataKind::TreeFlood { via: Some(link) },
+                        ..data.clone()
+                    }),
+                });
+            }
+        }
+    }
+
+    fn inject_data(&mut self, fx: &mut Step<'_>, mc: McId, packet_id: u64) {
+        let data = DataMsg {
+            mc,
+            packet_id,
+            origin: self.me,
+            kind: DataKind::TreeFlood { via: None },
+        };
+        let topology = self.engine.installed(mc);
+        if self.engine.is_member(mc) || topology.is_some_and(|t| t.touches(self.me)) {
+            // On the tree already: second-stage tree delivery.
+            self.forward_tree(fx, data, None);
+            return;
+        }
+        // Receiver-only style first stage: unicast to the nearest tree node
+        // ("the packet is delivered to any node on the MC"), which is never
+        // this switch — it is off the tree.
+        let Some(topology) = topology else { return };
+        let contact = topology
+            .nodes()
+            .into_iter()
+            .filter_map(|n| self.routes.cost(n).map(|c| (c, n)))
+            .min();
+        let Some((_, contact)) = contact else { return };
+        if let Some(next) = self.routes.next_hop(contact) {
+            fx.out.push(Output::Send {
+                to: next,
+                frame: Frame::Data(DataMsg {
+                    kind: DataKind::UnicastToContact { contact },
+                    ..data
+                }),
+            });
+        }
+    }
+
+    fn on_data(&mut self, fx: &mut Step<'_>, data: DataMsg) {
+        match data.kind {
+            DataKind::TreeFlood { via } => self.forward_tree(fx, data, via),
+            DataKind::UnicastToContact { contact } if contact == self.me => {
+                self.forward_tree(fx, data, None);
+            }
+            DataKind::UnicastToContact { contact } => {
+                if let Some(next) = self.routes.next_hop(contact) {
+                    fx.out.push(Output::Send {
+                        to: next,
+                        frame: Frame::Data(data),
+                    });
+                }
+            }
+        }
+    }
+
+    /// One frame from switch `from`: dropped and counted unless `from` is a
+    /// neighbour.
+    fn frame(&mut self, fx: &mut Step<'_>, from: NodeId, frame: Frame) {
+        let Some(via) = self.link_from(from) else {
+            fx.bump(counters::UNKNOWN_SENDER, 1);
+            return;
+        };
+        match frame {
+            Frame::Flood(packet) => {
+                if !self.flooder.accept(packet.id) {
+                    fx.bump(counters::DUPLICATES, 1);
+                    return;
+                }
+                self.relay(fx, &packet, Some(via));
+                match packet.payload {
+                    DgmcPayload::Router(lsa) => {
+                        if self.lsdb.install(lsa) {
+                            self.refresh_image(fx);
+                        }
+                    }
+                    DgmcPayload::Mc(lsa) => {
+                        fx.bump(counters::MC_LSAS, 1);
+                        let actions = self.engine.on_mc_lsa(lsa);
+                        self.execute(fx, actions);
+                    }
+                }
+            }
+            Frame::DbSync {
+                router_lsas,
+                mc_states,
+            } => {
+                let mut changed = false;
+                for lsa in router_lsas {
+                    changed |= self.lsdb.install(lsa);
+                }
+                if changed {
+                    self.refresh_image(fx);
+                }
+                let actions = self.engine.import_sync(mc_states);
+                self.execute(fx, actions);
+            }
+            Frame::Data(data) => self.on_data(fx, data),
+        }
+    }
+
+    /// The incident link toward `neighbor` changed state: ignored unless
+    /// `neighbor` is one.
+    fn link_event(&mut self, fx: &mut Step<'_>, neighbor: NodeId, up: bool, detector: bool) {
+        let Some(entry) = self.incident.iter_mut().find(|(_, n, ..)| *n == neighbor) else {
+            return;
+        };
+        entry.3 = up;
+        if up {
+            // Database exchange toward the (possibly just revived) far
+            // endpoint, as OSPF does when an adjacency forms.
+            let node_count = u32::try_from(self.lsdb.node_count()).expect("node ids fit u32");
+            let router_lsas = (0..node_count)
+                .filter_map(|i| self.lsdb.get(NodeId(i)).cloned())
+                .collect();
+            fx.out.push(Output::Send {
+                to: neighbor,
+                frame: Frame::DbSync {
+                    router_lsas,
+                    mc_states: self.engine.export_sync(),
+                },
+            });
+        }
+        if detector {
+            // Originate the one non-MC LSA for this event...
+            let links = self
+                .incident
+                .iter()
+                .map(|&(link, neighbor, cost, up)| LinkAdv {
+                    link,
+                    neighbor,
+                    cost,
+                    up,
+                })
+                .collect();
+            let lsa = RouterLsa {
+                origin: self.me,
+                seq: self.next_router_seq,
+                links,
+            };
+            self.next_router_seq += 1;
+            self.lsdb.install(lsa.clone());
+            self.refresh_image(fx);
+            fx.bump(counters::ROUTER_FLOODS, 1);
+            self.flood(fx, DgmcPayload::Router(lsa));
+            // ...then the k MC LSAs for affected connections.
+            let actions = self.engine.local_link_event(self.me, neighbor);
+            self.execute(fx, actions);
+        }
+    }
+
+    /// Handles one input, its effects going to `fx`. A failed switch drops
+    /// everything but its own revival.
+    pub(crate) fn step(&mut self, fx: &mut Step<'_>, input: Input) {
+        self.engine.observer().set_now(fx.now_nanos);
+        if let Input::Admin(up) = input {
+            // Only a real transition acts: failing an alive switch (its
+            // incident links go down) or reviving a failed one (they come
+            // back with it; neighbors advertise and sync).
+            if self.failed == up {
+                self.failed = !up;
+                for entry in &mut self.incident {
+                    entry.3 = up;
+                }
+            }
+        }
+        if self.failed {
+            return;
+        }
+        match input {
+            Input::Frame(from, frame) => self.frame(fx, from, frame),
+            Input::Join(mc, mc_type, role) => {
+                let actions = self.engine.local_join(mc, mc_type, role);
+                self.member_event(fx, actions);
+            }
+            Input::Leave(mc) => {
+                let actions = self.engine.local_leave(mc);
+                self.member_event(fx, actions);
+            }
+            Input::Link(neighbor, up, detector) => self.link_event(fx, neighbor, up, detector),
+            Input::ComputationDone(mc) => {
+                let before = self.engine.spf_cache().stats();
+                let actions = self.engine.on_computation_done(mc, &self.image);
+                self.record_spf_delta(fx, before);
+                self.execute(fx, actions);
+            }
+            Input::SendData(mc, packet_id) => self.inject_data(fx, mc, packet_id),
+            Input::Admin(_) => {}
+        }
+    }
+
+    /// [`step`](Self::step) into the core's own registry (moved out for the
+    /// call, as `step` borrows the whole core) and a fresh list.
+    fn own_step(&mut self, now_nanos: u64, input: Input) -> Vec<Output> {
+        let (mut metrics, mut out) = (std::mem::take(&mut self.metrics), Vec::new());
+        let mut fx = Step {
+            now_nanos,
+            metrics: &mut metrics,
+            out: &mut out,
+        };
+        self.step(&mut fx, input);
+        self.metrics = metrics;
+        out
+    }
+
+    /// Handles one frame received from switch `from`. Frames from switches
+    /// that are not neighbours are dropped and counted.
+    pub fn on_frame(&mut self, now_nanos: u64, from: NodeId, frame: Frame) -> Vec<Output> {
+        self.own_step(now_nanos, Input::Frame(from, frame))
+    }
+
+    /// A local host joins `mc`.
+    pub fn on_join(
+        &mut self,
+        now_nanos: u64,
+        mc: McId,
+        mc_type: McType,
+        role: Role,
+    ) -> Vec<Output> {
+        self.own_step(now_nanos, Input::Join(mc, mc_type, role))
+    }
+
+    /// A local host leaves `mc`.
+    pub fn on_leave(&mut self, now_nanos: u64, mc: McId) -> Vec<Output> {
+        self.own_step(now_nanos, Input::Leave(mc))
+    }
+
+    /// The incident link toward `neighbor` changed state; `detector` marks
+    /// the advertising endpoint. Unknown neighbors are ignored.
+    pub fn on_link_event(
+        &mut self,
+        now_nanos: u64,
+        neighbor: NodeId,
+        up: bool,
+        detector: bool,
+    ) -> Vec<Output> {
+        self.own_step(now_nanos, Input::Link(neighbor, up, detector))
+    }
+
+    /// The `Tc` computation timer for `mc` fired.
+    pub fn on_computation_done(&mut self, now_nanos: u64, mc: McId) -> Vec<Output> {
+        self.own_step(now_nanos, Input::ComputationDone(mc))
+    }
+
+    /// A local host injects a data packet into `mc`.
+    pub fn on_send_data(&mut self, now_nanos: u64, mc: McId, packet_id: u64) -> Vec<Output> {
+        self.own_step(now_nanos, Input::SendData(mc, packet_id))
+    }
+
+    /// Administrative failure (`up = false`: all traffic is dropped from now
+    /// on) or revival.
+    pub fn on_admin(&mut self, now_nanos: u64, up: bool) -> Vec<Output> {
+        self.own_step(now_nanos, Input::Admin(up))
+    }
+}

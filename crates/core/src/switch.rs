@@ -1,68 +1,28 @@
-//! The simulated D-GMC switch: a DES actor hosting the unicast LSR
-//! substrate, the flooding engine and the [`DgmcEngine`], with the paper's
-//! timing model (`Tc`-long topology computations, per-hop LSA delays) and a
-//! data plane for end-to-end delivery checks.
+//! The simulated D-GMC switch: a discrete-event adapter over the one
+//! protocol implementation, [`NodeCore`].
+//!
+//! [`DgmcSwitch`] holds no protocol state of its own. It hands each
+//! delivered [`SwitchMsg`] to the core as the input its `NodeCore::on_*`
+//! method names, stamped with the simulated instant and counting into the
+//! simulation's registry, and effects the resulting [`Output`]s in order —
+//! sends after the per-hop delay, `Tc` timers as self-scheduled
+//! [`SwitchMsg::ComputationDone`] — so the paper's timing model lives here
+//! and everything else lives in [`crate::proto`].
 
-use crate::{DgmcAction, DgmcEngine, McId, McLsa};
+pub use crate::proto::{counters, histograms, DataKind, DataMsg, DgmcPayload};
+use crate::proto::{Frame, Input, NodeCore, Output, Step};
+use crate::McId;
 use dgmc_des::{Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation};
-use dgmc_lsr::flood::Flooder;
-use dgmc_lsr::lsa::{FloodPacket, RouterLsa};
-use dgmc_lsr::{Lsdb, RoutingTable};
 use dgmc_mctree::{McAlgorithm, McType, Role};
 use dgmc_obs::SharedObserver;
-use dgmc_topology::{LinkId, Network, NodeId, SpfCache, SpfCacheStats};
-use std::collections::BTreeMap;
+use dgmc_topology::{LinkId, Network, NodeId, SpfCache};
 use std::rc::Rc;
-
-/// Everything that can be flooded: the paper's MC and non-MC LSAs.
-#[derive(Debug, Clone)]
-pub enum DgmcPayload {
-    /// A non-MC LSA (`F = ¬mc`), processed by the unicast LSR substrate.
-    Router(RouterLsa),
-    /// An MC LSA (`F = mc`), processed by the D-GMC protocol.
-    Mc(McLsa),
-}
-
-/// A data-plane packet traveling a multipoint connection.
-#[derive(Debug, Clone)]
-pub struct DataMsg {
-    /// The connection carrying the packet.
-    pub mc: McId,
-    /// Unique id assigned by the injecting harness.
-    pub packet_id: u64,
-    /// The switch where the packet entered the network.
-    pub origin: NodeId,
-    /// Delivery phase.
-    pub kind: DataKind,
-}
-
-/// Delivery phase of a [`DataMsg`].
-#[derive(Debug, Clone)]
-pub enum DataKind {
-    /// Being forwarded along tree edges; `via` is the arrival link (`None`
-    /// at the injection point).
-    TreeFlood {
-        /// Arrival link, if any.
-        via: Option<LinkId>,
-    },
-    /// First stage of receiver-only delivery: unicast toward the contact
-    /// node on the tree.
-    UnicastToContact {
-        /// The chosen contact switch.
-        contact: NodeId,
-    },
-}
 
 /// Messages delivered to a [`DgmcSwitch`].
 #[derive(Debug, Clone)]
 pub enum SwitchMsg {
-    /// A flood packet arriving over `via`.
-    Packet {
-        /// The packet.
-        packet: FloodPacket<DgmcPayload>,
-        /// Arrival link.
-        via: LinkId,
-    },
+    /// A frame sent by the neighboring switch named in [`Envelope::from`].
+    Frame(Frame),
     /// An attached host asks to join connection `mc`.
     HostJoin {
         /// The connection.
@@ -99,83 +59,12 @@ pub enum SwitchMsg {
         /// Unique packet id.
         packet_id: u64,
     },
-    /// A data packet in flight.
-    Data(DataMsg),
     /// Administrative node failure/recovery (nodal events).
     NodeAdmin {
         /// `false` takes the switch down (it drops all traffic); `true`
         /// revives it.
         up: bool,
     },
-    /// OSPF-style database exchange received from a neighbor after a link
-    /// to it came up: the neighbor's router LSAs and MC state snapshots.
-    DbSync {
-        /// The neighbor's router LSA database.
-        router_lsas: Vec<RouterLsa>,
-        /// The neighbor's per-MC state snapshots.
-        mc_states: Vec<crate::McSync>,
-    },
-}
-
-/// Counter names bumped by [`DgmcSwitch`].
-pub mod counters {
-    /// Topology computations started (the paper's "proposals per event"
-    /// numerator).
-    pub const COMPUTATIONS: &str = "dgmc.computations";
-    /// MC LSA flooding operations initiated ("floodings per event").
-    pub const FLOODINGS: &str = "dgmc.floodings";
-    /// Topologies installed (routing entries updated).
-    pub const INSTALLS: &str = "dgmc.installs";
-    /// Completed computations withdrawn as stale.
-    pub const WITHDRAWN: &str = "dgmc.withdrawn";
-    /// Membership events accepted from local hosts.
-    pub const MEMBER_EVENTS: &str = "dgmc.member_events";
-    /// Fresh MC LSAs processed.
-    pub const MC_LSAS: &str = "dgmc.mc_lsas";
-    /// Duplicate flood packets suppressed.
-    pub const DUPLICATES: &str = "dgmc.duplicates";
-    /// Router (non-MC) LSA floods originated.
-    pub const ROUTER_FLOODS: &str = "dgmc.router_floods";
-    /// Data packets delivered to member hosts.
-    pub const DATA_DELIVERED: &str = "dgmc.data_delivered";
-    /// Tree edges removed by topology rearrangements: edges present in a
-    /// connection's previously installed topology but absent from the newly
-    /// installed one (the disruption-on-rearrangement numerator).
-    pub const DISRUPTED_EDGES: &str = "dgmc.disrupted_edges";
-    /// SPF computations answered from the epoch-versioned cache.
-    pub const SPF_CACHE_HITS: &str = "spf_cache.hits";
-    /// SPF computations that ran Dijkstra (cache miss).
-    pub const SPF_CACHE_MISSES: &str = "spf_cache.misses";
-    /// Cache misses answered by incremental delta repair of a sibling
-    /// generation's tree instead of a from-scratch Dijkstra.
-    pub const SPF_CACHE_REPAIRS: &str = "spf_cache.repairs";
-    /// Cache generations evicted because the image kept changing.
-    pub const SPF_CACHE_INVALIDATIONS: &str = "spf_cache.invalidations";
-}
-
-/// Histogram names recorded by [`DgmcSwitch`] into the simulation's
-/// [`dgmc_obs::MetricsRegistry`].
-pub mod histograms {
-    /// Links fanned out per flood operation (MC and router LSAs alike).
-    pub const FLOOD_FANOUT: &str = "dgmc.flood_fanout";
-    /// Microseconds from a computation starting (`StartComputation`, the
-    /// proposal's birth) to a topology install at the same switch.
-    pub const INSTALL_LATENCY_US: &str = "dgmc.install_latency_us";
-    /// Withdrawn computations observed at a switch between consecutive
-    /// local membership events.
-    pub const WITHDRAWALS_PER_EVENT: &str = "dgmc.withdrawals_per_event";
-    /// Microseconds from the first measured-phase event to the last topology
-    /// install — the per-connection convergence time (recorded by the
-    /// experiment runner once per measured run).
-    pub const CONVERGENCE_US: &str = "dgmc.convergence_us";
-    /// Microseconds of each traced operation's critical (longest causal)
-    /// path — one sample per measured-phase membership event, recorded by
-    /// the experiment runner when causal tracing is on.
-    pub const OP_CONVERGENCE_US: &str = "dgmc.op_convergence_us";
-    /// Nodes settled per cache-missing SPF run — the deterministic
-    /// compute-work histogram (simulated work, not wall-clock, so that
-    /// metrics stay byte-identical across hosts and cache configurations).
-    pub const SPF_SETTLED_PER_COMPUTE: &str = "spf_cache.settled_per_compute";
 }
 
 /// Timing parameters of the simulated switch.
@@ -207,552 +96,91 @@ impl DgmcConfig {
     }
 }
 
-/// A network switch running the D-GMC protocol over an LSR substrate.
+/// A network switch running the D-GMC protocol over an LSR substrate: one
+/// [`NodeCore`] plus the per-hop delay of the simulated links.
+#[derive(Debug)]
 pub struct DgmcSwitch {
-    me: NodeId,
-    config: DgmcConfig,
-    flooder: Flooder,
-    lsdb: Lsdb,
-    routes: RoutingTable,
-    /// Local ground truth about incident links: (link, neighbor, cost, up).
-    incident: Vec<(LinkId, NodeId, u64, bool)>,
-    next_router_seq: u64,
-    engine: DgmcEngine,
-    spf_cache: SpfCache,
-    image: Network,
-    last_install: SimTime,
-    /// (mc, packet_id) -> copies delivered to the local host.
-    delivered: BTreeMap<(McId, u64), u32>,
-    /// `true` while administratively failed: all traffic is dropped.
-    failed: bool,
-    /// When the in-flight computation for each MC started (latency metric).
-    computation_started: BTreeMap<McId, SimTime>,
-    /// Edge set of the previously installed topology per MC, for the
-    /// disruption-on-rearrangement counter.
-    installed_edges: BTreeMap<McId, std::collections::BTreeSet<(NodeId, NodeId)>>,
-    /// Withdrawals seen since the last local membership event.
-    withdrawn_since_event: u64,
-}
-
-impl std::fmt::Debug for DgmcSwitch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DgmcSwitch")
-            .field("me", &self.me)
-            .field("mcs", &self.engine.mc_ids())
-            .finish()
-    }
+    core: NodeCore,
+    per_hop: SimDuration,
+    /// The core's outputs for the step in progress (reused across steps).
+    outputs: Vec<Output>,
 }
 
 impl DgmcSwitch {
     /// Creates the switch warm-started on the ground-truth network `net`.
+    /// `cache` and `observer` are typically shared by every switch of the
+    /// simulation; `jobs` is the engine's shard worker count
+    /// ([`crate::DgmcEngine::set_jobs`]).
     pub fn new(
         me: NodeId,
         net: &Network,
         config: DgmcConfig,
         algorithm: Rc<dyn McAlgorithm>,
+        cache: SpfCache,
+        jobs: usize,
+        observer: SharedObserver,
     ) -> DgmcSwitch {
-        Self::new_with_cache(me, net, config, algorithm, SpfCache::new())
-    }
-
-    /// [`new`](Self::new) with an explicit SPF cache, so the warm-start
-    /// routing computation already shares work with sibling switches.
-    pub fn new_with_cache(
-        me: NodeId,
-        net: &Network,
-        config: DgmcConfig,
-        algorithm: Rc<dyn McAlgorithm>,
-        spf_cache: SpfCache,
-    ) -> DgmcSwitch {
-        let mut lsdb = Lsdb::new(net.len());
-        for n in net.nodes() {
-            lsdb.install(RouterLsa::describe(net, n, 0));
-        }
-        let image = lsdb.local_image();
-        let routes = RoutingTable::compute_with(&image, me, &spf_cache);
-        let incident = net
-            .links()
-            .filter(|l| l.a == me || l.b == me)
-            .map(|l| (l.id, l.other(me), l.cost, l.is_up()))
-            .collect();
-        let mut engine = DgmcEngine::new(me, net.len(), algorithm);
-        engine.set_spf_cache(spf_cache.clone());
+        let tc = config.tc.as_nanos();
         DgmcSwitch {
-            me,
-            config,
-            flooder: Flooder::new(me),
-            lsdb,
-            routes,
-            incident,
-            next_router_seq: 1,
-            engine,
-            spf_cache,
-            image,
-            last_install: SimTime::ZERO,
-            delivered: BTreeMap::new(),
-            failed: false,
-            computation_started: BTreeMap::new(),
-            installed_edges: BTreeMap::new(),
-            withdrawn_since_event: 0,
+            core: NodeCore::with_shared(me, net, tc, algorithm, cache, jobs, observer),
+            per_hop: config.per_hop,
+            outputs: Vec::new(),
         }
-    }
-
-    /// Attaches the shared decision-event observer (forwarded to the
-    /// protocol engine, which does the emitting).
-    pub fn set_observer(&mut self, observer: SharedObserver) {
-        self.engine.set_observer(observer);
-    }
-
-    /// Sets the engine's shard worker count for link events touching many
-    /// independent MCs (see [`DgmcEngine::set_jobs`]). Purely wall-clock:
-    /// outputs stay byte-identical for every value.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.engine.set_jobs(jobs);
-    }
-
-    /// Replaces the switch's SPF cache, typically with one shared by every
-    /// switch of the simulation: identical local images hash to the same
-    /// digest, so SPF work done by one switch is reused by all others.
-    pub fn set_spf_cache(&mut self, cache: SpfCache) {
-        self.engine.set_spf_cache(cache.clone());
-        self.spf_cache = cache;
-    }
-
-    /// The SPF cache used for routing-table and MC topology computations.
-    pub fn spf_cache(&self) -> &SpfCache {
-        &self.spf_cache
-    }
-
-    /// The switch id.
-    pub fn id(&self) -> NodeId {
-        self.me
-    }
-
-    /// Read access to the protocol engine.
-    pub fn engine(&self) -> &DgmcEngine {
-        &self.engine
-    }
-
-    /// `true` while the switch is administratively failed (crashed): it
-    /// drops all traffic and is excluded from invariant checking.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
-    /// The unicast routing table.
-    pub fn routes(&self) -> &RoutingTable {
-        &self.routes
-    }
-
-    /// The switch's current local image of the network (the LSDB
-    /// reconstruction its computations run against). Read-only: exposed so
-    /// external drivers and conformance checks can snapshot derived state
-    /// (e.g. installed-tree costs) without re-deriving the image.
-    pub fn image(&self) -> &Network {
-        &self.image
     }
 
     /// Simulated instant of the switch's most recent topology install.
     pub fn last_install(&self) -> SimTime {
-        self.last_install
+        SimTime::from_nanos(self.core.last_install_nanos())
     }
+}
 
-    /// How many copies of `(mc, packet_id)` the local host received.
-    pub fn delivered_copies(&self, mc: McId, packet_id: u64) -> u32 {
-        self.delivered.get(&(mc, packet_id)).copied().unwrap_or(0)
-    }
+/// Read-only access to the protocol state — engine, image, routes, failure
+/// flag, deliveries: everything checks and tests inspect lives in the core.
+impl std::ops::Deref for DgmcSwitch {
+    type Target = NodeCore;
 
-    fn up_links(&self) -> Vec<(LinkId, NodeId)> {
-        self.incident
-            .iter()
-            .filter(|(.., up)| *up)
-            .map(|&(l, n, ..)| (l, n))
-            .collect()
-    }
-
-    fn link_to(&self, neighbor: NodeId) -> Option<LinkId> {
-        self.incident
-            .iter()
-            .find(|&&(_, n, _, up)| n == neighbor && up)
-            .map(|&(l, ..)| l)
-    }
-
-    fn neighbor_of(&self, link: LinkId) -> Option<NodeId> {
-        self.incident
-            .iter()
-            .find(|&&(l, ..)| l == link)
-            .map(|&(_, n, ..)| n)
-    }
-
-    fn flood(
-        &mut self,
-        ctx: &mut Ctx<'_, SwitchMsg>,
-        payload: DgmcPayload,
-        except: Option<LinkId>,
-    ) {
-        let packet = self.flooder.originate(payload);
-        let mut fanout = 0u64;
-        for (link, neighbor) in self.up_links() {
-            if Some(link) == except {
-                continue;
-            }
-            fanout += 1;
-            ctx.send(
-                ActorId(neighbor.0),
-                self.config.per_hop,
-                SwitchMsg::Packet {
-                    packet: packet.clone(),
-                    via: link,
-                },
-            );
-        }
-        ctx.metrics()
-            .observe_named(histograms::FLOOD_FANOUT, fanout);
-    }
-
-    fn relay(
-        &mut self,
-        ctx: &mut Ctx<'_, SwitchMsg>,
-        packet: &FloodPacket<DgmcPayload>,
-        via: LinkId,
-    ) {
-        for (link, neighbor) in self.up_links() {
-            if link == via {
-                continue;
-            }
-            ctx.send(
-                ActorId(neighbor.0),
-                self.config.per_hop,
-                SwitchMsg::Packet {
-                    packet: packet.clone(),
-                    via: link,
-                },
-            );
-        }
-    }
-
-    fn execute(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, actions: Vec<DgmcAction>) {
-        for action in actions {
-            match action {
-                DgmcAction::Flood(lsa) => {
-                    ctx.counter(counters::FLOODINGS).incr();
-                    self.flood(ctx, DgmcPayload::Mc(lsa), None);
-                }
-                DgmcAction::StartComputation { mc } => {
-                    ctx.counter(counters::COMPUTATIONS).incr();
-                    self.computation_started.entry(mc).or_insert(ctx.now());
-                    ctx.schedule_self(self.config.tc, SwitchMsg::ComputationDone { mc });
-                }
-                DgmcAction::Installed { mc } => {
-                    ctx.counter(counters::INSTALLS).incr();
-                    self.last_install = ctx.now();
-                    if let Some(started) = self.computation_started.remove(&mc) {
-                        let latency = ctx.now() - started;
-                        ctx.metrics().observe_named(
-                            histograms::INSTALL_LATENCY_US,
-                            latency.as_nanos() / 1_000,
-                        );
-                    }
-                    let edges: std::collections::BTreeSet<(NodeId, NodeId)> = self
-                        .engine
-                        .installed(mc)
-                        .map(|t| t.edges().collect())
-                        .unwrap_or_default();
-                    if let Some(previous) = self.installed_edges.insert(mc, edges) {
-                        let disrupted = u64::try_from(
-                            previous
-                                .difference(self.installed_edges.get(&mc).expect("just inserted"))
-                                .count(),
-                        )
-                        .expect("edge count fits u64");
-                        ctx.counter(counters::DISRUPTED_EDGES).add(disrupted);
-                    }
-                }
-                DgmcAction::Withdrawn { mc: _ } => {
-                    ctx.counter(counters::WITHDRAWN).incr();
-                    self.withdrawn_since_event += 1;
-                }
-            }
-        }
-    }
-
-    /// A new local membership event starts a fresh withdrawal episode:
-    /// record how many withdrawals the previous one cost.
-    fn close_event_episode(&mut self, ctx: &mut Ctx<'_, SwitchMsg>) {
-        ctx.metrics().observe_named(
-            histograms::WITHDRAWALS_PER_EVENT,
-            self.withdrawn_since_event,
-        );
-        self.withdrawn_since_event = 0;
-    }
-
-    fn refresh_image(&mut self, ctx: &mut Ctx<'_, SwitchMsg>) {
-        let before = self.spf_cache.stats();
-        self.image = self.lsdb.local_image();
-        self.routes = RoutingTable::compute_with(&self.image, self.me, &self.spf_cache);
-        self.record_spf_delta(ctx, before);
-    }
-
-    /// Publishes the cache activity caused by one handler step into the
-    /// simulation's metrics. Only deterministic quantities are recorded
-    /// (hit/miss/invalidation counts and settled-node work); wall-clock
-    /// nanoseconds stay out of the registry so `metrics.json` is
-    /// byte-identical across hosts and runs.
-    fn record_spf_delta(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, before: SpfCacheStats) {
-        let after = self.spf_cache.stats();
-        ctx.counter(counters::SPF_CACHE_HITS)
-            .add(after.hits - before.hits);
-        ctx.counter(counters::SPF_CACHE_MISSES)
-            .add(after.misses - before.misses);
-        ctx.counter(counters::SPF_CACHE_REPAIRS)
-            .add(after.repairs - before.repairs);
-        ctx.counter(counters::SPF_CACHE_INVALIDATIONS)
-            .add(after.invalidations - before.invalidations);
-        if after.misses > before.misses {
-            ctx.metrics().observe_named(
-                histograms::SPF_SETTLED_PER_COMPUTE,
-                after.settled_nodes - before.settled_nodes,
-            );
-        }
-    }
-
-    fn deliver_locally(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, data: &DataMsg) {
-        if self.engine.is_member(data.mc) {
-            ctx.counter(counters::DATA_DELIVERED).incr();
-            *self.delivered.entry((data.mc, data.packet_id)).or_insert(0) += 1;
-        }
-    }
-
-    fn forward_tree(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, data: DataMsg, via: Option<LinkId>) {
-        self.deliver_locally(ctx, &data);
-        let Some(topology) = self.engine.installed(data.mc) else {
-            return;
-        };
-        let from = via.and_then(|l| self.neighbor_of(l));
-        let next_hops: Vec<NodeId> = topology
-            .neighbors_in(self.me)
-            .into_iter()
-            .filter(|&n| Some(n) != from)
-            .collect();
-        for n in next_hops {
-            if let Some(link) = self.link_to(n) {
-                ctx.send(
-                    ActorId(n.0),
-                    self.config.per_hop,
-                    SwitchMsg::Data(DataMsg {
-                        kind: DataKind::TreeFlood { via: Some(link) },
-                        ..data.clone()
-                    }),
-                );
-            }
-        }
-    }
-
-    fn inject_data(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, mc: McId, packet_id: u64) {
-        let data = DataMsg {
-            mc,
-            packet_id,
-            origin: self.me,
-            kind: DataKind::TreeFlood { via: None },
-        };
-        if self.engine.is_member(mc)
-            || self
-                .engine
-                .installed(mc)
-                .is_some_and(|t| t.touches(self.me))
-        {
-            // On the tree already: second-stage tree delivery.
-            self.forward_tree(ctx, data, None);
-            return;
-        }
-        // Receiver-only style first stage: unicast to the nearest tree node
-        // ("the packet is delivered to any node on the MC").
-        let Some(topology) = self.engine.installed(mc) else {
-            return;
-        };
-        let contact = topology
-            .nodes()
-            .into_iter()
-            .filter_map(|n| self.routes.cost(n).map(|c| (c, n)))
-            .min();
-        let Some((_, contact)) = contact else { return };
-        let msg = SwitchMsg::Data(DataMsg {
-            kind: DataKind::UnicastToContact { contact },
-            ..data
-        });
-        if contact == self.me {
-            // We are the contact (e.g. zero-cost self route can't happen as
-            // we're off-tree, but stay safe).
-            if let SwitchMsg::Data(d) = msg {
-                self.forward_tree(ctx, d, None);
-            }
-            return;
-        }
-        if let Some(next) = self.routes.next_hop(contact) {
-            ctx.send(ActorId(next.0), self.config.per_hop, msg);
-        }
-    }
-
-    fn on_data(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, data: DataMsg) {
-        match data.kind {
-            DataKind::TreeFlood { via } => {
-                let d = DataMsg {
-                    kind: DataKind::TreeFlood { via },
-                    ..data
-                };
-                self.forward_tree(ctx, d, via);
-            }
-            DataKind::UnicastToContact { contact } => {
-                if contact == self.me {
-                    let d = DataMsg {
-                        kind: DataKind::TreeFlood { via: None },
-                        ..data
-                    };
-                    self.forward_tree(ctx, d, None);
-                } else if let Some(next) = self.routes.next_hop(contact) {
-                    ctx.send(ActorId(next.0), self.config.per_hop, SwitchMsg::Data(data));
-                }
-            }
-        }
+    fn deref(&self) -> &NodeCore {
+        &self.core
     }
 }
 
 impl Actor<SwitchMsg> for DgmcSwitch {
     fn handle(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, env: Envelope<SwitchMsg>) {
-        if self.failed {
-            // A failed switch drops everything except its own revival.
-            if let SwitchMsg::NodeAdmin { up: true } = env.msg {
-                self.failed = false;
-                // Incident links come back with the node; neighbors
-                // advertise and sync (inject_node_event drives them).
-                for entry in &mut self.incident {
-                    entry.3 = true;
-                }
+        let input = match env.msg {
+            SwitchMsg::Frame(frame) => {
+                let from = env.from.expect("frames are sent by switches");
+                Input::Frame(NodeId(from.0), frame)
             }
-            return;
-        }
-        match env.msg {
-            SwitchMsg::Packet { packet, via } => {
-                if !self.flooder.accept(packet.id) {
-                    ctx.counter(counters::DUPLICATES).incr();
-                    return;
-                }
-                self.relay(ctx, &packet, via);
-                match packet.payload {
-                    DgmcPayload::Router(lsa) => {
-                        if self.lsdb.install(lsa) {
-                            self.refresh_image(ctx);
-                        }
-                    }
-                    DgmcPayload::Mc(lsa) => {
-                        ctx.counter(counters::MC_LSAS).incr();
-                        let actions = self.engine.on_mc_lsa(lsa);
-                        self.execute(ctx, actions);
-                    }
-                }
-            }
-            SwitchMsg::HostJoin { mc, mc_type, role } => {
-                let actions = self.engine.local_join(mc, mc_type, role);
-                if !actions.is_empty() {
-                    ctx.counter(counters::MEMBER_EVENTS).incr();
-                    self.close_event_episode(ctx);
-                }
-                self.execute(ctx, actions);
-            }
-            SwitchMsg::HostLeave { mc } => {
-                let actions = self.engine.local_leave(mc);
-                if !actions.is_empty() {
-                    ctx.counter(counters::MEMBER_EVENTS).incr();
-                    self.close_event_episode(ctx);
-                }
-                self.execute(ctx, actions);
-            }
+            SwitchMsg::HostJoin { mc, mc_type, role } => Input::Join(mc, mc_type, role),
+            SwitchMsg::HostLeave { mc } => Input::Leave(mc),
             SwitchMsg::LinkEvent { link, up, detector } => {
-                if let Some(entry) = self.incident.iter_mut().find(|(l, ..)| *l == link) {
-                    entry.3 = up;
-                } else {
-                    panic!("link {link} is not incident to {}", self.me);
-                }
-                if up {
-                    // Database exchange toward the (possibly just revived)
-                    // far endpoint, as OSPF does when an adjacency forms.
-                    if let Some(neighbor) = self.neighbor_of(link) {
-                        let node_count =
-                            u32::try_from(self.lsdb.node_count()).expect("node ids fit u32");
-                        let router_lsas = (0..node_count)
-                            .filter_map(|i| self.lsdb.get(NodeId(i)).cloned())
-                            .collect();
-                        ctx.send(
-                            ActorId(neighbor.0),
-                            self.config.per_hop,
-                            SwitchMsg::DbSync {
-                                router_lsas,
-                                mc_states: self.engine.export_sync(),
-                            },
-                        );
-                    }
-                }
-                if detector {
-                    // Originate the one non-MC LSA for this event...
-                    let links = self
-                        .incident
-                        .iter()
-                        .map(|&(l, n, cost, up)| dgmc_lsr::lsa::LinkAdv {
-                            link: l,
-                            neighbor: n,
-                            cost,
-                            up,
-                        })
-                        .collect();
-                    let lsa = RouterLsa {
-                        origin: self.me,
-                        seq: self.next_router_seq,
-                        links,
-                    };
-                    self.next_router_seq += 1;
-                    self.lsdb.install(lsa.clone());
-                    self.refresh_image(ctx);
-                    ctx.counter(counters::ROUTER_FLOODS).incr();
-                    self.flood(ctx, DgmcPayload::Router(lsa), None);
-                    // ...then the k MC LSAs for affected connections.
-                    let neighbor = self.neighbor_of(link).expect("incident");
-                    let actions = self.engine.local_link_event(self.me, neighbor);
-                    self.execute(ctx, actions);
-                }
+                let neighbor = self.core.neighbor_of(link);
+                let neighbor = neighbor
+                    .unwrap_or_else(|| panic!("link {link} is not incident to {}", self.core.id()));
+                Input::Link(neighbor, up, detector)
             }
-            SwitchMsg::ComputationDone { mc } => {
-                let before = self.spf_cache.stats();
-                let actions = self.engine.on_computation_done(mc, &self.image);
-                self.record_spf_delta(ctx, before);
-                self.execute(ctx, actions);
-            }
-            SwitchMsg::SendData { mc, packet_id } => {
-                self.inject_data(ctx, mc, packet_id);
-            }
-            SwitchMsg::Data(data) => {
-                self.on_data(ctx, data);
-            }
-            SwitchMsg::NodeAdmin { up } => {
-                if !up {
-                    self.failed = true;
-                    for entry in &mut self.incident {
-                        entry.3 = false;
-                    }
+            SwitchMsg::ComputationDone { mc } => Input::ComputationDone(mc),
+            SwitchMsg::SendData { mc, packet_id } => Input::SendData(mc, packet_id),
+            SwitchMsg::NodeAdmin { up } => Input::Admin(up),
+        };
+        // Counters land in the simulation's shared registry.
+        let mut step = Step {
+            now_nanos: ctx.now().as_nanos(),
+            metrics: ctx.metrics(),
+            out: &mut self.outputs,
+        };
+        self.core.step(&mut step, input);
+        // The simulator breaks time ties by insertion order, so effecting the
+        // outputs in the order the core pushed them keeps event order.
+        for output in self.outputs.drain(..) {
+            match output {
+                Output::Send { to, frame } => {
+                    ctx.send(ActorId(to.0), self.per_hop, SwitchMsg::Frame(frame));
                 }
-                // up while alive: nothing to do.
-            }
-            SwitchMsg::DbSync {
-                router_lsas,
-                mc_states,
-            } => {
-                let mut changed = false;
-                for lsa in router_lsas {
-                    changed |= self.lsdb.install(lsa);
-                }
-                if changed {
-                    self.refresh_image(ctx);
-                }
-                let actions = self.engine.import_sync(mc_states);
-                self.execute(ctx, actions);
+                Output::StartTimer { mc, after_nanos } => ctx.schedule_self(
+                    SimDuration::nanos(after_nanos),
+                    SwitchMsg::ComputationDone { mc },
+                ),
             }
         }
     }
@@ -769,10 +197,12 @@ impl Actor<SwitchMsg> for DgmcSwitch {
 /// short and deterministic (no addresses, no wall-clock).
 pub fn trace_label(msg: &SwitchMsg) -> String {
     match msg {
-        SwitchMsg::Packet { packet, .. } => match &packet.payload {
+        SwitchMsg::Frame(Frame::Flood(packet)) => match &packet.payload {
             DgmcPayload::Router(lsa) => format!("router-lsa sw{}", lsa.origin.0),
             DgmcPayload::Mc(lsa) => format!("mc-lsa {} sw{}", lsa.mc, lsa.source.0),
         },
+        SwitchMsg::Frame(Frame::Data(data)) => format!("data {} #{}", data.mc, data.packet_id),
+        SwitchMsg::Frame(Frame::DbSync { .. }) => "db-sync".to_owned(),
         SwitchMsg::HostJoin { mc, .. } => format!("join {mc}"),
         SwitchMsg::HostLeave { mc } => format!("leave {mc}"),
         SwitchMsg::LinkEvent { link, up, .. } => {
@@ -780,9 +210,7 @@ pub fn trace_label(msg: &SwitchMsg) -> String {
         }
         SwitchMsg::ComputationDone { mc } => format!("compute {mc}"),
         SwitchMsg::SendData { mc, packet_id } => format!("send-data {mc} #{packet_id}"),
-        SwitchMsg::Data(data) => format!("data {} #{}", data.mc, data.packet_id),
         SwitchMsg::NodeAdmin { up } => (if *up { "node-up" } else { "node-down" }).to_owned(),
-        SwitchMsg::DbSync { .. } => "db-sync".to_owned(),
     }
 }
 
@@ -826,7 +254,7 @@ pub fn build_dgmc_sim_with_cache(
 }
 
 /// [`build_dgmc_sim_with_cache`] with the per-switch shard worker count
-/// for many-MC link events (see [`DgmcEngine::set_jobs`]). Any `jobs`
+/// for many-MC link events (see [`crate::DgmcEngine::set_jobs`]). Any `jobs`
 /// value produces byte-identical simulation outputs; values above 1 only
 /// change wall-clock when one event touches many independent connections.
 pub fn build_dgmc_sim_sharded(
@@ -838,12 +266,11 @@ pub fn build_dgmc_sim_sharded(
 ) -> Simulation<SwitchMsg> {
     let mut sim = Simulation::new();
     for n in net.nodes() {
-        let mut switch =
-            DgmcSwitch::new_with_cache(n, net, config, Rc::clone(&algorithm), cache.clone());
         // Every engine stamps decisions with the simulation's shared clock;
         // observation stays a no-op until a sink is attached on the handle.
-        switch.set_observer(sim.observer().clone());
-        switch.set_jobs(jobs);
+        let observer = sim.observer().clone();
+        let (algorithm, cache) = (Rc::clone(&algorithm), cache.clone());
+        let switch = DgmcSwitch::new(n, net, config, algorithm, cache, jobs, observer);
         let id = sim.add_actor(Box::new(switch));
         debug_assert_eq!(id.index(), n.index());
     }

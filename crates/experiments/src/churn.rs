@@ -2,13 +2,13 @@
 //!
 //! The paper's Fig. 7 regime is dominated by link events: every cost change
 //! or flap rotates the image digest, so before the incremental repair layer
-//! the SPF cache missed on essentially every computation (BENCH_pr3's
-//! `fig7_smoke` ran at 0.99×). This module builds that workload as a pure
-//! event path — one deterministic link mutation per event, then a window of
-//! switches recomputing their routing tables from the shared image — so the
-//! bench can measure cached-vs-uncached throughput on exactly the pattern
-//! that used to collapse, and CI can assert the cached path stays
-//! bit-equivalent to the uncached one.
+//! the SPF cache missed on essentially every computation. This module builds
+//! that workload as a pure event path — one deterministic link mutation per
+//! event, then a window of switches recomputing their routing tables from
+//! the shared image — so the tests below can assert that on exactly the
+//! pattern that used to collapse the cached path is answered by repairs
+//! and stays bit-equivalent to the uncached one. (Its speed is measured by
+//! `perf/`'s `link_churn_k256` workload.)
 
 use dgmc_lsr::RoutingTable;
 use dgmc_topology::generate::{self, WaxmanParams};

@@ -129,7 +129,7 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
         opts.tc_nanos,
         Rc::new(SphStrategy::new()),
     );
-    let log = core.attach_log(opts.log_capacity);
+    let log = core.engine().observer().attach_log(opts.log_capacity);
     let udp = UdpSocket::bind("127.0.0.1:0")?;
     let ctl = TcpListener::bind("127.0.0.1:0")?;
     ctl.set_nonblocking(true)?;
@@ -431,7 +431,7 @@ impl Driver {
                 self.rx,
                 self.tx,
                 self.log.borrow().len(),
-                self.core.mc_count(),
+                self.core.engine().mc_count(),
             ),
             ["state"] => self.state_json(),
             ["metrics"] => self.core.metrics().to_json().to_json(),

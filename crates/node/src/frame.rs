@@ -1,6 +1,7 @@
 //! Outer UDP datagram framing and semantic validation.
 //!
-//! One datagram carries exactly one frame:
+//! One datagram carries exactly one [`Frame`] (the type the protocol core
+//! in [`dgmc_core::proto`] sends and receives):
 //!
 //! ```text
 //! Datagram := magic:u8(0xD6) version:u8(0x01) from:u32 kind:u8 body
@@ -23,10 +24,11 @@ use dgmc_core::codec::{
     decode_data_msg, decode_db_sync, decode_flood_packet, encode_data_msg, encode_db_sync,
     encode_flood_packet,
 };
-use dgmc_core::switch::{DataKind, DataMsg, DgmcPayload};
+pub use dgmc_core::proto::Frame;
+use dgmc_core::proto::{DataKind, DgmcPayload};
 use dgmc_core::{McSync, Timestamp};
 use dgmc_lsr::codec::CodecError;
-use dgmc_lsr::lsa::{FloodPacket, RouterLsa};
+use dgmc_lsr::lsa::RouterLsa;
 use dgmc_mctree::McTopology;
 use dgmc_topology::NodeId;
 
@@ -34,23 +36,6 @@ use dgmc_topology::NodeId;
 pub const MAGIC: u8 = 0xD6;
 /// Wire format version.
 pub const VERSION: u8 = 0x01;
-
-/// Everything one datagram can carry — the socket-facing analog of the DES
-/// network-visible [`dgmc_core::switch::SwitchMsg`] variants.
-#[derive(Debug, Clone)]
-pub enum Frame {
-    /// A flood packet (router or MC LSA) relayed hop by hop.
-    Flood(FloodPacket<DgmcPayload>),
-    /// OSPF-style database exchange after a link came up.
-    DbSync {
-        /// The sender's router LSA database.
-        router_lsas: Vec<RouterLsa>,
-        /// The sender's per-MC state snapshots.
-        mc_states: Vec<McSync>,
-    },
-    /// A data-plane packet.
-    Data(DataMsg),
-}
 
 /// Encodes `frame` as one datagram from node `from`.
 pub fn encode_datagram(from: NodeId, frame: &Frame) -> Vec<u8> {
@@ -184,7 +169,7 @@ pub fn frame_is_sane(from: NodeId, frame: &Frame, n: usize) -> bool {
 mod tests {
     use super::*;
     use dgmc_core::{McEventKind, McId, McLsa};
-    use dgmc_lsr::lsa::FloodId;
+    use dgmc_lsr::lsa::{FloodId, FloodPacket};
 
     fn mc_frame(width: usize) -> Frame {
         Frame::Flood(FloodPacket {

@@ -7,9 +7,10 @@
 //! language, applies the same step decomposition (`cut`/`repair` become
 //! per-endpoint link events with the lower endpoint as detector,
 //! `fail-node`/`revive-node` become an admin event plus neighbor-detected
-//! link events) and, between steps, waits for the mesh to go quiescent —
-//! the real-time equivalent of `run_to_quiescence`. That stepping is what
-//! makes per-node decision logs comparable with a stepped DES reference.
+//! link events, one drained detection at a time) and, between steps, waits
+//! for the mesh to go quiescent — the real-time equivalent of
+//! `run_to_quiescence`. That stepping is what makes per-node decision logs
+//! comparable with a stepped DES reference.
 //!
 //! Everything is deadline-guarded: a child that never prints its `ready`
 //! handshake, never answers a control command, or never goes quiet fails
@@ -328,7 +329,8 @@ impl Mesh {
     }
 
     /// Applies one scenario step to the mesh (the socket-world mirror of
-    /// the DES `inject_*` helpers), without waiting for quiescence.
+    /// the DES `inject_*` helpers), without waiting for quiescence after
+    /// its last input.
     ///
     /// # Errors
     ///
@@ -370,6 +372,10 @@ impl Mesh {
                     .map(|l| (l.a.0, l.b.0, l.other(node).index()))
                     .collect();
                 for (a, b, neighbor) in neighbors {
+                    // One detection at a time, drained first: issued back to
+                    // back, the first detector's proposal would race the
+                    // second detection and the run would not be repeatable.
+                    self.await_quiescence()?;
                     self.expect_ok(neighbor, &format!("link {a} {b} {state} 1"))?;
                 }
                 Ok(())

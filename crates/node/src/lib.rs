@@ -1,14 +1,16 @@
 //! A D-GMC node on real sockets.
 //!
 //! The DES validates the protocol under simulated time; this crate stands
-//! the *same engine* up on real UDP datagrams so the checker guarantees
-//! carry over to deployed code (ROADMAP item 1, DESIGN.md §14). The split
-//! is sans-IO, lightway-style:
+//! the *same switch* up on real UDP datagrams so the checker guarantees
+//! carry over to deployed code (DESIGN.md §14). The split is sans-IO,
+//! lightway-style: the protocol core — `dgmc_core::proto::NodeCore`, which
+//! consumes frames and control events and returns `Output` values
+//! (frames to send, timers to arm) without ever touching a socket — lives
+//! in `dgmc-core`, where the simulator drives it too. This crate is its
+//! socket adapter:
 //!
-//! * [`proto`] — [`proto::NodeCore`], a pure protocol core mirroring the
-//!   DES [`dgmc_core::switch::DgmcSwitch`] handler arm for arm. It consumes
-//!   decoded frames and control events and returns [`proto::Output`] values
-//!   (datagrams to send, timers to arm) without ever touching a socket.
+//! * [`proto`] — re-exports of the core under the names the driver uses,
+//!   plus the counters only a socket driver bumps.
 //! * [`frame`] — the outer datagram framing over the `dgmc-core`/`dgmc-lsr`
 //!   wire codecs, plus semantic validation of decoded frames.
 //! * [`clock`] — the monotonic wall clock mapped onto the engine's

@@ -1,8 +1,11 @@
-//! DES-vs-socket conformance: one scripted scenario replayed through both
-//! drivers — the discrete-event simulation and a multi-process localhost
-//! mesh of `dgmc-node` processes — must produce identical final engine
-//! state (R/E/C stamps, epochs, members, installed trees, tombstones) and
-//! identical ordered per-switch decision logs modulo timestamps.
+//! DES-vs-socket conformance: two adapters over one core agree. One
+//! scripted scenario replayed through both — the discrete-event `DgmcSwitch`
+//! and a multi-process localhost mesh of `dgmc-node` processes, each driving
+//! the same `NodeCore` — must produce identical final engine state (R/E/C
+//! stamps, epochs, members, installed trees, tombstones) and identical
+//! ordered per-switch decision logs modulo timestamps. What can differ, and
+//! so what this pins, is the adapters: message translation, output order,
+//! timers, and how scenario directives decompose into core inputs.
 //!
 //! Both runs are *stepped*: each scenario directive is injected alone and
 //! the network drains to quiescence before the next one (the launcher polls
@@ -10,6 +13,17 @@
 //! pins down cross-switch message interleavings so the decision logs are
 //! comparable event for event; within a step the protocol itself is
 //! deterministic per switch.
+//!
+//! A nodal event (`fail-node`/`revive-node`) is not one input but several:
+//! the admin transition plus one link detection per neighbour. The DES
+//! helper `inject_node_event` delivers the detections 1 ns apart, so both
+//! neighbours propose concurrently from the old tree; a launcher issuing
+//! them back to back over control sockets lets the first detector's
+//! proposal race the second detection, and the second detector's event
+//! count then differs by one (a harness-timing divergence that predates the
+//! shared core — both sides are legal schedules). Conformance therefore
+//! sub-steps nodal events on both sides: one detection at a time, in link
+//! order, drained to quiescence in between.
 
 use dgmc::des::RunOutcome;
 use dgmc::experiments::scenario::{self, Step};
@@ -19,13 +33,17 @@ use dgmc::prelude::*;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// 4 switches in a ring, two connections, a link flap, a membership flap,
-/// one data packet and a full teardown of connection 2 (tombstones on every
-/// switch). The `@ms` offsets order the steps; both drivers run stepped.
+/// 4 switches in a ring, two connections, a crash and revival of the transit
+/// switch of connection 1 (its tree is 0-1-2: `on_admin`, neighbour-side
+/// detection and the database resync), a link flap, a membership flap, one
+/// data packet and a full teardown of connection 2 (tombstones on every
+/// switch). The `@ms` offsets order the steps; both adapters run stepped.
 const SCENARIO: &str = "\
 net ring 4
 join 0 @0ms mc=1
 join 2 @10ms mc=1
+fail-node 1 @13ms
+revive-node 1 @16ms
 join 1 @20ms mc=2
 join 3 @30ms mc=2
 cut 0 1 @40ms
@@ -77,13 +95,25 @@ fn des_reference(text: &str) -> (Vec<String>, BTreeMap<u64, Vec<String>>) {
                 let _ = net_state.set_link_state(link, state);
             }
             Step::Node { node, up, .. } => {
-                dgmc::protocol::switch::inject_node_event(
-                    &mut sim,
-                    &net_state,
-                    node,
-                    up,
+                // Sub-stepped like the launcher: the admin transition, then
+                // one drained detection per neighbour (see the header).
+                sim.inject(
+                    ActorId(node.0),
                     SimDuration::ZERO,
+                    SwitchMsg::NodeAdmin { up },
                 );
+                for link in net_state.links().filter(|l| l.a == node || l.b == node) {
+                    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+                    sim.inject(
+                        ActorId(link.other(node).0),
+                        SimDuration::ZERO,
+                        SwitchMsg::LinkEvent {
+                            link: link.id,
+                            up,
+                            detector: true,
+                        },
+                    );
+                }
             }
             Step::Send {
                 node,
