@@ -32,6 +32,17 @@ if grep -rn ' as u32' crates/core/src crates/mctree/src; then
     exit 1
 fi
 
+echo "== one-path ratchet: no constructor/runner families, no engine jobs fork =="
+# PR14 folded the `_with_cache/_sharded/_jobs/_faulty/_traced` twins into one
+# entry point per layer; an option goes in the layer's options struct, not
+# into a second function name. Allowed: `build_dgmc_sim_with_cache` (frozen by
+# perf/) and the PR-4 sweep-level pool's `default_jobs` / `explore_sharded`.
+if grep -rnE 'pub fn [a-z0-9_]+_(with_cache|sharded|jobs|faulty|traced)\b|set_jobs' crates/*/src |
+    grep -vE 'pub fn (build_dgmc_sim_with_cache|default_jobs|explore_sharded)\b'; then
+    echo "a second entry point for an option (or the engine jobs fork) is back; see DESIGN.md §13"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

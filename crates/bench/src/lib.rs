@@ -15,7 +15,7 @@ use dgmc_experiments::report;
 /// Runs a reduced-scale sweep of `spec` and prints the figure table.
 pub fn print_figure(spec: ExperimentSpec) {
     let quick = presets::quick(spec);
-    let results = presets::run_experiment(&quick);
+    let results = presets::run_experiment(&quick, 1, |_| {});
     println!();
     println!(
         "=== Reproduced rows (reduced scale: {} graphs/size) ===",

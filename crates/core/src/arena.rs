@@ -26,7 +26,7 @@
 //! `debug_assertions` the hot queries recompute their answer from scratch
 //! and assert agreement, so any missed `sync` fails loudly in every test
 //! run. The reference scans are kept (`using_edge_scan`, `is_quiet_scan`)
-//! both as that oracle and as the baseline the PR9 benches gate against.
+//! as that oracle.
 
 use crate::state::McState;
 use crate::McId;
@@ -47,8 +47,7 @@ fn normalize(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 /// the SoA views were last synced from.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    /// The state; `None` while the slot sits on the free list or while the
-    /// state is checked out for sharded processing ([`McArena::take_at`]).
+    /// The state; `None` while the slot sits on the free list.
     state: Option<McState>,
     /// Installed edges (normalized, sorted) as of the last `sync`.
     edges: Vec<(NodeId, NodeId)>,
@@ -104,7 +103,7 @@ impl McArena {
         self.index.keys().copied().collect()
     }
 
-    /// Iterates `(id, state)` in id order, skipping checked-out slots.
+    /// Iterates `(id, state)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (McId, &McState)> + '_ {
         self.index
             .iter()
@@ -167,39 +166,12 @@ impl McArena {
         state
     }
 
-    /// Resolves the slot index of `mc`, for the sharded batch fast path:
-    /// resolving once and using [`McArena::take_at`]/[`McArena::restore_at`]
-    /// pays one map probe per id instead of one per arena operation.
-    pub fn slot_index(&self, mc: McId) -> Option<u32> {
-        self.slot_of(mc)
-    }
-
-    /// Checks the state out of its slot (by pre-resolved index) for sharded
-    /// processing. The slot stays allocated and its views untouched;
-    /// [`McArena::restore_at`] puts the state back and resyncs.
-    pub fn take_at(&mut self, slot: u32) -> Option<McState> {
-        self.slots[slot as usize].state.take()
-    }
-
-    /// Returns a checked-out state to its slot and refreshes its views.
-    pub fn restore_at(&mut self, slot: u32, mc: McId, state: McState) {
-        debug_assert_eq!(self.slot_of(mc), Some(slot), "slot/id mismatch");
-        let cell = &mut self.slots[slot as usize];
-        debug_assert!(cell.state.is_none(), "restore over a resident state");
-        cell.state = Some(state);
-        self.sync_slot(mc, slot);
-    }
-
     /// Refreshes the derived views (busy set, edge index) for `mc` from its
     /// current state. Idempotent; a no-op for non-resident ids.
     pub fn sync(&mut self, mc: McId) {
         let Some(slot) = self.slot_of(mc) else {
             return;
         };
-        self.sync_slot(mc, slot);
-    }
-
-    fn sync_slot(&mut self, mc: McId, slot: u32) {
         let cell = &mut self.slots[slot as usize];
         let Some(state) = cell.state.as_ref() else {
             return;
@@ -280,8 +252,7 @@ impl McArena {
 
     /// Reference linear scan for [`McArena::using_edge`]: walks every
     /// resident state like the pre-arena engine did. Kept as the debug
-    /// oracle and as the bench baseline the PR9 speedup gate is measured
-    /// against.
+    /// oracle.
     pub fn using_edge_scan(&self, a: NodeId, b: NodeId) -> Vec<McId> {
         self.iter()
             .filter(|(_, st)| st.installed.as_ref().is_some_and(|t| t.contains_edge(a, b)))
@@ -363,17 +334,5 @@ mod tests {
         arena.get_mut(McId(7)).unwrap().computing = None;
         arena.sync(McId(7));
         assert!(arena.is_quiet());
-    }
-
-    #[test]
-    fn take_and_restore_round_trip() {
-        let mut arena = McArena::new();
-        arena.insert(McId(4), state_with_tree(McId(4), &[(0, 3)]));
-        let slot = arena.slot_index(McId(4)).expect("resident");
-        let st = arena.take_at(slot).expect("resident");
-        assert!(arena.get(McId(4)).is_none(), "checked out");
-        assert!(arena.contains(McId(4)), "slot stays allocated");
-        arena.restore_at(slot, McId(4), st);
-        assert_eq!(arena.using_edge(NodeId(0), NodeId(3)), vec![McId(4)]);
     }
 }

@@ -24,12 +24,7 @@
 //!
 //! Per-MC state lives in an arena ([`crate::arena`]) with inverted hot
 //! views, so link events and quiescence probes cost O(affected MCs), not
-//! O(resident MCs). A link event that touches many *independent* MCs
-//! (distinct ids — their states are disjoint by construction) can shard
-//! the per-MC `EventHandler()` steps across the `dgmc_des::par` worker
-//! pool ([`DgmcEngine::set_jobs`]); results are merged back in MC-id
-//! order, so actions, decision-log events and every downstream artifact
-//! are byte-identical for every worker count.
+//! O(resident MCs).
 
 use crate::arena::McArena;
 use crate::state::{ComputationJob, McState, McSync, Tombstone};
@@ -116,120 +111,6 @@ pub enum EngineMutation {
     EagerDeferredFlood,
 }
 
-/// A decision-log emission produced by the pure per-MC event step.
-///
-/// `EventHandler()` for one MC is a pure function of that MC's state, so
-/// it can run on a worker thread — but the observer is an `Rc`-based,
-/// deliberately single-threaded handle. The step therefore *returns* its
-/// emissions as data and the engine replays them on the calling thread,
-/// in MC-id order, after the (possibly sharded) step completes. Serial
-/// and sharded processing emit the same events in the same order at the
-/// same simulated instant, which is what keeps decision logs and traces
-/// byte-identical across `--jobs` values.
-#[derive(Debug, Clone)]
-struct PendingEmit {
-    mc: McId,
-    kind: DecisionKind,
-    stamps: StampSnapshot,
-}
-
-/// Minimum number of affected MCs before a link event shards across the
-/// worker pool: below this the per-event work cannot amortize the scoped
-/// thread spawn of `dgmc_des::par::sweep`. Correctness does not depend on
-/// the value — serial and sharded paths run the same per-MC step.
-const SHARD_MIN_MCS: usize = 32;
-
-// The sharded path moves checked-out states and their results across
-// worker threads; this pins the payload to `Send` at compile time.
-#[allow(dead_code)]
-fn assert_shard_payload_is_send<T: Send>() {}
-const _: fn() = assert_shard_payload_is_send::<(Vec<McState>, Vec<DgmcAction>, Vec<PendingEmit>)>;
-
-/// The paper's `EventHandler()` body (Fig. 4) for one MC: a pure function
-/// of the per-MC state. Returns the actions for the hosting actor plus
-/// the decision-log emissions to replay ([`PendingEmit`]); snapshots are
-/// only built when `want_emits` (an observer is attached).
-fn event_step(
-    me: NodeId,
-    mutation: EngineMutation,
-    want_emits: bool,
-    st: &mut McState,
-    mc: McId,
-    event: McEventKind,
-) -> (Vec<DgmcAction>, Vec<PendingEmit>) {
-    debug_assert!(event.is_event(), "EventHandler takes real events");
-    let mut emits = Vec::new();
-    // Line 1: R[x] += 1; E[x] += 1.
-    st.r.incr(me);
-    st.e.incr(me);
-    // Local bookkeeping of our own membership change.
-    st.apply_membership(me, event);
-    let change = match event {
-        McEventKind::Join(_) => MemberChange::Join,
-        McEventKind::Leave => MemberChange::Leave,
-        McEventKind::Link | McEventKind::None => MemberChange::Link,
-    };
-    if want_emits {
-        emits.push(PendingEmit {
-            mc,
-            kind: DecisionKind::EventDetected {
-                member: me.0,
-                change,
-            },
-            stamps: snap(st),
-        });
-    }
-    // Line 2: compute only with no known outstanding LSAs — and, under
-    // CPU serialization, only when idle.
-    if st.all_caught_up() && st.computing.is_none() && st.mailbox.is_empty() {
-        // Lines 4-5: save old_R and start the Tc-long computation; the
-        // event LSA is flooded at completion (lines 6-14).
-        st.computing = Some(ComputationJob {
-            old_r: st.r.clone(),
-            terminals: st.terminals(),
-            previous: st.installed.clone(),
-            pending_event: Some(event),
-            stashed_candidate: None,
-            deferred: Vec::new(),
-        });
-        (vec![DgmcAction::StartComputation { mc }], emits)
-    } else {
-        // Lines 15-17 flood the event immediately — but when an earlier
-        // local event is still *unannounced* (it waits for the in-flight
-        // computation's completion, lines 11-13), flooding now would let
-        // this event overtake it and split member lists at receivers
-        // (DESIGN.md §11 race 2). Hold it in local order instead; the
-        // completion's withdrawal path floods pending + deferred FIFO.
-        st.make_proposal_flag = true;
-        let unannounced_ahead = st
-            .computing
-            .as_ref()
-            .is_some_and(|job| job.pending_event.is_some() || !job.deferred.is_empty());
-        if unannounced_ahead && mutation != EngineMutation::EagerDeferredFlood {
-            let job = st.computing.as_mut().expect("checked above");
-            job.deferred.push((event, st.r.clone()));
-            if want_emits {
-                emits.push(PendingEmit {
-                    mc,
-                    kind: DecisionKind::EventDeferred,
-                    stamps: snap(st),
-                });
-            }
-            return (Vec::new(), emits);
-        }
-        let lsa = McLsa {
-            source: me,
-            event,
-            mc,
-            mc_type: st.mc_type,
-            epoch: st.epoch,
-            proposal: None,
-            stamp: st.r.clone(),
-        };
-        (vec![DgmcAction::Flood(lsa)], emits)
-    }
-}
-
 /// The per-switch D-GMC protocol engine (all MCs).
 ///
 /// # Examples
@@ -261,9 +142,6 @@ pub struct DgmcEngine {
     observer: SharedObserver,
     spf_cache: SpfCache,
     mutation: EngineMutation,
-    /// Worker count for sharding independent MCs in one event step
-    /// (1 = serial; see [`DgmcEngine::set_jobs`]).
-    jobs: usize,
 }
 
 impl DgmcEngine {
@@ -278,7 +156,6 @@ impl DgmcEngine {
             observer: SharedObserver::new(),
             spf_cache: SpfCache::new(),
             mutation: EngineMutation::None,
-            jobs: 1,
         }
     }
 
@@ -290,22 +167,6 @@ impl DgmcEngine {
     /// The active engine mutation ([`EngineMutation::None`] in production).
     pub fn mutation(&self) -> EngineMutation {
         self.mutation
-    }
-
-    /// Sets the worker count used to shard one event step across the
-    /// *independent* MCs it touches (distinct ids — disjoint state).
-    ///
-    /// Purely a wall-clock optimization: the sharded path runs the exact
-    /// same per-MC step as the serial one and merges results back in MC-id
-    /// order, so actions, decision events and every downstream artifact
-    /// are byte-identical for every value. Values below 1 clamp to 1.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
-
-    /// The configured shard worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Plugs in a (typically simulation-wide shared) SPF computation cache.
@@ -435,18 +296,9 @@ impl DgmcEngine {
     /// `EventHandler()` for a locally detected link event: invoked once per
     /// connection whose installed topology uses link `(a, b)` ("a link/nodal
     /// event will cause ... k MC LSAs, where k is the number of MCs whose
-    /// topologies are affected").
-    ///
-    /// The affected connections are *independent* — distinct MC ids with
-    /// disjoint state — so when a worker pool is configured
-    /// ([`DgmcEngine::set_jobs`]) and enough MCs are touched, their
-    /// `EventHandler()` steps run sharded and are merged back in MC-id
-    /// order (DESIGN.md §13). Output is byte-identical either way.
+    /// topologies are affected"), in MC-id order.
     pub fn local_link_event(&mut self, a: NodeId, b: NodeId) -> Vec<DgmcAction> {
         let affected = self.mcs_using_link(a, b);
-        if self.jobs > 1 && affected.len() >= SHARD_MIN_MCS {
-            return self.link_event_sharded(&affected);
-        }
         let mut actions = Vec::new();
         for mc in affected {
             actions.extend(self.event_handler(mc, McEventKind::Link));
@@ -455,8 +307,8 @@ impl DgmcEngine {
     }
 
     /// Reference implementation of [`DgmcEngine::local_link_event`]: the
-    /// pre-arena event path (O(resident MCs) affected-set scan, serial
-    /// per-MC processing), the oracle of this module's equivalence tests.
+    /// pre-arena event path (O(resident MCs) affected-set scan), the oracle
+    /// of this module's equivalence tests.
     #[cfg(test)]
     fn local_link_event_scan(&mut self, a: NodeId, b: NodeId) -> Vec<DgmcAction> {
         let affected = self.states.using_edge_scan(a, b);
@@ -465,101 +317,6 @@ impl DgmcEngine {
             actions.extend(self.event_handler(mc, McEventKind::Link));
         }
         actions
-    }
-
-    /// Runs the link-event `EventHandler()` step for every affected MC on
-    /// the `dgmc_des::par` pool and merges results in MC-id order.
-    ///
-    /// Soundness: the states are checked out of the arena first, so each
-    /// worker owns its block of `McState`s exclusively (`McId`s are
-    /// distinct by construction — they come from one sorted affected set).
-    /// Work is sharded in *contiguous blocks*, not per MC: one step is a
-    /// microsecond of work, so per-task pool overhead (claim, slot lock)
-    /// must be amortized over hundreds of steps to win wall-clock. The
-    /// merge replays per-block results in exactly the order the serial
-    /// loop would have produced them: `affected` is sorted, blocks are
-    /// contiguous, the pool returns slots in task-index order, and
-    /// emissions ride along as data ([`PendingEmit`]) to be replayed on
-    /// this thread.
-    fn link_event_sharded(&mut self, affected: &[McId]) -> Vec<DgmcAction> {
-        use std::sync::Mutex;
-        let me = self.me;
-        let mutation = self.mutation;
-        let want_emits = self.observer.enabled();
-        // A few blocks per worker evens out block-to-block variance without
-        // reintroducing per-task overhead.
-        let block = affected.len().div_ceil(self.jobs * 4).max(8);
-        let blocks: Vec<&[McId]> = affected.chunks(block).collect();
-        // Resolve each id's slot once; take/restore then skip the map probe.
-        let slots: Vec<u32> = affected
-            .iter()
-            .map(|&mc| {
-                self.states
-                    .slot_index(mc)
-                    .expect("affected ids are resident")
-            })
-            .collect();
-        let slot_blocks: Vec<&[u32]> = slots.chunks(block).collect();
-        let cells: Vec<Mutex<Option<Vec<McState>>>> = slot_blocks
-            .iter()
-            .map(|idxs| {
-                let states: Vec<McState> = idxs
-                    .iter()
-                    .map(|&slot| {
-                        self.states
-                            .take_at(slot)
-                            .expect("affected ids are resident")
-                    })
-                    .collect();
-                Mutex::new(Some(states))
-            })
-            .collect();
-        let results = dgmc_des::par::sweep(
-            self.jobs,
-            blocks.len(),
-            |_| (),
-            |(), i| {
-                let mut states = cells[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each block is claimed exactly once");
-                let mut actions = Vec::new();
-                let mut emits = Vec::new();
-                for (st, &mc) in states.iter_mut().zip(blocks[i]) {
-                    let (a, e) = event_step(me, mutation, want_emits, st, mc, McEventKind::Link);
-                    actions.extend(a);
-                    emits.extend(e);
-                }
-                (states, actions, emits)
-            },
-            |_| false,
-        );
-        let mut actions = Vec::new();
-        for (i, result) in results.into_iter().enumerate() {
-            let (states, acts, emits) = result.expect("sweep without cancellation completes all");
-            for ((st, &mc), &slot) in states.into_iter().zip(blocks[i]).zip(slot_blocks[i]) {
-                self.states.restore_at(slot, mc, st);
-            }
-            for p in emits {
-                self.emit_pending(p);
-            }
-            actions.extend(acts);
-        }
-        actions
-    }
-
-    /// Replays a deferred decision-log emission from the (possibly
-    /// sharded) event step on the calling thread.
-    fn emit_pending(&self, p: PendingEmit) {
-        let switch = self.me.0;
-        self.observer.emit(move |now| DecisionEvent {
-            at_nanos: now,
-            mc: u64::from(p.mc.0),
-            switch,
-            kind: p.kind,
-            stamps: p.stamps,
-        });
     }
 
     /// Exports a snapshot of all MC states for database synchronization
@@ -684,21 +441,84 @@ impl DgmcEngine {
         actions
     }
 
-    /// The `EventHandler()` algorithm (paper Fig. 4): runs the pure
-    /// per-MC step ([`event_step`]) in place and replays its emissions.
+    /// The `EventHandler()` algorithm (paper Fig. 4) for one MC.
     fn event_handler(&mut self, mc: McId, event: McEventKind) -> Vec<DgmcAction> {
+        debug_assert!(event.is_event(), "EventHandler takes real events");
         let me = self.me;
-        let mutation = self.mutation;
-        let want_emits = self.observer.enabled();
         // Private invariant, not a recoverable race: every caller allocates
         // the state in the same tool round (unlike on_computation_done, whose
         // signal can cross a deletion).
         let st = self.states.get_mut(mc).expect("state allocated by caller");
-        let (actions, emits) = event_step(me, mutation, want_emits, st, mc, event);
+        // Line 1: R[x] += 1; E[x] += 1.
+        st.r.incr(me);
+        st.e.incr(me);
+        // Local bookkeeping of our own membership change.
+        st.apply_membership(me, event);
+        let change = match event {
+            McEventKind::Join(_) => MemberChange::Join,
+            McEventKind::Leave => MemberChange::Leave,
+            McEventKind::Link | McEventKind::None => MemberChange::Link,
+        };
+        self.observer.emit(|now| DecisionEvent {
+            at_nanos: now,
+            mc: u64::from(mc.0),
+            switch: me.0,
+            kind: DecisionKind::EventDetected {
+                member: me.0,
+                change,
+            },
+            stamps: snap(st),
+        });
+        // Line 2: compute only with no known outstanding LSAs — and, under
+        // CPU serialization, only when idle.
+        let actions = if st.all_caught_up() && st.computing.is_none() && st.mailbox.is_empty() {
+            // Lines 4-5: save old_R and start the Tc-long computation; the
+            // event LSA is flooded at completion (lines 6-14).
+            st.computing = Some(ComputationJob {
+                old_r: st.r.clone(),
+                terminals: st.terminals(),
+                previous: st.installed.clone(),
+                pending_event: Some(event),
+                stashed_candidate: None,
+                deferred: Vec::new(),
+            });
+            vec![DgmcAction::StartComputation { mc }]
+        } else {
+            // Lines 15-17 flood the event immediately — but when an earlier
+            // local event is still *unannounced* (it waits for the in-flight
+            // computation's completion, lines 11-13), flooding now would let
+            // this event overtake it and split member lists at receivers
+            // (DESIGN.md §11 race 2). Hold it in local order instead; the
+            // completion's withdrawal path floods pending + deferred FIFO.
+            st.make_proposal_flag = true;
+            let stamp = st.r.clone();
+            match st.computing.as_mut().filter(|job| {
+                (job.pending_event.is_some() || !job.deferred.is_empty())
+                    && self.mutation != EngineMutation::EagerDeferredFlood
+            }) {
+                Some(job) => {
+                    job.deferred.push((event, stamp));
+                    self.observer.emit(|now| DecisionEvent {
+                        at_nanos: now,
+                        mc: u64::from(mc.0),
+                        switch: me.0,
+                        kind: DecisionKind::EventDeferred,
+                        stamps: snap(st),
+                    });
+                    Vec::new()
+                }
+                None => vec![DgmcAction::Flood(McLsa {
+                    source: me,
+                    event,
+                    mc,
+                    mc_type: st.mc_type,
+                    epoch: st.epoch,
+                    proposal: None,
+                    stamp,
+                })],
+            }
+        };
         self.states.sync(mc);
-        for p in emits {
-            self.emit_pending(p);
-        }
         actions
     }
 
@@ -1546,36 +1366,35 @@ mod tests {
     }
 
     #[test]
-    fn sharded_link_event_is_byte_identical_to_serial() {
-        // Enough MCs to clear SHARD_MIN_MCS so jobs > 1 really shards.
-        let k = u32::try_from(SHARD_MIN_MCS).expect("shard threshold fits u32") * 2;
-        let serial = engine_with_k_mcs(8, k);
-        assert_eq!(serial.mc_ids().len(), k as usize);
-        for jobs in [1usize, 2, 4] {
-            // Cloned engines share the observer Rc; give each its own so
-            // the two logs record independently.
-            let mut eng = serial.clone();
-            eng.set_jobs(jobs);
-            eng.set_observer(SharedObserver::new());
-            let log = eng.observer().attach_log(usize::MAX);
-            let mut reference = serial.clone();
-            reference.set_observer(SharedObserver::new());
-            let ref_log = reference.observer().attach_log(usize::MAX);
-            let a = eng.local_link_event(NodeId(0), NodeId(1));
-            let b = reference.local_link_event_scan(NodeId(0), NodeId(1));
-            assert_eq!(a, b, "jobs={jobs}: actions diverge from the scan path");
+    fn many_mc_link_event_matches_the_scan_oracle() {
+        let k = 64u32;
+        let seeded = engine_with_k_mcs(8, k);
+        assert_eq!(seeded.mc_ids().len(), k as usize);
+        // Cloned engines share the observer Rc; give each its own so the
+        // two logs record independently.
+        let mut eng = seeded.clone();
+        eng.set_observer(SharedObserver::new());
+        let log = eng.observer().attach_log(usize::MAX);
+        let mut reference = seeded.clone();
+        reference.set_observer(SharedObserver::new());
+        let ref_log = reference.observer().attach_log(usize::MAX);
+        let a = eng.local_link_event(NodeId(0), NodeId(1));
+        let b = reference.local_link_event_scan(NodeId(0), NodeId(1));
+        assert_eq!(a, b, "actions diverge from the scan path");
+        assert_eq!(
+            log.borrow().iter().cloned().collect::<Vec<_>>(),
+            ref_log.borrow().iter().cloned().collect::<Vec<_>>(),
+            "decision events diverge"
+        );
+        // One EventDetected per affected MC, in MC-id order.
+        let detected: Vec<u64> = log.borrow().iter().map(|ev| ev.mc).collect();
+        assert_eq!(detected, (1..=u64::from(k)).collect::<Vec<_>>());
+        for mc in seeded.mc_ids() {
             assert_eq!(
-                log.borrow().iter().cloned().collect::<Vec<_>>(),
-                ref_log.borrow().iter().cloned().collect::<Vec<_>>(),
-                "jobs={jobs}: decision events diverge"
+                eng.state(mc),
+                reference.state(mc),
+                "state diverges for {mc}"
             );
-            for mc in serial.mc_ids() {
-                assert_eq!(
-                    eng.state(mc),
-                    reference.state(mc),
-                    "jobs={jobs}: state diverges for {mc}"
-                );
-            }
         }
     }
 

@@ -235,18 +235,17 @@ impl NodeCore {
         algorithm: Rc<dyn McAlgorithm>,
     ) -> NodeCore {
         let (cache, observer) = (SpfCache::new(), SharedObserver::new());
-        Self::with_shared(me, net, tc_nanos, algorithm, cache, 1, observer)
+        Self::with_shared(me, net, tc_nanos, algorithm, cache, observer)
     }
 
     /// [`new`](Self::new) for a simulation: the SPF cache and the observer
-    /// are shared by every switch, `jobs` is the engine's shard worker count.
+    /// are shared by every switch.
     pub(crate) fn with_shared(
         me: NodeId,
         net: &Network,
         tc_nanos: u64,
         algorithm: Rc<dyn McAlgorithm>,
         spf_cache: SpfCache,
-        jobs: usize,
         observer: SharedObserver,
     ) -> NodeCore {
         let mut lsdb = Lsdb::new(net.len());
@@ -262,7 +261,6 @@ impl NodeCore {
             .collect();
         let mut engine = DgmcEngine::new(me, net.len(), algorithm);
         engine.set_spf_cache(spf_cache);
-        engine.set_jobs(jobs);
         engine.set_observer(observer);
         NodeCore {
             me,

@@ -109,20 +109,18 @@ pub struct DgmcSwitch {
 impl DgmcSwitch {
     /// Creates the switch warm-started on the ground-truth network `net`.
     /// `cache` and `observer` are typically shared by every switch of the
-    /// simulation; `jobs` is the engine's shard worker count
-    /// ([`crate::DgmcEngine::set_jobs`]).
+    /// simulation.
     pub fn new(
         me: NodeId,
         net: &Network,
         config: DgmcConfig,
         algorithm: Rc<dyn McAlgorithm>,
         cache: SpfCache,
-        jobs: usize,
         observer: SharedObserver,
     ) -> DgmcSwitch {
         let tc = config.tc.as_nanos();
         DgmcSwitch {
-            core: NodeCore::with_shared(me, net, tc, algorithm, cache, jobs, observer),
+            core: NodeCore::with_shared(me, net, tc, algorithm, cache, observer),
             per_hop: config.per_hop,
             outputs: Vec::new(),
         }
@@ -250,27 +248,13 @@ pub fn build_dgmc_sim_with_cache(
     algorithm: Rc<dyn McAlgorithm>,
     cache: SpfCache,
 ) -> Simulation<SwitchMsg> {
-    build_dgmc_sim_sharded(net, config, algorithm, cache, 1)
-}
-
-/// [`build_dgmc_sim_with_cache`] with the per-switch shard worker count
-/// for many-MC link events (see [`crate::DgmcEngine::set_jobs`]). Any `jobs`
-/// value produces byte-identical simulation outputs; values above 1 only
-/// change wall-clock when one event touches many independent connections.
-pub fn build_dgmc_sim_sharded(
-    net: &Network,
-    config: DgmcConfig,
-    algorithm: Rc<dyn McAlgorithm>,
-    cache: SpfCache,
-    jobs: usize,
-) -> Simulation<SwitchMsg> {
     let mut sim = Simulation::new();
     for n in net.nodes() {
         // Every engine stamps decisions with the simulation's shared clock;
         // observation stays a no-op until a sink is attached on the handle.
         let observer = sim.observer().clone();
         let (algorithm, cache) = (Rc::clone(&algorithm), cache.clone());
-        let switch = DgmcSwitch::new(n, net, config, algorithm, cache, jobs, observer);
+        let switch = DgmcSwitch::new(n, net, config, algorithm, cache, observer);
         let id = sim.add_actor(Box::new(switch));
         debug_assert_eq!(id.index(), n.index());
     }

@@ -2,7 +2,7 @@
 //!
 //! The engine's per-MC store is an arena with derived hot views
 //! (`crates/core/src/arena.rs`); the executable specification keeps the
-//! naive `BTreeMap` it always had. These properties pin the refactor:
+//! naive `BTreeMap` it always had. This property pins the refactor:
 //!
 //! * **Spec lockstep** — random join/leave/link/delivery/completion scripts
 //!   (including full teardowns and slot-reusing rejoins) drive an engine and
@@ -11,16 +11,13 @@
 //!   compile with `debug_assertions`, every hot-view query inside the engine
 //!   also re-checks itself against the reference linear scan, so a missed
 //!   arena sync fails loudly here.
-//! * **Jobs identity** — for random many-MC databases, the sharded link
-//!   event path (`jobs > 1`) must leave actions and every per-MC state
-//!   byte-identical to the serial path.
 
 use dgmc_core::spec::{actions_match, diff_engine, SpecAction, SpecSwitch};
-use dgmc_core::{DgmcAction, DgmcEngine, McId, McLsa, McSync, McTopology, McType, Role, Timestamp};
+use dgmc_core::{DgmcAction, DgmcEngine, McId, McLsa, McType, Role};
 use dgmc_mctree::{McAlgorithm, SphStrategy};
 use dgmc_topology::{generate, Network, NodeId, SpfCache};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// Engine + spec per switch, with per-origin FIFO delivery queues (the
@@ -201,76 +198,6 @@ proptest! {
         // Quiescent and still equivalent on every switch.
         for (i, spec) in cluster.specs.iter().enumerate() {
             prop_assert_eq!(diff_engine(spec, &cluster.engines[i]), None, "switch {}", i);
-        }
-    }
-}
-
-/// Builds one engine with `k` resident MCs on random 3-node path trees
-/// (members at both ends and the middle), loaded through database sync.
-fn engine_with_random_mcs(n: usize, starts: &[usize]) -> DgmcEngine {
-    let mut engine = DgmcEngine::new(NodeId(0), n, Rc::new(SphStrategy::new()));
-    let snapshot: Vec<McSync> = starts
-        .iter()
-        .enumerate()
-        .map(|(i, &start)| {
-            let mc = McId(u32::try_from(i + 1).expect("test MC count fits u32"));
-            let b = u32::try_from(start % (n - 2)).expect("test node ids fit u32");
-            let path = [NodeId(b), NodeId(b + 1), NodeId(b + 2)];
-            let mut members = BTreeMap::new();
-            let mut r = Timestamp::zero(n);
-            for m in path {
-                members.insert(m, Role::SenderReceiver);
-                r.incr(m);
-            }
-            let edges = path.windows(2).map(|w| (w[0], w[1]));
-            let terminals: BTreeSet<NodeId> = path.iter().copied().collect();
-            McSync {
-                mc,
-                mc_type: McType::Symmetric,
-                epoch: 0,
-                r: r.clone(),
-                e: r.clone(),
-                c: r.clone(),
-                c_source: Some(path[0]),
-                members,
-                installed: Some(McTopology::from_edges(edges, terminals)),
-            }
-        })
-        .collect();
-    engine.import_sync(snapshot);
-    engine
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Sharded link-event processing is byte-identical to serial for random
-    /// many-MC databases and random event sequences, for every jobs value.
-    #[test]
-    fn sharded_link_events_match_serial_for_random_databases(
-        n in 6usize..16,
-        starts in prop::collection::vec(0usize..1000, 40..100),
-        events in prop::collection::vec(0usize..1000, 1..4),
-    ) {
-        let template = engine_with_random_mcs(n, &starts);
-        for jobs in [2usize, 4] {
-            let mut serial = template.clone();
-            let mut sharded = template.clone();
-            sharded.set_jobs(jobs);
-            for &e in &events {
-                let a = u32::try_from(e % (n - 1)).expect("test node ids fit u32");
-                let serial_actions = serial.local_link_event(NodeId(a), NodeId(a + 1));
-                let sharded_actions = sharded.local_link_event(NodeId(a), NodeId(a + 1));
-                prop_assert_eq!(&serial_actions, &sharded_actions, "jobs {}", jobs);
-            }
-            prop_assert_eq!(serial.mc_ids(), sharded.mc_ids());
-            for mc in serial.mc_ids() {
-                prop_assert_eq!(
-                    serial.state(mc).cloned(),
-                    sharded.state(mc).cloned(),
-                    "state diverged for {} at jobs {}", mc, jobs
-                );
-            }
         }
     }
 }

@@ -51,11 +51,10 @@ pub mod mc;
 pub mod net;
 pub mod par;
 pub mod stats;
-pub mod trace;
 
 pub use net::{
-    Delivery, DeliveryKind, FaultPlan, FaultyNet, LinkFaults, LinkFlap, NetModel, NodeOutage,
+    Delivery, DeliveryKind, FaultPlan, FaultyNet, LinkFaults, LinkFlap, NetModel, NetStats,
+    NodeOutage,
 };
 pub use sim::{net_counters, Actor, ActorId, Ctx, Envelope, RunOutcome, Simulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::NetStats;

@@ -32,6 +32,7 @@ use dgmc_obs::JsonValue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Provenance of one scheduled copy of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +72,46 @@ pub trait NetModel {
     ) -> Vec<Delivery>;
 }
 
+/// Message accounting across the network model: when a [`NetModel`] is
+/// installed, the simulator counts every send, drop, duplicate and
+/// retransmission round, and the books must
+/// [reconcile][NetStats::reconciles] — copies scheduled equals sends minus
+/// drops plus duplicates.
+///
+/// All zeros until a model is installed; see
+/// [`crate::Simulation::net_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Actor-to-actor sends routed through the model.
+    pub sent: u64,
+    /// Message copies actually scheduled for delivery.
+    pub delivered: u64,
+    /// Messages hard-dropped (never delivered).
+    pub dropped: u64,
+    /// Extra copies injected.
+    pub duplicated: u64,
+    /// Recovered retransmission rounds (late deliveries, not extra copies).
+    pub retransmits: u64,
+}
+
+impl NetStats {
+    /// Checks the conservation law of the delivery path:
+    /// `sent + duplicated == delivered + dropped`.
+    pub fn reconciles(&self) -> bool {
+        self.sent + self.duplicated == self.delivered + self.dropped
+    }
+}
+
+impl fmt::Display for NetStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sent={} delivered={} dropped={} duplicated={} retransmits={}",
+            self.sent, self.delivered, self.dropped, self.duplicated, self.retransmits
+        )
+    }
+}
+
 /// Fault probabilities and delay noise applied to one (directed) link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaults {
@@ -99,17 +140,17 @@ impl LinkFaults {
         }
     }
 
-    fn assert_valid(&self) {
+    fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("loss", self.loss),
             ("hard_loss", self.hard_loss),
             ("duplicate", self.duplicate),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "fault probability {name}={p} out of [0, 1]"
-            );
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("fault probability {name}={p} out of [0, 1]"));
+            }
         }
+        Ok(())
     }
 
     fn to_json(self) -> JsonValue {
@@ -120,12 +161,44 @@ impl LinkFaults {
             ("jitter_ns", JsonValue::U64(self.jitter.as_nanos())),
         ])
     }
+
+    /// Absent keys default to fault-free, like [`LinkFaults::none`].
+    fn from_json(v: &JsonValue) -> Result<LinkFaults, String> {
+        let prob = |key: &str| match v.get(key) {
+            None => Ok(0.0),
+            Some(JsonValue::U64(n)) => Ok(*n as f64),
+            Some(JsonValue::F64(p)) => Ok(*p),
+            Some(other) => Err(format!(
+                "fault plan: `{key}` must be a number, got {other:?}"
+            )),
+        };
+        Ok(LinkFaults {
+            loss: prob("loss")?,
+            hard_loss: prob("hard_loss")?,
+            duplicate: prob("duplicate")?,
+            jitter: SimDuration::nanos(json_u64(v, "jitter_ns", Some(0))?),
+        })
+    }
 }
 
-impl Default for LinkFaults {
-    fn default() -> Self {
-        LinkFaults::none()
+/// The unsigned integer under `key`; `default` stands in for an absent key
+/// (`None` makes the key required).
+fn json_u64(v: &JsonValue, key: &str, default: Option<u64>) -> Result<u64, String> {
+    match (v.get(key), default) {
+        (Some(JsonValue::U64(n)), _) => Ok(*n),
+        (None, Some(default)) => Ok(default),
+        (None, None) => Err(format!("fault plan: missing `{key}`")),
+        (Some(other), _) => Err(format!(
+            "fault plan: `{key}` must be an integer, got {other:?}"
+        )),
     }
+}
+
+/// Like [`json_u64`] for a `u32` field (node ids, retry caps): outside
+/// input, so range-checked rather than cast.
+fn json_u32(v: &JsonValue, key: &str, default: Option<u32>) -> Result<u32, String> {
+    let raw = json_u64(v, key, default.map(u64::from))?;
+    u32::try_from(raw).map_err(|_| format!("fault plan: `{key}` = {raw} exceeds u32"))
 }
 
 /// A scheduled link flap, in time relative to the scenario's fault phase.
@@ -251,17 +324,71 @@ impl FaultPlan {
         ])
     }
 
-    fn assert_valid(&self) {
-        self.default.assert_valid();
+    /// Parses the output of [`FaultPlan::to_json`] (the format written into
+    /// repro bundles and read by `dgmc-node --fault-plan`). Only `default`
+    /// is required; absent keys take their [`FaultPlan::none`] values.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description on malformed JSON, a missing `default`, node
+    /// ids beyond `u32`, probabilities outside `[0, 1]` or an empty
+    /// flap/outage window — never a plan [`FaultyNet::new`] would reject.
+    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
+        let root = JsonValue::parse(text)?;
+        let part = |v: &JsonValue, key: &str| {
+            v.get(key)
+                .ok_or_else(|| format!("fault plan: missing `{key}`"))
+                .and_then(LinkFaults::from_json)
+        };
+        let items = |key| root.get(key).and_then(JsonValue::as_array).unwrap_or(&[]);
+        let nanos = |v, key, default| json_u64(v, key, default).map(SimDuration::nanos);
+        let none = FaultPlan::none();
+        let mut plan = FaultPlan {
+            default: part(&root, "default")?,
+            retransmit_after: nanos(
+                &root,
+                "retransmit_after_ns",
+                Some(none.retransmit_after.as_nanos()),
+            )?,
+            max_retries: json_u32(&root, "max_retries", Some(none.max_retries))?,
+            ..none
+        };
+        for e in items("overrides") {
+            let (a, b) = (json_u32(e, "a", None)?, json_u32(e, "b", None)?);
+            plan.overrides
+                .insert((a.min(b), a.max(b)), part(e, "faults")?);
+        }
+        for e in items("flaps") {
+            plan.flaps.push(LinkFlap {
+                a: json_u32(e, "a", None)?,
+                b: json_u32(e, "b", None)?,
+                down_at: nanos(e, "down_at_ns", None)?,
+                up_at: nanos(e, "up_at_ns", None)?,
+            });
+        }
+        for e in items("outages") {
+            plan.outages.push(NodeOutage {
+                node: json_u32(e, "node", None)?,
+                down_at: nanos(e, "down_at_ns", None)?,
+                up_at: nanos(e, "up_at_ns", None)?,
+            });
+        }
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.default.validate()?;
         for f in self.overrides.values() {
-            f.assert_valid();
+            f.validate()?;
         }
-        for fl in &self.flaps {
-            assert!(fl.down_at < fl.up_at, "flap must come back up after down");
+        if self.flaps.iter().any(|fl| fl.down_at >= fl.up_at) {
+            return Err("flap must come back up after down".to_owned());
         }
-        for o in &self.outages {
-            assert!(o.down_at < o.up_at, "outage must end after it starts");
+        if self.outages.iter().any(|o| o.down_at >= o.up_at) {
+            return Err("outage must end after it starts".to_owned());
         }
+        Ok(())
     }
 }
 
@@ -294,7 +421,9 @@ impl FaultyNet {
     /// Panics if any plan probability is outside `[0, 1]` or any flap/outage
     /// window is empty.
     pub fn new(plan: FaultPlan, seed: u64) -> FaultyNet {
-        plan.assert_valid();
+        if let Err(e) = plan.validate() {
+            panic!("{e}");
+        }
         FaultyNet {
             plan,
             rng: StdRng::seed_from_u64(seed),
@@ -548,5 +677,211 @@ mod tests {
             }),
             0,
         );
+    }
+
+    /// The plan `dgmc-node --fault-plan` is fed in the e2e suite, with an
+    /// override written endpoint-reversed.
+    const PLAN: &str = r#"{
+        "default": {"loss": 0.25, "hard_loss": 0.0, "duplicate": 0.1, "jitter_ns": 500},
+        "overrides": [
+            {"a": 1, "b": 0, "faults": {"loss": 0.0, "hard_loss": 1.0, "duplicate": 0.0, "jitter_ns": 0}}
+        ],
+        "retransmit_after_ns": 20000,
+        "max_retries": 5,
+        "flaps": [],
+        "outages": []
+    }"#;
+
+    #[test]
+    fn parses_its_own_json_format() {
+        let plan = FaultPlan::from_json(PLAN).unwrap();
+        assert_eq!(plan.default.loss, 0.25);
+        assert_eq!(plan.default.jitter, SimDuration::nanos(500));
+        assert_eq!(plan.retransmit_after, SimDuration::micros(20));
+        assert_eq!(plan.max_retries, 5);
+        assert_eq!(plan.faults_between(ActorId(1), ActorId(0)).hard_loss, 1.0);
+        assert_eq!(
+            plan.faults_between(ActorId(0), ActorId(1)).hard_loss,
+            1.0,
+            "unordered key"
+        );
+        assert_eq!(plan.faults_between(ActorId(0), ActorId(2)).loss, 0.25);
+        // Only `default` is required.
+        let minimal = FaultPlan::from_json(r#"{"default": {"loss": 1}}"#).unwrap();
+        assert_eq!(
+            minimal,
+            FaultPlan::uniform(LinkFaults {
+                loss: 1.0,
+                ..LinkFaults::none()
+            })
+        );
+    }
+
+    #[test]
+    fn bad_outside_input_is_an_error_not_a_panic() {
+        for (text, why) in [
+            (r#"{"default": {"loss": 1.5}}"#, "out of [0, 1]"),
+            (r#"{"default": {"loss": -0.5}}"#, "out of [0, 1]"),
+            (r#"{"overrides": []}"#, "missing `default`"),
+            (r#"{"default": {"loss": "x"}}"#, "must be a number"),
+            (
+                r#"{"default": {}, "overrides": [{"a": 4294967296, "b": 0, "faults": {}}]}"#,
+                "exceeds u32",
+            ),
+            (
+                r#"{"default": {}, "outages": [{"node": 4294967296, "down_at_ns": 1, "up_at_ns": 2}]}"#,
+                "exceeds u32",
+            ),
+            (
+                r#"{"default": {}, "max_retries": 4294967296}"#,
+                "exceeds u32",
+            ),
+            (
+                r#"{"default": {}, "flaps": [{"a": 0, "b": 1, "down_at_ns": 5, "up_at_ns": 5}]}"#,
+                "flap must come back up",
+            ),
+            (
+                r#"{"default": {}, "outages": [{"node": 0, "down_at_ns": 9, "up_at_ns": 2}]}"#,
+                "outage must end",
+            ),
+            ("{", "byte"),
+        ] {
+            let err = FaultPlan::from_json(text).expect_err(text);
+            assert!(err.contains(why), "{text}: {err}");
+        }
+    }
+
+    mod net_accounting {
+        //! Drop accounting when a network model drops or duplicates: the
+        //! [`NetStats`] ledger must reconcile with what the receiving
+        //! actor actually saw delivered.
+
+        use crate::net::{Delivery, DeliveryKind, FaultPlan, FaultyNet, LinkFaults, NetModel};
+        use crate::{Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation};
+
+        /// Drops every 3rd message, duplicates every 4th, else passes through.
+        struct Scripted {
+            calls: u64,
+        }
+
+        impl NetModel for Scripted {
+            fn route(
+                &mut self,
+                _from: ActorId,
+                _to: ActorId,
+                _now: SimTime,
+                base: SimDuration,
+            ) -> Vec<Delivery> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(3) {
+                    return Vec::new();
+                }
+                let mut out = vec![Delivery {
+                    delay: base,
+                    kind: DeliveryKind::Original,
+                }];
+                if self.calls.is_multiple_of(4) {
+                    out.push(Delivery {
+                        delay: base + SimDuration::micros(1),
+                        kind: DeliveryKind::Duplicate,
+                    });
+                }
+                out
+            }
+        }
+
+        /// Sends `remaining` pings to a peer; the peer counts arrivals.
+        struct Pinger {
+            peer: ActorId,
+            remaining: u64,
+        }
+
+        impl Actor<u64> for Pinger {
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, _env: Envelope<u64>) {
+                if self.remaining > 0 {
+                    self.remaining -= 1;
+                    ctx.send(self.peer, SimDuration::micros(10), self.remaining);
+                    ctx.schedule_self(SimDuration::micros(20), 0);
+                }
+            }
+        }
+
+        struct Sink;
+        impl Actor<u64> for Sink {
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, _env: Envelope<u64>) {
+                ctx.counter("arrived").incr();
+            }
+        }
+
+        fn run_with(model: impl NetModel + 'static, pings: u64) -> Simulation<u64> {
+            let mut sim = Simulation::new();
+            let sink = sim.add_actor(Box::new(Sink));
+            let pinger = sim.add_actor(Box::new(Pinger {
+                peer: sink,
+                remaining: pings,
+            }));
+            sim.set_net_model(model);
+            sim.inject(pinger, SimDuration::ZERO, 0);
+            sim.run_to_quiescence();
+            sim
+        }
+
+        #[test]
+        fn dropped_and_duplicated_reconcile_with_delivered() {
+            let sim = run_with(Scripted { calls: 0 }, 24);
+            let stats = *sim.net_stats();
+            assert_eq!(stats.sent, 24);
+            assert_eq!(stats.dropped, 8, "every 3rd of 24 sends dropped");
+            assert_eq!(stats.duplicated, 4, "every 4th not divisible by 3");
+            assert!(stats.reconciles(), "{stats}");
+            // The receiving actor saw exactly the scheduled copies.
+            assert_eq!(sim.counter_value("arrived"), stats.delivered);
+            // The ledger is mirrored into the metrics registry.
+            assert_eq!(sim.counter_value(crate::net_counters::DROPPED), 8);
+            assert_eq!(sim.counter_value(crate::net_counters::DUPLICATED), 4);
+        }
+
+        #[test]
+        fn seeded_faulty_net_reconciles_too() {
+            let plan = FaultPlan::uniform(LinkFaults {
+                loss: 0.3,
+                hard_loss: 0.2,
+                duplicate: 0.25,
+                jitter: SimDuration::micros(40),
+            });
+            let sim = run_with(FaultyNet::new(plan, 1234), 200);
+            let stats = *sim.net_stats();
+            assert_eq!(stats.sent, 200);
+            assert!(stats.dropped > 0, "hard loss must have fired: {stats}");
+            assert!(stats.duplicated > 0, "{stats}");
+            assert!(stats.retransmits > 0, "{stats}");
+            assert!(stats.reconciles(), "{stats}");
+            assert_eq!(sim.counter_value("arrived"), stats.delivered);
+        }
+
+        #[test]
+        fn timers_and_injections_bypass_the_model() {
+            // Pinger's schedule_self timers drive the run; with a
+            // drop-everything model no ping arrives yet all timers do.
+            struct DropAll;
+            impl NetModel for DropAll {
+                fn route(
+                    &mut self,
+                    _f: ActorId,
+                    _t: ActorId,
+                    _n: SimTime,
+                    _b: SimDuration,
+                ) -> Vec<Delivery> {
+                    Vec::new()
+                }
+            }
+            let sim = run_with(DropAll, 10);
+            let stats = *sim.net_stats();
+            assert_eq!(stats.sent, 10);
+            assert_eq!(stats.dropped, 10);
+            assert_eq!(stats.delivered, 0);
+            assert!(stats.reconciles());
+            assert_eq!(sim.counter_value("arrived"), 0);
+        }
     }
 }

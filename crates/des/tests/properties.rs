@@ -1,6 +1,10 @@
-//! Property-based tests of the simulation kernel's ordering guarantees.
+//! Property-based tests of the simulation kernel's ordering guarantees and
+//! the fault-plan JSON format.
 
-use dgmc_des::{Actor, Ctx, Envelope, SimDuration, SimTime, Simulation};
+use dgmc_des::{
+    Actor, Ctx, Envelope, FaultPlan, LinkFaults, LinkFlap, NodeOutage, SimDuration, SimTime,
+    Simulation,
+};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -66,5 +70,64 @@ proptest! {
         prop_assert!(log.borrow().iter().all(|&(t, _)| t <= cut));
         sim.run_to_quiescence();
         prop_assert_eq!(log.borrow().len(), delays.len());
+    }
+}
+
+/// An arbitrary double in `[0, 1)` (all 53 mantissa bits random, so the
+/// JSON rendering has to round-trip exactly, not just to a few digits).
+fn arb_prob() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|bits| (bits >> 11) as f64 / (1u64 << 53) as f64)
+}
+
+fn arb_faults() -> impl Strategy<Value = LinkFaults> {
+    (arb_prob(), arb_prob(), arb_prob(), any::<u64>()).prop_map(
+        |(loss, hard_loss, duplicate, jitter)| LinkFaults {
+            loss,
+            hard_loss,
+            duplicate,
+            jitter: SimDuration::nanos(jitter),
+        },
+    )
+}
+
+/// A non-empty `(down_at, up_at)` window.
+fn arb_window() -> impl Strategy<Value = (SimDuration, SimDuration)> {
+    (0u64..u64::MAX / 2, 1u64..u64::MAX / 2)
+        .prop_map(|(down, len)| (SimDuration::nanos(down), SimDuration::nanos(down + len)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `FaultPlan::from_json` inverts `FaultPlan::to_json` exactly: what a
+    /// repro bundle records is what `dgmc-node --fault-plan` replays.
+    #[test]
+    fn fault_plan_json_round_trips(
+        default in arb_faults(),
+        overrides in prop::collection::vec((any::<u32>(), any::<u32>(), arb_faults()), 0..4),
+        retransmit_after in any::<u64>(),
+        max_retries in any::<u32>(),
+        flaps in prop::collection::vec((any::<u32>(), any::<u32>(), arb_window()), 0..3),
+        outages in prop::collection::vec((any::<u32>(), arb_window()), 0..3),
+    ) {
+        let plan = FaultPlan {
+            default,
+            overrides: overrides
+                .into_iter()
+                .map(|(a, b, f)| ((a.min(b), a.max(b)), f))
+                .collect(),
+            retransmit_after: SimDuration::nanos(retransmit_after),
+            max_retries,
+            flaps: flaps
+                .into_iter()
+                .map(|(a, b, (down_at, up_at))| LinkFlap { a, b, down_at, up_at })
+                .collect(),
+            outages: outages
+                .into_iter()
+                .map(|(node, (down_at, up_at))| NodeOutage { node, down_at, up_at })
+                .collect(),
+        };
+        let text = plan.to_json().to_json();
+        prop_assert_eq!(FaultPlan::from_json(&text), Ok(plan), "{}", text);
     }
 }

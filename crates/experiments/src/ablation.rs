@@ -8,7 +8,7 @@
 //! * `Tf/Tc` ratio sweep — how the timing regime shifts the overhead
 //!   between computations and floodings.
 
-use crate::runner::{run_dgmc, RunMetrics};
+use crate::runner::{run_dgmc, RunMetrics, RunOptions};
 use crate::workload::{self, BurstParams};
 use dgmc_core::switch::DgmcConfig;
 use dgmc_des::stats::Tally;
@@ -51,7 +51,13 @@ pub fn strategy_ablation(n: usize, graphs: usize, seed: u64) -> (StrategyArm, St
             let mut rng = StdRng::seed_from_u64(s);
             let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
             let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-            if let Ok(m) = run_dgmc(&net, DgmcConfig::computation_dominated(), &wl, alg) {
+            if let Ok(m) = run_dgmc(
+                &net,
+                DgmcConfig::computation_dominated(),
+                &wl,
+                alg,
+                RunOptions::default(),
+            ) {
                 arm.proposals.record(m.proposals_per_event());
                 if let Some(r) = m.convergence_rounds {
                     arm.convergence.record(r);
@@ -138,6 +144,7 @@ pub fn burst_sweep(n: usize, bursts: &[usize], graphs: usize, seed: u64) -> Vec<
                 DgmcConfig::computation_dominated(),
                 &wl,
                 Rc::new(SphStrategy::new()),
+                RunOptions::default(),
             ) {
                 record(
                     &mut row.proposals,
@@ -186,7 +193,13 @@ pub fn timing_sweep(n: usize, tcs_micros: &[u64], graphs: usize, seed: u64) -> V
             let mut rng = StdRng::seed_from_u64(s);
             let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
             let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-            if let Ok(m) = run_dgmc(&net, config, &wl, Rc::new(SphStrategy::new())) {
+            if let Ok(m) = run_dgmc(
+                &net,
+                config,
+                &wl,
+                Rc::new(SphStrategy::new()),
+                RunOptions::default(),
+            ) {
                 record(
                     &mut row.proposals,
                     &mut row.floodings,
@@ -238,6 +251,7 @@ pub fn mc_size_sweep(n: usize, sizes: &[usize], graphs: usize, seed: u64) -> Vec
                 DgmcConfig::computation_dominated(),
                 &wl,
                 Rc::new(SphStrategy::new()),
+                RunOptions::default(),
             ) {
                 row.proposals.record(m.proposals_per_event());
                 row.floodings.record(m.floodings_per_event());
@@ -262,6 +276,7 @@ pub fn convergence_distribution(n: usize, runs: usize, seed: u64) -> dgmc_des::s
             DgmcConfig::computation_dominated(),
             &wl,
             Rc::new(SphStrategy::new()),
+            RunOptions::default(),
         ) {
             if let Some(rounds) = m.convergence_rounds {
                 hist.record(rounds);

@@ -12,7 +12,7 @@ fn main() {
         spec = presets::quick(spec);
     }
     let jobs = presets::jobs_from_args(&args);
-    let results = presets::run_experiment_with(&spec, jobs, |row| {
+    let results = presets::run_experiment(&spec, jobs, |row| {
         eprintln!(
             "n={:>3}: proposals/event {:.2}, floodings/event {:.2}, convergence {:.1} rounds",
             row.n,

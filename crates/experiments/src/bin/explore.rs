@@ -197,7 +197,8 @@ fn main() {
 
     if let Some(seed) = replay_seed {
         // Verbose single-seed replay: the diagnosis path of a repro bundle.
-        let run = explore::run_scenario(seed, &params, Some(params.timeline));
+        let cache = dgmc_topology::SpfCache::new();
+        let run = explore::run_scenario(seed, &params, Some(params.timeline), &cache);
         if run.outcome.passed() {
             println!(
                 "seed {seed} passed: all invariants held ({})",
@@ -205,7 +206,7 @@ fn main() {
             );
             return;
         }
-        let bundle = explore::repro_bundle(seed, &params);
+        let bundle = explore::repro_bundle(seed, &params, &cache);
         print!("{}", bundle.render());
         // Replays deliberately refresh any stale bundle for this seed.
         match bundle.write_replacing(&out_dir) {

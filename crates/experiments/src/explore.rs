@@ -270,18 +270,13 @@ fn inject_measured_phase(sim: &mut Simulation<SwitchMsg>, scenario: &Scenario) {
 /// `timeline` asks for the decision log: `Some(n)` attaches a ring of `n`
 /// decisions and returns its rendered tail (used by replays; the sweep path
 /// passes `None` and pays nothing for observability).
-pub fn run_scenario(seed: u64, params: &ExploreParams, timeline: Option<usize>) -> ScenarioRun {
-    run_scenario_with_cache(seed, params, timeline, &SpfCache::new())
-}
-
-/// [`run_scenario`] reusing a caller-owned [`SpfCache`].
 ///
-/// The cache is the per-*worker* scratch state of the parallel sweep: each
+/// `cache` is the per-*worker* scratch state of the parallel sweep: each
 /// worker builds one inside its own thread (the cache is `Rc`-based and must
 /// not cross threads) and threads it through every seed it claims. Networks
 /// are content-addressed, so reuse is protocol-neutral and the verdict is
 /// identical with a fresh, shared or disabled cache.
-pub fn run_scenario_with_cache(
+pub fn run_scenario(
     seed: u64,
     params: &ExploreParams,
     timeline: Option<usize>,
@@ -369,7 +364,7 @@ pub fn run_scenario_with_cache(
 
 /// The sweep-path entry: seed in, verdict out, no observability overhead.
 pub fn run_seed(seed: u64, params: &ExploreParams) -> SeedOutcome {
-    run_scenario(seed, params, None).outcome
+    run_scenario(seed, params, None, &SpfCache::new()).outcome
 }
 
 /// Sweeps the configured seed range across `config.jobs` workers.
@@ -382,7 +377,7 @@ pub fn explore_run(config: &ExploreConfig, params: &ExploreParams) -> ExploreRep
     explorer::explore_sharded(
         config,
         |_worker| SpfCache::new(),
-        |cache, seed| run_scenario_with_cache(seed, params, None, cache).outcome,
+        |cache, seed| run_scenario(seed, params, None, cache).outcome,
     )
 }
 
@@ -406,9 +401,9 @@ pub fn explore_and_bundle(
         config,
         |_worker| SpfCache::new(),
         |cache, seed| {
-            let outcome = run_scenario_with_cache(seed, params, None, cache).outcome;
+            let outcome = run_scenario(seed, params, None, cache).outcome;
             if !outcome.passed() {
-                let bundle = repro_bundle_with_cache(seed, params, cache);
+                let bundle = repro_bundle(seed, params, cache);
                 match write_bundle_fresh(&bundle, out_dir) {
                     Ok(path) => written
                         .lock()
@@ -442,14 +437,9 @@ fn write_bundle_fresh(bundle: &ReproBundle, out_dir: &Path) -> io::Result<PathBu
 
 /// Re-runs a failing seed with the decision log attached and packages the
 /// minimized repro: seed, fault-plan JSON, violations, timeline tail and
-/// the one-command replay line.
-pub fn repro_bundle(seed: u64, params: &ExploreParams) -> ReproBundle {
-    repro_bundle_with_cache(seed, params, &SpfCache::new())
-}
-
-/// [`repro_bundle`] reusing a worker's scratch [`SpfCache`].
-pub fn repro_bundle_with_cache(seed: u64, params: &ExploreParams, cache: &SpfCache) -> ReproBundle {
-    let run = run_scenario_with_cache(seed, params, Some(params.timeline), cache);
+/// the one-command replay line. `cache` as in [`run_scenario`].
+pub fn repro_bundle(seed: u64, params: &ExploreParams, cache: &SpfCache) -> ReproBundle {
+    let run = run_scenario(seed, params, Some(params.timeline), cache);
     let mut timeline = run.timeline;
     if !run.causal.is_empty() {
         timeline.push("-- causal span timeline (measured phase) --".into());
@@ -528,7 +518,7 @@ mod tests {
 
     #[test]
     fn chaos_runs_actually_exercise_the_fault_path() {
-        let run = run_scenario(3, &quick(), None);
+        let run = run_scenario(3, &quick(), None, &SpfCache::new());
         assert!(run.outcome.passed(), "{:?}", run.outcome.violations);
         assert!(run.net_stats.sent > 0);
         assert!(
@@ -615,8 +605,8 @@ mod tests {
         let params = quick();
         let cache = SpfCache::new();
         for seed in 0..4 {
-            let reused = run_scenario_with_cache(seed, &params, None, &cache);
-            let fresh = run_scenario(seed, &params, None);
+            let reused = run_scenario(seed, &params, None, &cache);
+            let fresh = run_scenario(seed, &params, None, &SpfCache::new());
             assert_eq!(reused.outcome, fresh.outcome);
             assert_eq!(reused.plan, fresh.plan);
             assert_eq!(reused.net_stats, fresh.net_stats);
@@ -644,7 +634,7 @@ mod tests {
             report.failures[0].violations, again.violations,
             "failing seed must reproduce identically"
         );
-        let bundle = repro_bundle(seed, &params);
+        let bundle = repro_bundle(seed, &params, &SpfCache::new());
         assert_eq!(bundle.seed, seed);
         assert!(!bundle.violations.is_empty());
         assert!(!bundle.timeline.is_empty(), "replay carries a timeline");
@@ -667,7 +657,7 @@ mod tests {
     #[test]
     fn replays_render_a_causal_span_timeline() {
         let params = quick();
-        let run = run_scenario(3, &params, Some(params.timeline));
+        let run = run_scenario(3, &params, Some(params.timeline), &SpfCache::new());
         assert!(!run.causal.is_empty(), "replay path collects spans");
         // A tail render of a busy run starts with the omission header and
         // contains causally indented children.
@@ -678,7 +668,7 @@ mod tests {
         );
         assert!(run.causal.iter().any(|l| l.contains('↳')));
         // The sweep path pays nothing: no log, no spans.
-        let sweep = run_scenario(3, &params, None);
+        let sweep = run_scenario(3, &params, None, &SpfCache::new());
         assert!(sweep.causal.is_empty());
         assert!(sweep.timeline.is_empty());
     }

@@ -7,7 +7,7 @@
 //! per-event overhead must not grow with `k`.
 
 use crate::workload::BurstParams;
-use dgmc_core::switch::{build_dgmc_sim_sharded, counters, DgmcConfig, SwitchMsg};
+use dgmc_core::switch::{build_dgmc_sim, counters, DgmcConfig, SwitchMsg};
 use dgmc_core::{convergence, McId, McType, Role};
 use dgmc_des::stats::Tally;
 use dgmc_des::{ActorId, RunOutcome, SimDuration};
@@ -40,19 +40,6 @@ pub fn multi_mc_sweep(
     graphs: usize,
     seed: u64,
 ) -> Vec<MultiMcRow> {
-    multi_mc_sweep_jobs(n, connection_counts, graphs, seed, 1)
-}
-
-/// [`multi_mc_sweep`] with an explicit per-switch shard worker count for
-/// many-MC link events (DESIGN.md §13). Results are byte-identical for
-/// every `jobs` value — the knob only changes wall-clock at high `k`.
-pub fn multi_mc_sweep_jobs(
-    n: usize,
-    connection_counts: &[usize],
-    graphs: usize,
-    seed: u64,
-    jobs: usize,
-) -> Vec<MultiMcRow> {
     let mut rows = Vec::new();
     for &k in connection_counts {
         let mut row = MultiMcRow {
@@ -66,12 +53,10 @@ pub fn multi_mc_sweep_jobs(
                 .wrapping_add(g as u64);
             let mut rng = StdRng::seed_from_u64(run_seed);
             let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let mut sim = build_dgmc_sim_sharded(
+            let mut sim = build_dgmc_sim(
                 &net,
                 DgmcConfig::computation_dominated(),
                 Rc::new(SphStrategy::new()),
-                dgmc_topology::SpfCache::new(),
-                jobs,
             );
             sim.set_event_budget(200_000_000);
             let params = BurstParams {
@@ -167,12 +152,5 @@ mod tests {
         let rows = multi_mc_sweep(20, &[3], 2, 9);
         assert_eq!(rows[0].failures, 0);
         assert!(rows[0].proposals.mean() >= 1.0);
-    }
-
-    #[test]
-    fn sweep_results_are_identical_for_every_jobs_value() {
-        let serial = multi_mc_sweep_jobs(20, &[2], 2, 11, 1);
-        let sharded = multi_mc_sweep_jobs(20, &[2], 2, 11, 4);
-        assert_eq!(serial, sharded, "jobs must not change any result");
     }
 }

@@ -2,14 +2,13 @@
 //! sweep driver that aggregates 20 random graphs per network size with 95%
 //! confidence intervals.
 
-use crate::runner::{run_dgmc_traced, RunMetrics, TraceMode};
+use crate::runner::{run_dgmc, RunMetrics, RunOptions, TraceMode};
 use crate::workload::{self, BurstParams, SparseParams, Workload};
 use dgmc_core::switch::DgmcConfig;
 use dgmc_des::par;
 use dgmc_des::stats::Tally;
 use dgmc_mctree::SphStrategy;
 use dgmc_obs::{MetricsRegistry, Trace};
-use dgmc_topology::SpfCache;
 use dgmc_topology::{generate, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,28 +145,19 @@ fn make_workload(kind: &WorkloadKind, rng: &mut StdRng, net: &Network) -> Worklo
     }
 }
 
-/// Runs the full sweep of an experiment spec, serially.
-pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResults {
-    run_experiment_jobs(spec, 1)
-}
-
-/// Runs the sweep across `jobs` worker threads.
+/// Runs the full sweep of an experiment spec across `jobs` worker threads,
+/// invoking `progress` after each completed size row.
 ///
 /// Every graph of a size is an independent pure function of its derived
 /// seed, so the per-size sweep shards freely; results are folded back **in
-/// graph order** (the same fold the serial sweep performs), which keeps the
+/// graph order** (the same fold a serial sweep performs), which keeps the
 /// `Tally` float sums, the merged metrics registry and the rendered
 /// `*.metrics.json` byte-identical for every `jobs` value.
-pub fn run_experiment_jobs(spec: &ExperimentSpec, jobs: usize) -> ExperimentResults {
-    run_experiment_with(spec, jobs, |_row| {})
-}
-
-/// Runs the sweep, invoking `progress` after each completed size row.
 ///
 /// Each run builds its own network, workload and `Rc`-based simulation (and
 /// its own per-run SPF cache) inside the worker thread that claims it, so
 /// nothing in the simulation stack is shared across threads.
-pub fn run_experiment_with(
+pub fn run_experiment(
     spec: &ExperimentSpec,
     jobs: usize,
     mut progress: impl FnMut(&SizeRow),
@@ -203,13 +193,16 @@ pub fn run_experiment_with(
                 } else {
                     TraceMode::Metrics
                 };
-                run_dgmc_traced(
+                let opts = RunOptions {
+                    trace: mode,
+                    ..RunOptions::default()
+                };
+                run_dgmc(
                     &net,
                     spec.config,
                     &workload,
                     Rc::new(SphStrategy::new()),
-                    SpfCache::new(),
-                    mode,
+                    opts,
                 )
                 .ok()
             },
@@ -286,9 +279,9 @@ mod tests {
             }),
             seed: 77,
         };
-        let serial = run_experiment_jobs(&spec, 1);
+        let serial = run_experiment(&spec, 1, |_| {});
         for jobs in [2, 4] {
-            let parallel = run_experiment_jobs(&spec, jobs);
+            let parallel = run_experiment(&spec, jobs, |_| {});
             assert_eq!(
                 serial.metrics, parallel.metrics,
                 "jobs={jobs} changed the merged registry"
@@ -325,7 +318,7 @@ mod tests {
             }),
             seed: 11,
         };
-        let results = run_experiment(&spec);
+        let results = run_experiment(&spec, 1, |_| {});
         assert_eq!(results.rows.len(), 1);
         let row = &results.rows[0];
         assert_eq!(row.failures, 0);

@@ -3,7 +3,7 @@
 //! structurally different families (Waxman, Barabási–Albert, grid) to show
 //! the overhead shapes are properties of the protocol, not of the graphs.
 
-use crate::runner::{run_dgmc, run_dgmc_faulty};
+use crate::runner::{run_dgmc, RunOptions};
 use crate::workload::{self, BurstParams};
 use dgmc_core::switch::DgmcConfig;
 use dgmc_des::stats::Tally;
@@ -93,6 +93,7 @@ pub fn family_sweep(n: usize, graphs: usize, seed: u64) -> Vec<FamilyRow> {
                     DgmcConfig::computation_dominated(),
                     &wl,
                     Rc::new(SphStrategy::new()),
+                    RunOptions::default(),
                 ) {
                     Ok(m) => {
                         row.proposals.record(m.proposals_per_event());
@@ -154,13 +155,15 @@ pub fn loss_sweep(n: usize, graphs: usize, seed: u64, losses: &[f64]) -> Vec<Los
                     duplicate: 0.0,
                     jitter: SimDuration::micros(10),
                 });
-                match run_dgmc_faulty(
+                match run_dgmc(
                     &net,
                     DgmcConfig::computation_dominated(),
                     &wl,
                     Rc::new(SphStrategy::new()),
-                    &plan,
-                    s ^ 0xF1A5,
+                    RunOptions {
+                        faults: Some((&plan, s ^ 0xF1A5)),
+                        ..RunOptions::default()
+                    },
                 ) {
                     Ok(m) => {
                         row.proposals.record(m.proposals_per_event());

@@ -139,6 +139,27 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// The optional arguments of [`run_dgmc`]; the default is a fault-free,
+/// untraced run on a fresh cache.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions<'a> {
+    /// Seeded fault injection on the delivery path: every message is routed
+    /// through a [`FaultyNet`] built from `(plan, fault_seed)`, and after
+    /// the measured phase the full protocol invariant suite
+    /// ([`invariants::check_invariants`]) is verified on top of the
+    /// consensus check. Fault outcomes (drops, retransmissions, duplicates,
+    /// jitter) appear as span annotations in a traced run.
+    pub faults: Option<(&'a FaultPlan, u64)>,
+    /// The SPF cache shared by the run's switches — pass
+    /// [`SpfCache::disabled`] to measure the uncached from-scratch baseline
+    /// (metrics are identical either way; only wall-clock differs).
+    pub cache: SpfCache,
+    /// Causal tracing of the measured phase. Tracing changes no protocol
+    /// behaviour: the span tree is built on the side of the ordinary
+    /// delivery path.
+    pub trace: TraceMode,
+}
+
 /// Runs one measured D-GMC scenario: warm up the initial membership, inject
 /// the workload events, run to quiescence, verify consensus and extract the
 /// metrics.
@@ -146,132 +167,20 @@ impl std::error::Error for RunError {}
 /// # Errors
 ///
 /// [`RunError::Diverged`] if the event budget is exhausted;
-/// [`RunError::NoConsensus`] if switches disagree afterwards.
+/// [`RunError::NoConsensus`] if switches disagree afterwards;
+/// [`RunError::InvariantViolated`] if injected faults broke the protocol.
 pub fn run_dgmc(
     net: &Network,
     config: DgmcConfig,
     workload: &Workload,
     algorithm: Rc<dyn McAlgorithm>,
+    opts: RunOptions<'_>,
 ) -> Result<RunMetrics, RunError> {
-    run_dgmc_inner(
-        net,
-        config,
-        workload,
-        algorithm,
-        None,
-        SpfCache::new(),
-        TraceMode::Off,
-    )
-}
-
-/// [`run_dgmc`] with causal tracing of the measured phase (see
-/// [`TraceMode`]). Tracing changes no protocol behaviour: the span tree is
-/// built on the side of the ordinary delivery path.
-///
-/// # Errors
-///
-/// As [`run_dgmc`].
-pub fn run_dgmc_traced(
-    net: &Network,
-    config: DgmcConfig,
-    workload: &Workload,
-    algorithm: Rc<dyn McAlgorithm>,
-    cache: SpfCache,
-    mode: TraceMode,
-) -> Result<RunMetrics, RunError> {
-    run_dgmc_inner(net, config, workload, algorithm, None, cache, mode)
-}
-
-/// [`run_dgmc_faulty`] with causal tracing of the measured phase; fault
-/// outcomes (drops, retransmissions, duplicates, jitter) appear as span
-/// annotations in the resulting trace.
-///
-/// # Errors
-///
-/// As [`run_dgmc_faulty`].
-pub fn run_dgmc_faulty_traced(
-    net: &Network,
-    config: DgmcConfig,
-    workload: &Workload,
-    algorithm: Rc<dyn McAlgorithm>,
-    plan: &FaultPlan,
-    fault_seed: u64,
-    mode: TraceMode,
-) -> Result<RunMetrics, RunError> {
-    run_dgmc_inner(
-        net,
-        config,
-        workload,
-        algorithm,
-        Some((plan, fault_seed)),
-        SpfCache::new(),
-        mode,
-    )
-}
-
-/// [`run_dgmc`] with an explicit shared [`SpfCache`] — pass
-/// [`SpfCache::disabled`] to measure the uncached from-scratch baseline
-/// (metrics are identical either way; only wall-clock differs).
-///
-/// # Errors
-///
-/// As [`run_dgmc`].
-pub fn run_dgmc_with_cache(
-    net: &Network,
-    config: DgmcConfig,
-    workload: &Workload,
-    algorithm: Rc<dyn McAlgorithm>,
-    cache: SpfCache,
-) -> Result<RunMetrics, RunError> {
-    run_dgmc_inner(
-        net,
-        config,
-        workload,
-        algorithm,
-        None,
+    let RunOptions {
+        faults,
         cache,
-        TraceMode::Off,
-    )
-}
-
-/// [`run_dgmc`] with seeded fault injection on the delivery path: every
-/// message is routed through a [`FaultyNet`] built from `(plan, fault_seed)`,
-/// and after the measured phase the full protocol invariant suite
-/// ([`invariants::check_invariants`]) is verified on top of the consensus
-/// check.
-///
-/// # Errors
-///
-/// As [`run_dgmc`], plus [`RunError::InvariantViolated`] if the faults broke
-/// the protocol.
-pub fn run_dgmc_faulty(
-    net: &Network,
-    config: DgmcConfig,
-    workload: &Workload,
-    algorithm: Rc<dyn McAlgorithm>,
-    plan: &FaultPlan,
-    fault_seed: u64,
-) -> Result<RunMetrics, RunError> {
-    run_dgmc_inner(
-        net,
-        config,
-        workload,
-        algorithm,
-        Some((plan, fault_seed)),
-        SpfCache::new(),
-        TraceMode::Off,
-    )
-}
-
-fn run_dgmc_inner(
-    net: &Network,
-    config: DgmcConfig,
-    workload: &Workload,
-    algorithm: Rc<dyn McAlgorithm>,
-    faults: Option<(&FaultPlan, u64)>,
-    cache: SpfCache,
-    trace_mode: TraceMode,
-) -> Result<RunMetrics, RunError> {
+        trace: trace_mode,
+    } = opts;
     let mut sim = build_dgmc_sim_with_cache(net, config, algorithm, cache);
     sim.set_event_budget(200_000_000);
     if let Some((plan, fault_seed)) = faults {
@@ -409,23 +318,15 @@ fn run_dgmc_inner(
 
 /// Convenience wrapper used by benches and tests: seed → graph → workload →
 /// metrics, with the default SPH strategy.
+///
+/// # Errors
+///
+/// As [`run_dgmc`].
 pub fn run_seeded(
     n: usize,
     seed: u64,
     config: DgmcConfig,
     make_workload: impl Fn(&mut rand::rngs::StdRng, &Network) -> Workload,
-) -> Result<RunMetrics, RunError> {
-    run_seeded_with_cache(n, seed, config, make_workload, SpfCache::new())
-}
-
-/// [`run_seeded`] with an explicit shared [`SpfCache`]; the
-/// cached-versus-uncached benchmark drives both arms through this.
-pub fn run_seeded_with_cache(
-    n: usize,
-    seed: u64,
-    config: DgmcConfig,
-    make_workload: impl Fn(&mut rand::rngs::StdRng, &Network) -> Workload,
-    cache: SpfCache,
 ) -> Result<RunMetrics, RunError> {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -435,19 +336,35 @@ pub fn run_seeded_with_cache(
         &dgmc_topology::generate::WaxmanParams::default(),
     );
     let workload = make_workload(&mut rng, &net);
-    run_dgmc_with_cache(
-        &net,
-        config,
-        &workload,
-        Rc::new(dgmc_mctree::SphStrategy::new()),
-        cache,
-    )
+    let algorithm = Rc::new(dgmc_mctree::SphStrategy::new());
+    run_dgmc(&net, config, &workload, algorithm, RunOptions::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{self, BurstParams, SparseParams};
+
+    /// `run_seeded`'s default bursty LAN case with explicit options.
+    fn bursty_lan(n: usize, seed: u64, opts: RunOptions<'_>) -> RunMetrics {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let net = dgmc_topology::generate::waxman(
+            &mut rng,
+            n,
+            &dgmc_topology::generate::WaxmanParams::default(),
+        );
+        let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
+        let algorithm = Rc::new(dgmc_mctree::SphStrategy::new());
+        run_dgmc(
+            &net,
+            DgmcConfig::computation_dominated(),
+            &wl,
+            algorithm,
+            opts,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn sparse_run_has_unit_overhead() {
@@ -514,30 +431,18 @@ mod tests {
     #[test]
     fn faulty_runs_converge_and_reproduce_bit_for_bit() {
         use dgmc_des::{net_counters, FaultPlan, LinkFaults};
-        use rand::SeedableRng;
         let faulty = |seed: u64| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let net = dgmc_topology::generate::waxman(
-                &mut rng,
-                25,
-                &dgmc_topology::generate::WaxmanParams::default(),
-            );
-            let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
             let plan = FaultPlan::uniform(LinkFaults {
                 loss: 0.1,
                 hard_loss: 0.0,
                 duplicate: 0.1,
                 jitter: SimDuration::micros(20),
             });
-            run_dgmc_faulty(
-                &net,
-                DgmcConfig::computation_dominated(),
-                &wl,
-                Rc::new(dgmc_mctree::SphStrategy::new()),
-                &plan,
-                seed ^ 0x55,
-            )
-            .unwrap()
+            let opts = RunOptions {
+                faults: Some((&plan, seed ^ 0x55)),
+                ..RunOptions::default()
+            };
+            bursty_lan(25, seed, opts)
         };
         let a = faulty(4);
         let b = faulty(4);
@@ -548,14 +453,11 @@ mod tests {
     #[test]
     fn shared_cache_is_hit_but_protocol_neutral() {
         let run = |cache| {
-            run_seeded_with_cache(
-                30,
-                2,
-                DgmcConfig::computation_dominated(),
-                |rng, net| workload::bursty(rng, net, &BurstParams::default()),
+            let opts = RunOptions {
                 cache,
-            )
-            .unwrap()
+                ..RunOptions::default()
+            };
+            bursty_lan(30, 2, opts)
         };
         let cached = run(SpfCache::new());
         let uncached = run(SpfCache::disabled());
@@ -602,23 +504,11 @@ mod tests {
     }
 
     fn traced_seeded(seed: u64, mode: TraceMode) -> RunMetrics {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let net = dgmc_topology::generate::waxman(
-            &mut rng,
-            30,
-            &dgmc_topology::generate::WaxmanParams::default(),
-        );
-        let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-        run_dgmc_traced(
-            &net,
-            DgmcConfig::computation_dominated(),
-            &wl,
-            Rc::new(dgmc_mctree::SphStrategy::new()),
-            SpfCache::new(),
-            mode,
-        )
-        .unwrap()
+        let opts = RunOptions {
+            trace: mode,
+            ..RunOptions::default()
+        };
+        bursty_lan(30, seed, opts)
     }
 
     #[test]
@@ -677,31 +567,19 @@ mod tests {
     #[test]
     fn loss_sweep_retransmit_spans_appear_iff_faults_fired() {
         use dgmc_des::{net_counters, LinkFaults};
-        use rand::SeedableRng;
         let run = |loss: f64| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            let net = dgmc_topology::generate::waxman(
-                &mut rng,
-                25,
-                &dgmc_topology::generate::WaxmanParams::default(),
-            );
-            let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
             let plan = FaultPlan::uniform(LinkFaults {
                 loss,
                 hard_loss: 0.0,
                 duplicate: 0.0,
                 jitter: SimDuration::ZERO,
             });
-            run_dgmc_faulty_traced(
-                &net,
-                DgmcConfig::computation_dominated(),
-                &wl,
-                Rc::new(dgmc_mctree::SphStrategy::new()),
-                &plan,
-                7 ^ 0x55,
-                TraceMode::Full,
-            )
-            .unwrap()
+            let opts = RunOptions {
+                faults: Some((&plan, 7 ^ 0x55)),
+                trace: TraceMode::Full,
+                ..RunOptions::default()
+            };
+            bursty_lan(25, 7, opts)
         };
         for loss in [0.0, 0.15] {
             let m = run(loss);

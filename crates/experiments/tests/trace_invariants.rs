@@ -14,11 +14,11 @@ use dgmc_core::EngineMutation;
 use dgmc_des::explorer::ExploreConfig;
 use dgmc_des::mc::{self, McConfig};
 use dgmc_experiments::presets::{self, ExperimentSpec, WorkloadKind};
-use dgmc_experiments::runner::{run_dgmc_traced, RunMetrics, TraceMode};
+use dgmc_experiments::runner::{run_dgmc, RunMetrics, RunOptions, TraceMode};
 use dgmc_experiments::systematic::{self, ScriptEvent, SystematicModel, SystematicParams};
 use dgmc_experiments::workload::{self, BurstParams};
 use dgmc_obs::{chrome_trace_json, critical_paths, Histogram};
-use dgmc_topology::{generate, NodeId, SpfCache};
+use dgmc_topology::{generate, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,13 +28,15 @@ fn traced_run(seed: u64) -> RunMetrics {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = generate::waxman(&mut rng, 25, &generate::WaxmanParams::default());
     let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-    run_dgmc_traced(
+    run_dgmc(
         &net,
         DgmcConfig::computation_dominated(),
         &wl,
         Rc::new(dgmc_mctree::SphStrategy::new()),
-        SpfCache::new(),
-        TraceMode::Full,
+        RunOptions {
+            trace: TraceMode::Full,
+            ..RunOptions::default()
+        },
     )
     .expect("traced runs converge")
 }
@@ -103,8 +105,8 @@ proptest! {
             }),
             seed,
         };
-        let serial = presets::run_experiment_jobs(&spec, 1);
-        let parallel = presets::run_experiment_jobs(&spec, 4);
+        let serial = presets::run_experiment(&spec, 1, |_| {});
+        let parallel = presets::run_experiment(&spec, 4, |_| {});
         let a = serial.trace.as_ref().expect("exemplar trace");
         let b = parallel.trace.as_ref().expect("exemplar trace");
         prop_assert_eq!(chrome_trace_json(a), chrome_trace_json(b));

@@ -13,10 +13,11 @@
 //! * [`Lsdb`] — the link-state database each switch keeps, and the *local
 //!   image* of the network it induces,
 //! * [`RoutingTable`] — unicast next-hop tables computed from the local
-//!   image by Dijkstra SPF,
-//! * [`LsrNode`] — the per-switch state machine tying these together, and
-//!   [`actor::LsrActor`] — a ready-made DES actor used to exercise the
-//!   substrate standalone.
+//!   image by Dijkstra SPF.
+//!
+//! The per-switch state machine tying these together is
+//! `dgmc_core::proto::NodeCore`; the substrate's flooding and
+//! route-convergence properties are tested there, on the shipped switch.
 //!
 //! # Examples
 //!
@@ -38,15 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actor;
 pub mod codec;
 pub mod flood;
 pub mod lsa;
 
 mod lsdb;
-mod node;
 mod routes;
 
 pub use lsdb::Lsdb;
-pub use node::{LsrAction, LsrNode};
 pub use routes::RoutingTable;

@@ -44,8 +44,9 @@ pub enum Timer {
     /// The `Tc` computation timer for an MC fired: feed
     /// `on_computation_done` to the core.
     Compute(McId),
-    /// A loss-shim retransmission slot: re-send the queued datagram with
-    /// this sequence number.
+    /// A datagram the loss shim held back (jitter, a recovered-loss round,
+    /// a duplicate, or FIFO order behind one of those to the same peer):
+    /// put the queued datagram with this sequence number on the wire.
     Resend(u64),
 }
 

@@ -28,11 +28,12 @@
 //! treat the control socket as synchronous request/response.
 
 use crate::clock::{TickClock, Timer, Timers};
-use crate::fault::{NodeFaultPlan, SendShim};
+use crate::fault::SendShim;
 use crate::frame::{decode_datagram, encode_datagram, frame_is_sane};
 use crate::proto::{node_counters, NodeCore, Output};
 use crate::snapshot::engine_snapshot;
 use dgmc_core::McId;
+use dgmc_des::net::FaultPlan;
 use dgmc_mctree::{McType, Role, SphStrategy};
 use dgmc_obs::{DecisionLogHandle, JsonValue};
 use dgmc_topology::{NetworkBuilder, NodeId};
@@ -58,7 +59,7 @@ pub struct NodeOptions {
     /// Directory for end-of-run artifacts (decision log, metrics, state).
     pub out_dir: PathBuf,
     /// Loss shim plan (`None` = transparent).
-    pub fault_plan: Option<NodeFaultPlan>,
+    pub fault_plan: Option<FaultPlan>,
     /// Loss shim seed.
     pub seed: u64,
     /// Decision log capacity (events kept in memory).
@@ -137,11 +138,7 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
     std::io::stdout().flush()?;
 
     let mut driver = Driver {
-        shim: SendShim::new(
-            opts.fault_plan.clone().unwrap_or_else(NodeFaultPlan::none),
-            opts.seed,
-            opts.id,
-        ),
+        shim: SendShim::new(opts.fault_plan.clone(), opts.seed, opts.id),
         core,
         log,
         clock: TickClock::new(),
@@ -297,7 +294,10 @@ impl Driver {
                         continue;
                     };
                     let bytes = encode_datagram(NodeId(self.id), &frame);
-                    let copies = self.shim.fate(to.0);
+                    // One clock reading decides the fate and arms the
+                    // timers, so the shim's FIFO order is the heap's order.
+                    let now = self.now();
+                    let copies = self.shim.fate(to.0, now);
                     if copies.is_empty() {
                         *self
                             .core
@@ -306,7 +306,9 @@ impl Driver {
                         continue;
                     }
                     for delay in copies {
-                        if delay == 0 {
+                        // An undelayed copy still queues behind resends
+                        // that are due but have not fired yet.
+                        if delay == 0 && self.pending.is_empty() {
                             self.udp.send_to(&bytes, addr)?;
                             self.tx += 1;
                         } else {
@@ -317,7 +319,8 @@ impl Driver {
                             let seq = self.next_resend;
                             self.next_resend += 1;
                             self.pending.insert(seq, (addr, bytes.clone()));
-                            self.timers.arm(self.now() + delay, Timer::Resend(seq));
+                            self.timers
+                                .arm(now.saturating_add(delay), Timer::Resend(seq));
                         }
                     }
                     *self

@@ -1,10 +1,11 @@
-//! A `FaultyNet`-equivalent loss shim for the UDP send path.
+//! The loss shim on the UDP send path: the DES's [`FaultyNet`], seeded per
+//! node.
 //!
 //! The DES injects loss through [`dgmc_des::net::FaultyNet`]; real sockets
-//! need the same treatment to test loss tolerance end to end. This module
-//! parses the PR-2 fault-plan JSON format (the exact output of
-//! [`dgmc_des::net::FaultPlan::to_json`], as written into repro bundles)
-//! and applies it on a node's send path with the same semantics:
+//! need the same treatment to test loss tolerance end to end. The shim *is*
+//! that model — same plan format ([`FaultPlan::from_json`], as written into
+//! repro bundles), same draws, same per-directed-pair FIFO clamp — asked
+//! for the fate of each outgoing datagram at the driver's clock reading:
 //!
 //! * `hard_loss` — the datagram is dropped for good;
 //! * `loss` — a geometric number of link-level retransmission rounds, each
@@ -15,281 +16,128 @@
 //!
 //! The shim is seeded per node, so a mesh run is reproducible from
 //! `(plan, seed)` exactly like a DES run. `flaps`/`outages` in the plan are
-//! scenario-harness concerns and are parsed but ignored here.
+//! scenario-harness concerns and are ignored here.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-
-use dgmc_obs::JsonValue;
-
-/// Per-directed-link fault knobs (the wire-format mirror of the DES
-/// `LinkFaults`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Faults {
-    /// Per-attempt recovered-loss probability.
-    pub loss: f64,
-    /// Unrecovered drop probability.
-    pub hard_loss: f64,
-    /// Probability of one extra delivered copy.
-    pub duplicate: f64,
-    /// Maximum uniform extra delay per copy, nanoseconds.
-    pub jitter_ns: u64,
-}
-
-impl Faults {
-    /// No faults at all.
-    pub fn none() -> Faults {
-        Faults {
-            loss: 0.0,
-            hard_loss: 0.0,
-            duplicate: 0.0,
-            jitter_ns: 0,
-        }
-    }
-}
-
-/// A parsed fault plan, reduced to what the send path needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeFaultPlan {
-    /// Faults on every pair without an override.
-    pub default: Faults,
-    /// Per-pair overrides keyed by `(min(a, b), max(a, b))`.
-    pub overrides: BTreeMap<(u32, u32), Faults>,
-    /// Extra delay of one recovered retransmission round, nanoseconds.
-    pub retransmit_after_ns: u64,
-    /// Cap on recovered rounds per datagram.
-    pub max_retries: u32,
-}
-
-impl NodeFaultPlan {
-    /// A plan that injects nothing.
-    pub fn none() -> NodeFaultPlan {
-        NodeFaultPlan {
-            default: Faults::none(),
-            overrides: BTreeMap::new(),
-            retransmit_after_ns: 20_000,
-            max_retries: 5,
-        }
-    }
-
-    /// Parses the PR-2 fault-plan JSON format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description on malformed JSON, missing required keys or
-    /// out-of-range probabilities.
-    pub fn from_json(text: &str) -> Result<NodeFaultPlan, String> {
-        let root = JsonValue::parse(text)?;
-        let default = parse_faults(
-            root.get("default")
-                .ok_or_else(|| "fault plan: missing `default`".to_owned())?,
-        )?;
-        let mut overrides = BTreeMap::new();
-        if let Some(entries) = root.get("overrides").and_then(JsonValue::as_array) {
-            for entry in entries {
-                let a = get_u64(entry, "a")? as u32;
-                let b = get_u64(entry, "b")? as u32;
-                let faults = parse_faults(
-                    entry
-                        .get("faults")
-                        .ok_or_else(|| "fault plan: override missing `faults`".to_owned())?,
-                )?;
-                overrides.insert((a.min(b), a.max(b)), faults);
-            }
-        }
-        let retransmit_after_ns = root
-            .get("retransmit_after_ns")
-            .map(as_u64)
-            .transpose()?
-            .unwrap_or(20_000);
-        let max_retries = root
-            .get("max_retries")
-            .map(as_u64)
-            .transpose()?
-            .unwrap_or(5) as u32;
-        Ok(NodeFaultPlan {
-            default,
-            overrides,
-            retransmit_after_ns,
-            max_retries,
-        })
-    }
-
-    /// The faults applied between `from` and `to` (direction-insensitive,
-    /// like the DES).
-    pub fn faults_between(&self, from: u32, to: u32) -> Faults {
-        let key = (from.min(to), from.max(to));
-        self.overrides.get(&key).copied().unwrap_or(self.default)
-    }
-}
-
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("fault plan: missing `{key}`"))
-        .and_then(as_u64)
-}
-
-fn as_u64(v: &JsonValue) -> Result<u64, String> {
-    match v {
-        JsonValue::U64(n) => Ok(*n),
-        other => Err(format!("fault plan: expected integer, got {other:?}")),
-    }
-}
-
-fn as_f64(v: &JsonValue) -> Result<f64, String> {
-    match v {
-        JsonValue::U64(n) => Ok(*n as f64),
-        JsonValue::F64(f) => Ok(*f),
-        other => Err(format!("fault plan: expected number, got {other:?}")),
-    }
-}
-
-fn parse_faults(v: &JsonValue) -> Result<Faults, String> {
-    let prob = |key: &str| -> Result<f64, String> {
-        let p = v.get(key).map(as_f64).transpose()?.unwrap_or(0.0);
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("fault plan: `{key}` = {p} outside [0, 1]"));
-        }
-        Ok(p)
-    };
-    Ok(Faults {
-        loss: prob("loss")?,
-        hard_loss: prob("hard_loss")?,
-        duplicate: prob("duplicate")?,
-        jitter_ns: v.get("jitter_ns").map(as_u64).transpose()?.unwrap_or(0),
-    })
-}
+use dgmc_des::net::{FaultPlan, FaultyNet, NetModel};
+use dgmc_des::{ActorId, SimDuration, SimTime};
 
 /// The send-path shim: decides the fate of each outgoing datagram.
 #[derive(Debug)]
 pub struct SendShim {
-    plan: NodeFaultPlan,
-    rng: StdRng,
-    me: u32,
+    /// `None` perturbs nothing and draws nothing.
+    net: Option<FaultyNet>,
+    me: ActorId,
 }
 
 impl SendShim {
     /// Creates the shim for node `me`; the fault schedule is a pure
     /// function of `(plan, seed, me)`.
-    pub fn new(plan: NodeFaultPlan, seed: u64, me: u32) -> SendShim {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` is one [`FaultyNet::new`] rejects; plans parsed by
+    /// [`FaultPlan::from_json`] never are.
+    pub fn new(plan: Option<FaultPlan>, seed: u64, me: u32) -> SendShim {
         // Decorrelate per-node streams without losing reproducibility.
         let node_seed = seed ^ u64::from(me).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SendShim {
-            plan,
-            rng: StdRng::seed_from_u64(node_seed),
-            me,
+            net: plan.map(|plan| FaultyNet::new(plan, node_seed)),
+            me: ActorId(me),
         }
     }
 
-    /// `true` when the plan can never perturb anything (fast path).
-    pub fn is_transparent(&self) -> bool {
-        self.plan.default == Faults::none() && self.plan.overrides.is_empty()
-    }
-
-    fn jitter(&mut self, max_ns: u64) -> u64 {
-        if max_ns == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=max_ns)
-        }
-    }
-
-    /// Decides the fate of one datagram toward `to`: the extra send delay
-    /// in nanoseconds of each copy to put on the wire. Empty means hard
-    /// loss; `0` means send immediately; larger values become driver
-    /// retransmission timers (recovered loss / jitter / duplicates).
-    pub fn fate(&mut self, to: u32) -> Vec<u64> {
-        let faults = self.plan.faults_between(self.me, to);
-        let mut copies = Vec::with_capacity(1);
-        if faults.hard_loss > 0.0 && self.rng.gen_bool(faults.hard_loss) {
-            return copies;
-        }
-        let mut retries = 0u32;
-        while faults.loss > 0.0 && retries < self.plan.max_retries && self.rng.gen_bool(faults.loss)
-        {
-            retries += 1;
-        }
-        copies.push(
-            self.jitter(faults.jitter_ns) + self.plan.retransmit_after_ns * u64::from(retries),
-        );
-        if faults.duplicate > 0.0 && self.rng.gen_bool(faults.duplicate) {
-            copies.push(self.jitter(faults.jitter_ns));
-        }
-        copies
+    /// Decides the fate of one datagram handed to the send path toward `to`
+    /// at tick `now_nanos`: the extra send delay in nanoseconds of each copy
+    /// to put on the wire. Empty means hard loss; `0` means send now; larger
+    /// values become driver `Resend` timers (recovered loss / jitter /
+    /// duplicates / waiting behind an earlier delayed copy to `to`).
+    pub fn fate(&mut self, to: u32, now_nanos: u64) -> Vec<u64> {
+        let Some(net) = &mut self.net else {
+            return vec![0];
+        };
+        let now = SimTime::from_nanos(now_nanos);
+        net.route(self.me, ActorId(to), now, SimDuration::ZERO)
+            .into_iter()
+            .map(|copy| copy.delay.as_nanos())
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const PLAN: &str = r#"{
-        "default": {"loss": 0.25, "hard_loss": 0.0, "duplicate": 0.1, "jitter_ns": 500},
-        "overrides": [
-            {"a": 1, "b": 0, "faults": {"loss": 0.0, "hard_loss": 1.0, "duplicate": 0.0, "jitter_ns": 0}}
-        ],
-        "retransmit_after_ns": 20000,
-        "max_retries": 5,
-        "flaps": [],
-        "outages": []
-    }"#;
-
-    #[test]
-    fn parses_the_des_plan_format() {
-        let plan = NodeFaultPlan::from_json(PLAN).unwrap();
-        assert_eq!(plan.default.loss, 0.25);
-        assert_eq!(plan.retransmit_after_ns, 20_000);
-        assert_eq!(plan.max_retries, 5);
-        assert_eq!(plan.faults_between(1, 0).hard_loss, 1.0);
-        assert_eq!(plan.faults_between(0, 1).hard_loss, 1.0, "unordered key");
-        assert_eq!(plan.faults_between(0, 2).loss, 0.25);
-    }
-
-    #[test]
-    fn rejects_bad_probability() {
-        let text = r#"{"default": {"loss": 1.5}}"#;
-        assert!(NodeFaultPlan::from_json(text).is_err());
-    }
+    use dgmc_des::net::LinkFaults;
 
     #[test]
     fn hard_loss_drops_recovered_loss_delays() {
-        let mut plan = NodeFaultPlan::none();
+        let mut plan = FaultPlan::none();
         plan.overrides.insert(
             (0, 1),
-            Faults {
+            LinkFaults {
                 hard_loss: 1.0,
-                ..Faults::none()
+                ..LinkFaults::none()
             },
         );
         plan.overrides.insert(
             (0, 2),
-            Faults {
+            LinkFaults {
                 loss: 1.0,
-                ..Faults::none()
+                ..LinkFaults::none()
             },
         );
-        let mut shim = SendShim::new(plan, 7, 0);
-        assert!(shim.fate(1).is_empty(), "hard loss drops");
-        let copies = shim.fate(2);
+        let mut shim = SendShim::new(Some(plan), 7, 0);
+        assert!(shim.fate(1, 0).is_empty(), "hard loss drops");
+        let copies = shim.fate(2, 0);
         assert_eq!(copies.len(), 1);
         assert_eq!(copies[0], 20_000 * 5, "loss=1 exhausts max_retries");
     }
 
+    fn lossy_plan() -> FaultPlan {
+        FaultPlan::uniform(LinkFaults {
+            loss: 0.25,
+            hard_loss: 0.0,
+            duplicate: 0.1,
+            jitter: SimDuration::nanos(500),
+        })
+    }
+
     #[test]
     fn same_seed_same_fate_stream() {
-        let plan = NodeFaultPlan::from_json(PLAN).unwrap();
-        let mut a = SendShim::new(plan.clone(), 42, 3);
-        let mut b = SendShim::new(plan, 42, 3);
-        for to in [0u32, 1, 2, 4, 0, 2] {
-            assert_eq!(a.fate(to), b.fate(to));
+        let mut a = SendShim::new(Some(lossy_plan()), 42, 3);
+        let mut b = SendShim::new(Some(lossy_plan()), 42, 3);
+        for (now, to) in [0u32, 1, 2, 4, 0, 2].into_iter().enumerate() {
+            let now = now as u64 * 100;
+            assert_eq!(a.fate(to, now), b.fate(to, now));
         }
     }
 
     #[test]
-    fn transparent_plan_sends_one_immediate_copy() {
-        let mut shim = SendShim::new(NodeFaultPlan::none(), 1, 0);
-        assert!(shim.is_transparent());
-        assert_eq!(shim.fate(1), vec![0]);
+    fn no_plan_sends_one_immediate_copy() {
+        let mut shim = SendShim::new(None, 1, 0);
+        assert_eq!(shim.fate(1, 0), vec![0]);
+    }
+
+    #[test]
+    fn copies_to_one_destination_never_overtake_each_other() {
+        // The per-link FIFO premise of the protocol: with jitter and
+        // recovered loss a later datagram must wait behind an earlier
+        // delayed one to the same peer, not be sent straight away.
+        let mut shim = SendShim::new(Some(lossy_plan()), 9, 0);
+        let mut last = [0u64; 3];
+        let mut delayed = 0;
+        for i in 0..300u64 {
+            let (now, to) = (i * 40, (i % 3) as usize);
+            for delay in shim.fate(to as u32 + 1, now) {
+                let at = now + delay;
+                assert!(
+                    at >= last[to],
+                    "datagram {i} to peer {to} leaves at {at}, before its predecessor at {}",
+                    last[to]
+                );
+                last[to] = at;
+                delayed += u64::from(delay > 0);
+            }
+        }
+        assert!(delayed > 0, "the plan must actually delay something");
     }
 }

@@ -17,9 +17,9 @@
 //!   nanosecond tick domain, and the timer wheel for `Tc` computations.
 //! * [`driver`] — the I/O loop: one UDP socket for protocol traffic, one
 //!   line-oriented TCP control socket for scripting (join/leave/status).
-//! * [`fault`] — a seeded `FaultyNet`-equivalent shim on the send path
-//!   (recovered loss as delayed retransmission), replayable from the PR-2
-//!   fault-plan JSON format.
+//! * [`fault`] — the DES's `FaultyNet`, seeded per node, as a shim on the
+//!   send path (recovered loss as delayed retransmission), replayable from
+//!   the fault-plan JSON format of repro bundles.
 //! * [`launcher`] — spawns N node processes on loopback from a scenario
 //!   file, drives membership through control sockets, and merges each
 //!   node's decision log and metrics into the DES report schema.

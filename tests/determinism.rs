@@ -110,13 +110,24 @@ fn metrics_snapshots_are_byte_identical_across_same_seed_runs() {
 fn cached_runs_write_byte_identical_metrics_and_match_uncached_protocol() {
     use dgmc::experiments::report;
     use dgmc::topology::SpfCache;
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let net = dgmc::topology::generate::waxman(
+        &mut rng,
+        30,
+        &dgmc::topology::generate::WaxmanParams::default(),
+    );
+    let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
     let run = |cache: SpfCache| {
-        let m = runner::run_seeded_with_cache(
-            30,
-            11,
+        let m = runner::run_dgmc(
+            &net,
             DgmcConfig::computation_dominated(),
-            |rng, net| workload::bursty(rng, net, &BurstParams::default()),
-            cache,
+            &wl,
+            std::rc::Rc::new(SphStrategy::new()),
+            runner::RunOptions {
+                cache,
+                ..runner::RunOptions::default()
+            },
         )
         .unwrap();
         (
@@ -159,8 +170,8 @@ fn experiment_sweeps_are_reproducible() {
     let mut spec = presets::quick(presets::experiment1());
     spec.sizes = vec![20];
     spec.graphs_per_size = 2;
-    let r1 = presets::run_experiment(&spec);
-    let r2 = presets::run_experiment(&spec);
+    let r1 = presets::run_experiment(&spec, 1, |_| {});
+    let r2 = presets::run_experiment(&spec, 1, |_| {});
     assert_eq!(r1.rows[0].proposals.mean(), r2.rows[0].proposals.mean());
     assert_eq!(r1.rows[0].floodings.mean(), r2.rows[0].floodings.mean());
     assert_eq!(r1.rows[0].convergence.mean(), r2.rows[0].convergence.mean());

@@ -58,7 +58,7 @@ fn hard_loss_is_caught_and_the_bundle_replays() {
     assert_eq!(a.violations, b.violations);
 
     // The bundle round-trips to disk with plan, timeline and replay line.
-    let bundle = explore::repro_bundle(seed, &params);
+    let bundle = explore::repro_bundle(seed, &params, &dgmc::topology::SpfCache::new());
     assert_eq!(bundle.violations, a.violations);
     assert!(!bundle.timeline.is_empty());
     let dir = std::env::temp_dir().join(format!("dgmc-fault-injection-{}", std::process::id()));

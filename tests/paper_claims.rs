@@ -120,7 +120,7 @@ fn quick_experiment_sweeps_have_zero_failures() {
         let mut small = spec.clone();
         small.sizes = vec![20, 40];
         small.graphs_per_size = 2;
-        let results = presets::run_experiment(&small);
+        let results = presets::run_experiment(&small, 1, |_| {});
         for row in &results.rows {
             assert_eq!(row.failures, 0, "{} n={}", results.name, row.n);
             assert!(row.proposals.mean() >= 1.0);
