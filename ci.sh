@@ -42,6 +42,14 @@ if grep -rnE 'pub fn [a-z0-9_]+_(with_cache|sharded|jobs|faulty|traced)\b|set_jo
     echo "a second entry point for an option (or the engine jobs fork) is back; see DESIGN.md §13"
     exit 1
 fi
+# PR15 applied the same rule item by item: the MOSPF `new_incremental` fork and
+# the always-65536 `log_capacity` knob are gone, and `perf/` is the one
+# benchmark (no `criterion` stand-in, no second bench crate).
+if grep -rnE 'new_incremental|log_capacity' crates/*/src ||
+    grep -n 'criterion' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml perf/Cargo.toml; then
+    echo "a deleted fork, knob or the second benchmark is back; see ROADMAP.md item 2"
+    exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -166,7 +174,9 @@ echo "== benchmark package builds and passes its toy-size workloads =="
 # perf/ is its own workspace over the public API of crates/*: a break that
 # would stop `bash perf/run.sh` compiling, or BENCHMARK.json drifting from
 # the workload catalogue, fails here rather than in the next perf PR.
-cargo test --offline -q --manifest-path perf/Cargo.toml
+# --locked: a manifest edit inside perf/'s dependency closure fails here
+# instead of silently rewriting perf/Cargo.lock.
+cargo test --offline --locked -q --manifest-path perf/Cargo.toml
 
 echo "== fig6 preset exposes the cache hit-rate counter =="
 cargo run --offline -q --release -p dgmc-experiments --bin exp1 -- --quick >/dev/null

@@ -9,7 +9,7 @@
 
 use dgmc_mctree::McTopology;
 use dgmc_obs::MetricsRegistry;
-use dgmc_topology::{metrics, spf, Network, NodeId};
+use dgmc_topology::{spf, Network, NodeId};
 use std::collections::BTreeSet;
 
 /// Metric names recorded by [`CbtTree::join_recorded`], designed to sit next
@@ -55,24 +55,9 @@ impl CbtTree {
         }
     }
 
-    /// The core switch.
-    pub fn core(&self) -> NodeId {
-        self.core
-    }
-
     /// The current shared tree (the core always counts as a terminal).
     pub fn topology(&self) -> &McTopology {
         &self.tree
-    }
-
-    /// Current member switches (excluding the core unless it joined).
-    pub fn members(&self) -> BTreeSet<NodeId> {
-        self.tree
-            .terminals()
-            .iter()
-            .copied()
-            .filter(|&n| n != self.core)
-            .collect()
     }
 
     /// Grafts `member` onto the tree: a join request travels the unicast
@@ -196,12 +181,6 @@ pub fn build_cbt(net: &Network, core: NodeId, members: &BTreeSet<NodeId>) -> (Cb
     (tree, hops)
 }
 
-/// Eccentricity helper re-exported for core placement studies.
-pub fn center_node(net: &Network) -> Option<NodeId> {
-    net.nodes()
-        .min_by_key(|&n| (metrics::hop_eccentricity(net, n), n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +202,7 @@ mod tests {
         // 4 joins: 4-3-2, two hops to reach the tree at 2.
         assert_eq!(cbt.join(&net, NodeId(4)), Some(2));
         assert!(cbt.topology().is_tree());
-        assert_eq!(cbt.members(), members(&[0, 1, 4]));
+        assert_eq!(cbt.topology().terminals(), &members(&[0, 1, 2, 4]));
     }
 
     #[test]
@@ -249,7 +228,7 @@ mod tests {
         assert!(!cbt.topology().touches(NodeId(0)));
         assert!(!cbt.topology().touches(NodeId(1)));
         assert!(cbt.topology().touches(NodeId(2)), "core stays");
-        assert_eq!(cbt.members(), members(&[4]));
+        assert_eq!(cbt.topology().terminals(), &members(&[2, 4]));
     }
 
     #[test]
@@ -304,11 +283,5 @@ mod tests {
         let (cbt, _) = build_cbt(&net, NodeId(0), &m);
         let steiner = dgmc_mctree::algorithms::takahashi_matsuyama(&net, &m);
         assert!(cbt.traffic_concentration() >= dgmc_mctree::metrics::max_link_load(&steiner));
-    }
-
-    #[test]
-    fn center_node_of_path_is_middle() {
-        let net = generate::path(5);
-        assert_eq!(center_node(&net), Some(NodeId(2)));
     }
 }

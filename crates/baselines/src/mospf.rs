@@ -10,24 +10,13 @@
 //! Membership LSAs flush the affected cache entries, so after every
 //! membership event the next datagram per source triggers one computation at
 //! **every on-tree router** — the per-event overhead D-GMC's single
-//! computation is compared against. That flush is the published protocol's
-//! behavior and stays the default ([`build_mospf_sim`]); it is what the
-//! comparison experiments measure.
-//!
-//! [`build_mospf_sim_incremental`] builds the *repairing* variant instead:
-//! a membership LSA grafts/prunes every cached tree of the group in place
-//! ([`dgmc_mctree::repair`]) rather than flushing, so the next datagram hits
-//! the cache and no router recomputes. Repairs are exact (the cached tree
-//! stays byte-identical to a from-scratch pruned SPT), which the tests pin;
-//! the variant quantifies how much of MOSPF's per-event overhead is
-//! recomputation that dynamic tree repair (Cho & Breen's observation)
-//! eliminates.
+//! computation is compared against.
 
 use dgmc_core::McId;
 use dgmc_des::{Actor, ActorId, Ctx, Envelope, SimDuration, Simulation};
 use dgmc_lsr::flood::Flooder;
 use dgmc_lsr::lsa::FloodPacket;
-use dgmc_mctree::{algorithms, repair, McTopology};
+use dgmc_mctree::{algorithms, McTopology};
 use dgmc_topology::{LinkId, Network, NodeId, SpfCache};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -84,9 +73,6 @@ pub mod counters {
     pub const FLOODINGS: &str = "mospf.floodings";
     /// Datagram copies delivered to local group members.
     pub const DELIVERED: &str = "mospf.delivered";
-    /// Cached trees repaired in place on a membership LSA (incremental
-    /// variant only; the default flush variant never bumps this).
-    pub const REPAIRS: &str = "mospf.repairs";
 }
 
 /// A router in the MOSPF model.
@@ -102,9 +88,7 @@ pub struct MospfRouter {
     cache: BTreeMap<(NodeId, McId), McTopology>,
     /// (group, packet id) -> copies delivered locally.
     delivered: BTreeMap<(McId, u64), u32>,
-    /// Repair cached trees on membership change instead of flushing them.
-    incremental: bool,
-    /// Memoized SPF runs backing tree computations and grafts.
+    /// Memoized SPF runs backing tree computations.
     spf: SpfCache,
 }
 
@@ -115,8 +99,7 @@ impl std::fmt::Debug for MospfRouter {
 }
 
 impl MospfRouter {
-    /// Creates a router warm-started on `net` with the published flush
-    /// semantics.
+    /// Creates a router warm-started on `net`.
     pub fn new(me: NodeId, net: &Network, per_hop: SimDuration) -> MospfRouter {
         let incident = net
             .links()
@@ -132,17 +115,7 @@ impl MospfRouter {
             members: BTreeMap::new(),
             cache: BTreeMap::new(),
             delivered: BTreeMap::new(),
-            incremental: false,
             spf: SpfCache::new(),
-        }
-    }
-
-    /// Creates a router that repairs cached trees on membership change
-    /// (graft on join, prune on leave) instead of flushing them.
-    pub fn new_incremental(me: NodeId, net: &Network, per_hop: SimDuration) -> MospfRouter {
-        MospfRouter {
-            incremental: true,
-            ..MospfRouter::new(me, net, per_hop)
         }
     }
 
@@ -154,49 +127,15 @@ impl MospfRouter {
             .unwrap_or(0)
     }
 
-    /// Number of live cache entries (for cache-behavior tests).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// The cached tree for `(source, group)`, if any (for repair-exactness
-    /// tests).
-    pub fn cached_tree(&self, source: NodeId, group: McId) -> Option<&McTopology> {
-        self.cache.get(&(source, group))
-    }
-
-    fn apply(&mut self, ctx: &mut Ctx<'_, MospfMsg>, lsa: &MembershipLsa) {
+    fn apply(&mut self, lsa: &MembershipLsa) {
         let set = self.members.entry(lsa.group).or_default();
         if lsa.join {
             set.insert(lsa.source);
         } else {
             set.remove(&lsa.source);
         }
-        if !self.incremental {
-            // Membership changed: flush every cached tree of this group.
-            self.cache.retain(|&(_, g), _| g != lsa.group);
-            return;
-        }
-        // Incremental variant: every cached tree of the group is repaired
-        // in place. The image is static here, so the precondition of the
-        // repair ops (same network content as the cached computation) holds
-        // and each repaired tree stays byte-identical to a recompute.
-        let keys: Vec<(NodeId, McId)> = self
-            .cache
-            .keys()
-            .copied()
-            .filter(|&(_, g)| g == lsa.group)
-            .collect();
-        for key in keys {
-            let tree = self.cache.get(&key).expect("key just listed");
-            let repaired = if lsa.join {
-                repair::graft_member(&self.image, key.0, tree, lsa.source, &self.spf)
-            } else {
-                repair::prune_member(key.0, tree, lsa.source)
-            };
-            ctx.counter(counters::REPAIRS).incr();
-            self.cache.insert(key, repaired);
-        }
+        // Membership changed: flush every cached tree of this group.
+        self.cache.retain(|&(_, g), _| g != lsa.group);
     }
 
     fn flood(&mut self, ctx: &mut Ctx<'_, MospfMsg>, lsa: MembershipLsa) {
@@ -292,7 +231,7 @@ impl Actor<MospfMsg> for MospfRouter {
                     );
                 }
                 let lsa = packet.payload;
-                self.apply(ctx, &lsa);
+                self.apply(&lsa);
             }
             MospfMsg::HostJoin { group } => {
                 let lsa = MembershipLsa {
@@ -300,7 +239,7 @@ impl Actor<MospfMsg> for MospfRouter {
                     group,
                     join: true,
                 };
-                self.apply(ctx, &lsa);
+                self.apply(&lsa);
                 self.flood(ctx, lsa);
             }
             MospfMsg::HostLeave { group } => {
@@ -309,7 +248,7 @@ impl Actor<MospfMsg> for MospfRouter {
                     group,
                     join: false,
                 };
-                self.apply(ctx, &lsa);
+                self.apply(&lsa);
                 self.flood(ctx, lsa);
             }
             MospfMsg::Data {
@@ -333,16 +272,6 @@ pub fn build_mospf_sim(net: &Network, per_hop: SimDuration) -> Simulation<MospfM
     let mut sim = Simulation::new();
     for n in net.nodes() {
         sim.add_actor(Box::new(MospfRouter::new(n, net, per_hop)));
-    }
-    sim
-}
-
-/// Builds a simulation of [`MospfRouter::new_incremental`] routers: caches
-/// are repaired on membership change rather than flushed.
-pub fn build_mospf_sim_incremental(net: &Network, per_hop: SimDuration) -> Simulation<MospfMsg> {
-    let mut sim = Simulation::new();
-    for n in net.nodes() {
-        sim.add_actor(Box::new(MospfRouter::new_incremental(n, net, per_hop)));
     }
     sim
 }
@@ -443,10 +372,6 @@ mod tests {
             MospfMsg::HostJoin { group: G },
         );
         sim.run_to_quiescence();
-        assert_eq!(
-            sim.actor_as::<MospfRouter>(ActorId(0)).unwrap().cache_len(),
-            0
-        );
         sim.inject(
             ActorId(0),
             SimDuration::millis(30),
@@ -459,117 +384,6 @@ mod tests {
         );
         sim.run_to_quiescence();
         assert_eq!(sim.counter_value(counters::COMPUTATIONS), first + 5);
-    }
-
-    #[test]
-    fn incremental_variant_repairs_instead_of_recomputing() {
-        let net = generate::path(5);
-        let mut sim = build_mospf_sim_incremental(&net, SimDuration::micros(10));
-        for (i, m) in [0u32, 4].into_iter().enumerate() {
-            sim.inject(
-                ActorId(m),
-                SimDuration::millis(i as u64),
-                MospfMsg::HostJoin { group: G },
-            );
-        }
-        sim.run_to_quiescence();
-        sim.inject(
-            ActorId(0),
-            SimDuration::millis(10),
-            MospfMsg::Data {
-                group: G,
-                source: NodeId(0),
-                via: None,
-                packet_id: 1,
-            },
-        );
-        sim.run_to_quiescence();
-        let first = sim.counter_value(counters::COMPUTATIONS);
-        assert_eq!(first, 5, "the cold path still computes everywhere");
-        // A join repairs every populated cache in place...
-        sim.inject(
-            ActorId(2),
-            SimDuration::millis(20),
-            MospfMsg::HostJoin { group: G },
-        );
-        sim.run_to_quiescence();
-        let r0 = sim.actor_as::<MospfRouter>(ActorId(0)).unwrap();
-        assert_eq!(r0.cache_len(), 1, "cache survives the membership change");
-        let want: BTreeSet<NodeId> = [NodeId(0), NodeId(2), NodeId(4)].into();
-        assert_eq!(
-            r0.cached_tree(NodeId(0), G).unwrap(),
-            &algorithms::pruned_spt(&net, NodeId(0), &want),
-            "grafted tree equals a from-scratch recompute"
-        );
-        assert_eq!(sim.counter_value(counters::REPAIRS), 5);
-        // ...so the next datagram triggers no computation and still reaches
-        // the new member.
-        sim.inject(
-            ActorId(0),
-            SimDuration::millis(30),
-            MospfMsg::Data {
-                group: G,
-                source: NodeId(0),
-                via: None,
-                packet_id: 2,
-            },
-        );
-        sim.run_to_quiescence();
-        assert_eq!(sim.counter_value(counters::COMPUTATIONS), first);
-        for m in [2u32, 4] {
-            assert_eq!(
-                sim.actor_as::<MospfRouter>(ActorId(m))
-                    .unwrap()
-                    .delivered_copies(G, 2),
-                1,
-                "member {m} got the post-join datagram"
-            );
-        }
-        // A leave prunes the branch; the tree again equals a recompute.
-        sim.inject(
-            ActorId(4),
-            SimDuration::millis(40),
-            MospfMsg::HostLeave { group: G },
-        );
-        sim.run_to_quiescence();
-        let r0 = sim.actor_as::<MospfRouter>(ActorId(0)).unwrap();
-        let want: BTreeSet<NodeId> = [NodeId(0), NodeId(2)].into();
-        assert_eq!(
-            r0.cached_tree(NodeId(0), G).unwrap(),
-            &algorithms::pruned_spt(&net, NodeId(0), &want)
-        );
-        sim.inject(
-            ActorId(0),
-            SimDuration::millis(50),
-            MospfMsg::Data {
-                group: G,
-                source: NodeId(0),
-                via: None,
-                packet_id: 3,
-            },
-        );
-        sim.run_to_quiescence();
-        assert_eq!(sim.counter_value(counters::COMPUTATIONS), first);
-        assert_eq!(
-            sim.actor_as::<MospfRouter>(ActorId(4))
-                .unwrap()
-                .delivered_copies(G, 3),
-            0,
-            "pruned member no longer receives"
-        );
-    }
-
-    #[test]
-    fn flush_variant_never_repairs() {
-        let net = generate::path(4);
-        let mut sim = setup(&net, &[0, 3]);
-        sim.inject(
-            ActorId(1),
-            SimDuration::millis(10),
-            MospfMsg::HostJoin { group: G },
-        );
-        sim.run_to_quiescence();
-        assert_eq!(sim.counter_value(counters::REPAIRS), 0);
     }
 
     #[test]
@@ -589,13 +403,5 @@ mod tests {
         sim.run_to_quiescence();
         // Tree is 1-0-2: three computations, leaves 3..5 never compute.
         assert_eq!(sim.counter_value(counters::COMPUTATIONS), 3);
-        for leaf in 3..=5u32 {
-            assert_eq!(
-                sim.actor_as::<MospfRouter>(ActorId(leaf))
-                    .unwrap()
-                    .cache_len(),
-                0
-            );
-        }
     }
 }

@@ -164,11 +164,6 @@ impl DgmcEngine {
         self.mutation = mutation;
     }
 
-    /// The active engine mutation ([`EngineMutation::None`] in production).
-    pub fn mutation(&self) -> EngineMutation {
-        self.mutation
-    }
-
     /// Plugs in a (typically simulation-wide shared) SPF computation cache.
     ///
     /// Every engine gets a private cache by default; sharing one handle

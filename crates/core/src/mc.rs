@@ -37,11 +37,6 @@ impl McEventKind {
     pub fn is_event(self) -> bool {
         !matches!(self, McEventKind::None)
     }
-
-    /// Returns `true` if the event changes the member list.
-    pub fn is_membership(self) -> bool {
-        matches!(self, McEventKind::Join(_) | McEventKind::Leave)
-    }
 }
 
 impl fmt::Display for McEventKind {
@@ -110,10 +105,6 @@ mod tests {
         assert!(McEventKind::Leave.is_event());
         assert!(McEventKind::Link.is_event());
         assert!(!McEventKind::None.is_event());
-        assert!(McEventKind::Join(Role::Sender).is_membership());
-        assert!(McEventKind::Leave.is_membership());
-        assert!(!McEventKind::Link.is_membership());
-        assert!(!McEventKind::None.is_membership());
     }
 
     #[test]

@@ -665,15 +665,12 @@ impl NodeCore {
     pub(crate) fn step(&mut self, fx: &mut Step<'_>, input: Input) {
         self.engine.observer().set_now(fx.now_nanos);
         if let Input::Admin(up) = input {
-            // Only a real transition acts: failing an alive switch (its
-            // incident links go down) or reviving a failed one (they come
-            // back with it; neighbors advertise and sync).
-            if self.failed == up {
-                self.failed = !up;
-                for entry in &mut self.incident {
-                    entry.3 = up;
-                }
-            }
+            // The switch's own view of its incident links is left as it
+            // was: a failed switch reads nothing, and what was up (or cut)
+            // before the outage is what comes back with the revival, while
+            // the neighbors advertise and sync. (Marking every link up here
+            // made the revived switch's next router LSA resurrect a cut.)
+            self.failed = !up;
         }
         if self.failed {
             return;

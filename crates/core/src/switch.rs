@@ -265,6 +265,9 @@ pub fn build_dgmc_sim_with_cache(
 /// all traffic and its incident links go down, each advertised by the
 /// surviving neighbor); `up = true` revives it (neighbors re-advertise the
 /// links and send database snapshots so the revived switch resynchronizes).
+/// `net` is the ground truth at the time of the event: an incident link that
+/// is down in it (cut earlier) is not part of the nodal event, so a revival
+/// does not resurrect it.
 ///
 /// # Panics
 ///
@@ -282,7 +285,10 @@ pub fn inject_node_event(
     // advertise their side ("nodal events" decompose into link events with
     // the surviving endpoint as detector).
     let detect = delay + SimDuration::nanos(1);
-    for link in net.links().filter(|l| l.a == node || l.b == node) {
+    for link in net
+        .links()
+        .filter(|l| (l.a == node || l.b == node) && l.is_up())
+    {
         let neighbor = link.other(node);
         sim.inject(
             ActorId(neighbor.0),

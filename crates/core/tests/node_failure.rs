@@ -3,12 +3,13 @@
 //! partition-healing behavior it defers to future work (quiet-period case).
 
 use dgmc_core::switch::{
-    build_dgmc_sim, counters, inject_node_event, DgmcConfig, DgmcSwitch, SwitchMsg,
+    build_dgmc_sim, counters, inject_link_event, inject_node_event, DgmcConfig, DgmcSwitch,
+    SwitchMsg,
 };
 use dgmc_core::{convergence, McId, McType, Role};
 use dgmc_des::{ActorId, RunOutcome, SimDuration, Simulation};
 use dgmc_mctree::SphStrategy;
-use dgmc_topology::{generate, Network, NodeId};
+use dgmc_topology::{generate, LinkState, Network, NodeId};
 use std::rc::Rc;
 
 const MC: McId = McId(1);
@@ -209,4 +210,58 @@ fn failed_switch_drops_data() {
     );
     sim.run_to_quiescence();
     assert_eq!(convergence::delivery_map(&sim, MC, 1)[&NodeId(2)], 0);
+}
+
+/// Every switch's image agrees with the ground truth on every link's state.
+fn assert_images_match(sim: &Simulation<SwitchMsg>, net: &Network, when: &str) {
+    for i in 0..sim.actor_count() as u32 {
+        let sw = sim.actor_as::<DgmcSwitch>(ActorId(i)).unwrap();
+        for link in net.links() {
+            assert_eq!(
+                sw.image().link_between(link.a, link.b).unwrap().is_up(),
+                link.is_up(),
+                "{when}, switch {i}: image of link {}-{} is not the ground truth",
+                link.a,
+                link.b
+            );
+        }
+    }
+}
+
+#[test]
+fn revival_does_not_resurrect_a_cut_link() {
+    // `cut 1 2 @10ms / fail-node V @20ms / revive-node V @30ms` on `ring 4`,
+    // for either endpoint V: link 1-2 was down before the outage, so it is no
+    // part of the nodal event and must still be down in every image after.
+    for victim in [NodeId(1), NodeId(2)] {
+        let mut net = generate::ring(4);
+        let mut sim = sim_on(&net);
+        let cut = net.link_between(NodeId(1), NodeId(2)).unwrap().id;
+        inject_link_event(&mut sim, &net, cut, false, SimDuration::millis(10));
+        net.set_link_state(cut, LinkState::Down).unwrap();
+        inject_node_event(&mut sim, &net, victim, false, SimDuration::millis(20));
+        inject_node_event(&mut sim, &net, victim, true, SimDuration::millis(30));
+        assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+        assert_images_match(&sim, &net, &format!("after {victim} revived"));
+    }
+}
+
+#[test]
+fn revived_switch_still_knows_its_cut_link() {
+    // The revived switch's own next advertisement must not resurrect the
+    // link either: 1-2 is cut, switch 1 crashes and revives, then detects a
+    // second cut (1-4) and floods a router LSA listing all its links.
+    let mut net = generate::grid(2, 3);
+    let mut sim = sim_on(&net);
+    for (other, at_ms) in [(2, 10), (4, 40)] {
+        if other == 4 {
+            inject_node_event(&mut sim, &net, NodeId(1), false, SimDuration::millis(20));
+            inject_node_event(&mut sim, &net, NodeId(1), true, SimDuration::millis(30));
+        }
+        let cut = net.link_between(NodeId(1), NodeId(other)).unwrap().id;
+        inject_link_event(&mut sim, &net, cut, false, SimDuration::millis(at_ms));
+        net.set_link_state(cut, LinkState::Down).unwrap();
+    }
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+    assert_images_match(&sim, &net, "after 1 revived and cut 1-4");
 }

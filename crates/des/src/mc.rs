@@ -223,8 +223,7 @@ impl McStats {
             (metric_names::SLEEP_SKIPPED, self.sleep_skipped),
         ];
         for (name, value) in pairs {
-            let id = metrics.counter(name);
-            metrics.add(id, value);
+            *metrics.counter_slot(name) += value;
         }
     }
 }

@@ -136,11 +136,6 @@ impl<'a, M> Ctx<'a, M> {
         self.now
     }
 
-    /// The id of the actor currently handling a message.
-    pub fn self_id(&self) -> ActorId {
-        self.self_id
-    }
-
     fn push(&mut self, to: ActorId, from: Option<ActorId>, delay: SimDuration, msg: M) -> u64 {
         let at = self.now + delay;
         let labeler = self.span_labeler;
@@ -332,12 +327,6 @@ impl<M> Simulation<M> {
         self.net = Some(Box::new(model));
     }
 
-    /// Removes the network model; delivery reverts to the exact requested
-    /// delays.
-    pub fn clear_net_model(&mut self) {
-        self.net = None;
-    }
-
     /// Message accounting across the network model (all zeros when no model
     /// was ever installed).
     pub fn net_stats(&self) -> &NetStats {
@@ -493,19 +482,6 @@ impl<M> Simulation<M> {
     /// Panics if `id` is unknown or the actor is currently being dispatched.
     pub fn actor_as<T: 'static>(&self, id: ActorId) -> Option<&T> {
         self.actor_ref(id).as_any()?.downcast_ref::<T>()
-    }
-
-    /// Grants mutable access to a registered actor between runs.
-    ///
-    /// Intended for workload drivers and post-run inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or the actor is currently being dispatched.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut dyn Actor<M> {
-        self.actors[id.index()]
-            .as_deref_mut()
-            .expect("actor is not mid-dispatch")
     }
 
     /// Runs until the queue drains.
@@ -706,7 +682,6 @@ mod tests {
                     ctx.schedule_self(SimDuration::micros(1), 1);
                 } else {
                     assert_eq!(env.from, None, "timers carry no sender");
-                    assert_eq!(env.to, ctx.self_id());
                 }
             }
         }

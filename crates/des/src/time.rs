@@ -98,11 +98,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Constructs a span from seconds.
-    pub fn secs(s: u64) -> SimDuration {
-        SimDuration(s * 1_000_000_000)
-    }
-
     /// Raw nanosecond tick count.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -181,7 +176,6 @@ mod tests {
         assert_eq!(SimDuration::nanos(1).as_nanos(), 1);
         assert_eq!(SimDuration::micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::millis(1).as_nanos(), 1_000_000);
-        assert_eq!(SimDuration::secs(1).as_nanos(), 1_000_000_000);
     }
 
     #[test]
@@ -206,7 +200,7 @@ mod tests {
 
     #[test]
     fn saturation_at_extremes() {
-        assert_eq!(SimTime::MAX + SimDuration::secs(1), SimTime::MAX);
+        assert_eq!(SimTime::MAX + SimDuration::millis(1), SimTime::MAX);
         assert_eq!(
             SimDuration::ZERO - SimDuration::micros(1),
             SimDuration::ZERO

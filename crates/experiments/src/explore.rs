@@ -6,7 +6,7 @@
 //! crash/restart windows) and every coin flip of the network model. Running
 //! the scenario to quiescence and applying
 //! [`dgmc_core::invariants::check_invariants`] turns each seed into a
-//! pass/fail verdict; [`explore_run`] sweeps seed ranges and
+//! pass/fail verdict; [`explore_and_bundle`] sweeps seed ranges and
 //! [`repro_bundle`] re-runs a failing seed with the decision log attached
 //! to produce a self-contained repro file (DESIGN.md §8).
 
@@ -362,27 +362,14 @@ pub fn run_scenario(
     }
 }
 
-/// The sweep-path entry: seed in, verdict out, no observability overhead.
-pub fn run_seed(seed: u64, params: &ExploreParams) -> SeedOutcome {
-    run_scenario(seed, params, None, &SpfCache::new()).outcome
-}
-
-/// Sweeps the configured seed range across `config.jobs` workers.
+/// Sweeps the configured seed range across `config.jobs` workers, writing a
+/// repro bundle for every failing seed into `out_dir` from inside the worker
+/// that found it.
 ///
 /// Each worker owns its own `Rc`-based simulation stack and a private
 /// scratch [`SpfCache`]; outcomes are merged deterministically in seed
 /// order, so the report is byte-identical for every `jobs` value (see
 /// [`explorer::explore_sharded`]).
-pub fn explore_run(config: &ExploreConfig, params: &ExploreParams) -> ExploreReport {
-    explorer::explore_sharded(
-        config,
-        |_worker| SpfCache::new(),
-        |cache, seed| run_scenario(seed, params, None, cache).outcome,
-    )
-}
-
-/// [`explore_run`] that additionally writes a repro bundle for every failing
-/// seed into `out_dir`, from inside the worker that found it.
 ///
 /// Bundle filenames derive from the seed, so two workers failing
 /// simultaneously can never collide on a path; a bundle left over from an
@@ -501,22 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn default_chaos_passes_a_short_sweep() {
-        let config = ExploreConfig {
-            start_seed: 0,
-            seeds: 5,
-            ..ExploreConfig::default()
-        };
-        let report = explore_run(&config, &quick());
-        assert!(
-            report.passed(),
-            "default plan must uphold invariants: {:?}",
-            report.failures
-        );
-        assert_eq!(report.checked, 5);
-    }
-
-    #[test]
     fn chaos_runs_actually_exercise_the_fault_path() {
         let run = run_scenario(3, &quick(), None, &SpfCache::new());
         assert!(run.outcome.passed(), "{:?}", run.outcome.violations);
@@ -532,7 +503,10 @@ mod tests {
     #[test]
     fn parallel_sweep_reports_are_byte_identical_to_serial() {
         let params = quick();
-        let serial = explore_run(
+        // The default plan passes, so the shipped entry point writes nothing.
+        let dir = std::env::temp_dir().join("dgmc-clean-sweep");
+        let sweep = |config: &ExploreConfig, params| explore_and_bundle(config, params, &dir).0;
+        let serial = sweep(
             &ExploreConfig {
                 start_seed: 0,
                 seeds: 6,
@@ -541,7 +515,7 @@ mod tests {
             &params,
         );
         for jobs in [2, 4] {
-            let parallel = explore_run(
+            let parallel = sweep(
                 &ExploreConfig {
                     start_seed: 0,
                     seeds: 6,
@@ -611,47 +585,6 @@ mod tests {
             assert_eq!(reused.plan, fresh.plan);
             assert_eq!(reused.net_stats, fresh.net_stats);
         }
-    }
-
-    #[test]
-    fn hard_loss_mutation_is_caught_and_replays_deterministically() {
-        let params = ExploreParams {
-            hard_loss: 0.3,
-            ..quick()
-        };
-        let config = ExploreConfig {
-            start_seed: 0,
-            seeds: 10,
-            fail_fast: true,
-            ..ExploreConfig::default()
-        };
-        let report = explore_run(&config, &params);
-        let seed = report
-            .first_failing_seed()
-            .expect("30% hard loss must break an assumption within 10 seeds");
-        let again = run_seed(seed, &params);
-        assert_eq!(
-            report.failures[0].violations, again.violations,
-            "failing seed must reproduce identically"
-        );
-        let bundle = repro_bundle(seed, &params, &SpfCache::new());
-        assert_eq!(bundle.seed, seed);
-        assert!(!bundle.violations.is_empty());
-        assert!(!bundle.timeline.is_empty(), "replay carries a timeline");
-        assert!(bundle.replay.contains(&format!("--seed {seed}")));
-        // The bundle also carries the causal span timeline of the replay.
-        assert!(
-            bundle
-                .timeline
-                .iter()
-                .any(|l| l.contains("causal span timeline")),
-            "{:?}",
-            bundle.timeline
-        );
-        assert!(
-            bundle.timeline.iter().any(|l| l.contains('↳')),
-            "spans render as a causal tree"
-        );
     }
 
     #[test]

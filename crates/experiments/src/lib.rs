@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod churn;
 pub mod compare;
 pub mod explore;
 pub mod longrun;

@@ -2,6 +2,7 @@
 //! sweep driver that aggregates 20 random graphs per network size with 95%
 //! confidence intervals.
 
+use crate::report;
 use crate::runner::{run_dgmc, RunMetrics, RunOptions, TraceMode};
 use crate::workload::{self, BurstParams, SparseParams, Workload};
 use dgmc_core::switch::DgmcConfig;
@@ -94,6 +95,51 @@ pub fn jobs_from_args(args: &[String]) -> usize {
             eprintln!("--jobs expects a positive worker count");
             std::process::exit(2);
         }
+    }
+}
+
+/// The whole `exp1`/`exp2`/`exp3` binary: sweeps `spec` (shrunk by
+/// `--quick`, across `--jobs N` workers) with one progress line per size on
+/// stderr, writes `results/<tag>.metrics.json` and `results/<tag>.trace.json`,
+/// and prints the table (`--csv` for CSV, `--chart` for ASCII charts).
+pub fn run_bin(tag: &str, mut spec: ExperimentSpec) {
+    let args: Vec<String> = std::env::args().collect();
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    if flag("--quick") {
+        spec = quick(spec);
+    }
+    let sparse = matches!(spec.workload, WorkloadKind::Sparse(_));
+    let results = run_experiment(&spec, jobs_from_args(&args), |row| {
+        let (n, proposals, floodings) = (row.n, row.proposals.mean(), row.floodings.mean());
+        if sparse {
+            // One computation per event is the floor; what matters is the excess.
+            let excess = (proposals - 1.0).max(0.0);
+            eprintln!("n={n:>3}: proposals/event {proposals:.3} (excess {excess:.3}), floodings/event {floodings:.3}");
+        } else {
+            let rounds = row.convergence.mean();
+            eprintln!("n={n:>3}: proposals/event {proposals:.2}, floodings/event {floodings:.2}, convergence {rounds:.1} rounds");
+        }
+    });
+    match report::write_metrics_snapshot("results", tag, &results.name, &results.metrics) {
+        Ok(path) => eprintln!("metrics snapshot: {}", path.display()),
+        Err(e) => eprintln!("failed to write metrics snapshot: {e}"),
+    }
+    if let Some(trace) = &results.trace {
+        match report::write_trace_snapshot("results", tag, trace) {
+            Ok(path) => eprintln!("causal trace (Perfetto): {}", path.display()),
+            Err(e) => eprintln!("failed to write trace snapshot: {e}"),
+        }
+    }
+    if flag("--csv") {
+        print!("{}", report::csv(&results));
+    } else {
+        print!("{}", report::text_table(&results));
+    }
+    if flag("--chart") {
+        println!();
+        print!("{}", report::ascii_chart(&results, "proposals", 40));
+        println!();
+        print!("{}", report::ascii_chart(&results, "floodings", 40));
     }
 }
 

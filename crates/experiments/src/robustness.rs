@@ -7,7 +7,6 @@ use crate::runner::{run_dgmc, RunOptions};
 use crate::workload::{self, BurstParams};
 use dgmc_core::switch::DgmcConfig;
 use dgmc_des::stats::Tally;
-use dgmc_des::{net_counters, FaultPlan, LinkFaults, SimDuration};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, Network};
 use rand::rngs::StdRng;
@@ -110,78 +109,6 @@ pub fn family_sweep(n: usize, graphs: usize, seed: u64) -> Vec<FamilyRow> {
         .collect()
 }
 
-/// Aggregated bursty-workload behavior at one recovered-loss rate.
-#[derive(Debug, Clone)]
-pub struct LossRow {
-    /// Per-attempt recovered-loss probability applied to every link.
-    pub loss: f64,
-    /// Proposals per event.
-    pub proposals: Tally,
-    /// Floodings per event.
-    pub floodings: Tally,
-    /// Link-level retransmission rounds per event.
-    pub retransmits_per_event: Tally,
-    /// Failed runs — divergence, lost consensus or invariant violations
-    /// (must stay 0: recovered loss only delays delivery).
-    pub failures: usize,
-}
-
-/// Repeats the Experiment-1 regime at size `n` under increasing recovered
-/// link loss: D-GMC's reliable-flooding assumption is met (every LSA
-/// eventually arrives), so overheads may grow with the extra reordering but
-/// consensus and the invariant suite must keep holding.
-pub fn loss_sweep(n: usize, graphs: usize, seed: u64, losses: &[f64]) -> Vec<LossRow> {
-    losses
-        .iter()
-        .map(|&loss| {
-            let mut row = LossRow {
-                loss,
-                proposals: Tally::new(),
-                floodings: Tally::new(),
-                retransmits_per_event: Tally::new(),
-                failures: 0,
-            };
-            for g in 0..graphs {
-                let s = seed
-                    .wrapping_mul(31_337)
-                    .wrapping_add((loss * 1e6) as u64)
-                    .wrapping_add(g as u64);
-                let mut rng = StdRng::seed_from_u64(s);
-                let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-                let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-                let plan = FaultPlan::uniform(LinkFaults {
-                    loss,
-                    hard_loss: 0.0,
-                    duplicate: 0.0,
-                    jitter: SimDuration::micros(10),
-                });
-                match run_dgmc(
-                    &net,
-                    DgmcConfig::computation_dominated(),
-                    &wl,
-                    Rc::new(SphStrategy::new()),
-                    RunOptions {
-                        faults: Some((&plan, s ^ 0xF1A5)),
-                        ..RunOptions::default()
-                    },
-                ) {
-                    Ok(m) => {
-                        row.proposals.record(m.proposals_per_event());
-                        row.floodings.record(m.floodings_per_event());
-                        let retx = m.registry.counter_value(net_counters::RETRANSMITS);
-                        if m.events > 0 {
-                            row.retransmits_per_event
-                                .record(retx as f64 / m.events as f64);
-                        }
-                    }
-                    Err(_) => row.failures += 1,
-                }
-            }
-            row
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,21 +125,6 @@ mod tests {
             );
             assert!(row.proposals.mean() >= 1.0);
         }
-    }
-
-    #[test]
-    fn recovered_loss_never_costs_correctness() {
-        let rows = loss_sweep(25, 2, 9, &[0.0, 0.2]);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert_eq!(row.failures, 0, "loss {} broke a run", row.loss);
-            assert!(row.proposals.mean() >= 1.0);
-        }
-        assert_eq!(rows[0].retransmits_per_event.mean(), 0.0);
-        assert!(
-            rows[1].retransmits_per_event.mean() > 0.0,
-            "20% loss must force retransmissions"
-        );
     }
 
     #[test]

@@ -94,16 +94,6 @@ impl RunMetrics {
     pub fn floodings_per_event(&self) -> f64 {
         ratio(self.floodings, self.events)
     }
-
-    /// Excess computations per event beyond the one mandatory computation.
-    pub fn excess_proposals_per_event(&self) -> f64 {
-        (self.proposals_per_event() - 1.0).max(0.0)
-    }
-
-    /// Excess floodings per event beyond the one mandatory flood.
-    pub fn excess_floodings_per_event(&self) -> f64 {
-        (self.floodings_per_event() - 1.0).max(0.0)
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -375,7 +365,6 @@ mod tests {
         assert!(m.events > 0);
         assert!((m.proposals_per_event() - 1.0).abs() < 1e-9);
         assert!((m.floodings_per_event() - 1.0).abs() < 1e-9);
-        assert_eq!(m.excess_proposals_per_event(), 0.0);
         assert_eq!(m.withdrawn, 0);
     }
 

@@ -336,15 +336,6 @@ impl SystematicModel {
         }
     }
 
-    /// Grants the scheduler fault budgets on top of the scenario: up to
-    /// `crashes` fail-stop switch crashes and `losses` dropped LSAs.
-    #[must_use]
-    pub fn with_faults(mut self, crashes: usize, losses: usize) -> SystematicModel {
-        self.crashes = crashes;
-        self.losses = losses;
-        self
-    }
-
     /// The scripted external events, in script-index order.
     pub fn script(&self) -> &[ScriptEvent] {
         &self.script

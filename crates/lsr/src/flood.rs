@@ -40,11 +40,6 @@ impl Flooder {
         }
     }
 
-    /// The owning switch.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Starts a new flooding operation carrying `payload`.
     ///
     /// The returned packet must be relayed on every up link of the origin;
@@ -63,16 +58,6 @@ impl Flooder {
     /// (first copy), `false` for duplicates.
     pub fn accept(&mut self, id: FloodId) -> bool {
         self.seen.insert(id)
-    }
-
-    /// Returns `true` if `id` has been seen (originated or accepted).
-    pub fn has_seen(&self, id: FloodId) -> bool {
-        self.seen.contains(&id)
-    }
-
-    /// Number of distinct flood ids seen so far.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
     }
 }
 
@@ -103,7 +88,6 @@ mod tests {
         let b = f.originate(2u32);
         assert_eq!(a.id.seq + 1, b.id.seq);
         assert_eq!(a.id.origin, NodeId(1));
-        assert_eq!(f.seen_count(), 2);
     }
 
     #[test]
@@ -113,10 +97,8 @@ mod tests {
             origin: NodeId(5),
             seq: 3,
         };
-        assert!(!f.has_seen(id));
         assert!(f.accept(id), "first copy accepted");
         assert!(!f.accept(id), "duplicate dropped");
-        assert!(f.has_seen(id));
     }
 
     #[test]

@@ -19,7 +19,6 @@ use dgmc_topology::{spf, Network, NodeId, SpfCache};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
-    me: NodeId,
     next_hop: Vec<Option<NodeId>>,
     cost: Vec<Option<u64>>,
 }
@@ -31,7 +30,7 @@ impl RoutingTable {
     ///
     /// Panics if `me` is not a node of `image`.
     pub fn compute(image: &Network, me: NodeId) -> RoutingTable {
-        Self::from_tree(image, me, &spf::shortest_path_tree(image, me))
+        Self::from_tree(image, &spf::shortest_path_tree(image, me))
     }
 
     /// [`compute`](Self::compute) through an [`SpfCache`], sharing the SPF
@@ -42,18 +41,13 @@ impl RoutingTable {
     ///
     /// Panics if `me` is not a node of `image`.
     pub fn compute_with(image: &Network, me: NodeId, cache: &SpfCache) -> RoutingTable {
-        Self::from_tree(image, me, &cache.tree(image, me))
+        Self::from_tree(image, &cache.tree(image, me))
     }
 
-    fn from_tree(image: &Network, me: NodeId, tree: &spf::SpfTree) -> RoutingTable {
+    fn from_tree(image: &Network, tree: &spf::SpfTree) -> RoutingTable {
         let next_hop = image.nodes().map(|v| tree.first_hop(v)).collect();
         let cost = image.nodes().map(|v| tree.cost_to(v)).collect();
-        RoutingTable { me, next_hop, cost }
-    }
-
-    /// The switch this table belongs to.
-    pub fn owner(&self) -> NodeId {
-        self.me
+        RoutingTable { next_hop, cost }
     }
 
     /// Next hop toward `dest`, or `None` for self and unreachable nodes.
@@ -159,6 +153,5 @@ mod tests {
         let t = RoutingTable::compute(&net, NodeId(2));
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
-        assert_eq!(t.owner(), NodeId(2));
     }
 }

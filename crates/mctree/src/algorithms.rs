@@ -89,13 +89,9 @@ pub fn takahashi_matsuyama_with(
 /// 4. take an MST of the expanded subgraph,
 /// 5. prune non-terminal leaves.
 ///
-/// Fully deterministic; ties break by node/edge ids.
-pub fn kmb(net: &Network, terminals: &BTreeSet<NodeId>) -> McTopology {
-    kmb_with(net, terminals, &SpfCache::disabled())
-}
-
-/// [`kmb`] with memoized per-terminal shortest-path trees — the heuristic's
-/// dominant cost (one full Dijkstra per terminal per invocation).
+/// Fully deterministic; ties break by node/edge ids. The per-terminal
+/// shortest-path trees — the heuristic's dominant cost (one full Dijkstra
+/// per terminal per invocation) — come from `cache`.
 pub fn kmb_with(net: &Network, terminals: &BTreeSet<NodeId>, cache: &SpfCache) -> McTopology {
     let mut result = McTopology::new(terminals.clone());
     if terminals.len() < 2 {
@@ -216,25 +212,6 @@ pub fn pruned_spt_with(
 /// each first tries the cheapest attachment to the current tree; if that
 /// attachment would blow the delay bound, it falls back to its direct
 /// shortest path from the root (which has minimal possible delay).
-///
-/// # Errors
-///
-/// Returns the first terminal whose *shortest possible* delay from `root`
-/// already exceeds `bound` (the request is infeasible).
-///
-/// # Panics
-///
-/// Panics if `root` is not a node of `net`.
-pub fn delay_bounded(
-    net: &Network,
-    root: NodeId,
-    terminals: &BTreeSet<NodeId>,
-    bound: u64,
-) -> Result<McTopology, NodeId> {
-    delay_bounded_with(net, root, terminals, bound, &SpfCache::disabled())
-}
-
-/// [`delay_bounded`] with memoized trees and forests.
 ///
 /// # Errors
 ///
@@ -466,7 +443,7 @@ mod tests {
             .link(0, 2, 3)
             .build();
         let want = terminals(&[0, 1, 2]);
-        let tree = kmb(&net, &want);
+        let tree = kmb_with(&net, &want, &SpfCache::disabled());
         assert_eq!(tree.validate(&net, &want), Ok(()));
         assert_eq!(tree.total_cost(&net), Some(3), "uses the Steiner point 4");
     }
@@ -482,7 +459,7 @@ mod tests {
                 .into_iter()
                 .collect();
             let t1 = takahashi_matsuyama(&net, &want);
-            let t2 = kmb(&net, &want);
+            let t2 = kmb_with(&net, &want, &SpfCache::disabled());
             assert_eq!(t1.validate(&net, &want), Ok(()));
             assert_eq!(t2.validate(&net, &want), Ok(()));
         }
@@ -555,7 +532,7 @@ mod tests {
         let root = NodeId(0);
         let want = terminals(&[3, 4, 5]);
         for bound in [4u64, 5, 7] {
-            let tree = delay_bounded(&net, root, &want, bound).unwrap();
+            let tree = delay_bounded_with(&net, root, &want, bound, &SpfCache::disabled()).unwrap();
             let mut full = want.clone();
             full.insert(root);
             assert_eq!(tree.validate(&net, &full), Ok(()), "bound {bound}");
@@ -570,8 +547,11 @@ mod tests {
     fn delay_bounded_detects_infeasible_bounds() {
         let net = generate::path(5);
         let want = terminals(&[4]);
-        assert_eq!(delay_bounded(&net, NodeId(0), &want, 3), Err(NodeId(4)));
-        assert!(delay_bounded(&net, NodeId(0), &want, 4).is_ok());
+        assert_eq!(
+            delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::disabled()),
+            Err(NodeId(4))
+        );
+        assert!(delay_bounded_with(&net, NodeId(0), &want, 4, &SpfCache::disabled()).is_ok());
     }
 
     #[test]
@@ -588,11 +568,11 @@ mod tests {
             .link(0, 4, 3)
             .build();
         let want = terminals(&[3, 4]);
-        let loose = delay_bounded(&net, NodeId(0), &want, 10).unwrap();
+        let loose = delay_bounded_with(&net, NodeId(0), &want, 10, &SpfCache::disabled()).unwrap();
         assert_eq!(loose.total_cost(&net), Some(4), "shared chain when allowed");
         let loose_delays = crate::metrics::tree_path_costs(&loose, &net, NodeId(0)).unwrap();
         assert_eq!(loose_delays[&NodeId(4)], 4);
-        let tight = delay_bounded(&net, NodeId(0), &want, 3).unwrap();
+        let tight = delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::disabled()).unwrap();
         let tight_delays = crate::metrics::tree_path_costs(&tight, &net, NodeId(0)).unwrap();
         assert!(tight_delays[&NodeId(4)] <= 3, "bound honored");
         assert_eq!(tight.total_cost(&net), Some(6), "direct link when tight");
@@ -608,8 +588,8 @@ mod tests {
             .into_iter()
             .collect();
         let bound = dgmc_topology::metrics::cost_diameter(&net);
-        let a = delay_bounded(&net, NodeId(0), &want, bound).unwrap();
-        let b = delay_bounded(&net, NodeId(0), &want, bound).unwrap();
+        let a = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::disabled()).unwrap();
+        let b = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::disabled()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -636,7 +616,10 @@ mod tests {
             takahashi_matsuyama(&net, &want),
             takahashi_matsuyama(&net, &want)
         );
-        assert_eq!(kmb(&net, &want), kmb(&net, &want));
+        assert_eq!(
+            kmb_with(&net, &want, &SpfCache::disabled()),
+            kmb_with(&net, &want, &SpfCache::disabled())
+        );
         assert_eq!(
             pruned_spt(&net, NodeId(0), &want),
             pruned_spt(&net, NodeId(0), &want)

@@ -8,7 +8,7 @@
 //!
 //! * [`algorithms::takahashi_matsuyama`] — the shortest-path Steiner
 //!   heuristic (grow the tree toward the nearest terminal),
-//! * [`algorithms::kmb`] — the Kou–Markowsky–Berman 2-approximation,
+//! * [`algorithms::kmb_with`] — the Kou–Markowsky–Berman 2-approximation,
 //! * [`algorithms::pruned_spt`] — source-rooted shortest-path trees pruned
 //!   to the member set (the MOSPF/asymmetric topology),
 //! * [`algorithms::greedy_join`] / [`algorithms::greedy_leave`] — the

@@ -77,18 +77,6 @@ impl fmt::Display for Role {
     }
 }
 
-impl McType {
-    /// The role every joining member implicitly assumes under this MC type
-    /// when none is given explicitly.
-    pub fn default_role(self) -> Role {
-        match self {
-            McType::Symmetric => Role::SenderReceiver,
-            McType::ReceiverOnly => Role::Receiver,
-            McType::Asymmetric => Role::Receiver,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,13 +97,6 @@ mod tests {
             Role::SenderReceiver.merge(Role::Sender),
             Role::SenderReceiver
         );
-    }
-
-    #[test]
-    fn default_roles_per_type() {
-        assert_eq!(McType::Symmetric.default_role(), Role::SenderReceiver);
-        assert_eq!(McType::ReceiverOnly.default_role(), Role::Receiver);
-        assert_eq!(McType::Asymmetric.default_role(), Role::Receiver);
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl DelayBoundedStrategy {
     pub fn new(bound: u64) -> Self {
         DelayBoundedStrategy { bound }
     }
-
-    /// The configured bound.
-    pub fn bound(&self) -> u64 {
-        self.bound
-    }
 }
 
 impl McAlgorithm for DelayBoundedStrategy {
@@ -250,7 +245,6 @@ mod tests {
     fn delay_bounded_strategy_meets_bound_or_degrades() {
         let net = generate::ring(8);
         let strat = DelayBoundedStrategy::new(4);
-        assert_eq!(strat.bound(), 4);
         assert_eq!(strat.name(), "delay-bounded");
         let want = terminals(&[0, 3, 5]);
         let tree = strat.compute(&net, &want, None);

@@ -304,16 +304,6 @@ impl McTopology {
     }
 }
 
-impl McTopology {
-    /// Renders the topology over its network as a Graphviz document: tree
-    /// edges bold red, terminals filled (see [`dgmc_topology::dot`]).
-    pub fn to_dot(&self, net: &Network, name: &str) -> String {
-        let edges: Vec<(NodeId, NodeId)> = self.edges().collect();
-        let nodes: Vec<NodeId> = self.terminals().iter().copied().collect();
-        dgmc_topology::dot::to_dot_highlighted(net, name, &edges, &nodes)
-    }
-}
-
 impl fmt::Display for McTopology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

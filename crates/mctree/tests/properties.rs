@@ -1,7 +1,7 @@
 //! Property-based tests of the MC topology algorithms.
 
 use dgmc_mctree::{algorithms, metrics, KmbStrategy, McAlgorithm, SphStrategy};
-use dgmc_topology::{generate, spf, Network, NodeId};
+use dgmc_topology::{generate, spf, Network, NodeId, SpfCache};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ proptest! {
     fn heuristics_produce_valid_trees((net, terminals) in arb_case()) {
         for tree in [
             algorithms::takahashi_matsuyama(&net, &terminals),
-            algorithms::kmb(&net, &terminals),
+            algorithms::kmb_with(&net, &terminals, &SpfCache::disabled()),
         ] {
             prop_assert_eq!(tree.validate(&net, &terminals), Ok(()));
             prop_assert!(tree.is_tree());
@@ -61,7 +61,7 @@ proptest! {
     /// MST(distance graph)/2 <= OPT, so cost(KMB) <= MST(distances).
     #[test]
     fn kmb_within_distance_mst((net, terminals) in arb_case()) {
-        let tree = algorithms::kmb(&net, &terminals);
+        let tree = algorithms::kmb_with(&net, &terminals, &SpfCache::disabled());
         let cost = tree.total_cost(&net).expect("valid tree");
         // Kruskal MST over the terminal distance graph.
         let terms: Vec<NodeId> = terminals.iter().copied().collect();

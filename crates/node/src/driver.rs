@@ -36,7 +36,7 @@ use dgmc_core::McId;
 use dgmc_des::net::FaultPlan;
 use dgmc_mctree::{McType, Role, SphStrategy};
 use dgmc_obs::{DecisionLogHandle, JsonValue};
-use dgmc_topology::{NetworkBuilder, NodeId};
+use dgmc_topology::{Network, NodeId};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -62,26 +62,10 @@ pub struct NodeOptions {
     pub fault_plan: Option<FaultPlan>,
     /// Loss shim seed.
     pub seed: u64,
-    /// Decision log capacity (events kept in memory).
-    pub log_capacity: usize,
 }
 
-impl NodeOptions {
-    /// Defaults for node `id` in an `nodes`-switch network: Tc = 300 µs (the
-    /// DES computation-dominated regime), no faults, 64k log events.
-    pub fn new(id: u32, nodes: u32, links: Vec<(u32, u32, u64)>) -> NodeOptions {
-        NodeOptions {
-            id,
-            nodes,
-            links,
-            tc_nanos: 300_000,
-            out_dir: PathBuf::from("."),
-            fault_plan: None,
-            seed: 0,
-            log_capacity: 65_536,
-        }
-    }
-}
+/// Decision log capacity (events kept in memory).
+const LOG_CAPACITY: usize = 65_536;
 
 /// How long one poll iteration blocks on the UDP socket at most. Keeps
 /// control-socket latency bounded without spinning.
@@ -116,21 +100,25 @@ struct Driver {
 ///
 /// # Errors
 ///
-/// Propagates socket and filesystem errors; protocol-level junk (undecodable
-/// datagrams, unknown control commands) is counted and survived.
+/// Returns [`ErrorKind::InvalidInput`] for a link list that is not a simple
+/// graph over `0..nodes` (unknown endpoint, self-loop, duplicate), before any
+/// socket is bound. Propagates socket and filesystem errors; protocol-level
+/// junk (undecodable datagrams, unknown control commands) is counted and
+/// survived.
 pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
-    let mut builder = NetworkBuilder::new(opts.nodes as usize);
+    let mut net = Network::with_nodes(opts.nodes as usize);
     for &(a, b, cost) in &opts.links {
-        builder = builder.link(a, b, cost);
+        net.add_link(NodeId(a), NodeId(b), cost).map_err(|e| {
+            std::io::Error::new(ErrorKind::InvalidInput, format!("bad link {a}-{b}: {e}"))
+        })?;
     }
-    let net = builder.build();
     let core = NodeCore::new(
         NodeId(opts.id),
         &net,
         opts.tc_nanos,
         Rc::new(SphStrategy::new()),
     );
-    let log = core.engine().observer().attach_log(opts.log_capacity);
+    let log = core.engine().observer().attach_log(LOG_CAPACITY);
     let udp = UdpSocket::bind("127.0.0.1:0")?;
     let ctl = TcpListener::bind("127.0.0.1:0")?;
     ctl.set_nonblocking(true)?;
@@ -287,7 +275,7 @@ impl Driver {
             match output {
                 Output::StartTimer { mc, after_nanos } => {
                     self.timers
-                        .arm(self.now() + after_nanos, Timer::Compute(mc));
+                        .arm(self.now().saturating_add(after_nanos), Timer::Compute(mc));
                 }
                 Output::Send { to, frame } => {
                     let Some(&addr) = self.peers.get(&to.0) else {

@@ -20,7 +20,8 @@
 use crate::snapshot::per_switch_logs;
 use dgmc_experiments::scenario::{Scenario, Step};
 use dgmc_obs::{JsonValue, MetricsRegistry};
-use std::collections::BTreeMap;
+use dgmc_topology::LinkId;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -45,8 +46,6 @@ pub struct MeshOptions {
     /// Deadline for each barrier (spawn handshake, per-step quiescence,
     /// teardown). A mesh that blows a deadline is killed and the run fails.
     pub deadline: Duration,
-    /// Per-node decision log capacity.
-    pub log_capacity: usize,
 }
 
 impl MeshOptions {
@@ -59,7 +58,6 @@ impl MeshOptions {
             fault_plan: None,
             seed: 0,
             deadline: Duration::from_secs(30),
-            log_capacity: 65_536,
         }
     }
 }
@@ -155,6 +153,9 @@ pub struct Mesh {
     nodes: Vec<Node>,
     deadline: Duration,
     out_dir: PathBuf,
+    /// Links a `cut` took down and no `repair` brought back: the ground
+    /// truth a nodal event must not touch.
+    cut: BTreeSet<LinkId>,
 }
 
 impl Drop for Mesh {
@@ -196,6 +197,7 @@ impl Mesh {
             nodes: Vec::with_capacity(n),
             deadline: opts.deadline,
             out_dir: opts.out_dir.clone(),
+            cut: BTreeSet::new(),
         };
         for id in 0..n {
             let mut cmd = Command::new(&binary);
@@ -211,8 +213,6 @@ impl Mesh {
                 .arg(&opts.out_dir)
                 .arg("--seed")
                 .arg(opts.seed.to_string())
-                .arg("--log-capacity")
-                .arg(opts.log_capacity.to_string())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::inherit());
             if let Some(plan) = &opts.fault_plan {
@@ -346,7 +346,13 @@ impl Mesh {
                     .net
                     .link_between(a, b)
                     .ok_or_else(|| mesh_err(format!("no link between {a} and {b}")))?;
-                let state = if up { "up" } else { "down" };
+                let state = if up {
+                    self.cut.remove(&link.id);
+                    "up"
+                } else {
+                    self.cut.insert(link.id);
+                    "down"
+                };
                 // Same decomposition as `inject_link_event`: the stored
                 // lower endpoint advertises (detector), the other only
                 // updates local truth (and answers with a DbSync on up).
@@ -364,11 +370,12 @@ impl Mesh {
                 let state = if up { "up" } else { "down" };
                 self.expect_ok(node.index(), &format!("admin {state}"))?;
                 // Neighbors detect each incident link transition and
-                // advertise their side (`inject_node_event`).
+                // advertise their side (`inject_node_event`); a cut link is
+                // down whatever the node does.
                 let neighbors: Vec<(u32, u32, usize)> = scenario
                     .net
                     .links()
-                    .filter(|l| l.a == node || l.b == node)
+                    .filter(|l| (l.a == node || l.b == node) && !self.cut.contains(&l.id))
                     .map(|l| (l.a.0, l.b.0, l.other(node).index()))
                     .collect();
                 for (a, b, neighbor) in neighbors {

@@ -3,7 +3,7 @@
 //! ```text
 //! dgmc-node --id 0 --nodes 4 --links 0-1:1,1-2:1,2-3:1,3-0:1 \
 //!           --tc-ns 300000 --out /tmp/mesh [--fault-plan plan.json] \
-//!           [--seed 42] [--log-capacity 65536]
+//!           [--seed 42]
 //! ```
 //!
 //! Binds UDP and control sockets on loopback ephemeral ports, prints the
@@ -19,7 +19,7 @@ fn usage(message: &str) -> ExitCode {
     eprintln!("dgmc-node: {message}");
     eprintln!(
         "usage: dgmc-node --id N --nodes N --links a-b:cost[,...] \
-         [--tc-ns N] [--out DIR] [--fault-plan FILE] [--seed N] [--log-capacity N]"
+         [--tc-ns N] [--out DIR] [--fault-plan FILE] [--seed N]"
     );
     ExitCode::from(2)
 }
@@ -51,7 +51,6 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from(".");
     let mut fault_plan = None;
     let mut seed = 0u64;
-    let mut log_capacity = 65_536usize;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -88,11 +87,6 @@ fn main() -> ExitCode {
                         .parse()
                         .map_err(|e: std::num::ParseIntError| e.to_string())?;
                 }
-                "--log-capacity" => {
-                    log_capacity = value("--log-capacity")?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?;
-                }
                 other => return Err(format!("unknown flag {other:?}")),
             }
             Ok(())
@@ -116,10 +110,10 @@ fn main() -> ExitCode {
         out_dir,
         fault_plan,
         seed,
-        log_capacity,
     };
     match run_node(opts) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("dgmc-node: {e}");
             ExitCode::FAILURE

@@ -8,7 +8,7 @@
 //!   per-MC `R`/`E`/`C` stamps, epoch, members, installed topology and its
 //!   cost, plus teardown tombstones. Everything deterministic, nothing
 //!   timing-dependent.
-//! * [`canonical_log_lines`] — a decision log with the one timing-dependent
+//! * [`per_switch_logs`] — a decision log with the one timing-dependent
 //!   field (`at_ns`) stripped from every event, so DES and wall-clock runs
 //!   compare equal exactly when they made the same decisions in the same
 //!   order.
@@ -128,31 +128,10 @@ pub fn engine_snapshot(engine: &DgmcEngine, image: &Network) -> JsonValue {
     ])
 }
 
-/// Strips the timing-dependent `at_ns` field from one decision-log JSONL
-/// document, returning the canonical per-event lines in order.
-///
-/// # Errors
-///
-/// Returns the parse error of the first malformed line.
-pub fn canonical_log_lines(jsonl: &str) -> Result<Vec<String>, String> {
-    jsonl
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|line| {
-            let value = JsonValue::parse(line)?;
-            let JsonValue::Obj(pairs) = value else {
-                return Err(format!("decision log line is not an object: {line}"));
-            };
-            let kept: Vec<(String, JsonValue)> =
-                pairs.into_iter().filter(|(k, _)| k != "at_ns").collect();
-            Ok(JsonValue::Obj(kept).to_json())
-        })
-        .collect()
-}
-
-/// [`canonical_log_lines`] grouped by the event's `switch` field — the
-/// projection used to compare a DES run (one global log) against a mesh
-/// run (one log per process).
+/// Strips the timing-dependent `at_ns` field from every event of one
+/// decision-log JSONL document and groups the canonical lines, in order, by
+/// the event's `switch` field — the projection used to compare a DES run
+/// (one global log) against a mesh run (one log per process).
 ///
 /// # Errors
 ///
@@ -188,26 +167,22 @@ mod tests {
     fn canonicalization_strips_only_at_ns() {
         let jsonl = "{\"at_ns\":123,\"mc\":1,\"switch\":0,\"kind\":\"join\"}\n\
                      {\"at_ns\":456,\"mc\":1,\"switch\":2,\"kind\":\"install\"}\n";
-        let lines = canonical_log_lines(jsonl).unwrap();
-        assert_eq!(
-            lines,
-            vec![
-                "{\"mc\":1,\"switch\":0,\"kind\":\"join\"}",
-                "{\"mc\":1,\"switch\":2,\"kind\":\"install\"}",
-            ]
-        );
         let by_switch = per_switch_logs(jsonl).unwrap();
         assert_eq!(
             by_switch[&0],
             vec!["{\"mc\":1,\"switch\":0,\"kind\":\"join\"}"]
+        );
+        assert_eq!(
+            by_switch[&2],
+            vec!["{\"mc\":1,\"switch\":2,\"kind\":\"install\"}"]
         );
         assert_eq!(by_switch.len(), 2);
     }
 
     #[test]
     fn different_timestamps_same_canonical_form() {
-        let a = canonical_log_lines("{\"at_ns\":1,\"switch\":0,\"kind\":\"x\"}").unwrap();
-        let b = canonical_log_lines("{\"at_ns\":999,\"switch\":0,\"kind\":\"x\"}").unwrap();
+        let a = per_switch_logs("{\"at_ns\":1,\"switch\":0,\"kind\":\"x\"}").unwrap();
+        let b = per_switch_logs("{\"at_ns\":999,\"switch\":0,\"kind\":\"x\"}").unwrap();
         assert_eq!(a, b);
     }
 }

@@ -9,7 +9,7 @@
 //!    [`DecisionKind::ConflictResolved`], [`DecisionKind::TopologyInstalled`])
 //!    emitted by the protocol engine through the pluggable [`Observer`]
 //!    trait. The default is disabled: emission costs one branch.
-//! 2. **Metrics registry** — [`MetricsRegistry`] with interned counter keys
+//! 2. **Metrics registry** — [`MetricsRegistry`] with name-keyed counters, gauges
 //!    and fixed-bucket power-of-two [`Histogram`]s, replacing stringly-typed
 //!    per-run counter tables.
 //! 3. **Export and rendering** — JSONL writers for the decision log and
@@ -55,7 +55,7 @@ mod trace;
 pub use event::{DecisionEvent, DecisionKind, FaultKind, MemberChange, StampSnapshot};
 pub use json::JsonValue;
 pub use log::{DecisionLog, DecisionLogHandle, TimelineDumpGuard, DROPPED_EVENTS_COUNTER};
-pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use observer::{NoopObserver, Observer, SharedObserver};
 pub use trace::{
     chrome_trace_json, critical_paths, phase_durations_ns, render_causal, render_trace_timeline,

@@ -23,7 +23,6 @@ use crate::observer::Observer;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::path::Path;
 use std::rc::Rc;
 
 /// Counter name under which [`DecisionLog::publish_dropped`] exports ring
@@ -94,8 +93,7 @@ impl DecisionLog {
     /// aggregate; call once per log at the end of a run.
     pub fn publish_dropped(&self, registry: &mut MetricsRegistry) {
         if self.dropped > 0 {
-            let id = registry.counter(DROPPED_EVENTS_COUNTER);
-            registry.add(id, self.dropped);
+            *registry.counter_slot(DROPPED_EVENTS_COUNTER) += self.dropped;
         }
     }
 
@@ -133,16 +131,6 @@ impl DecisionLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the JSONL rendering to `path`, creating parent directories.
-    pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_jsonl().as_bytes())
     }
 }
 

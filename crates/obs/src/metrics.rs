@@ -1,25 +1,11 @@
-//! Interned-key counters and fixed-bucket histograms.
+//! Name-keyed counters, gauges and fixed-bucket histograms.
 //!
-//! The registry replaces ad-hoc `HashMap<String, u64>` counter tables: hot
-//! paths intern a name once (getting a copyable [`CounterId`] /
-//! [`HistogramId`]) and afterwards update a plain `u64` slot, so steady-state
-//! counting never hashes or allocates. Name-keyed convenience methods remain
-//! for cold paths and for tests.
+//! Every layer bumps by name: a name is interned on first use and afterwards
+//! resolves through one hash lookup to a plain `u64` slot, so steady-state
+//! counting never allocates.
 
 use crate::json::JsonValue;
 use std::collections::{BTreeMap, HashMap};
-
-/// Interned handle to one counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CounterId(u32);
-
-/// Interned handle to one histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HistogramId(u32);
-
-/// Interned handle to one gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GaugeId(u32);
 
 /// A fixed-bucket histogram of `u64` samples.
 ///
@@ -206,37 +192,19 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Interns `name`, returning a copyable handle. Idempotent.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(&id) = self.counter_index.get(name) {
-            return CounterId(id);
-        }
-        let id = self.counter_values.len() as u32;
-        self.counter_names.push(name.to_owned());
-        self.counter_values.push(0);
-        self.counter_index.insert(name.to_owned(), id);
-        CounterId(id)
-    }
-
-    /// Adds 1 to an interned counter.
-    pub fn incr(&mut self, id: CounterId) {
-        self.counter_values[id.0 as usize] += 1;
-    }
-
-    /// Adds `n` to an interned counter.
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counter_values[id.0 as usize] += n;
-    }
-
-    /// Mutable slot for an interned counter (for handle-style increments).
+    /// Mutable slot of the counter `name` (interning it at 0 if needed).
     pub fn counter_slot(&mut self, name: &str) -> &mut u64 {
-        let id = self.counter(name);
-        &mut self.counter_values[id.0 as usize]
-    }
-
-    /// Current value of a counter by id.
-    pub fn counter_get(&self, id: CounterId) -> u64 {
-        self.counter_values[id.0 as usize]
+        let id = match self.counter_index.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.counter_values.len() as u32;
+                self.counter_names.push(name.to_owned());
+                self.counter_values.push(0);
+                self.counter_index.insert(name.to_owned(), id);
+                id
+            }
+        };
+        &mut self.counter_values[id as usize]
     }
 
     /// Current value of a counter by name (0 when never interned).
@@ -256,27 +224,22 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Interns a histogram by name. Idempotent.
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
+    /// Index of histogram `name`, interning it empty on first use.
+    fn histogram(&mut self, name: &str) -> usize {
         if let Some(&id) = self.histogram_index.get(name) {
-            return HistogramId(id);
+            return id as usize;
         }
         let id = self.histograms.len() as u32;
         self.histogram_names.push(name.to_owned());
         self.histograms.push(Histogram::new());
         self.histogram_index.insert(name.to_owned(), id);
-        HistogramId(id)
-    }
-
-    /// Records `value` into an interned histogram.
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0 as usize].record(value);
+        id as usize
     }
 
     /// Records `value` into a histogram by name (interning if needed).
     pub fn observe_named(&mut self, name: &str, value: u64) {
         let id = self.histogram(name);
-        self.observe(id, value);
+        self.histograms[id].record(value);
     }
 
     /// Read access to a histogram by name.
@@ -286,41 +249,26 @@ impl MetricsRegistry {
             .map(|&id| &self.histograms[id as usize])
     }
 
-    /// Histogram names in registration order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.histogram_names.iter().map(String::as_str)
-    }
-
-    /// Interns a gauge by name. Idempotent.
-    ///
-    /// A gauge is a *point-in-time level* (tree cost, max leaf delay, queue
-    /// depth), as opposed to a monotone counter: setting it replaces the
-    /// previous value.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
+    /// Index of gauge `name`, interning it at 0 on first use.
+    fn gauge(&mut self, name: &str) -> usize {
         if let Some(&id) = self.gauge_index.get(name) {
-            return GaugeId(id);
+            return id as usize;
         }
         let id = self.gauge_values.len() as u32;
         self.gauge_names.push(name.to_owned());
         self.gauge_values.push(0);
         self.gauge_index.insert(name.to_owned(), id);
-        GaugeId(id)
-    }
-
-    /// Sets an interned gauge to `value` (replacing the previous level).
-    pub fn gauge_set(&mut self, id: GaugeId, value: u64) {
-        self.gauge_values[id.0 as usize] = value;
+        id as usize
     }
 
     /// Sets a gauge by name (interning if needed).
+    ///
+    /// A gauge is a *point-in-time level* (tree cost, max leaf delay, queue
+    /// depth), as opposed to a monotone counter: setting it replaces the
+    /// previous value.
     pub fn gauge_set_named(&mut self, name: &str, value: u64) {
         let id = self.gauge(name);
-        self.gauge_set(id, value);
-    }
-
-    /// Current value of a gauge by id.
-    pub fn gauge_get(&self, id: GaugeId) -> u64 {
-        self.gauge_values[id.0 as usize]
+        self.gauge_values[id] = value;
     }
 
     /// Current value of a gauge by name (0 when never interned).
@@ -340,7 +288,7 @@ impl MetricsRegistry {
     }
 
     /// Zeroes every counter and gauge and clears every histogram, keeping
-    /// the interned names (ids stay valid).
+    /// the interned names.
     pub fn reset(&mut self) {
         for value in &mut self.counter_values {
             *value = 0;
@@ -358,19 +306,18 @@ impl MetricsRegistry {
     /// the registries of many independent runs into one snapshot.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, &value) in other.counter_names.iter().zip(&other.counter_values) {
-            let id = self.counter(name);
-            self.counter_values[id.0 as usize] += value;
+            *self.counter_slot(name) += value;
         }
         for (name, histogram) in other.histogram_names.iter().zip(&other.histograms) {
             let id = self.histogram(name);
-            self.histograms[id.0 as usize].merge(histogram);
+            self.histograms[id].merge(histogram);
         }
         // Gauges are point-in-time levels, not sums: when aggregating many
         // independent runs of a sweep, keep the worst (largest) level seen
         // for each gauge so reports surface the worst-case tree quality.
         for (name, &value) in other.gauge_names.iter().zip(&other.gauge_values) {
             let id = self.gauge(name);
-            let slot = &mut self.gauge_values[id.0 as usize];
+            let slot = &mut self.gauge_values[id];
             *slot = (*slot).max(value);
         }
     }
@@ -430,31 +377,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interning_is_idempotent_and_counts() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("dgmc.floodings");
-        let again = reg.counter("dgmc.floodings");
-        assert_eq!(a, again);
-        reg.incr(a);
-        reg.add(a, 4);
-        assert_eq!(reg.counter_get(a), 5);
-        assert_eq!(reg.counter_value("dgmc.floodings"), 5);
-        assert_eq!(reg.counter_value("never.seen"), 0);
-    }
-
-    #[test]
-    fn counter_slot_supports_handle_style_updates() {
+    fn counter_slot_interns_once_and_counts() {
         let mut reg = MetricsRegistry::new();
         *reg.counter_slot("x") += 3;
         *reg.counter_slot("x") += 1;
         assert_eq!(reg.counter_value("x"), 4);
+        assert_eq!(reg.counters_map().len(), 1);
+        assert_eq!(reg.counter_value("never.seen"), 0);
     }
 
     #[test]
     fn counters_map_is_sorted_by_name() {
         let mut reg = MetricsRegistry::new();
-        reg.counter("z");
-        reg.counter("a");
+        reg.counter_slot("z");
+        reg.counter_slot("a");
         let keys: Vec<String> = reg.counters_map().into_keys().collect();
         assert_eq!(keys, vec!["a".to_owned(), "z".to_owned()]);
     }
@@ -543,18 +479,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_ids_valid() {
+    fn reset_keeps_names_interned() {
         let mut reg = MetricsRegistry::new();
-        let c = reg.counter("c");
-        let h = reg.histogram("h");
-        reg.incr(c);
-        reg.observe(h, 9);
+        *reg.counter_slot("c") += 1;
+        reg.observe_named("h", 9);
         reg.reset();
-        assert_eq!(reg.counter_get(c), 0);
+        assert_eq!(reg.counters_map().get("c"), Some(&0));
         assert_eq!(reg.histogram_get("h").unwrap().count(), 0);
-        reg.incr(c);
-        reg.observe(h, 2);
-        assert_eq!(reg.counter_get(c), 1);
+        *reg.counter_slot("c") += 1;
+        reg.observe_named("h", 2);
+        assert_eq!(reg.counter_value("c"), 1);
         assert_eq!(reg.histogram_get("h").unwrap().max(), 2);
     }
 
@@ -630,13 +564,13 @@ mod tests {
     #[test]
     fn equality_ignores_interning_order() {
         let mut a = MetricsRegistry::new();
-        a.counter("x");
+        a.counter_slot("x");
         *a.counter_slot("y") += 1;
         a.observe_named("h", 3);
         let mut b = MetricsRegistry::new();
         b.observe_named("h", 3);
         *b.counter_slot("y") += 1;
-        b.counter("x");
+        b.counter_slot("x");
         assert_eq!(a, b);
         *b.counter_slot("y") += 1;
         assert_ne!(a, b);
@@ -645,10 +579,8 @@ mod tests {
     #[test]
     fn json_snapshot_shape_is_stable() {
         let mut reg = MetricsRegistry::new();
-        let b = reg.counter("b");
-        reg.add(b, 2);
-        let a = reg.counter("a");
-        reg.add(a, 1);
+        *reg.counter_slot("b") += 2;
+        *reg.counter_slot("a") += 1;
         reg.observe_named("lat", 8);
         reg.gauge_set_named("g", 7);
         let json = reg.to_json().to_json();
@@ -662,17 +594,14 @@ mod tests {
     #[test]
     fn gauges_set_replace_and_reset() {
         let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("tree.cost");
-        assert_eq!(reg.gauge("tree.cost"), g);
-        reg.gauge_set(g, 12);
-        reg.gauge_set(g, 9);
-        assert_eq!(reg.gauge_get(g), 9);
+        reg.gauge_set_named("tree.cost", 12);
+        reg.gauge_set_named("tree.cost", 9);
         assert_eq!(reg.gauge_value("tree.cost"), 9);
         assert_eq!(reg.gauge_value("never.seen"), 0);
         reg.reset();
-        assert_eq!(reg.gauge_get(g), 0);
+        assert_eq!(reg.gauges_map().get("tree.cost"), Some(&0));
         reg.gauge_set_named("tree.cost", 3);
-        assert_eq!(reg.gauge_get(g), 3);
+        assert_eq!(reg.gauge_value("tree.cost"), 3);
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl Inner {
     }
 }
 
-/// Shared, epoch-versioned cache of [`SpfTree`] computations.
+/// Shared, content-addressed cache of [`SpfTree`] computations.
 ///
 /// See the [module docs](self) for the design. Clones share the same store:
 ///
@@ -418,11 +418,6 @@ impl SpfCache {
         SpfCache {
             inner: Rc::new(RefCell::new(Inner::new(false))),
         }
-    }
-
-    /// `true` unless built with [`SpfCache::disabled`].
-    pub fn is_enabled(&self) -> bool {
-        self.inner.borrow().enabled
     }
 
     /// Single-source shortest-path tree, equal to
@@ -595,7 +590,6 @@ mod tests {
     fn disabled_cache_never_memoizes_but_stays_equal() {
         let net = diamond();
         let cache = SpfCache::disabled();
-        assert!(!cache.is_enabled());
         let a = cache.tree(&net, NodeId(1));
         let b = cache.tree(&net, NodeId(1));
         assert!(!Rc::ptr_eq(&a, &b));
@@ -681,30 +675,38 @@ mod tests {
 
     #[test]
     fn repair_equals_full_recompute_under_heavy_churn() {
-        // Walk a long mutation sequence; every miss (repair or not) must
-        // stay byte-identical to from-scratch, and repairs must dominate.
-        let mut net = diamond();
-        let cache = SpfCache::new();
-        for step in 0u64..40 {
-            let link = LinkId((step % 5) as u32);
-            if step % 7 == 3 {
-                let flip = if net.link(link).unwrap().is_up() {
-                    LinkState::Down
+        // Walk a long mutation sequence (cost changes, every few steps a
+        // flap); every miss (repair or not) must stay byte-identical to
+        // from-scratch, and repairs must answer most of them. Second input:
+        // the Fig. 7 WAN regime that used to collapse the cached path — a
+        // 60-node Waxman graph, one link event then 16 switches recomputing.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let waxman = crate::generate::waxman(&mut rng, 60, &Default::default());
+        for (mut net, steps, flap_every, roots) in [(diamond(), 40u64, 7, 3), (waxman, 24, 5, 16)] {
+            let links = net.link_count() as u64;
+            let cache = SpfCache::new();
+            for step in 0..steps {
+                let link = LinkId((step % links) as u32);
+                if step % flap_every == flap_every - 1 {
+                    let flip = if net.link(link).unwrap().is_up() {
+                        LinkState::Down
+                    } else {
+                        LinkState::Up
+                    };
+                    net.set_link_state(link, flip).unwrap();
                 } else {
-                    LinkState::Up
-                };
-                net.set_link_state(link, flip).unwrap();
-            } else {
-                net.set_link_cost(link, 1 + (step * 3) % 11).unwrap();
+                    net.set_link_cost(link, 1 + (step * 7919) % 97).unwrap();
+                }
+                for root in (0..roots).map(NodeId) {
+                    let got = cache.tree(&net, root);
+                    assert_eq!(*got, spf::shortest_path_tree(&net, root), "step {step}");
+                }
             }
-            for root in [NodeId(0), NodeId(2)] {
-                let got = cache.tree(&net, root);
-                assert_eq!(*got, spf::shortest_path_tree(&net, root), "step {step}");
-            }
+            let stats = cache.stats();
+            assert!(stats.repairs * 2 > stats.misses, "{stats:?}");
+            assert!(stats.repairs <= stats.misses);
         }
-        let stats = cache.stats();
-        assert!(stats.repairs > 0, "churn never repaired: {stats:?}");
-        assert!(stats.repairs <= stats.misses);
     }
 
     #[test]

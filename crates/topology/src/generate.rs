@@ -364,7 +364,7 @@ mod tests {
         let params = WaxmanParams::default();
         let mut rng = StdRng::seed_from_u64(1);
         let net = waxman(&mut rng, 100, &params);
-        let deg = metrics::average_degree(&net);
+        let deg = 2.0 * net.link_count() as f64 / net.len() as f64;
         assert!(
             (2.0..=8.0).contains(&deg),
             "average degree {deg} out of band"

@@ -86,14 +86,11 @@ pub struct Network {
     links: Vec<Link>,
     /// adjacency\[node\] = link ids incident to node (up and down links alike).
     adjacency: Vec<Vec<LinkId>>,
-    /// Monotonic mutation counter; see [`Network::epoch`].
-    epoch: u64,
     /// XOR accumulator of per-link fingerprints; see [`Network::digest`].
     link_acc: u64,
 }
 
-/// Equality is content equality (nodes, links, adjacency); the mutation
-/// history tracked by [`Network::epoch`] does not participate, so a network
+/// Equality is content equality (nodes, links, adjacency), so a network
 /// whose link went down and back up still equals its untouched clone.
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
@@ -130,19 +127,8 @@ impl Network {
         Network {
             links: Vec::new(),
             adjacency: vec![Vec::new(); n],
-            epoch: 0,
             link_acc: 0,
         }
-    }
-
-    /// Monotonic mutation counter: bumped by every call that changes the
-    /// network's content ([`add_node`](Self::add_node),
-    /// [`add_link`](Self::add_link), and state-changing
-    /// [`set_link_state`](Self::set_link_state)). A cached computation keyed
-    /// on a given epoch is stale iff the epoch moved. Cloning preserves the
-    /// epoch; redundant `set_link_state` calls do not bump it.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Order-independent content digest.
@@ -165,20 +151,6 @@ impl Network {
     /// Returns `true` if the network has no switches.
     pub fn is_empty(&self) -> bool {
         self.adjacency.is_empty()
-    }
-
-    /// Adds a new isolated switch and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node count would exceed the `u32` id space (a silent
-    /// `as u32` truncation here would alias two distinct switches).
-    pub fn add_node(&mut self) -> NodeId {
-        let id = u32::try_from(self.adjacency.len())
-            .expect("node count exceeds the u32 NodeId space — ids would alias");
-        self.adjacency.push(Vec::new());
-        self.epoch += 1;
-        NodeId(id)
     }
 
     /// Returns `true` if `n` is a node of this network.
@@ -221,7 +193,6 @@ impl Network {
         self.adjacency[a.index()].push(id);
         self.adjacency[b.index()].push(id);
         self.link_acc ^= link_fingerprint(&self.links[id.index()]);
-        self.epoch += 1;
         Ok(id)
     }
 
@@ -259,7 +230,6 @@ impl Network {
             let old_fp = link_fingerprint(link);
             link.state = state;
             self.link_acc ^= old_fp ^ link_fingerprint(&self.links[id.index()]);
-            self.epoch += 1;
         }
         Ok(prev)
     }
@@ -267,7 +237,7 @@ impl Network {
     /// Sets the routing cost of a link (up or down).
     ///
     /// Returns the previous cost. Like [`set_link_state`](Self::set_link_state),
-    /// a redundant write (same cost) leaves the epoch and digest untouched.
+    /// a redundant write (same cost) leaves the digest untouched.
     ///
     /// # Errors
     ///
@@ -282,7 +252,6 @@ impl Network {
             let old_fp = link_fingerprint(link);
             link.cost = cost;
             self.link_acc ^= old_fp ^ link_fingerprint(&self.links[id.index()]);
-            self.epoch += 1;
         }
         Ok(prev)
     }
@@ -487,39 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bumps_on_every_content_mutation() {
-        let mut net = Network::with_nodes(2);
-        let e0 = net.epoch();
-        net.add_node();
-        assert_eq!(net.epoch(), e0 + 1);
-        let l = net.add_link(NodeId(0), NodeId(1), 3).unwrap();
-        assert_eq!(net.epoch(), e0 + 2);
-        net.set_link_state(l, LinkState::Down).unwrap();
-        assert_eq!(net.epoch(), e0 + 3);
-        // Redundant state write: content unchanged, epoch untouched.
-        net.set_link_state(l, LinkState::Down).unwrap();
-        assert_eq!(net.epoch(), e0 + 3);
-        // Failed mutations leave the epoch alone.
-        net.add_link(NodeId(0), NodeId(1), 9).unwrap_err();
-        assert_eq!(net.epoch(), e0 + 3);
-        // Clones carry the epoch.
-        assert_eq!(net.clone().epoch(), net.epoch());
-    }
-
-    #[test]
     fn set_link_cost_is_content_addressed() {
         let mut net = path3();
         let d0 = net.digest();
-        let e0 = net.epoch();
         let prev = net.set_link_cost(LinkId(0), 9).unwrap();
         assert_eq!(prev, 5);
         assert_eq!(net.link(LinkId(0)).unwrap().cost, 9);
         assert_ne!(net.digest(), d0);
-        assert_eq!(net.epoch(), e0 + 1);
-        // Redundant write: nothing moves.
-        net.set_link_cost(LinkId(0), 9).unwrap();
-        assert_eq!(net.epoch(), e0 + 1);
-        // Restoring the cost restores the digest (not the epoch).
+        // Restoring the cost restores the digest.
         net.set_link_cost(LinkId(0), 5).unwrap();
         assert_eq!(net.digest(), d0);
         assert_eq!(
@@ -541,14 +485,13 @@ mod tests {
         let mut b = build();
         assert_eq!(a.digest(), b.digest());
 
-        // Down then up restores content, digest and equality — but not epoch.
+        // Down then up restores content, digest and equality.
         b.set_link_state(LinkId(1), LinkState::Down).unwrap();
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a, b);
         b.set_link_state(LinkId(1), LinkState::Up).unwrap();
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a, b);
-        assert_ne!(a.epoch(), b.epoch());
 
         // Differing cost, state or node count all change the digest.
         let cheaper = NetworkBuilder::new(4)
@@ -557,17 +500,11 @@ mod tests {
             .link(2, 3, 2)
             .build();
         assert_ne!(a.digest(), cheaper.digest());
-        let mut more_nodes = build();
-        more_nodes.add_node();
+        let more_nodes = NetworkBuilder::new(5)
+            .link(0, 1, 1)
+            .link(1, 2, 2)
+            .link(2, 3, 3)
+            .build();
         assert_ne!(a.digest(), more_nodes.digest());
-    }
-
-    #[test]
-    fn add_node_extends_network() {
-        let mut net = path3();
-        let n = net.add_node();
-        assert_eq!(n, NodeId(3));
-        assert_eq!(net.len(), 4);
-        assert!(!net.is_connected());
     }
 }

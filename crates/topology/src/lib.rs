@@ -34,7 +34,6 @@ mod graph;
 mod ids;
 
 pub mod cache;
-pub mod dot;
 pub mod generate;
 pub mod metrics;
 pub mod spf;

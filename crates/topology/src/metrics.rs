@@ -58,14 +58,6 @@ pub fn cost_diameter(net: &Network) -> u64 {
         .unwrap_or(0)
 }
 
-/// Average node degree over up links.
-pub fn average_degree(net: &Network) -> f64 {
-    if net.is_empty() {
-        return 0.0;
-    }
-    2.0 * net.up_links().count() as f64 / net.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +90,6 @@ mod tests {
         assert_eq!(hop_diameter(&Network::with_nodes(3)), 0);
         assert_eq!(hop_diameter(&Network::with_nodes(0)), 0);
         assert_eq!(cost_diameter(&Network::with_nodes(2)), 0);
-    }
-
-    #[test]
-    fn average_degree_counts_both_endpoints() {
-        let net = path4();
-        assert!((average_degree(&net) - 1.5).abs() < 1e-12);
-        assert_eq!(average_degree(&Network::with_nodes(0)), 0.0);
     }
 
     #[test]

@@ -645,17 +645,6 @@ pub fn hop_distances(net: &Network, root: NodeId) -> Vec<Option<u32>> {
     dist
 }
 
-/// All-pairs shortest-path costs via repeated Dijkstra.
-///
-/// `result[u][v]` is the least cost between `u` and `v` (`None` when
-/// disconnected). Quadratic in memory; intended for the few-hundred-switch
-/// networks of the paper.
-pub fn all_pairs_costs(net: &Network) -> Vec<Vec<Option<u64>>> {
-    net.nodes()
-        .map(|u| shortest_path_tree(net, u).dist)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,19 +766,6 @@ mod tests {
     fn empty_forest_panics() {
         let net = diamond();
         shortest_path_forest(&net, &[]);
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn all_pairs_symmetry() {
-        let net = diamond();
-        let ap = all_pairs_costs(&net);
-        for u in 0..4 {
-            for v in 0..4 {
-                assert_eq!(ap[u][v], ap[v][u]);
-            }
-            assert_eq!(ap[u][u], Some(0));
-        }
     }
 
     /// Applies `(link, new effective cost)` specs to `net` (None = down)

@@ -1,6 +1,6 @@
 //! Union-find (disjoint set) structure and connectivity helpers.
 
-use crate::{Network, NodeId};
+use crate::Network;
 
 /// Weighted quick-union with path halving.
 ///
@@ -12,8 +12,8 @@ use crate::{Network, NodeId};
 /// let mut uf = UnionFind::new(4);
 /// uf.union(0, 1);
 /// uf.union(2, 3);
-/// assert!(uf.connected(0, 1));
-/// assert!(!uf.connected(1, 2));
+/// assert_eq!(uf.find(0), uf.find(1));
+/// assert_ne!(uf.find(1), uf.find(2));
 /// assert_eq!(uf.component_count(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -73,11 +73,6 @@ impl UnionFind {
         true
     }
 
-    /// Returns `true` if `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Number of disjoint sets.
     pub fn component_count(&self) -> usize {
         self.components
@@ -106,12 +101,6 @@ pub fn component_labels(net: &Network) -> Vec<usize> {
     (0..net.len()).map(|i| uf.find(i)).collect()
 }
 
-/// Returns `true` if `a` and `b` are connected over up links.
-pub fn nodes_connected(net: &Network, a: NodeId, b: NodeId) -> bool {
-    let labels = component_labels(net);
-    labels[a.index()] == labels[b.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,8 +114,8 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "already merged");
         assert_eq!(uf.component_count(), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 4));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(4));
         assert_eq!(uf.len(), 5);
         assert!(!uf.is_empty());
     }
@@ -141,8 +130,9 @@ mod tests {
         assert_eq!(components(&net), 1);
         net.set_link_state(LinkId(2), LinkState::Down).unwrap();
         assert_eq!(components(&net), 2);
-        assert!(nodes_connected(&net, NodeId(0), NodeId(1)));
-        assert!(!nodes_connected(&net, NodeId(1), NodeId(2)));
+        let labels = component_labels(&net);
+        assert_eq!(labels[0], labels[1]);
+        assert_ne!(labels[1], labels[2]);
     }
 
     #[test]

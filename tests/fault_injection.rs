@@ -8,6 +8,7 @@ use dgmc::des::{FaultPlan, FaultyNet, LinkFaults, RunOutcome};
 use dgmc::experiments::explore::{self, ExploreParams};
 use dgmc::obs::DecisionKind;
 use dgmc::prelude::*;
+use dgmc::topology::SpfCache;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -25,7 +26,9 @@ fn default_chaos_plan_holds_invariants_across_twenty_seeds() {
         seeds: 20,
         ..ExploreConfig::default()
     };
-    let report = explore::explore_run(&config, &quick_params());
+    let dir = std::env::temp_dir().join(format!("dgmc-chaos-{}", std::process::id()));
+    let (report, written) = explore::explore_and_bundle(&config, &quick_params(), &dir);
+    assert!(written.is_empty(), "a clean sweep writes no bundle");
     assert_eq!(report.checked, 20);
     assert!(
         report.passed(),
@@ -46,24 +49,30 @@ fn hard_loss_is_caught_and_the_bundle_replays() {
         fail_fast: true,
         ..ExploreConfig::default()
     };
-    let report = explore::explore_run(&config, &params);
+    let dir = std::env::temp_dir().join(format!("dgmc-fault-injection-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (report, written) = explore::explore_and_bundle(&config, &params, &dir);
     let seed = report
         .first_failing_seed()
         .expect("genuine loss breaks the reliable-flooding assumption");
 
     // The violation is a pure function of the seed.
-    let a = explore::run_seed(seed, &params);
-    let b = explore::run_seed(seed, &params);
+    let run = || explore::run_scenario(seed, &params, None, &SpfCache::new()).outcome;
+    let (a, b) = (run(), run());
     assert!(!a.violations.is_empty());
     assert_eq!(a.violations, b.violations);
 
-    // The bundle round-trips to disk with plan, timeline and replay line.
-    let bundle = explore::repro_bundle(seed, &params, &dgmc::topology::SpfCache::new());
+    // The sweep left the failing seed's bundle on disk, with plan, timeline
+    // and replay line.
+    let (bundle, path) = &written[0];
+    assert_eq!(bundle.seed, seed);
     assert_eq!(bundle.violations, a.violations);
-    assert!(!bundle.timeline.is_empty());
-    let dir = std::env::temp_dir().join(format!("dgmc-fault-injection-{}", std::process::id()));
-    let path = bundle.write(&dir).unwrap();
-    let json = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(report.failures[0].violations, a.violations);
+    // ...including the causal span timeline of the replay, as a tree.
+    let has = |needle: &str| bundle.timeline.iter().any(|l| l.contains(needle));
+    assert!(has("causal span timeline"), "{:?}", bundle.timeline);
+    assert!(has("↳"), "spans render as a causal tree");
+    let json = std::fs::read_to_string(path).unwrap();
     assert!(json.contains(&format!("\"seed\":{seed}")));
     assert!(json.contains("hard_loss"));
     assert!(json.contains(&format!("--seed {seed}")));

@@ -102,7 +102,10 @@ fn des_reference(text: &str) -> (Vec<String>, BTreeMap<u64, Vec<String>>) {
                     SimDuration::ZERO,
                     SwitchMsg::NodeAdmin { up },
                 );
-                for link in net_state.links().filter(|l| l.a == node || l.b == node) {
+                // A link a `cut` took down is no part of the nodal event.
+                let incident =
+                    |l: &&dgmc::topology::Link| (l.a == node || l.b == node) && l.is_up();
+                for link in net_state.links().filter(incident) {
                     assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
                     sim.inject(
                         ActorId(link.other(node).0),
@@ -144,15 +147,19 @@ fn des_reference(text: &str) -> (Vec<String>, BTreeMap<u64, Vec<String>>) {
     (engines, logs)
 }
 
-#[test]
-fn socket_mesh_matches_des_state_and_decision_log() {
-    let (des_engines, des_logs) = des_reference(SCENARIO);
+/// Replays `text` through both adapters, asserts they agree on final engine
+/// state and ordered decision logs, and returns the per-switch DES engine
+/// snapshots for scenario-specific checks. `tag` keeps concurrently running
+/// tests out of each other's artifact directory.
+fn assert_conformance(tag: &str, text: &str) -> Vec<String> {
+    let (des_engines, des_logs) = des_reference(text);
 
-    let out_dir = std::env::temp_dir().join(format!("dgmc-conformance-{}", std::process::id()));
+    let out_dir =
+        std::env::temp_dir().join(format!("dgmc-conformance-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out_dir);
     let mut opts = MeshOptions::new(&out_dir);
     opts.deadline = std::time::Duration::from_secs(60);
-    let report = run_scenario_mesh(SCENARIO, &opts).expect("mesh run succeeds");
+    let report = run_scenario_mesh(text, &opts).expect("mesh run succeeds");
 
     assert!(
         report.violations.is_empty(),
@@ -173,13 +180,6 @@ fn socket_mesh_matches_des_state_and_decision_log() {
         );
     }
 
-    // The run exercised a real teardown: connection 2 is tombstoned.
-    assert!(
-        des_engines[0].contains("\"tombstones\":{\"2\""),
-        "scenario must tear down mc 2: {}",
-        des_engines[0]
-    );
-
     // Identical ordered decision logs modulo timestamps, per switch.
     let mesh_logs = report.canonical_logs().expect("mesh logs parse");
     assert_eq!(
@@ -196,4 +196,44 @@ fn socket_mesh_matches_des_state_and_decision_log() {
     }
 
     let _ = std::fs::remove_dir_all(&out_dir);
+    des_engines
+}
+
+#[test]
+fn socket_mesh_matches_des_state_and_decision_log() {
+    let des_engines = assert_conformance("main", SCENARIO);
+    // The run exercised a real teardown: connection 2 is tombstoned.
+    assert!(
+        des_engines[0].contains("\"tombstones\":{\"2\""),
+        "scenario must tear down mc 2: {}",
+        des_engines[0]
+    );
+}
+
+/// A revival must not resurrect a link that a `cut` took down. Link 1-2 is
+/// cut, then each of its endpoints crashes and revives; joining switch 1
+/// afterwards prices the tree over every switch's image: 0-1 plus 0-3-2
+/// (cost 3) on the true network, 0-1-2 (cost 2) over a resurrected 1-2.
+#[test]
+fn revival_leaves_a_cut_link_down_on_both_adapters() {
+    let des_engines = assert_conformance(
+        "cut",
+        "\
+net ring 4
+join 0 @0ms mc=1
+join 2 @10ms mc=1
+cut 1 2 @20ms
+fail-node 1 @30ms
+revive-node 1 @40ms
+fail-node 2 @50ms
+revive-node 2 @60ms
+join 1 @70ms mc=1
+",
+    );
+    for (id, engine) in des_engines.iter().enumerate() {
+        assert!(
+            engine.contains("\"installed\":[[0,1],[0,3],[2,3]],\"tree_cost\":3"),
+            "switch {id} routes connection 1 over the cut link: {engine}"
+        );
+    }
 }
