@@ -51,6 +51,20 @@ if grep -rnE 'new_incremental|log_capacity' crates/*/src ||
     exit 1
 fi
 
+# PR16: a scenario step becomes switch inputs in one place. The link/nodal
+# inputs are built only by `link_event_inputs` / `node_event_inputs` (match
+# arms that merely read them are fine), and the launcher is an executor of
+# `scenario::play`, not a second decomposition with its own cut-link tracker.
+if grep -rnE 'SwitchMsg::(LinkEvent|NodeAdmin)' crates/*/src tests examples |
+    grep -v '^crates/core/src/switch.rs:' | grep -v '=>'; then
+    echo "a link or nodal input is built outside dgmc_core::switch; use {link,node}_event_inputs"
+    exit 1
+fi
+if grep -rnE 'fn apply_step|cut: BTreeSet' crates/node/src; then
+    echo "the launcher decomposes steps by hand again; it is an executor of scenario::play"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -63,7 +77,7 @@ RUST_BACKTRACE=1 cargo test --workspace --offline -q
 echo "== node e2e (multi-process localhost mesh, ignored tests) =="
 cargo build -q --offline --release -p dgmc-node
 RUST_BACKTRACE=1 DGMC_NODE_BIN="$PWD/target/release/dgmc-node" \
-    cargo test --offline -q --test node_e2e -- --ignored
+    cargo test --offline -q --test node_e2e --test node_conformance -- --ignored
 
 echo "== localhost mesh smoke (5-node teleconference to convergence) =="
 rm -rf results/mesh-smoke

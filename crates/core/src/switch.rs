@@ -15,7 +15,7 @@ use crate::McId;
 use dgmc_des::{Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation};
 use dgmc_mctree::{McAlgorithm, McType, Role};
 use dgmc_obs::SharedObserver;
-use dgmc_topology::{LinkId, Network, NodeId, SpfCache};
+use dgmc_topology::{Link, LinkId, Network, NodeId, SpfCache};
 use std::rc::Rc;
 
 /// Messages delivered to a [`DgmcSwitch`].
@@ -261,17 +261,54 @@ pub fn build_dgmc_sim_with_cache(
     sim
 }
 
-/// Injects a nodal event: `up = false` fails the switch (it silently drops
-/// all traffic and its incident links go down, each advertised by the
-/// surviving neighbor); `up = true` revives it (neighbors re-advertise the
-/// links and send database snapshots so the revived switch resynchronizes).
-/// `net` is the ground truth at the time of the event: an incident link that
-/// is down in it (cut earlier) is not part of the nodal event, so a revival
-/// does not resurrect it.
+/// How a ground-truth link transition becomes switch inputs: both endpoints
+/// learn at the same instant and exactly one of them — the stored lower
+/// endpoint `link.a`, listed first — is the detector that originates the
+/// advertisements (DESIGN.md §6).
+pub fn link_event_inputs(link: &Link, up: bool) -> [(NodeId, SwitchMsg); 2] {
+    let input = |detector| SwitchMsg::LinkEvent {
+        link: link.id,
+        up,
+        detector,
+    };
+    [(link.a, input(true)), (link.b, input(false))]
+}
+
+/// How a nodal event at offset `at` becomes switch inputs, each with its own
+/// offset: the admin transition of `node` itself (`up = false` makes it drop
+/// all traffic, `up = true` revives it), then, 1 ns later, one link event per
+/// incident link with the surviving neighbor as detector, in link order (on
+/// revival the neighbors also send the database snapshots that resynchronize
+/// the switch). `net` is the ground truth at the time of the event: an
+/// incident link that is down in it (cut earlier) is no part of the nodal
+/// event, so a revival does not resurrect it.
 ///
 /// # Panics
 ///
 /// Panics if `node` is unknown in `net`.
+pub fn node_event_inputs(
+    net: &Network,
+    node: NodeId,
+    up: bool,
+    at: SimDuration,
+) -> impl Iterator<Item = (NodeId, SimDuration, SwitchMsg)> + '_ {
+    assert!(net.contains_node(node), "unknown node {node}");
+    let detect = at + SimDuration::nanos(1);
+    let detections = net
+        .links()
+        .filter(move |l| (l.a == node || l.b == node) && l.is_up())
+        .map(move |l| {
+            let detection = SwitchMsg::LinkEvent {
+                link: l.id,
+                up,
+                detector: true,
+            };
+            (l.other(node), detect, detection)
+        });
+    std::iter::once((node, at, SwitchMsg::NodeAdmin { up })).chain(detections)
+}
+
+/// Injects the [`node_event_inputs`] of a nodal event `delay` from now.
 pub fn inject_node_event(
     sim: &mut Simulation<SwitchMsg>,
     net: &Network,
@@ -279,31 +316,13 @@ pub fn inject_node_event(
     up: bool,
     delay: SimDuration,
 ) {
-    assert!(net.contains_node(node), "unknown node {node}");
-    sim.inject(ActorId(node.0), delay, SwitchMsg::NodeAdmin { up });
-    // Neighbors detect each incident link transition slightly later and
-    // advertise their side ("nodal events" decompose into link events with
-    // the surviving endpoint as detector).
-    let detect = delay + SimDuration::nanos(1);
-    for link in net
-        .links()
-        .filter(|l| (l.a == node || l.b == node) && l.is_up())
-    {
-        let neighbor = link.other(node);
-        sim.inject(
-            ActorId(neighbor.0),
-            detect,
-            SwitchMsg::LinkEvent {
-                link: link.id,
-                up,
-                detector: true,
-            },
-        );
+    for (switch, at, msg) in node_event_inputs(net, node, up, delay) {
+        sim.inject(ActorId(switch.0), at, msg);
     }
 }
 
-/// Injects a ground-truth link event: both endpoints learn immediately, the
-/// lower-id endpoint advertises (DESIGN.md §6).
+/// Injects the [`link_event_inputs`] of ground-truth link `link` `delay` from
+/// now.
 ///
 /// # Panics
 ///
@@ -315,23 +334,7 @@ pub fn inject_link_event(
     up: bool,
     delay: SimDuration,
 ) {
-    let l = net.link(link).expect("known link");
-    sim.inject(
-        ActorId(l.a.0),
-        delay,
-        SwitchMsg::LinkEvent {
-            link,
-            up,
-            detector: true,
-        },
-    );
-    sim.inject(
-        ActorId(l.b.0),
-        delay,
-        SwitchMsg::LinkEvent {
-            link,
-            up,
-            detector: false,
-        },
-    );
+    for (switch, msg) in link_event_inputs(net.link(link).expect("known link"), up) {
+        sim.inject(ActorId(switch.0), delay, msg);
+    }
 }

@@ -6,6 +6,7 @@
 //! topology computation at every switch involved in the MC", and Section 2's
 //! brute-force cost of n redundant computations per event.
 
+use crate::runner::{run_dgmc, RunOptions};
 use crate::workload::{self, SparseParams};
 use dgmc_baselines::brute_force::{self, BfMsg};
 use dgmc_baselines::cbt;
@@ -68,41 +69,17 @@ pub fn compare_protocols(sizes: &[usize], graphs_per_size: usize, seed: u64) -> 
             let events = wl.events.len() as f64;
 
             // --- D-GMC ---
-            let mut sim = build_dgmc_sim(
+            let dgmc = run_dgmc(
                 &net,
                 DgmcConfig::computation_dominated(),
+                &wl,
                 Rc::new(SphStrategy::new()),
-            );
-            for (i, m) in wl.initial_members.iter().enumerate() {
-                sim.inject(
-                    ActorId(m.0),
-                    SimDuration::millis(200) * i as u64,
-                    SwitchMsg::HostJoin {
-                        mc: MC,
-                        mc_type: McType::Symmetric,
-                        role: Role::SenderReceiver,
-                    },
-                );
-            }
-            sim.run_to_quiescence();
-            sim.reset_counters();
-            for e in &wl.events {
-                let msg = if e.join {
-                    SwitchMsg::HostJoin {
-                        mc: MC,
-                        mc_type: McType::Symmetric,
-                        role: Role::SenderReceiver,
-                    }
-                } else {
-                    SwitchMsg::HostLeave { mc: MC }
-                };
-                sim.inject(ActorId(e.node.0), e.at, msg);
-            }
-            sim.run_to_quiescence();
+                RunOptions::default(),
+            )
+            .expect("sparse D-GMC run converges");
             row.dgmc_computations
-                .record(sim.counter_value(dgmc_counters::COMPUTATIONS) as f64 / events);
-            row.dgmc_floodings
-                .record(sim.counter_value(dgmc_counters::FLOODINGS) as f64 / events);
+                .record(dgmc.computations as f64 / events);
+            row.dgmc_floodings.record(dgmc.floodings as f64 / events);
 
             // --- Brute force ---
             let mut bf = brute_force::build_bf_sim(

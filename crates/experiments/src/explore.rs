@@ -11,17 +11,15 @@
 //! to produce a self-contained repro file (DESIGN.md §8).
 
 use crate::runner::EXPERIMENT_MC;
+use crate::scenario::{self, Step};
 use crate::workload::{self, BurstParams, Workload};
 use dgmc_core::invariants;
-use dgmc_core::switch::{
-    build_dgmc_sim_with_cache, inject_link_event, inject_node_event, trace_label, DgmcConfig,
-    SwitchMsg,
-};
+use dgmc_core::switch::{build_dgmc_sim_with_cache, trace_label, DgmcConfig, SwitchMsg};
 use dgmc_core::{McType, Role};
 use dgmc_des::explorer::{self, ExploreConfig, ExploreReport, ReproBundle, SeedOutcome, Violation};
 use dgmc_des::{
     ActorId, FaultPlan, FaultyNet, LinkFaults, LinkFlap, NetStats, NodeOutage, RunOutcome,
-    SimDuration, Simulation,
+    SimDuration,
 };
 use dgmc_mctree::SphStrategy;
 use dgmc_obs::render_trace_timeline;
@@ -231,38 +229,33 @@ fn liveness_violation(stage: &str) -> Violation {
     }
 }
 
-fn inject_measured_phase(sim: &mut Simulation<SwitchMsg>, scenario: &Scenario) {
-    for e in &scenario.workload.events {
-        let msg = if e.join {
-            SwitchMsg::HostJoin {
-                mc: EXPERIMENT_MC,
-                mc_type: McType::Symmetric,
-                role: Role::SenderReceiver,
-            }
+/// The measured phase as scenario steps: the membership burst, then the
+/// scheduled flaps and crash windows. The windows are disjoint and in time
+/// order, so the player's ground truth is right at every nodal event.
+fn measured_steps(workload: &Workload, plan: &FaultPlan) -> Vec<Step> {
+    let mc = EXPERIMENT_MC;
+    let mut steps = Vec::new();
+    for e in &workload.events {
+        let (node, at) = (e.node, e.at);
+        steps.push(if e.join {
+            Step::Join { node, at, mc }
         } else {
-            SwitchMsg::HostLeave { mc: EXPERIMENT_MC }
-        };
-        sim.inject(ActorId(e.node.0), e.at, msg);
+            Step::Leave { node, at, mc }
+        });
     }
-    for flap in &scenario.plan.flaps {
-        let link = scenario
-            .net
-            .link_between(NodeId(flap.a), NodeId(flap.b))
-            .expect("flapped link exists")
-            .id;
-        inject_link_event(sim, &scenario.net, link, false, flap.down_at);
-        inject_link_event(sim, &scenario.net, link, true, flap.up_at);
+    for flap in &plan.flaps {
+        let (a, b) = (NodeId(flap.a), NodeId(flap.b));
+        for (up, at) in [(false, flap.down_at), (true, flap.up_at)] {
+            steps.push(Step::Link { a, b, up, at });
+        }
     }
-    for outage in &scenario.plan.outages {
-        inject_node_event(
-            sim,
-            &scenario.net,
-            NodeId(outage.node),
-            false,
-            outage.down_at,
-        );
-        inject_node_event(sim, &scenario.net, NodeId(outage.node), true, outage.up_at);
+    for outage in &plan.outages {
+        let node = NodeId(outage.node);
+        for (up, at) in [(false, outage.down_at), (true, outage.up_at)] {
+            steps.push(Step::Node { node, up, at });
+        }
     }
+    steps
 }
 
 /// Runs one seed to quiescence and checks the invariant suite.
@@ -282,20 +275,28 @@ pub fn run_scenario(
     timeline: Option<usize>,
     cache: &SpfCache,
 ) -> ScenarioRun {
-    let scenario = build_scenario(seed, params);
+    let Scenario {
+        net,
+        workload,
+        plan,
+    } = build_scenario(seed, params);
+    // The measured phase — the membership burst plus the scheduled flaps and
+    // crash windows — is a script for the one scenario player.
+    let steps = measured_steps(&workload, &plan);
+    let script = scenario::Scenario { net, steps };
     let mut sim = build_dgmc_sim_with_cache(
-        &scenario.net,
+        &script.net,
         params.config,
         Rc::new(SphStrategy::new()),
         cache.clone(),
     );
     sim.set_event_budget(EVENT_BUDGET);
     let log = timeline.map(|cap| sim.observer().attach_log(cap.max(1)));
-    sim.set_net_model(FaultyNet::new(scenario.plan.clone(), seed ^ NET_SEED_SALT));
+    sim.set_net_model(FaultyNet::new(plan.clone(), seed ^ NET_SEED_SALT));
 
     let mut violations = Vec::new();
     // Warm-up: initial members join, well separated.
-    for (i, m) in scenario.workload.initial_members.iter().enumerate() {
+    for (i, m) in workload.initial_members.iter().enumerate() {
         sim.inject(
             ActorId(m.0),
             SimDuration::millis(10) * i as u64,
@@ -309,8 +310,7 @@ pub fn run_scenario(
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         violations.push(liveness_violation("warm-up"));
     } else {
-        // Measured phase: the membership burst plus the scheduled flaps and
-        // crash windows, all injected up front; every outage is restored
+        // Measured phase, all injected up front; every outage is restored
         // before quiescence, so the pristine network is the end state.
         if timeline.is_some() {
             // Replay path: also collect the causal span tree of the
@@ -318,12 +318,12 @@ pub fn run_scenario(
             // so every span descends from a measured-phase injection).
             sim.enable_causal_trace(trace_label);
         }
-        inject_measured_phase(&mut sim, &scenario);
+        let Ok(()) = scenario::play(&script, &mut sim);
         if sim.run_to_quiescence() != RunOutcome::Quiescent {
             violations.push(liveness_violation("measured"));
         } else {
             violations.extend(
-                invariants::check_invariants(&sim, &scenario.net)
+                invariants::check_invariants(&sim, &script.net)
                     .into_iter()
                     .map(|v| Violation {
                         invariant: v.invariant.into(),
@@ -355,7 +355,7 @@ pub fn run_scenario(
     });
     ScenarioRun {
         outcome: SeedOutcome { seed, violations },
-        plan: scenario.plan,
+        plan,
         timeline,
         causal,
         net_stats: *sim.net_stats(),

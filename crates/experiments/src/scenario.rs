@@ -1,4 +1,5 @@
-//! A small scenario language for driving D-GMC simulations from text.
+//! A small scenario language for driving D-GMC from text, and the one
+//! player that turns a scenario into switch inputs.
 //!
 //! Lets users script membership churn, failures and data without writing
 //! Rust — the `scenario` binary reads a file (or stdin) like:
@@ -12,16 +13,22 @@
 //! send 0 @20ms id=7
 //! ```
 //!
-//! and reports consensus, counters and deliveries.
+//! and reports consensus, counters and deliveries. Stamps never go
+//! backwards, so file order is schedule order for every executor.
+//!
+//! [`play`] is the only place a [`Step`] becomes per-switch inputs; what
+//! differs between the timed simulation ([`run`]), a stepped simulation and
+//! a localhost mesh of node processes is the [`Executor`] it plays into.
 
 use dgmc_core::switch::{
-    build_dgmc_sim, inject_link_event, inject_node_event, DgmcConfig, SwitchMsg,
+    build_dgmc_sim, link_event_inputs, node_event_inputs, DgmcConfig, SwitchMsg,
 };
 use dgmc_core::{convergence, McId, McType, Role};
 use dgmc_des::{ActorId, RunOutcome, SimDuration, Simulation};
 use dgmc_mctree::SphStrategy;
-use dgmc_topology::{generate, Network, NodeId};
+use dgmc_topology::{generate, LinkState, Network, NodeId};
 use rand::SeedableRng;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
@@ -31,11 +38,11 @@ use std::rc::Rc;
 pub struct Scenario {
     /// The ground-truth network.
     pub net: Network,
-    /// Timed directives in file order.
+    /// Timed directives in file order, which is also time order.
     pub steps: Vec<Step>,
 }
 
-/// One timed directive.
+/// One timed directive; `at` is its offset from the start of the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
     /// `join <node> @<ms>ms [mc=<id>]`
@@ -43,7 +50,7 @@ pub enum Step {
         /// Joining switch.
         node: NodeId,
         /// Offset.
-        at_ms: u64,
+        at: SimDuration,
         /// Connection id.
         mc: McId,
     },
@@ -52,7 +59,7 @@ pub enum Step {
         /// Leaving switch.
         node: NodeId,
         /// Offset.
-        at_ms: u64,
+        at: SimDuration,
         /// Connection id.
         mc: McId,
     },
@@ -65,7 +72,7 @@ pub enum Step {
         /// `true` for repair.
         up: bool,
         /// Offset.
-        at_ms: u64,
+        at: SimDuration,
     },
     /// `fail-node <n> @<ms>ms` / `revive-node <n> @<ms>ms`
     Node {
@@ -74,14 +81,14 @@ pub enum Step {
         /// `true` for revival.
         up: bool,
         /// Offset.
-        at_ms: u64,
+        at: SimDuration,
     },
     /// `send <node> @<ms>ms id=<packet>` `[mc=<id>]`
     Send {
         /// Injecting switch.
         node: NodeId,
         /// Offset.
-        at_ms: u64,
+        at: SimDuration,
         /// Packet id.
         packet_id: u64,
         /// Connection id.
@@ -117,13 +124,16 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
     }
 }
 
-fn parse_at(tok: &str, line: usize) -> Result<u64, ScenarioError> {
+/// `@<ms>ms` as an offset; a stamp too large for the nanosecond clock is an
+/// error, not a wrapped time.
+fn parse_at(tok: &str, line: usize) -> Result<SimDuration, ScenarioError> {
     let t = tok
         .strip_prefix('@')
         .ok_or_else(|| err(line, format!("expected @<ms>ms, got {tok:?}")))?;
-    let t = t.strip_suffix("ms").unwrap_or(t);
-    t.parse()
-        .map_err(|_| err(line, format!("bad time value {tok:?}")))
+    let ms: Option<u64> = t.strip_suffix("ms").unwrap_or(t).parse().ok();
+    ms.and_then(|ms| ms.checked_mul(1_000_000))
+        .map(SimDuration::nanos)
+        .ok_or_else(|| err(line, format!("bad time value {tok:?}")))
 }
 
 fn parse_node(tok: &str, net: &Network, line: usize) -> Result<NodeId, ScenarioError> {
@@ -137,9 +147,14 @@ fn parse_node(tok: &str, net: &Network, line: usize) -> Result<NodeId, ScenarioE
     Ok(node)
 }
 
-fn parse_kv(tokens: &[&str], key: &str, default: u64, line: usize) -> Result<u64, ScenarioError> {
+fn parse_kv<T: std::str::FromStr>(
+    tokens: &[&str],
+    key: &str,
+    default: T,
+    line: usize,
+) -> Result<T, ScenarioError> {
     for t in tokens {
-        if let Some(v) = t.strip_prefix(&format!("{key}=")) {
+        if let Some(v) = t.strip_prefix(key).and_then(|v| v.strip_prefix('=')) {
             return v
                 .parse()
                 .map_err(|_| err(line, format!("bad {key} value {t:?}")));
@@ -152,110 +167,98 @@ fn parse_kv(tokens: &[&str], key: &str, default: u64, line: usize) -> Result<u64
 ///
 /// # Errors
 ///
-/// Returns the first [`ScenarioError`] with its line number.
+/// Returns the first [`ScenarioError`] with its line number: an unknown or
+/// malformed directive, a network too small for its shape, an id or stamp
+/// out of range, or a stamp earlier than the one before it.
 pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let mut net: Option<Network> = None;
     let mut steps = Vec::new();
+    let mut now = SimDuration::ZERO;
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
-        let stripped = raw.split('#').next().unwrap_or("").trim();
-        if stripped.is_empty() {
+        let stripped = raw.split('#').next().unwrap_or("");
+        let tokens: Vec<&str> = stripped.split_whitespace().collect();
+        let Some((&verb, args)) = tokens.split_first() else {
+            continue;
+        };
+        if verb == "net" {
+            if net.is_some() {
+                return Err(err(line, "network already declared"));
+            }
+            net = Some(parse_net(args, line)?);
             continue;
         }
-        let tokens: Vec<&str> = stripped.split_whitespace().collect();
-        match tokens[0] {
-            "net" => {
-                if net.is_some() {
-                    return Err(err(line, "network already declared"));
-                }
-                net = Some(parse_net(&tokens[1..], line)?);
-            }
-            verb @ ("join" | "leave") => {
-                let net_ref = net
-                    .as_ref()
-                    .ok_or_else(|| err(line, "declare `net` before directives"))?;
-                if tokens.len() < 3 {
-                    return Err(err(line, format!("usage: {verb} <node> @<ms>ms [mc=<id>]")));
-                }
-                let node = parse_node(tokens[1], net_ref, line)?;
-                let at_ms = parse_at(tokens[2], line)?;
-                let mc = McId(parse_kv(&tokens[3..], "mc", 1, line)? as u32);
-                steps.push(if verb == "join" {
-                    Step::Join { node, at_ms, mc }
-                } else {
-                    Step::Leave { node, at_ms, mc }
-                });
-            }
-            verb @ ("cut" | "repair") => {
-                let net_ref = net
-                    .as_ref()
-                    .ok_or_else(|| err(line, "declare `net` before directives"))?;
-                if tokens.len() < 4 {
-                    return Err(err(line, format!("usage: {verb} <a> <b> @<ms>ms")));
-                }
-                let a = parse_node(tokens[1], net_ref, line)?;
-                let b = parse_node(tokens[2], net_ref, line)?;
-                if net_ref.link_between(a, b).is_none() {
+        // Per verb: the usage line and where in it the stamp sits.
+        let (usage, stamp) = match verb {
+            "join" | "leave" => ("<node> @<ms>ms [mc=<id>]", 1),
+            "cut" | "repair" => ("<a> <b> @<ms>ms", 2),
+            "fail-node" | "revive-node" => ("<node> @<ms>ms", 1),
+            "send" => ("<node> @<ms>ms [id=<n>] [mc=<id>]", 1),
+            other => return Err(err(line, format!("unknown directive {other:?}"))),
+        };
+        let net = net
+            .as_ref()
+            .ok_or_else(|| err(line, "declare `net` before directives"))?;
+        if args.len() <= stamp {
+            return Err(err(line, format!("usage: {verb} {usage}")));
+        }
+        let node = parse_node(args[0], net, line)?;
+        let at = parse_at(args[stamp], line)?;
+        if at < now {
+            let message = format!("time goes backwards: {verb} is stamped before its predecessor");
+            return Err(err(line, message));
+        }
+        now = at;
+        let options = &args[stamp + 1..];
+        // Looked at by the verbs that take `mc=` only.
+        let mc = parse_kv(options, "mc", 1, line).map(McId);
+        steps.push(match verb {
+            "join" => Step::Join { node, at, mc: mc? },
+            "leave" => Step::Leave { node, at, mc: mc? },
+            "cut" | "repair" => {
+                let (a, b) = (node, parse_node(args[1], net, line)?);
+                if net.link_between(a, b).is_none() {
                     return Err(err(line, format!("no link between {a} and {b}")));
                 }
-                steps.push(Step::Link {
-                    a,
-                    b,
-                    up: verb == "repair",
-                    at_ms: parse_at(tokens[3], line)?,
-                });
+                let up = verb == "repair";
+                Step::Link { a, b, up, at }
             }
-            verb @ ("fail-node" | "revive-node") => {
-                let net_ref = net
-                    .as_ref()
-                    .ok_or_else(|| err(line, "declare `net` before directives"))?;
-                if tokens.len() < 3 {
-                    return Err(err(line, format!("usage: {verb} <node> @<ms>ms")));
-                }
-                steps.push(Step::Node {
-                    node: parse_node(tokens[1], net_ref, line)?,
-                    up: verb == "revive-node",
-                    at_ms: parse_at(tokens[2], line)?,
-                });
+            "fail-node" | "revive-node" => {
+                let up = verb == "revive-node";
+                Step::Node { node, up, at }
             }
-            "send" => {
-                let net_ref = net
-                    .as_ref()
-                    .ok_or_else(|| err(line, "declare `net` before directives"))?;
-                if tokens.len() < 3 {
-                    return Err(err(line, "usage: send <node> @<ms>ms [id=<n>] [mc=<id>]"));
-                }
-                let node = parse_node(tokens[1], net_ref, line)?;
-                let at_ms = parse_at(tokens[2], line)?;
-                let packet_id = parse_kv(&tokens[3..], "id", 0, line)?;
-                let mc = McId(parse_kv(&tokens[3..], "mc", 1, line)? as u32);
-                steps.push(Step::Send {
+            _ => {
+                let (packet_id, mc) = (parse_kv(options, "id", 0, line)?, mc?);
+                Step::Send {
                     node,
-                    at_ms,
+                    at,
                     packet_id,
                     mc,
-                });
+                }
             }
-            other => return Err(err(line, format!("unknown directive {other:?}"))),
-        }
+        });
     }
     let net = net.ok_or_else(|| err(0, "scenario declares no `net`"))?;
     Ok(Scenario { net, steps })
 }
 
 fn parse_net(args: &[&str], line: usize) -> Result<Network, ScenarioError> {
+    // Every size must reach the generator's own lower bound (a ring needs
+    // three switches, everything else one; a seed has none).
+    let size = |tok: &str, min: usize| match tok.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(err(line, format!("size {tok} is below the minimum {min}"))),
+        Err(_) => Err(err(line, format!("bad number {tok:?}"))),
+    };
     match args {
-        ["ring", n] => Ok(generate::ring(parse_usize(n, line)?)),
-        ["path", n] => Ok(generate::path(parse_usize(n, line)?)),
-        ["star", n] => Ok(generate::star(parse_usize(n, line)?)),
-        ["grid", r, c] => Ok(generate::grid(parse_usize(r, line)?, parse_usize(c, line)?)),
+        ["ring", n] => Ok(generate::ring(size(n, 3)?)),
+        ["path", n] => Ok(generate::path(size(n, 1)?)),
+        ["star", n] => Ok(generate::star(size(n, 1)?)),
+        ["grid", r, c] => Ok(generate::grid(size(r, 1)?, size(c, 1)?)),
         ["waxman", n, seed] => {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(parse_usize(seed, line)? as u64);
-            Ok(generate::waxman(
-                &mut rng,
-                parse_usize(n, line)?,
-                &generate::WaxmanParams::default(),
-            ))
+            let mut rng = rand::rngs::StdRng::seed_from_u64(size(seed, 0)? as u64);
+            let params = generate::WaxmanParams::default();
+            Ok(generate::waxman(&mut rng, size(n, 1)?, &params))
         }
         other => Err(err(
             line,
@@ -264,9 +267,102 @@ fn parse_net(args: &[&str], line: usize) -> Result<Network, ScenarioError> {
     }
 }
 
-fn parse_usize(tok: &str, line: usize) -> Result<usize, ScenarioError> {
-    tok.parse()
-        .map_err(|_| err(line, format!("bad number {tok:?}")))
+/// What [`play`] drives: something that can hand one switch one input and
+/// wait until the network has absorbed what it was told. The executor is the
+/// mode — a timed simulation schedules every input at its offset and never
+/// waits, a stepped simulation or a mesh of node processes ignores offsets
+/// and drains at every `settle`.
+pub trait Executor {
+    /// Why the executor gave up (never, for an in-process simulation).
+    type Error;
+
+    /// Hands `switch` the input `msg`, `at` after the start of the run.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the input cannot be delivered.
+    fn tell(&mut self, switch: NodeId, at: SimDuration, msg: SwitchMsg) -> Result<(), Self::Error>;
+
+    /// Called where a stepped run must have gone quiet before the next
+    /// input: before each detection of a nodal event and after each step.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the network does not go quiet.
+    fn settle(&mut self) -> Result<(), Self::Error>;
+}
+
+/// Plays `scenario` into `exec`: walks the steps in file order, keeps the
+/// one ground-truth copy of the network (which links a `cut` has taken down
+/// and no `repair` brought back) and decomposes every step into switch
+/// inputs with [`link_event_inputs`] / [`node_event_inputs`], so a step
+/// means the same inputs to every executor.
+///
+/// A nodal event is several inputs: the admin transition, then one detection
+/// per neighbor over a link that is still up. A timed simulation delivers
+/// the detections together, 1 ns after the transition, and both neighbors
+/// propose from the old tree; told back to back over control sockets, the
+/// first detector's proposal would race the second detection and the run
+/// would not be repeatable. Hence one `settle` before each detection: a
+/// stepped executor drains there (which is what makes per-switch decision
+/// logs comparable event for event across executors), a timed one does
+/// nothing.
+///
+/// # Errors
+///
+/// Stops at the executor's first error.
+pub fn play<E: Executor>(scenario: &Scenario, exec: &mut E) -> Result<(), E::Error> {
+    let mut net = scenario.net.clone();
+    for step in &scenario.steps {
+        match *step {
+            Step::Join { node, at, mc } => {
+                let (mc_type, role) = (McType::Symmetric, Role::SenderReceiver);
+                exec.tell(node, at, SwitchMsg::HostJoin { mc, mc_type, role })?;
+            }
+            Step::Leave { node, at, mc } => exec.tell(node, at, SwitchMsg::HostLeave { mc })?,
+            Step::Link { a, b, up, at } => {
+                let link = net.link_between(a, b).expect("validated at parse time");
+                let id = link.id;
+                for (switch, msg) in link_event_inputs(link, up) {
+                    exec.tell(switch, at, msg)?;
+                }
+                let state = if up { LinkState::Up } else { LinkState::Down };
+                net.set_link_state(id, state).expect("known link");
+            }
+            Step::Node { node, up, at } => {
+                for (i, (switch, at, msg)) in node_event_inputs(&net, node, up, at).enumerate() {
+                    if i > 0 {
+                        exec.settle()?;
+                    }
+                    exec.tell(switch, at, msg)?;
+                }
+            }
+            Step::Send {
+                node,
+                at,
+                packet_id,
+                mc,
+            } => exec.tell(node, at, SwitchMsg::SendData { mc, packet_id })?,
+        }
+        exec.settle()?;
+    }
+    Ok(())
+}
+
+/// The timed executor: every input is scheduled at its offset from now and
+/// the simulation runs afterwards, so inputs overlap as their stamps say.
+/// Insertion order is the simulator's tie-break between equal instants.
+impl Executor for Simulation<SwitchMsg> {
+    type Error = Infallible;
+
+    fn tell(&mut self, switch: NodeId, at: SimDuration, msg: SwitchMsg) -> Result<(), Infallible> {
+        self.inject(ActorId(switch.0), at, msg);
+        Ok(())
+    }
+
+    fn settle(&mut self) -> Result<(), Infallible> {
+        Ok(())
+    }
 }
 
 /// Outcome of a scenario run.
@@ -285,7 +381,7 @@ pub struct ScenarioReport {
     pub quiescent: bool,
 }
 
-/// Executes a scenario and gathers the report.
+/// Executes a scenario on the timed simulation and gathers the report.
 pub fn run(scenario: &Scenario) -> ScenarioReport {
     let mut sim: Simulation<SwitchMsg> = build_dgmc_sim(
         &scenario.net,
@@ -293,64 +389,17 @@ pub fn run(scenario: &Scenario) -> ScenarioReport {
         Rc::new(SphStrategy::new()),
     );
     sim.set_event_budget(200_000_000);
+    let Ok(()) = play(scenario, &mut sim);
+    let quiescent = sim.run_to_quiescence() == RunOutcome::Quiescent;
     let mut mcs: Vec<McId> = Vec::new();
     let mut sends: Vec<(McId, u64)> = Vec::new();
-    let mut net_state = scenario.net.clone();
     for step in &scenario.steps {
         match *step {
-            Step::Join { node, at_ms, mc } => {
-                if !mcs.contains(&mc) {
-                    mcs.push(mc);
-                }
-                sim.inject(
-                    ActorId(node.0),
-                    SimDuration::millis(at_ms),
-                    SwitchMsg::HostJoin {
-                        mc,
-                        mc_type: McType::Symmetric,
-                        role: Role::SenderReceiver,
-                    },
-                );
-            }
-            Step::Leave { node, at_ms, mc } => {
-                sim.inject(
-                    ActorId(node.0),
-                    SimDuration::millis(at_ms),
-                    SwitchMsg::HostLeave { mc },
-                );
-            }
-            Step::Link { a, b, up, at_ms } => {
-                let link = net_state
-                    .link_between(a, b)
-                    .expect("validated at parse time")
-                    .id;
-                inject_link_event(&mut sim, &net_state, link, up, SimDuration::millis(at_ms));
-                let state = if up {
-                    dgmc_topology::LinkState::Up
-                } else {
-                    dgmc_topology::LinkState::Down
-                };
-                let _ = net_state.set_link_state(link, state);
-            }
-            Step::Node { node, up, at_ms } => {
-                inject_node_event(&mut sim, &net_state, node, up, SimDuration::millis(at_ms));
-            }
-            Step::Send {
-                node,
-                at_ms,
-                packet_id,
-                mc,
-            } => {
-                sends.push((mc, packet_id));
-                sim.inject(
-                    ActorId(node.0),
-                    SimDuration::millis(at_ms),
-                    SwitchMsg::SendData { mc, packet_id },
-                );
-            }
+            Step::Join { mc, .. } if !mcs.contains(&mc) => mcs.push(mc),
+            Step::Send { mc, packet_id, .. } => sends.push((mc, packet_id)),
+            _ => {}
         }
     }
-    let quiescent = sim.run_to_quiescence() == RunOutcome::Quiescent;
     mcs.sort_unstable();
     let consensus = mcs
         .iter()
@@ -394,7 +443,7 @@ send 0 @20ms id=7
             s.steps[0],
             Step::Join {
                 node: NodeId(0),
-                at_ms: 0,
+                at: SimDuration::ZERO,
                 mc: McId(1)
             }
         );
@@ -478,5 +527,142 @@ send 0 @100ms id=1
             .deliveries
             .iter()
             .any(|&(_, pid, node, copies)| pid == 1 && node == NodeId(2) && copies == 1));
+    }
+
+    #[test]
+    fn a_stamp_earlier_than_its_predecessor_is_rejected() {
+        // The same schedule twice; the second file lists `repair` before
+        // `cut`. An executor that walks the file (ground-truth tracking, the
+        // mesh) and one that sorts by stamp (the DES queue) would disagree
+        // on what it means, so it does not parse.
+        let ordered = "net ring 4\njoin 0 @0ms\njoin 2 @1ms\ncut 0 1 @10ms\nrepair 0 1 @50ms\n\
+                       fail-node 1 @60ms\nrevive-node 1 @70ms\njoin 1 @80ms";
+        let report = run(&parse(ordered).unwrap());
+        assert_eq!(report.counters["dgmc.router_floods"], 6);
+        let swapped = "net ring 4\njoin 0 @0ms\njoin 2 @1ms\nrepair 0 1 @50ms\ncut 0 1 @10ms\n\
+                       fail-node 1 @60ms\nrevive-node 1 @70ms\njoin 1 @80ms";
+        let e = parse(swapped).unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("time goes backwards"), "{e}");
+        // Equal stamps are fine: file order breaks the tie.
+        assert!(parse("net ring 4\njoin 0 @5ms\njoin 1 @5ms").is_ok());
+    }
+
+    #[test]
+    fn out_of_range_input_is_an_error_with_its_line_not_a_panic() {
+        let rows = [
+            ("net ring 0", 1, "below the minimum 3"),
+            ("net ring 1", 1, "below the minimum 3"),
+            ("net ring 2", 1, "below the minimum 3"),
+            ("net path 0", 1, "below the minimum 1"),
+            ("net star 0", 1, "below the minimum 1"),
+            ("net grid 0 4", 1, "below the minimum 1"),
+            ("net grid 4 0", 1, "below the minimum 1"),
+            ("net waxman 0 7", 1, "below the minimum 1"),
+            ("net ring 4\njoin 0 @0ms mc=4294967297", 2, "bad mc value"),
+            (
+                "net ring 4\n\nsend 0 @1ms id=1 mc=4294967296",
+                3,
+                "bad mc value",
+            ),
+            (
+                "net ring 4\njoin 0 @18446744073709551615ms",
+                2,
+                "bad time value",
+            ),
+            ("net ring 4\ncut 0 1 @18446744073710ms", 2, "bad time value"),
+        ];
+        for (text, line, message) in rows {
+            let outcome = std::panic::catch_unwind(|| parse(text));
+            let e = match outcome {
+                Ok(Err(e)) => e,
+                Ok(Ok(s)) => panic!("{text:?} parsed: {:?}", s.steps),
+                Err(_) => panic!("{text:?} panicked"),
+            };
+            assert_eq!(e.line, line, "{text:?}: {e}");
+            assert!(e.message.contains(message), "{text:?}: {e}");
+        }
+        // The bounds themselves are valid.
+        for text in ["net ring 3", "net path 1", "net star 1", "net grid 1 1"] {
+            assert!(parse(text).is_ok(), "{text:?}");
+        }
+        let max = parse("net ring 4\njoin 0 @18446744073709ms mc=4294967295").unwrap();
+        let at = SimDuration::nanos(18_446_744_073_709_000_000);
+        let (node, mc) = (NodeId(0), McId(u32::MAX));
+        assert_eq!(max.steps, [Step::Join { node, at, mc }]);
+    }
+
+    /// Records what the player does, with no simulator behind it.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Executor for Recorder {
+        type Error = Infallible;
+
+        fn tell(
+            &mut self,
+            switch: NodeId,
+            at: SimDuration,
+            msg: SwitchMsg,
+        ) -> Result<(), Infallible> {
+            let input = match msg {
+                SwitchMsg::LinkEvent { link, up, detector } => {
+                    let role = if detector { "detector" } else { "silent" };
+                    format!("{link} {} {role}", if up { "up" } else { "down" })
+                }
+                SwitchMsg::NodeAdmin { up } => format!("admin {}", if up { "up" } else { "down" }),
+                other => dgmc_core::switch::trace_label(&other),
+            };
+            self.0
+                .push(format!("{switch} +{}ns {input}", at.as_nanos()));
+            Ok(())
+        }
+
+        fn settle(&mut self) -> Result<(), Infallible> {
+            self.0.push("settle".to_owned());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn steps_decompose_into_exactly_these_inputs() {
+        // ring 4: links l0 = 0-1, l1 = 1-2, l2 = 2-3, l3 = 0-3.
+        let script = "net ring 4\njoin 3 @0ms\ncut 1 2 @1ms\nfail-node 2 @2ms\n\
+                      revive-node 2 @3ms\nrepair 1 2 @4ms\nfail-node 1 @5ms\nsend 3 @6ms id=9";
+        let mut recorder = Recorder::default();
+        let Ok(()) = play(&parse(script).unwrap(), &mut recorder);
+        let expected = [
+            "s3 +0ns join mc1",
+            "settle",
+            // A link event: both endpoints at once, the detector (the
+            // stored lower endpoint) first.
+            "s1 +1000000ns l1 down detector",
+            "s2 +1000000ns l1 down silent",
+            "settle",
+            // A nodal event: the admin input, then, 1 ns later, one settled
+            // detection per incident link that is up, the surviving
+            // neighbor detecting. Link 1-2 is cut: no input for it.
+            "s2 +2000000ns admin down",
+            "settle",
+            "s3 +2000001ns l2 down detector",
+            "settle",
+            "s2 +3000000ns admin up",
+            "settle",
+            "s3 +3000001ns l2 up detector",
+            "settle",
+            "s1 +4000000ns l1 up detector",
+            "s2 +4000000ns l1 up silent",
+            "settle",
+            // Repaired, 1-2 is part of the next nodal event, in link order.
+            "s1 +5000000ns admin down",
+            "settle",
+            "s0 +5000001ns l0 down detector",
+            "settle",
+            "s2 +5000001ns l1 down detector",
+            "settle",
+            "s3 +6000000ns send-data mc1 #9",
+            "settle",
+        ];
+        assert_eq!(recorder.0, expected, "{:#?}", recorder.0);
     }
 }

@@ -16,7 +16,7 @@
 //! | `peers 0=ADDR;1=ADDR;…` | learn every node's UDP address |
 //! | `join MC [TYPE] [ROLE]` | local host joins `MC` |
 //! | `leave MC` | local host leaves `MC` |
-//! | `link A B up\|down 0\|1` | incident link event (last field: detector) |
+//! | `link ID up\|down 0\|1` | event on incident link `ID`, its position in `--links` (last field: detector) |
 //! | `admin up\|down` | administrative node failure / revival |
 //! | `send MC ID` | inject data packet `ID` into `MC` |
 //! | `status` | `quiet=… timers=… rx=… tx=… log=… mcs=…` |
@@ -94,6 +94,8 @@ struct Driver {
     tx: u64,
     out_dir: PathBuf,
     id: u32,
+    /// The `--links` list: a link's position is its `LinkId`.
+    links: Vec<(u32, u32, u64)>,
 }
 
 /// Runs a node to completion (until a `quit` control command).
@@ -137,8 +139,9 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
         next_resend: 0,
         rx: 0,
         tx: 0,
-        out_dir: opts.out_dir.clone(),
+        out_dir: opts.out_dir,
         id: opts.id,
+        links: opts.links,
     };
     let mut conns: Vec<ControlConn> = Vec::new();
     let mut buf = vec![0u8; 65_536];
@@ -363,6 +366,29 @@ impl Driver {
         Ok(())
     }
 
+    /// `link ID up|down 0|1` as the core's input: the neighbor at the far
+    /// end of incident link `ID`, the new state, the detector flag.
+    fn parse_link(
+        &self,
+        id: &str,
+        state: &str,
+        detector: &str,
+    ) -> Result<(NodeId, bool, bool), String> {
+        let link = id.parse().ok().and_then(|i: usize| self.links.get(i));
+        let &(a, b, _) = link.ok_or_else(|| format!("bad link id {id:?}"))?;
+        let neighbor = match self.id {
+            me if me == a => b,
+            me if me == b => a,
+            me => return Err(format!("link {a}-{b} is not incident to node {me}")),
+        };
+        let detector = match detector {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("bad detector flag {other:?}")),
+        };
+        Ok((NodeId(neighbor), parse_up_down(state)?, detector))
+    }
+
     /// Executes one control command, returning `(reply, quit)`.
     fn handle_command(&mut self, line: &str) -> std::io::Result<(String, bool)> {
         let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -391,7 +417,7 @@ impl Driver {
                 }
                 Err(e) => format!("err {e}"),
             },
-            ["link", a, b, state, detector] => match parse_link(self.id, a, b, state, detector) {
+            ["link", id, state, detector] => match self.parse_link(id, state, detector) {
                 Ok((neighbor, up, detector)) => {
                     let outs = self.core.on_link_event(self.now(), neighbor, up, detector);
                     self.apply(outs)?;
@@ -472,31 +498,6 @@ fn parse_join(mc: &str, rest: &[&str]) -> Result<(McId, McType, Role), String> {
         Some(other) => return Err(format!("bad role {other:?}")),
     };
     Ok((mc, mc_type, role))
-}
-
-fn parse_link(
-    me: u32,
-    a: &str,
-    b: &str,
-    state: &str,
-    detector: &str,
-) -> Result<(NodeId, bool, bool), String> {
-    let a: u32 = a.parse().map_err(|_| format!("bad node id {a:?}"))?;
-    let b: u32 = b.parse().map_err(|_| format!("bad node id {b:?}"))?;
-    let neighbor = if a == me {
-        b
-    } else if b == me {
-        a
-    } else {
-        return Err(format!("link {a}-{b} is not incident to node {me}"));
-    };
-    let up = parse_up_down(state)?;
-    let detector = match detector {
-        "0" => false,
-        "1" => true,
-        other => return Err(format!("bad detector flag {other:?}")),
-    };
-    Ok((NodeId(neighbor), up, detector))
 }
 
 fn parse_up_down(tok: &str) -> Result<bool, String> {

@@ -4,13 +4,10 @@
 //!
 //! The launcher is the socket-world twin of the DES scenario runner
 //! (`dgmc_experiments::scenario::run`): it parses the same scenario
-//! language, applies the same step decomposition (`cut`/`repair` become
-//! per-endpoint link events with the lower endpoint as detector,
-//! `fail-node`/`revive-node` become an admin event plus neighbor-detected
-//! link events, one drained detection at a time) and, between steps, waits
-//! for the mesh to go quiescent — the real-time equivalent of
-//! `run_to_quiescence`. That stepping is what makes per-node decision logs
-//! comparable with a stepped DES reference.
+//! language and is an executor of the same player, `scenario::play` — a
+//! `tell` is one control line, a `settle` waits for the mesh to go quiescent
+//! (the real-time equivalent of `run_to_quiescence`). Which inputs a step
+//! means, and why a stepped run drains between them, is documented there.
 //!
 //! Everything is deadline-guarded: a child that never prints its `ready`
 //! handshake, never answers a control command, or never goes quiet fails
@@ -18,10 +15,13 @@
 //! failing test leaves no orphan processes behind.
 
 use crate::snapshot::per_switch_logs;
-use dgmc_experiments::scenario::{Scenario, Step};
+use dgmc_core::switch::SwitchMsg;
+use dgmc_core::{McType, Role};
+use dgmc_des::SimDuration;
+use dgmc_experiments::scenario::{self, Executor, Scenario};
 use dgmc_obs::{JsonValue, MetricsRegistry};
-use dgmc_topology::LinkId;
-use std::collections::{BTreeMap, BTreeSet};
+use dgmc_topology::NodeId;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -153,9 +153,8 @@ pub struct Mesh {
     nodes: Vec<Node>,
     deadline: Duration,
     out_dir: PathBuf,
-    /// Links a `cut` took down and no `repair` brought back: the ground
-    /// truth a nodal event must not touch.
-    cut: BTreeSet<LinkId>,
+    /// Inputs told since the last `settle` (see the [`Executor`] impl).
+    told: Vec<(NodeId, SwitchMsg)>,
 }
 
 impl Drop for Mesh {
@@ -197,7 +196,7 @@ impl Mesh {
             nodes: Vec::with_capacity(n),
             deadline: opts.deadline,
             out_dir: opts.out_dir.clone(),
-            cut: BTreeSet::new(),
+            told: Vec::new(),
         };
         for id in 0..n {
             let mut cmd = Command::new(&binary);
@@ -328,74 +327,6 @@ impl Mesh {
         }
     }
 
-    /// Applies one scenario step to the mesh (the socket-world mirror of
-    /// the DES `inject_*` helpers), without waiting for quiescence after
-    /// its last input.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a control command is rejected or times out.
-    pub fn apply_step(&mut self, scenario: &Scenario, step: &Step) -> Result<(), MeshError> {
-        match *step {
-            Step::Join { node, mc, .. } => self.expect_ok(node.index(), &format!("join {}", mc.0)),
-            Step::Leave { node, mc, .. } => {
-                self.expect_ok(node.index(), &format!("leave {}", mc.0))
-            }
-            Step::Link { a, b, up, .. } => {
-                let link = scenario
-                    .net
-                    .link_between(a, b)
-                    .ok_or_else(|| mesh_err(format!("no link between {a} and {b}")))?;
-                let state = if up {
-                    self.cut.remove(&link.id);
-                    "up"
-                } else {
-                    self.cut.insert(link.id);
-                    "down"
-                };
-                // Same decomposition as `inject_link_event`: the stored
-                // lower endpoint advertises (detector), the other only
-                // updates local truth (and answers with a DbSync on up).
-                let (det, other) = (link.a, link.b);
-                self.expect_ok(
-                    other.index(),
-                    &format!("link {} {} {state} 0", link.a.0, link.b.0),
-                )?;
-                self.expect_ok(
-                    det.index(),
-                    &format!("link {} {} {state} 1", link.a.0, link.b.0),
-                )
-            }
-            Step::Node { node, up, .. } => {
-                let state = if up { "up" } else { "down" };
-                self.expect_ok(node.index(), &format!("admin {state}"))?;
-                // Neighbors detect each incident link transition and
-                // advertise their side (`inject_node_event`); a cut link is
-                // down whatever the node does.
-                let neighbors: Vec<(u32, u32, usize)> = scenario
-                    .net
-                    .links()
-                    .filter(|l| (l.a == node || l.b == node) && !self.cut.contains(&l.id))
-                    .map(|l| (l.a.0, l.b.0, l.other(node).index()))
-                    .collect();
-                for (a, b, neighbor) in neighbors {
-                    // One detection at a time, drained first: issued back to
-                    // back, the first detector's proposal would race the
-                    // second detection and the run would not be repeatable.
-                    self.await_quiescence()?;
-                    self.expect_ok(neighbor, &format!("link {a} {b} {state} 1"))?;
-                }
-                Ok(())
-            }
-            Step::Send {
-                node,
-                packet_id,
-                mc,
-                ..
-            } => self.expect_ok(node.index(), &format!("send {} {packet_id}", mc.0)),
-        }
-    }
-
     /// Polls every node's `status` until the whole mesh is quiet — every
     /// engine idle, every timer wheel empty, and the global rx/tx datagram
     /// counts stable across two consecutive polls.
@@ -403,7 +334,7 @@ impl Mesh {
     /// # Errors
     ///
     /// Fails when the deadline passes first (a hung or diverging mesh).
-    pub fn await_quiescence(&mut self) -> Result<(), MeshError> {
+    fn await_quiescence(&mut self) -> Result<(), MeshError> {
         let start = Instant::now();
         let mut last_traffic: Option<(u64, u64)> = None;
         loop {
@@ -585,21 +516,59 @@ impl MeshReport {
     }
 }
 
-/// Runs a scenario through a mesh with a quiescence barrier after every
-/// step (the socket-world `run_to_quiescence` between injections), then
-/// collects the merged report.
+/// The control line that hands a node the input `msg`.
+fn control_line(msg: &SwitchMsg) -> Result<String, MeshError> {
+    let state = |up: bool| if up { "up" } else { "down" };
+    Ok(match *msg {
+        // `join MC` with no type or role is the symmetric sender-receiver join.
+        SwitchMsg::HostJoin {
+            mc,
+            mc_type: McType::Symmetric,
+            role: Role::SenderReceiver,
+        } => format!("join {}", mc.0),
+        SwitchMsg::HostLeave { mc } => format!("leave {}", mc.0),
+        SwitchMsg::LinkEvent { link, up, detector } => {
+            format!("link {} {} {}", link.0, state(up), u8::from(detector))
+        }
+        SwitchMsg::NodeAdmin { up } => format!("admin {}", state(up)),
+        SwitchMsg::SendData { mc, packet_id } => format!("send {} {packet_id}", mc.0),
+        ref other => return Err(mesh_err(format!("no control line for {other:?}"))),
+    })
+}
+
+/// The stepped socket-world executor. Tells are held back until `settle`
+/// and go out last-told first: the player tells the detector of a
+/// `cut`/`repair` first (the simulator's tie-break between two inputs of one
+/// instant), but here the two tells are a control round trip apart, not
+/// simultaneous, so the silent endpoint must have updated its local truth
+/// before the detector's advertisement can reach it. Every other batch is a
+/// single tell.
+impl Executor for Mesh {
+    type Error = MeshError;
+
+    fn tell(&mut self, switch: NodeId, _at: SimDuration, msg: SwitchMsg) -> Result<(), MeshError> {
+        self.told.push((switch, msg));
+        Ok(())
+    }
+
+    fn settle(&mut self) -> Result<(), MeshError> {
+        while let Some((switch, msg)) = self.told.pop() {
+            self.expect_ok(switch.index(), &control_line(&msg)?)?;
+        }
+        self.await_quiescence()
+    }
+}
+
+/// Plays a scenario into a mesh, then collects the merged report.
 ///
 /// # Errors
 ///
 /// Fails on scenario parse errors and every launcher failure mode.
 pub fn run_scenario_mesh(scenario_text: &str, opts: &MeshOptions) -> Result<MeshReport, MeshError> {
-    let scenario = dgmc_experiments::scenario::parse(scenario_text)
-        .map_err(|e| mesh_err(format!("scenario: {e}")))?;
+    let scenario =
+        scenario::parse(scenario_text).map_err(|e| mesh_err(format!("scenario: {e}")))?;
     let mut mesh = Mesh::spawn(&scenario, opts)?;
-    for step in &scenario.steps {
-        mesh.apply_step(&scenario, step)?;
-        mesh.await_quiescence()?;
-    }
+    scenario::play(&scenario, &mut mesh)?;
     mesh.collect()
 }
 
