@@ -21,35 +21,12 @@ use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// How the explorer walks the schedule space.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExploreMode {
-    /// Randomized seed sweep: each seed derives one schedule (DESIGN.md §8).
-    #[default]
-    Sweep,
-    /// Bounded systematic exploration: enumerate *all* delivery
-    /// interleavings of a small scenario with the [`crate::mc`] model
-    /// checker (DESIGN.md §11).
-    Systematic,
-}
-
-impl fmt::Display for ExploreMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExploreMode::Sweep => write!(f, "sweep"),
-            ExploreMode::Systematic => write!(f, "systematic"),
-        }
-    }
-}
-
 /// What seed range to run and how to react to failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
-    /// Sweep the seed space or systematically enumerate interleavings.
-    pub mode: ExploreMode,
-    /// First seed checked (`Sweep` mode only).
+    /// First seed checked.
     pub start_seed: u64,
-    /// Number of consecutive seeds checked (`Sweep` mode only).
+    /// Number of consecutive seeds checked.
     pub seeds: u64,
     /// Stop at the first failing seed instead of completing the sweep.
     pub fail_fast: bool,
@@ -61,7 +38,6 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            mode: ExploreMode::Sweep,
             start_seed: 0,
             seeds: 100,
             fail_fast: false,
@@ -520,7 +496,6 @@ mod tests {
                     seeds: 40,
                     fail_fast,
                     jobs: 1,
-                    ..ExploreConfig::default()
                 },
                 scenario,
             );
@@ -530,7 +505,6 @@ mod tests {
                     seeds: 40,
                     fail_fast,
                     jobs,
-                    ..ExploreConfig::default()
                 };
                 let sharded = explore_sharded(&config, |_| (), |(), seed| scenario(seed));
                 assert_eq!(
@@ -551,7 +525,6 @@ mod tests {
             seeds: 64,
             fail_fast: true,
             jobs: 4,
-            ..ExploreConfig::default()
         };
         let report = explore_sharded(
             &config,
@@ -576,7 +549,6 @@ mod tests {
             seeds: 30,
             fail_fast: false,
             jobs: 3,
-            ..ExploreConfig::default()
         };
         // Per-worker counters: each worker increments only its own state, so
         // the per-seed work never needs synchronization.

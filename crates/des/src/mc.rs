@@ -24,7 +24,10 @@
 //! replay bit-for-bit via [`replay`], shrink via [`minimize`] (prefix
 //! bisection + delta-debugging chunk removal), and shard across workers via
 //! [`explore_sharded`] (DFS-subtree prefixes over [`crate::par::sweep`],
-//! byte-identical for every `jobs` value).
+//! byte-identical for every `jobs` value). [`explore`] is the same search
+//! as one DFS over one cache — fewer states, no `Sync` model, slower than
+//! two real threads (DESIGN.md §11 has the numbers) — and
+//! [`backward_search`] is serial and holds its states.
 
 use crate::explorer::Violation;
 use crate::par;
@@ -169,7 +172,8 @@ pub struct McConfig {
     /// incomplete).
     pub max_depth: usize,
     /// Maximum search states expanded; the budget marks the run incomplete
-    /// when hit.
+    /// when hit. One budget per DFS: [`explore_sharded`] applies it to each
+    /// subtree.
     pub max_states: u64,
     /// Stop at the first counterexample instead of collecting all leaves.
     pub fail_fast: bool,
@@ -624,7 +628,10 @@ struct Prefix<A> {
 /// **byte-identical for every `jobs` value** — the CI gate diffs the
 /// rendered JSON across worker counts. Each subtree has a private state
 /// cache; cross-subtree revisits are re-explored, so sharded totals exceed
-/// the serial [`explore`] totals (deterministically so).
+/// the serial [`explore`] totals (deterministically so) — and a private
+/// state budget: [`McConfig::max_states`] bounds each subtree, not the
+/// run, which may therefore visit up to `SHARD_PREFIXES` times the limit
+/// before it reports `complete: false`.
 pub fn explore_sharded<M>(model: &M, config: &McConfig, jobs: usize) -> McReport<M::Action>
 where
     M: Model + Sync,
@@ -933,7 +940,7 @@ impl BackwardReport {
     }
 
     /// Renders the report as one stable JSON object; two runs agree iff
-    /// the rendered reports are byte-identical (the CI `--jobs` gate).
+    /// the rendered reports are byte-identical.
     pub fn to_json(&self) -> String {
         JsonValue::obj(vec![
             ("states", JsonValue::U64(self.stats.states)),
@@ -974,11 +981,9 @@ impl BackwardReport {
 ///   BFS runs without sleep sets — unlike the fail-fast forward DFS of
 ///   [`explore`], it maps *every* reachable state up to the target's
 ///   depth, so it reaches violation states on interleavings the forward
-///   search stopped short of. Each level fans its node expansions out over
-///   `jobs` workers ([`par::sweep`]); workers rebuild their node in-thread
-///   by replaying its key path (states never cross threads) and results
-///   merge in frontier order, so the report is **byte-identical for every
-///   `jobs` value**.
+///   search stopped short of. The frontier holds each state beside its
+///   hash and levels expand in frontier order, so the first-discovery
+///   edges, and with them the report, are a pure function of the model.
 /// * **Phase B (backward walk)**: from the first target hash reached, the
 ///   recorded predecessor edges are followed *backward* to the initial
 ///   state; reversing that walk yields the shortest witness schedule,
@@ -987,16 +992,11 @@ impl BackwardReport {
 /// A search is `complete` when it found a target or exhausted the
 /// reachable space within the bounds; hitting `max_levels`/`max_states`
 /// first makes the no-target answer inconclusive.
-pub fn backward_search<M>(
+pub fn backward_search<M: Model>(
     model: &M,
     config: &BackwardConfig,
     targets: &[u64],
-    jobs: usize,
-) -> BackwardReport
-where
-    M: Model + Sync,
-    M::Action: Send + Sync,
-{
+) -> BackwardReport {
     let targets: BTreeSet<u64> = targets.iter().copied().collect();
     let initial = model.initial();
     let init_hash = model.state_hash(&initial);
@@ -1010,46 +1010,19 @@ where
     };
     let mut complete = true;
     let mut found: Option<u64> = targets.contains(&init_hash).then_some(init_hash);
-    // Frontier nodes carry their key path so workers can rebuild them.
-    let mut frontier: Vec<(u64, Vec<u64>)> = vec![(init_hash, Vec::new())];
+    let mut frontier: Vec<(u64, M::State)> = vec![(init_hash, initial)];
     while found.is_none() && !frontier.is_empty() && complete {
         if stats.levels >= config.max_levels {
             complete = false;
             break;
         }
-        let expansions: Vec<Option<Vec<(u64, u64)>>> = par::sweep(
-            jobs.max(1),
-            frontier.len(),
-            |_| (),
-            |(), index| {
-                let (_, path) = &frontier[index];
-                let mut state = model.initial();
-                for key in path {
-                    let action = model
-                        .enabled(&state)
-                        .into_iter()
-                        .find(|a| model.action_key(&state, a) == *key)
-                        .expect("frontier paths replay deterministically");
-                    state = model.apply(&state, &action).state;
-                }
-                model
-                    .enabled(&state)
-                    .into_iter()
-                    .map(|action| {
-                        let key = model.action_key(&state, &action);
-                        let succ = model.apply(&state, &action).state;
-                        (key, model.state_hash(&succ))
-                    })
-                    .collect()
-            },
-            |_| false,
-        );
         stats.levels += 1;
-        let mut next: Vec<(u64, Vec<u64>)> = Vec::new();
-        'merge: for (index, result) in expansions.into_iter().enumerate() {
-            let successors = result.expect("level workers never cancel");
-            let (parent_hash, path) = &frontier[index];
-            for (key, succ_hash) in successors {
+        let mut next: Vec<(u64, M::State)> = Vec::new();
+        'level: for (parent_hash, state) in &frontier {
+            for action in model.enabled(state) {
+                let key = model.action_key(state, &action);
+                let succ = model.apply(state, &action).state;
+                let succ_hash = model.state_hash(&succ);
                 stats.transitions += 1;
                 if !seen.insert(succ_hash) {
                     continue;
@@ -1057,18 +1030,14 @@ where
                 pred.insert(succ_hash, (*parent_hash, key));
                 stats.states += 1;
                 if targets.contains(&succ_hash) {
-                    // First target in frontier order: canonical across
-                    // worker counts because the merge is index-ordered.
                     found = Some(succ_hash);
-                    break 'merge;
+                    break 'level;
                 }
                 if stats.states >= config.max_states {
                     complete = false;
-                    break 'merge;
+                    break 'level;
                 }
-                let mut child_path = path.clone();
-                child_path.push(key);
-                next.push((succ_hash, child_path));
+                next.push((succ_hash, succ));
             }
         }
         frontier = next;
@@ -1342,7 +1311,7 @@ mod tests {
         // Seed: the "bad" quiescent state (both private writes done, shared
         // written 2 then 1), as a forward replay would capture it.
         let target = hash_after(&model, &[0, 1, 1002, 1001]);
-        let report = backward_search(&model, &BackwardConfig::default(), &[target], 1);
+        let report = backward_search(&model, &BackwardConfig::default(), &[target]);
         assert!(report.found(), "{}", report.summary());
         assert!(report.complete);
         assert_eq!(report.target, Some(target));
@@ -1359,7 +1328,7 @@ mod tests {
             conflict: true,
             bad_shared: 1,
         };
-        let report = backward_search(&model, &BackwardConfig::default(), &[0xDEAD_BEEF], 1);
+        let report = backward_search(&model, &BackwardConfig::default(), &[0xDEAD_BEEF]);
         assert!(!report.found());
         assert!(report.complete, "reachable space must be exhausted");
         assert!(report.witness_keys.is_empty());
@@ -1380,26 +1349,9 @@ mod tests {
                 ..BackwardConfig::default()
             },
             &[target],
-            1,
         );
         assert!(!report.found());
         assert!(!report.complete, "level budget must mark inconclusive");
-    }
-
-    #[test]
-    fn backward_report_is_byte_identical_across_jobs() {
-        let model = Toy {
-            writers: 3,
-            conflict: true,
-            bad_shared: 1,
-        };
-        let target = hash_after(&model, &[0, 1, 2, 1002, 1001]);
-        let config = BackwardConfig::default();
-        let baseline = backward_search(&model, &config, &[target], 1).to_json();
-        for jobs in [2, 4, 8] {
-            let report = backward_search(&model, &config, &[target], jobs).to_json();
-            assert_eq!(baseline, report, "jobs={jobs} diverged");
-        }
     }
 
     #[test]

@@ -43,12 +43,13 @@
 //! the forward counterexample's). `--crashes N` is shared with the sweep:
 //! fail-stop switch crashes there, scheduler-chosen crash points here.
 //!
-//! Shared flags: `--jobs N` (worker threads, default `min(cores, 8)`; the
-//! report is byte-identical for every value), `--nodes N`, `--flaps N`,
-//! `--out DIR` (default `results`), `--report FILE` (write the report
-//! JSON). Exits non-zero if any checked schedule fails.
+//! Shared flags: `--jobs N` (worker threads of the sweep and of the forward
+//! systematic search, default `min(cores, 8)`; the report is byte-identical
+//! for every value; `--backward` is one serial search and ignores it),
+//! `--nodes N`, `--flaps N`, `--out DIR` (default `results`), `--report FILE`
+//! (write the report JSON). Exits non-zero if any checked schedule fails.
 
-use dgmc_des::explorer::{ExploreConfig, ExploreMode};
+use dgmc_des::explorer::ExploreConfig;
 use dgmc_des::{par, SimDuration};
 use dgmc_experiments::explore::{self, ExploreParams};
 use dgmc_experiments::systematic::{self, SystematicParams};
@@ -75,6 +76,7 @@ fn main() {
     };
     let mut params = ExploreParams::default();
     let mut sys = SystematicParams::default();
+    let mut systematic_mode = false;
     let mut replay_seed: Option<u64> = None;
     let mut trace_keys: Option<Vec<u64>> = None;
     let mut backward = false;
@@ -92,7 +94,7 @@ fn main() {
                 continue;
             }
             "--systematic" => {
-                config.mode = ExploreMode::Systematic;
+                systematic_mode = true;
                 i += 1;
                 continue;
             }
@@ -181,17 +183,20 @@ fn main() {
         i += 2;
     }
 
-    if backward {
-        if config.mode != ExploreMode::Systematic {
-            eprintln!("--backward requires --systematic");
+    if backward && !systematic_mode {
+        eprintln!("--backward requires --systematic");
+        std::process::exit(2);
+    }
+    if systematic_mode {
+        if let Err(e) = sys.validate() {
+            eprintln!("{e}");
             std::process::exit(2);
         }
-        run_backward_mode(&config, &sys, backward_targets.as_deref(), report_path);
-        return;
-    }
-
-    if config.mode == ExploreMode::Systematic {
-        run_systematic_mode(&config, &sys, trace_keys.as_deref(), &out_dir, report_path);
+        if backward {
+            run_backward_mode(&config, &sys, backward_targets.as_deref(), report_path);
+        } else {
+            run_systematic_mode(&config, &sys, trace_keys.as_deref(), &out_dir, report_path);
+        }
         return;
     }
 
@@ -367,14 +372,12 @@ fn run_backward_mode(
         max_states: sys.max_states,
     };
     eprintln!(
-        "backward-searching toward {} seeded state(s) on {} worker(s) \
-         (levels <= {}, states <= {})",
+        "backward-searching toward {} seeded state(s) (levels <= {}, states <= {})",
         targets.len(),
-        config.jobs.max(1),
         bounds.max_levels,
         bounds.max_states,
     );
-    let report = systematic::run_backward(config, sys, &bounds, &targets);
+    let report = systematic::run_backward(sys, &bounds, &targets);
     if let Some(path) = report_path {
         match write_report(&path, &report.to_json()) {
             Ok(()) => eprintln!("report: {path}"),

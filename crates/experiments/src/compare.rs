@@ -7,12 +7,13 @@
 //! brute-force cost of n redundant computations per event.
 
 use crate::runner::{run_dgmc, RunOptions};
+use crate::scenario::{self, Scenario};
 use crate::workload::{self, SparseParams};
 use dgmc_baselines::brute_force::{self, BfMsg};
 use dgmc_baselines::cbt;
 use dgmc_baselines::mospf::{self, MospfMsg};
-use dgmc_core::switch::{build_dgmc_sim, counters as dgmc_counters, DgmcConfig, SwitchMsg};
-use dgmc_core::{McId, McType, Role};
+use dgmc_core::switch::{build_dgmc_sim, counters as dgmc_counters, DgmcConfig};
+use dgmc_core::{McId, Role};
 use dgmc_des::stats::Tally;
 use dgmc_des::{ActorId, SimDuration};
 use dgmc_mctree::{algorithms, metrics as tree_metrics, SphStrategy};
@@ -268,31 +269,15 @@ pub fn signaling_registry(
                 DgmcConfig::computation_dominated(),
                 Rc::new(SphStrategy::new()),
             );
-            for (i, m) in wl.initial_members.iter().enumerate() {
-                sim.inject(
-                    ActorId(m.0),
-                    SimDuration::millis(200) * i as u64,
-                    SwitchMsg::HostJoin {
-                        mc: MC,
-                        mc_type: McType::Symmetric,
-                        role: Role::SenderReceiver,
-                    },
-                );
-            }
+            let mut script = Scenario {
+                net: net.clone(),
+                steps: wl.warm_up(MC, SimDuration::millis(200)),
+            };
+            let Ok(()) = scenario::play(&script, &mut sim);
             sim.run_to_quiescence();
             sim.reset_counters();
-            for e in &wl.events {
-                let msg = if e.join {
-                    SwitchMsg::HostJoin {
-                        mc: MC,
-                        mc_type: McType::Symmetric,
-                        role: Role::SenderReceiver,
-                    }
-                } else {
-                    SwitchMsg::HostLeave { mc: MC }
-                };
-                sim.inject(ActorId(e.node.0), e.at, msg);
-            }
+            script.steps = wl.measured(MC);
+            let Ok(()) = scenario::play(&script, &mut sim);
             sim.run_to_quiescence();
             registry.merge(sim.metrics());
 

@@ -14,12 +14,10 @@ use crate::runner::EXPERIMENT_MC;
 use crate::scenario::{self, Step};
 use crate::workload::{self, BurstParams, Workload};
 use dgmc_core::invariants;
-use dgmc_core::switch::{build_dgmc_sim_with_cache, trace_label, DgmcConfig, SwitchMsg};
-use dgmc_core::{McType, Role};
+use dgmc_core::switch::{build_dgmc_sim_with_cache, trace_label, DgmcConfig};
 use dgmc_des::explorer::{self, ExploreConfig, ExploreReport, ReproBundle, SeedOutcome, Violation};
 use dgmc_des::{
-    ActorId, FaultPlan, FaultyNet, LinkFaults, LinkFlap, NetStats, NodeOutage, RunOutcome,
-    SimDuration,
+    FaultPlan, FaultyNet, LinkFaults, LinkFlap, NetStats, NodeOutage, RunOutcome, SimDuration,
 };
 use dgmc_mctree::SphStrategy;
 use dgmc_obs::render_trace_timeline;
@@ -233,16 +231,7 @@ fn liveness_violation(stage: &str) -> Violation {
 /// scheduled flaps and crash windows. The windows are disjoint and in time
 /// order, so the player's ground truth is right at every nodal event.
 fn measured_steps(workload: &Workload, plan: &FaultPlan) -> Vec<Step> {
-    let mc = EXPERIMENT_MC;
-    let mut steps = Vec::new();
-    for e in &workload.events {
-        let (node, at) = (e.node, e.at);
-        steps.push(if e.join {
-            Step::Join { node, at, mc }
-        } else {
-            Step::Leave { node, at, mc }
-        });
-    }
+    let mut steps = workload.measured(EXPERIMENT_MC);
     for flap in &plan.flaps {
         let (a, b) = (NodeId(flap.a), NodeId(flap.b));
         for (up, at) in [(false, flap.down_at), (true, flap.up_at)] {
@@ -280,10 +269,10 @@ pub fn run_scenario(
         workload,
         plan,
     } = build_scenario(seed, params);
-    // The measured phase — the membership burst plus the scheduled flaps and
-    // crash windows — is a script for the one scenario player.
-    let steps = measured_steps(&workload, &plan);
-    let script = scenario::Scenario { net, steps };
+    // Both phases are scripts for the one scenario player. Warm-up: initial
+    // members join, well separated.
+    let steps = workload.warm_up(EXPERIMENT_MC, SimDuration::millis(10));
+    let mut script = scenario::Scenario { net, steps };
     let mut sim = build_dgmc_sim_with_cache(
         &script.net,
         params.config,
@@ -295,23 +284,15 @@ pub fn run_scenario(
     sim.set_net_model(FaultyNet::new(plan.clone(), seed ^ NET_SEED_SALT));
 
     let mut violations = Vec::new();
-    // Warm-up: initial members join, well separated.
-    for (i, m) in workload.initial_members.iter().enumerate() {
-        sim.inject(
-            ActorId(m.0),
-            SimDuration::millis(10) * i as u64,
-            SwitchMsg::HostJoin {
-                mc: EXPERIMENT_MC,
-                mc_type: McType::Symmetric,
-                role: Role::SenderReceiver,
-            },
-        );
-    }
+    let Ok(()) = scenario::play(&script, &mut sim);
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         violations.push(liveness_violation("warm-up"));
     } else {
-        // Measured phase, all injected up front; every outage is restored
-        // before quiescence, so the pristine network is the end state.
+        // Measured phase — the membership burst plus the scheduled flaps
+        // and crash windows — all injected up front; every outage is
+        // restored before quiescence, so the pristine network is the end
+        // state.
+        script.steps = measured_steps(&workload, &plan);
         if timeline.is_some() {
             // Replay path: also collect the causal span tree of the
             // measured phase (the queue is empty at this quiescent instant,
@@ -521,7 +502,6 @@ mod tests {
                     seeds: 6,
                     fail_fast: false,
                     jobs,
-                    ..ExploreConfig::default()
                 },
                 &params,
             );
@@ -548,7 +528,6 @@ mod tests {
             seeds: 8,
             fail_fast: false,
             jobs: 4,
-            ..ExploreConfig::default()
         };
         let dir = std::env::temp_dir().join(format!("dgmc-par-bundles-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

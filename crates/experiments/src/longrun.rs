@@ -7,8 +7,10 @@
 //! and trees that stay competitive despite being maintained incrementally
 //! the whole time.
 
+use crate::scenario::{self, Scenario, Step};
+use crate::workload::Workload;
 use dgmc_core::switch::{build_dgmc_sim, counters, DgmcConfig, DgmcSwitch, SwitchMsg};
-use dgmc_core::{convergence, McId, McType, Role};
+use dgmc_core::{convergence, McId};
 use dgmc_des::{ActorId, RunOutcome, SimDuration, Simulation};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, NodeId};
@@ -85,23 +87,17 @@ pub fn churn_run(
         Rc::new(SphStrategy::new()),
     );
     sim.set_event_budget(2_000_000_000);
-    let mut members: Vec<NodeId> = Vec::new();
     // Seed three members.
-    for (i, m) in generate::sample_nodes(&mut rng, &net, 3)
-        .into_iter()
-        .enumerate()
-    {
-        sim.inject(
-            ActorId(m.0),
-            SimDuration::millis(10 * i as u64),
-            SwitchMsg::HostJoin {
-                mc: MC,
-                mc_type: McType::Symmetric,
-                role: Role::SenderReceiver,
-            },
-        );
-        members.push(m);
-    }
+    let seeded = Workload {
+        initial_members: generate::sample_nodes(&mut rng, &net, 3),
+        events: Vec::new(),
+    };
+    let mut script = Scenario {
+        net: net.clone(),
+        steps: seeded.warm_up(MC, SimDuration::millis(10)),
+    };
+    let Ok(()) = scenario::play(&script, &mut sim);
+    let mut members = seeded.initial_members;
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         return Err(LongRunError::Diverged);
     }
@@ -112,28 +108,22 @@ pub fn churn_run(
     while events < total_events {
         // Exponential-ish gap: uniform in [1, 2*mean) keeps determinism
         // simple while exercising overlapping and isolated events alike.
-        let gap = SimDuration::millis(rng.gen_range(1..mean_gap_ms.max(2) * 2));
+        let at = SimDuration::millis(rng.gen_range(1..mean_gap_ms.max(2) * 2));
         let leave = members.len() > 2 && rng.gen_bool(0.5);
-        if leave {
+        let step = if leave {
             let idx = rng.gen_range(0..members.len());
             let node = members.swap_remove(idx);
-            sim.inject(ActorId(node.0), gap, SwitchMsg::HostLeave { mc: MC });
+            Step::Leave { node, at, mc: MC }
         } else {
             let candidates: Vec<NodeId> = net.nodes().filter(|x| !members.contains(x)).collect();
             let Some(&node) = candidates.as_slice().choose(&mut rng) else {
                 continue;
             };
             members.push(node);
-            sim.inject(
-                ActorId(node.0),
-                gap,
-                SwitchMsg::HostJoin {
-                    mc: MC,
-                    mc_type: McType::Symmetric,
-                    role: Role::SenderReceiver,
-                },
-            );
-        }
+            Step::Join { node, at, mc: MC }
+        };
+        script.steps = vec![step];
+        let Ok(()) = scenario::play(&script, &mut sim);
         events += 1;
         if sim.run_to_quiescence() != RunOutcome::Quiescent {
             return Err(LongRunError::Diverged);

@@ -6,11 +6,12 @@
 //! connections active at once and identical per-connection workloads, the
 //! per-event overhead must not grow with `k`.
 
+use crate::scenario::{self, Scenario, Step};
 use crate::workload::BurstParams;
-use dgmc_core::switch::{build_dgmc_sim, counters, DgmcConfig, SwitchMsg};
-use dgmc_core::{convergence, McId, McType, Role};
+use dgmc_core::switch::{build_dgmc_sim, counters, DgmcConfig};
+use dgmc_core::{convergence, McId};
 use dgmc_des::stats::Tally;
-use dgmc_des::{ActorId, RunOutcome, SimDuration};
+use dgmc_des::{RunOutcome, SimDuration};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::generate;
 use rand::rngs::StdRng;
@@ -65,44 +66,30 @@ pub fn multi_mc_sweep(
             };
             // Warm-up: every MC gets its own initial members, well apart.
             let mut workloads = Vec::new();
+            let mut steps = Vec::new();
             for c in 0..k {
                 let wl = crate::workload::bursty(&mut rng, &net, &params);
-                for (i, m) in wl.initial_members.iter().enumerate() {
-                    sim.inject(
-                        ActorId(m.0),
-                        SimDuration::millis((c * 50 + i * 5) as u64),
-                        SwitchMsg::HostJoin {
-                            mc: McId(c as u32 + 1),
-                            mc_type: McType::Symmetric,
-                            role: Role::SenderReceiver,
-                        },
-                    );
-                }
+                let mc = McId(c as u32 + 1);
+                steps.extend(wl.initial_members.iter().enumerate().map(|(i, &node)| {
+                    let at = SimDuration::millis((c * 50 + i * 5) as u64);
+                    Step::Join { node, at, mc }
+                }));
                 workloads.push(wl);
             }
+            let mut script = Scenario { net, steps };
+            let Ok(()) = scenario::play(&script, &mut sim);
             if sim.run_to_quiescence() != RunOutcome::Quiescent {
                 row.failures += 1;
                 continue;
             }
             sim.reset_counters();
             // Measured phase: all bursts fire in the same 100us window.
-            let mut events = 0u64;
-            for (c, wl) in workloads.iter().enumerate() {
-                let mc = McId(c as u32 + 1);
-                for e in &wl.events {
-                    let msg = if e.join {
-                        SwitchMsg::HostJoin {
-                            mc,
-                            mc_type: McType::Symmetric,
-                            role: Role::SenderReceiver,
-                        }
-                    } else {
-                        SwitchMsg::HostLeave { mc }
-                    };
-                    sim.inject(ActorId(e.node.0), e.at, msg);
-                    events += 1;
-                }
-            }
+            let bursts = workloads.iter().enumerate();
+            script.steps = bursts
+                .flat_map(|(c, wl)| wl.measured(McId(c as u32 + 1)))
+                .collect();
+            let Ok(()) = scenario::play(&script, &mut sim);
+            let events = script.steps.len() as u64;
             if sim.run_to_quiescence() != RunOutcome::Quiescent || events == 0 {
                 row.failures += 1;
                 continue;

@@ -3,10 +3,12 @@
 //! link/nodal events". This module measures how quickly a multipoint
 //! connection recovers from the failure of a link its tree uses.
 
+use crate::scenario::{self, Scenario};
+use crate::workload::Workload;
 use dgmc_core::switch::{
     build_dgmc_sim, inject_link_event, inject_node_event, DgmcConfig, SwitchMsg,
 };
-use dgmc_core::{convergence, McId, McType, Role};
+use dgmc_core::{convergence, McId};
 use dgmc_des::stats::Tally;
 use dgmc_des::{ActorId, RunOutcome, SimDuration};
 use dgmc_mctree::SphStrategy;
@@ -79,18 +81,15 @@ fn setup(
     let config = DgmcConfig::computation_dominated();
     let mut sim = build_dgmc_sim(&net, config, Rc::new(SphStrategy::new()));
     sim.set_event_budget(200_000_000);
-    let members = generate::sample_nodes(&mut rng, &net, 6);
-    for (i, m) in members.iter().enumerate() {
-        sim.inject(
-            ActorId(m.0),
-            SimDuration::millis(10 * i as u64),
-            SwitchMsg::HostJoin {
-                mc: MC,
-                mc_type: McType::Symmetric,
-                role: Role::SenderReceiver,
-            },
-        );
-    }
+    let members = Workload {
+        initial_members: generate::sample_nodes(&mut rng, &net, 6),
+        events: Vec::new(),
+    };
+    let script = Scenario {
+        net: net.clone(),
+        steps: members.warm_up(MC, SimDuration::millis(10)),
+    };
+    let Ok(()) = scenario::play(&script, &mut sim);
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         return None;
     }

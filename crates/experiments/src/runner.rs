@@ -1,11 +1,10 @@
 //! Executes one simulation scenario and extracts the paper's metrics.
 
+use crate::scenario::{self, Scenario};
 use crate::workload::Workload;
-use dgmc_core::switch::{
-    self, build_dgmc_sim_with_cache, counters, histograms, DgmcConfig, SwitchMsg,
-};
-use dgmc_core::{convergence, invariants, McId, McType, Role};
-use dgmc_des::{ActorId, FaultPlan, FaultyNet, RunOutcome, SimDuration};
+use dgmc_core::switch::{self, build_dgmc_sim_with_cache, counters, histograms, DgmcConfig};
+use dgmc_core::{convergence, invariants, McId};
+use dgmc_des::{FaultPlan, FaultyNet, RunOutcome, SimDuration};
 use dgmc_mctree::McAlgorithm;
 use dgmc_obs::{critical_paths, MetricsRegistry, Trace};
 use dgmc_topology::{metrics, Network, SpfCache};
@@ -177,18 +176,11 @@ pub fn run_dgmc(
         sim.set_net_model(FaultyNet::new(plan.clone(), fault_seed));
     }
     // Warm-up: initial members join well separated.
-    let settle = SimDuration::millis(200);
-    for (i, &m) in workload.initial_members.iter().enumerate() {
-        sim.inject(
-            ActorId(m.0),
-            settle * i as u64,
-            SwitchMsg::HostJoin {
-                mc: EXPERIMENT_MC,
-                mc_type: McType::Symmetric,
-                role: Role::SenderReceiver,
-            },
-        );
-    }
+    let mut script = Scenario {
+        net: net.clone(),
+        steps: workload.warm_up(EXPERIMENT_MC, SimDuration::millis(200)),
+    };
+    let Ok(()) = scenario::play(&script, &mut sim);
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         return Err(RunError::Diverged);
     }
@@ -205,20 +197,9 @@ pub fn run_dgmc(
 
     // Measured phase.
     let start = sim.now();
-    let mut injected = 0u64;
-    for e in &workload.events {
-        let msg = if e.join {
-            SwitchMsg::HostJoin {
-                mc: EXPERIMENT_MC,
-                mc_type: McType::Symmetric,
-                role: Role::SenderReceiver,
-            }
-        } else {
-            SwitchMsg::HostLeave { mc: EXPERIMENT_MC }
-        };
-        sim.inject(ActorId(e.node.0), e.at, msg);
-        injected += 1;
-    }
+    script.steps = workload.measured(EXPERIMENT_MC);
+    let Ok(()) = scenario::play(&script, &mut sim);
+    let injected = script.steps.len() as u64;
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         return Err(RunError::Diverged);
     }

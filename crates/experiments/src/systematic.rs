@@ -117,6 +117,58 @@ impl Default for SystematicParams {
     }
 }
 
+impl SystematicParams {
+    /// Rejects a shape no scenario can be built from: fewer switches than
+    /// the topology needs, or joins with every switch already a warm
+    /// member.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the offending flag.
+    pub fn validate(&self) -> Result<(), String> {
+        let min = match self.topology {
+            TopologyKind::Ring => 3,
+            TopologyKind::Line | TopologyKind::Complete => 2,
+        };
+        if self.nodes < min {
+            return Err(format!(
+                "--nodes {}: a {} needs at least {min} switches",
+                self.nodes, self.topology
+            ));
+        }
+        if self.joins > 0 && self.leaves >= self.nodes {
+            return Err(format!(
+                "--leaves {}: no switch is left to join (must be below --nodes {})",
+                self.leaves, self.nodes
+            ));
+        }
+        Ok(())
+    }
+
+    /// Every field as its `explore` flag and value: the one list both the
+    /// replay command and the plan of a repro bundle are rendered from.
+    fn flags(&self) -> [(&'static str, String); 10] {
+        let mutation = match self.mutation {
+            EngineMutation::None => "none",
+            EngineMutation::SkipWithdrawal => "skip-withdrawal",
+            EngineMutation::UnfencedTeardown => "unfenced-teardown",
+            EngineMutation::EagerDeferredFlood => "eager-deferred-flood",
+        };
+        [
+            ("topology", self.topology.to_string()),
+            ("nodes", self.nodes.to_string()),
+            ("joins", self.joins.to_string()),
+            ("leaves", self.leaves.to_string()),
+            ("flaps", self.flaps.to_string()),
+            ("crashes", self.crashes.to_string()),
+            ("losses", self.losses.to_string()),
+            ("max-depth", self.max_depth.to_string()),
+            ("max-states", self.max_states.to_string()),
+            ("mutate", mutation.to_owned()),
+        ]
+    }
+}
+
 /// One scripted external event, all concurrently enabled from the initial
 /// state (except a [`ScriptEvent::LinkUp`], which waits for its down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,9 +317,16 @@ impl SystematicModel {
     /// non-warm switches, `leaves` warm members at the highest switch ids,
     /// and `flaps` down/up pairs over the first links of the generated
     /// network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` fails [`SystematicParams::validate`]; a caller
+    /// holding outside input checks that first.
     pub fn new(params: &SystematicParams) -> SystematicModel {
+        if let Err(e) = params.validate() {
+            panic!("invalid systematic scenario: {e}");
+        }
         let n = params.nodes;
-        assert!(n >= 2, "systematic scenarios need at least two switches");
         let net = match params.topology {
             TopologyKind::Ring => generate::ring(n),
             TopologyKind::Line => generate::path(n),
@@ -880,18 +939,15 @@ pub fn violation_state_hash(params: &SystematicParams, keys: &[u64]) -> Option<u
 /// Backward search over the scenario (DESIGN.md §11): given canonical
 /// state hashes captured from a forward counterexample (see
 /// [`violation_state_hash`]), [`mc::backward_search`] builds the
-/// predecessor graph breadth-first across `config.jobs` workers and walks
-/// it backward from the first target reached, yielding a shortest witness
-/// schedule replayable with [`replay_trace`]. The rendered report is
-/// byte-identical for every worker count.
+/// predecessor graph breadth-first and walks it backward from the first
+/// target reached, yielding a shortest witness schedule replayable with
+/// [`replay_trace`].
 pub fn run_backward(
-    config: &ExploreConfig,
     params: &SystematicParams,
     bounds: &mc::BackwardConfig,
     targets: &[u64],
 ) -> mc::BackwardReport {
-    let model = SystematicModel::new(params);
-    mc::backward_search(&model, bounds, targets, config.jobs.max(1))
+    mc::backward_search(&SystematicModel::new(params), bounds, targets)
 }
 
 /// Renders the minimized trace as a human-readable *causal* timeline: one
@@ -964,25 +1020,12 @@ pub fn describe_trace(model: &SystematicModel, trace: &[SysAction]) -> Vec<Strin
 
 /// The one-command replay hint embedded in bundles.
 fn replay_command(params: &SystematicParams, keys: &[u64]) -> String {
-    let mutate = match params.mutation {
-        EngineMutation::None => String::new(),
-        EngineMutation::SkipWithdrawal => " --mutate skip-withdrawal".to_owned(),
-        EngineMutation::UnfencedTeardown => " --mutate unfenced-teardown".to_owned(),
-        EngineMutation::EagerDeferredFlood => " --mutate eager-deferred-flood".to_owned(),
-    };
-    format!(
-        "cargo run -p dgmc-experiments --bin explore -- --systematic --topology {} \
-         --nodes {} --joins {} --leaves {} --flaps {}{mutate} --trace {}",
-        params.topology,
-        params.nodes,
-        params.joins,
-        params.leaves,
-        params.flaps,
-        keys.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-    )
+    let mut command = "cargo run -p dgmc-experiments --bin explore -- --systematic".to_owned();
+    for (flag, value) in params.flags() {
+        command.push_str(&format!(" --{flag} {value}"));
+    }
+    let keys: Vec<String> = keys.iter().map(u64::to_string).collect();
+    format!("{command} --trace {}", keys.join(","))
 }
 
 fn make_bundle(
@@ -991,29 +1034,20 @@ fn make_bundle(
     keys: &[u64],
     replay: &Replay<SysAction>,
 ) -> ReproBundle {
-    let plan = JsonValue::obj(vec![
-        ("mode", JsonValue::Str("systematic".into())),
-        ("nodes", JsonValue::U64(params.nodes as u64)),
-        ("topology", JsonValue::Str(params.topology.to_string())),
-        ("joins", JsonValue::U64(params.joins as u64)),
-        ("leaves", JsonValue::U64(params.leaves as u64)),
-        ("flaps", JsonValue::U64(params.flaps as u64)),
-        ("mutation", JsonValue::Str(format!("{:?}", params.mutation))),
-        (
-            "script",
-            JsonValue::Arr(
-                model
-                    .script()
-                    .iter()
-                    .map(|ev| JsonValue::Str(ev.to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "trace_keys",
-            JsonValue::Arr(keys.iter().map(|&k| JsonValue::U64(k)).collect()),
-        ),
-    ]);
+    let mut plan = vec![("mode", JsonValue::Str("systematic".into()))];
+    plan.extend(params.flags().map(|(flag, value)| {
+        let json = value
+            .parse()
+            .map_or_else(|_| JsonValue::Str(value), JsonValue::U64);
+        (flag, json)
+    }));
+    let script = model.script().iter();
+    plan.push((
+        "script",
+        JsonValue::Arr(script.map(|ev| JsonValue::Str(ev.to_string())).collect()),
+    ));
+    plan.push(("trace_keys", JsonValue::u64_array(keys)));
+    let plan = JsonValue::obj(plan);
     ReproBundle {
         // The schedule *is* the key list; its stable hash names the bundle
         // uniquely and deterministically (there is no seed in this mode).

@@ -6,6 +6,8 @@
 //! periods of time." Only membership-change events are generated, exactly
 //! as in the paper's experiments.
 
+use crate::scenario::Step;
+use dgmc_core::McId;
 use dgmc_des::SimDuration;
 use dgmc_topology::{generate, Network, NodeId};
 use rand::seq::SliceRandom;
@@ -30,6 +32,34 @@ pub struct Workload {
     pub initial_members: Vec<NodeId>,
     /// The measured events.
     pub events: Vec<ScheduledEvent>,
+}
+
+impl Workload {
+    /// The warm-up as scenario steps: the initial members join `mc` one
+    /// `gap` apart, the first at offset zero.
+    pub fn warm_up(&self, mc: McId, gap: SimDuration) -> Vec<Step> {
+        let joins = self.initial_members.iter().enumerate();
+        joins
+            .map(|(i, &node)| Step::Join {
+                node,
+                at: gap * i as u64,
+                mc,
+            })
+            .collect()
+    }
+
+    /// The measured events as scenario steps on `mc`, at their offsets.
+    pub fn measured(&self, mc: McId) -> Vec<Step> {
+        let step = |e: &ScheduledEvent| {
+            let (node, at) = (e.node, e.at);
+            if e.join {
+                Step::Join { node, at, mc }
+            } else {
+                Step::Leave { node, at, mc }
+            }
+        };
+        self.events.iter().map(step).collect()
+    }
 }
 
 /// Parameters of the bursty generator (Experiments 1 and 2).

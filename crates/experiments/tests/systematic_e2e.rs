@@ -194,7 +194,7 @@ fn unfenced_teardown_mutation_resurrects_the_race() {
 fn deferred_event_flood_inversion_is_fixed() {
     let model = inversion_model(EngineMutation::None);
     let config = McConfig::default();
-    let report = mc::explore_sharded(&model, &config, 1);
+    let report = mc::explore(&model, &config);
     assert!(report.passed(), "{}", report.summary());
     assert!(report.complete, "state space must be exhausted");
 }
@@ -206,7 +206,7 @@ fn deferred_event_flood_inversion_is_fixed() {
 fn eager_deferred_flood_mutation_resurrects_the_inversion() {
     let model = inversion_model(EngineMutation::EagerDeferredFlood);
     let config = McConfig::default();
-    let report = mc::explore_sharded(&model, &config, 1);
+    let report = mc::explore(&model, &config);
     assert!(!report.passed(), "{}", report.summary());
     let cx = report.counterexample.expect("counterexample");
     let (keys, replay) = mc::minimize(&model, &cx.keys, config.max_depth);
@@ -236,7 +236,7 @@ fn backward_search_reaches_the_forward_violation_state() {
         .expect("minimized schedule replays");
 
     let bounds = mc::BackwardConfig::default();
-    let report = systematic::run_backward(&jobs(2), &params, &bounds, &[target]);
+    let report = systematic::run_backward(&params, &bounds, &[target]);
     assert!(report.found(), "{}", report.summary());
     assert_eq!(report.target, Some(target));
 
@@ -252,25 +252,27 @@ fn backward_search_reaches_the_forward_violation_state() {
     );
 }
 
-/// Backward-search reports are byte-identical across worker counts, like
-/// the forward reports — the CI gate diffs them directly.
+/// The BFS expands in one fixed order (frontier order, then enabled-action
+/// order), so its report is a constant of the scenario: this is the report
+/// the replay-per-node workers it replaced committed as
+/// `results/backward-serial.json`, byte for byte.
 #[test]
-fn backward_report_is_byte_identical_across_job_counts() {
+fn backward_report_equals_the_committed_one() {
     let params = teardown_params(EngineMutation::UnfencedTeardown);
-    let min = systematic::run_systematic(&jobs(1), &params)
-        .minimized
-        .expect("race must minimize");
-    let target =
-        systematic::violation_state_hash(&params, &min.replay.keys).expect("schedule replays");
-    let bounds = mc::BackwardConfig::default();
-    let baseline = systematic::run_backward(&jobs(1), &params, &bounds, &[target]).to_json();
-    for n in [2, 4] {
-        let report = systematic::run_backward(&jobs(n), &params, &bounds, &[target]).to_json();
-        assert_eq!(
-            baseline, report,
-            "jobs=1 vs jobs={n} backward reports differ"
-        );
-    }
+    let bounds = mc::BackwardConfig {
+        max_levels: params.max_depth,
+        max_states: params.max_states,
+    };
+    let report = systematic::run_backward(&params, &bounds, &[14618562503872290763]);
+    assert_eq!(
+        report.to_json(),
+        "{\"states\":184,\"transitions\":334,\"levels\":11,\"complete\":true,\
+         \"found\":true,\"target\":14618562503872290763,\"witness_keys\":[\
+         12111055192015656419,3846514787956582347,14578962631115333463,\
+         1905626875466375043,12421405106618915060,9343063377186483128,\
+         2995850768586758619,14578962631115333463,16079197309529764615,\
+         9759011083073080838,14201364809213147674]}"
+    );
 }
 
 /// On the *repaired* engine the mutated engine's violation state does not
@@ -287,7 +289,7 @@ fn backward_search_proves_the_violation_unreachable_when_fixed() {
 
     let repaired = teardown_params(EngineMutation::None);
     let bounds = mc::BackwardConfig::default();
-    let report = systematic::run_backward(&jobs(2), &repaired, &bounds, &[target]);
+    let report = systematic::run_backward(&repaired, &bounds, &[target]);
     assert!(!report.found(), "repaired engine reached a violation state");
     assert!(
         report.complete,
@@ -364,7 +366,7 @@ fn backward_search_finds_a_crash_plus_loss_interleaving() {
     let target = model.state_hash(&state);
 
     let bounds = mc::BackwardConfig::default();
-    let report = systematic::run_backward(&jobs(2), &params, &bounds, &[target]);
+    let report = systematic::run_backward(&params, &bounds, &[target]);
     assert!(report.found(), "{}", report.summary());
 
     // The witness replays through both faults to exactly the seeded state.
@@ -416,4 +418,46 @@ fn lost_floods_break_the_reliable_flooding_premise() {
     );
     let again = systematic::replay_trace(&params, &min.keys).expect("keys resolve");
     assert_eq!(again.violations, min.replay.violations);
+    // No `Lose` action is enabled without the budget, so the bundle's
+    // replay line has to carry it.
+    assert!(
+        min.bundle.replay.contains("--losses 1"),
+        "{}",
+        min.bundle.replay
+    );
+}
+
+/// Scenario shapes nothing can be built from are a one-line usage error
+/// (exit 2) of the binary, not a panic inside the model.
+#[test]
+fn impossible_shapes_are_usage_errors() {
+    let explore = |flags: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_explore"))
+            .arg("--systematic")
+            .args(flags.split_whitespace())
+            .output()
+            .expect("explore runs")
+    };
+    let rows = [
+        ("--nodes 1", "--nodes 1"),
+        ("--nodes 2", "--nodes 2"),
+        ("--nodes 1 --topology line", "--nodes 1"),
+        ("--nodes 3 --leaves 3 --joins 1", "--leaves 3"),
+        ("--nodes 3 --leaves 4 --backward", "--leaves 4"),
+    ];
+    for (flags, message) in rows {
+        let out = explore(flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flags}: {stderr}");
+        assert!(stderr.contains(message), "{flags}: {stderr}");
+    }
+    // The bounds themselves are shapes: a 2-switch line, and every switch
+    // a leaving member when nothing joins.
+    for flags in [
+        "--nodes 2 --topology line",
+        "--nodes 3 --joins 0 --leaves 3 --max-states 500",
+    ] {
+        assert_eq!(explore(flags).status.code(), Some(0), "{flags}");
+    }
 }

@@ -158,7 +158,7 @@ fn deferred_event_flood_inversion_renders_as_a_causal_timeline() {
         EngineMutation::EagerDeferredFlood,
     );
     let config = McConfig::default();
-    let report = mc::explore_sharded(&model, &config, 1);
+    let report = mc::explore(&model, &config);
     let cx = report.counterexample.expect("inversion counterexample");
     let (keys, replay) = mc::minimize(&model, &cx.keys, config.max_depth);
     assert!(replay.failed());
