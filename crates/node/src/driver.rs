@@ -24,8 +24,41 @@
 //! | `metrics` | one-line JSON metrics registry |
 //! | `quit` | write artifacts to `--out`, reply `bye`, exit |
 //!
-//! Every command gets exactly one reply line, so a scripting harness can
-//! treat the control socket as synchronous request/response.
+//! Every command gets exactly one reply line, and the replies on a
+//! connection come in command order, so a scripting harness can treat the
+//! control socket as synchronous request/response. A control line is at most
+//! [`MAX_LINE`] bytes; a peer that exceeds it is disconnected.
+//!
+//! # The loop
+//!
+//! The main thread owns the [`NodeCore`] (`Rc` inside, not `Send`), the
+//! timers, the shim and every send, and blocks in exactly one place: a
+//! `recv_timeout` on a bounded channel of [`Wake`]s whose deadline is the
+//! next timer. Three kinds of reader thread feed the channel, each blocked in
+//! the one syscall it exists for:
+//!
+//! | thread | blocks in | forwards |
+//! |---|---|---|
+//! | one | `recv_from` on a clone of the UDP socket | `Datagram`, `Failed` |
+//! | one | `accept` on the control listener | `Control`, `Failed` |
+//! | one per control connection | reading a line | `Line`, then `Closed` |
+//!
+//! So a datagram, a command and a due `Tc` timer each wake the loop at once.
+//! The wait is on the channel and never on a socket: a channel wait is a
+//! futex wait with a nanosecond deadline, while a socket read timeout
+//! (`SO_RCVTIMEO`) is rounded up to scheduler ticks, 4–8 ms for a 0.3 ms
+//! `Tc`. Wakes are handled
+//! one at a time in channel order, and a datagram counts as received
+//! (`rx`, `node.rx_datagrams`) when the main thread *handles* it, not when
+//! the reader pulls it off the socket: a harness that sums `rx` and `tx`
+//! over the mesh never sees a datagram that is still queued as delivered.
+//! The channel is bounded, so a flood blocks the UDP reader and the kernel's
+//! socket buffer drops the excess; nothing in the node grows with it.
+//!
+//! Threads and not `poll(2)`: every crate is `#![forbid(unsafe_code)]` and
+//! no `libc` is vendored, so a blocked thread per source is the readiness
+//! wait safe `std` offers. The readers are never joined — they are blocked
+//! in the kernel for the life of the process and die with it at `quit`.
 
 use crate::clock::{TickClock, Timer, Timers};
 use crate::fault::SendShim;
@@ -38,10 +71,11 @@ use dgmc_mctree::{McType, Role, SphStrategy};
 use dgmc_obs::{DecisionLogHandle, JsonValue};
 use dgmc_topology::{Network, NodeId};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::time::Duration;
 
 /// Configuration of one node process.
@@ -67,16 +101,27 @@ pub struct NodeOptions {
 /// Decision log capacity (events kept in memory).
 const LOG_CAPACITY: usize = 65_536;
 
-/// How long one poll iteration blocks on the UDP socket at most. Keeps
-/// control-socket latency bounded without spinning.
-const POLL: Duration = Duration::from_millis(2);
-/// Smallest read timeout we hand the kernel (zero would disable it).
-const MIN_WAIT: Duration = Duration::from_micros(50);
+/// Wakes queued ahead of the main thread before the readers block.
+const WAKE_CAPACITY: usize = 64;
+/// Longest control line accepted, newline included (a `peers` line for 200
+/// nodes is ~5 kB).
+pub const MAX_LINE: usize = 64 * 1024;
+/// A reply the peer has not drained after this long fails its connection
+/// instead of stalling the node.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
 
-struct ControlConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    alive: bool,
+/// What a reader thread hands the main loop.
+enum Wake {
+    /// One datagram off the UDP socket.
+    Datagram(Vec<u8>),
+    /// A freshly accepted control connection.
+    Control(TcpStream),
+    /// One complete command line from connection `.0`.
+    Line(u64, String),
+    /// Connection `.0` ended: EOF, a read error, or a line over [`MAX_LINE`].
+    Closed(u64),
+    /// The UDP or listening socket failed; ends [`run_node`].
+    Failed(std::io::Error),
 }
 
 struct Driver {
@@ -123,9 +168,22 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
     let log = core.engine().observer().attach_log(LOG_CAPACITY);
     let udp = UdpSocket::bind("127.0.0.1:0")?;
     let ctl = TcpListener::bind("127.0.0.1:0")?;
-    ctl.set_nonblocking(true)?;
     println!("ready udp={} ctl={}", udp.local_addr()?, ctl.local_addr()?);
     std::io::stdout().flush()?;
+
+    let (tx, rx) = sync_channel(WAKE_CAPACITY);
+    let datagrams = udp.try_clone()?;
+    let mut buf = vec![0u8; 65_536];
+    spawn_reader("udp", tx.clone(), move || {
+        match datagrams.recv_from(&mut buf) {
+            Ok((len, _src)) => Wake::Datagram(buf[..len].to_vec()),
+            Err(e) => Wake::Failed(e),
+        }
+    })?;
+    spawn_reader("accept", tx.clone(), move || match ctl.accept() {
+        Ok((stream, _)) => Wake::Control(stream),
+        Err(e) => Wake::Failed(e),
+    })?;
 
     let mut driver = Driver {
         shim: SendShim::new(opts.fault_plan.clone(), opts.seed, opts.id),
@@ -143,83 +201,90 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
         id: opts.id,
         links: opts.links,
     };
-    let mut conns: Vec<ControlConn> = Vec::new();
-    let mut buf = vec![0u8; 65_536];
+    // The writing halves of the live control connections.
+    let mut conns: HashMap<u64, TcpStream> = HashMap::new();
+    let mut next_conn = 0u64;
     loop {
         driver.fire_due_timers()?;
-
-        // New control connections.
-        loop {
-            match ctl.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true)?;
-                    conns.push(ControlConn {
-                        stream,
-                        buf: Vec::new(),
-                        alive: true,
-                    });
+        // `tx` lives as long as this loop, so the channel never disconnects:
+        // `None` is the next timer coming due.
+        let wake = match driver.timers.sleep_until_next(driver.now()) {
+            Some(wait) => rx.recv_timeout(wait).ok(),
+            None => rx.recv().ok(),
+        };
+        match wake {
+            None => {}
+            Some(Wake::Datagram(bytes)) => driver.on_datagram(&bytes)?,
+            Some(Wake::Control(stream)) => {
+                // A connection that cannot be set up is dropped, not fatal.
+                if let Ok(stream) = serve_control(next_conn, stream, tx.clone()) {
+                    conns.insert(next_conn, stream);
+                    next_conn += 1;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
             }
-        }
-
-        // Control commands.
-        let mut quit = false;
-        for conn in &mut conns {
-            for line in read_lines(conn) {
-                let (reply, done) = driver.handle_command(line.trim())?;
-                // The harness may already be gone; a dead control pipe must
-                // not kill the node mid-teardown.
-                let _ = writeln!(conn.stream, "{reply}");
-                quit |= done;
+            Some(Wake::Line(conn, line)) => {
+                let (mut reply, quit) = driver.handle_command(line.trim())?;
+                reply.push('\n');
+                if let Some(stream) = conns.get_mut(&conn) {
+                    // The harness may already be gone; a dead control pipe
+                    // must not kill the node mid-teardown. A reply cut short
+                    // would shift every later one, so the connection ends.
+                    if stream.write_all(reply.as_bytes()).is_err() {
+                        let _ = stream.shutdown(Shutdown::Both);
+                    }
+                }
+                if quit {
+                    return Ok(());
+                }
             }
-        }
-        conns.retain(|c| c.alive);
-        if quit {
-            return Ok(());
-        }
-
-        // Protocol datagrams, blocking until the next timer at most.
-        let now = driver.clock.now_nanos();
-        let wait = driver
-            .timers
-            .sleep_until_next(now)
-            .unwrap_or(POLL)
-            .clamp(MIN_WAIT, POLL);
-        driver.udp.set_read_timeout(Some(wait))?;
-        match driver.udp.recv_from(&mut buf) {
-            Ok((len, _src)) => driver.on_datagram(&buf[..len])?,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e),
+            Some(Wake::Closed(conn)) => {
+                conns.remove(&conn);
+            }
+            Some(Wake::Failed(e)) => return Err(e),
         }
     }
 }
 
-/// Drains available bytes from a control connection and returns the
-/// complete lines received.
-fn read_lines(conn: &mut ControlConn) -> Vec<String> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.alive = false;
+/// Starts a detached thread that forwards wake after wake from `next` until
+/// the main loop is gone or the source ends ([`Wake::Closed`],
+/// [`Wake::Failed`]). A full channel blocks the thread: that is the
+/// back-pressure.
+fn spawn_reader(
+    name: &str,
+    tx: SyncSender<Wake>,
+    mut next: impl FnMut() -> Wake + Send + 'static,
+) -> std::io::Result<()> {
+    std::thread::Builder::new()
+        .name(format!("dgmc-{name}"))
+        .spawn(move || loop {
+            let wake = next();
+            let last = matches!(wake, Wake::Closed(_) | Wake::Failed(_));
+            if tx.send(wake).is_err() || last {
                 break;
             }
-            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => {
-                conn.alive = false;
-                break;
-            }
+        })
+        .map(drop)
+}
+
+/// Adopts an accepted control connection as `conn`: one segment per reply,
+/// a reader thread for its lines, and the writing half back to the caller.
+fn serve_control(conn: u64, stream: TcpStream, tx: SyncSender<Wake>) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(REPLY_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let limit = u64::try_from(MAX_LINE).expect("MAX_LINE fits u64");
+    spawn_reader("ctl", tx, move || {
+        let mut line = Vec::new();
+        // EOF, a read error and a line over the limit all come back without
+        // the newline; in each case the connection is over.
+        let _ = (&mut reader).take(limit).read_until(b'\n', &mut line);
+        if line.last() == Some(&b'\n') {
+            Wake::Line(conn, String::from_utf8_lossy(&line).into_owned())
+        } else {
+            Wake::Closed(conn)
         }
-    }
-    let mut lines = Vec::new();
-    while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-        lines.push(String::from_utf8_lossy(&line).into_owned());
-    }
-    lines
+    })?;
+    Ok(stream)
 }
 
 impl Driver {

@@ -23,7 +23,7 @@ use dgmc_obs::{JsonValue, MetricsRegistry};
 use dgmc_topology::NodeId;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -141,6 +141,13 @@ fn find_near_current_exe() -> Option<PathBuf> {
     None
 }
 
+/// Capacity of a node's two line readers (child stdout, control replies):
+/// one ordinary reply fits, and with hundreds of meshes in a benchmark window
+/// the default 8 kB apiece is what the launcher's footprint would be made of.
+/// `read_line` is correct at any capacity; only `state` and `metrics` replies
+/// take more than one fill.
+const REPLY_BUF: usize = 256;
+
 struct Node {
     child: Child,
     ctl: TcpStream,
@@ -226,7 +233,7 @@ impl Mesh {
             // the child can never block on a full stdout pipe).
             let (tx, rx) = mpsc::channel::<String>();
             std::thread::spawn(move || {
-                let reader = BufReader::new(stdout);
+                let reader = BufReader::with_capacity(REPLY_BUF, stdout);
                 for line in reader.lines() {
                     match line {
                         Ok(l) => {
@@ -248,7 +255,10 @@ impl Mesh {
                     .map_err(|e| mesh_err(format!("node {id}: cannot connect control: {e}")))?;
                 ctl.set_read_timeout(Some(opts.deadline))
                     .map_err(|e| mesh_err(format!("node {id}: set_read_timeout: {e}")))?;
-                let reader = BufReader::new(
+                ctl.set_nodelay(true)
+                    .map_err(|e| mesh_err(format!("node {id}: set_nodelay: {e}")))?;
+                let reader = BufReader::with_capacity(
+                    REPLY_BUF,
                     ctl.try_clone()
                         .map_err(|e| mesh_err(format!("node {id}: clone control: {e}")))?,
                 );
@@ -299,23 +309,33 @@ impl Mesh {
     ///
     /// # Errors
     ///
-    /// Fails on a dead control connection or a blown read deadline.
+    /// Fails on a dead control connection or a blown read deadline. Either
+    /// ends the connection: a reply that arrives late would otherwise be read
+    /// as the answer to the next command, so every later `command` on that
+    /// node fails too.
     pub fn command(&mut self, id: usize, cmd: &str) -> Result<String, MeshError> {
         let node = self
             .nodes
             .get_mut(id)
             .ok_or_else(|| mesh_err(format!("no node {id}")))?;
-        writeln!(node.ctl, "{cmd}")
+        // One write, so the line is one segment (`writeln!` is two, and the
+        // newline would wait out the peer's delayed ACK of the text).
+        node.ctl
+            .write_all(format!("{cmd}\n").as_bytes())
             .map_err(|e| mesh_err(format!("node {id}: control write failed: {e}")))?;
         let mut reply = String::new();
-        match node.reader.read_line(&mut reply) {
-            Ok(0) => Err(mesh_err(format!("node {id}: control closed"))),
-            Ok(_) => Ok(reply.trim_end().to_owned()),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Err(
-                mesh_err(format!("node {id}: control reply timed out on {cmd:?}")),
-            ),
-            Err(e) => Err(mesh_err(format!("node {id}: control read failed: {e}"))),
-        }
+        let failure = match node.reader.read_line(&mut reply) {
+            Ok(n) if n > 0 => return Ok(reply.trim_end().to_owned()),
+            Ok(_) => format!("node {id}: control closed"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                format!("node {id}: control reply timed out on {cmd:?}")
+            }
+            Err(e) => format!("node {id}: control read failed: {e}"),
+        };
+        // A shut-down socket is the dead mark: the next `command` fails at its
+        // write, before it could read whatever arrives late.
+        let _ = node.ctl.shutdown(Shutdown::Both);
+        Err(mesh_err(failure))
     }
 
     fn expect_ok(&mut self, id: usize, cmd: &str) -> Result<(), MeshError> {

@@ -1,24 +1,12 @@
 //! `dgmc-node` against outside input: whatever arrives on the command line
 //! or the control socket, the process answers — it never panics.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{node, Running};
+use dgmc_node::driver::MAX_LINE;
+use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
-
-fn node() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_dgmc-node"))
-}
-
-/// Kills the child if the test unwinds before its clean exit.
-struct KillOnDrop(Child);
-
-impl Drop for KillOnDrop {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
 
 #[test]
 fn link_lists_that_are_not_a_simple_graph_exit_with_usage() {
@@ -40,41 +28,47 @@ fn link_lists_that_are_not_a_simple_graph_exit_with_usage() {
 
 #[test]
 fn a_huge_tc_arms_a_timer_that_never_fires_instead_of_overflowing() {
-    let out_dir = std::env::temp_dir().join(format!("dgmc-node-cli-{}", std::process::id()));
-    let mut child = KillOnDrop(
-        node()
-            .args(["--id", "0", "--nodes", "2", "--links", "0-1:1"])
-            .args(["--tc-ns", &u64::MAX.to_string(), "--out"])
-            .arg(&out_dir)
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("dgmc-node spawns"),
-    );
-    let mut ready = String::new();
-    BufReader::new(child.0.stdout.take().expect("stdout piped"))
-        .read_line(&mut ready)
-        .expect("handshake line");
-    let ctl_addr = ready
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("ctl="))
-        .unwrap_or_else(|| panic!("bad handshake {ready:?}"));
-    let mut ctl = TcpStream::connect(ctl_addr).expect("control socket connects");
-    ctl.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut replies = BufReader::new(ctl.try_clone().unwrap());
-    let mut ask = |cmd: &str| {
-        writeln!(ctl, "{cmd}").expect("control write");
-        let mut reply = String::new();
-        replies.read_line(&mut reply).expect("control reply");
-        reply.trim_end().to_owned()
-    };
+    let mut child = Running::spawn("cli", &["--tc-ns", &u64::MAX.to_string()]);
+    let mut ctl = child.connect();
     // The join starts the `Tc` computation timer at now + u64::MAX.
-    let joined = ask("join 1");
-    let status = ask("status");
-    let bye = ask("quit");
-    let exit = child.0.wait().expect("child exits");
-    let _ = std::fs::remove_dir_all(&out_dir);
+    let joined = ctl.ask("join 1");
+    let status = ctl.ask("status");
+    let bye = ctl.ask("quit");
+    let exit = child.wait();
     assert_eq!(joined, "ok");
     assert!(status.contains("timers=1"), "{status}");
     assert_eq!(bye, "bye");
     assert!(exit.success(), "{exit}");
+}
+
+/// A peer that never sends a newline is cut off at `MAX_LINE` instead of
+/// growing the node, and the node keeps serving everyone else.
+#[test]
+fn an_endless_control_line_closes_that_connection_only() {
+    let child = Running::spawn("cli-endless", &[]);
+    let mut endless = child.connect();
+    endless
+        .stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // 1 MiB of 'a'. The node hangs up after MAX_LINE of it, so a late chunk
+    // may already fail to send; what is asserted is the hang-up itself.
+    let chunk = vec![b'a'; MAX_LINE];
+    let sent_all = (0..16).all(|_| endless.stream.write_all(&chunk).is_ok());
+    let mut byte = [0u8; 1];
+    let hung_up = match endless.stream.read(&mut byte) {
+        Ok(0) => true,
+        Err(e) => matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset | ErrorKind::BrokenPipe | ErrorKind::ConnectionAborted
+        ),
+        Ok(_) => false,
+    };
+    assert!(
+        hung_up,
+        "node kept an endless line open (sent_all={sent_all})"
+    );
+
+    let status = child.connect().ask("status");
+    assert!(status.starts_with("quiet=1 "), "{status}");
 }

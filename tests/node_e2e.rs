@@ -7,7 +7,10 @@
 
 use dgmc::node::launcher::{run_scenario_mesh, Mesh, MeshOptions};
 use dgmc::node::proto::node_counters;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn scenario_text() -> String {
@@ -121,6 +124,18 @@ fn lossy_mesh_still_converges() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// Writes an executable stand-in for `dgmc-node` that ignores its flags,
+/// runs `body` and then sleeps forever. The launcher kills it on drop.
+fn stand_in_node(out_dir: &Path, body: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::create_dir_all(out_dir).expect("create out dir");
+    let script = out_dir.join("stand-in-node.sh");
+    std::fs::write(&script, format!("#!/bin/sh\n{body}exec sleep 1000\n")).expect("write script");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+        .expect("make executable");
+    script
+}
+
 /// Harness hygiene: a child that never completes the `ready` handshake
 /// fails the run within the deadline — it cannot wedge the test suite.
 #[test]
@@ -128,18 +143,9 @@ fn hung_child_fails_within_the_deadline() {
     let scenario = dgmc::experiments::scenario::parse("net ring 3\njoin 0 @0ms mc=1\n")
         .expect("scenario parses");
     let out_dir = temp_out("hung");
-    std::fs::create_dir_all(&out_dir).expect("create out dir");
-    // A stand-in node that ignores its flags, prints nothing and sleeps
-    // forever: the degenerate hung child. The launcher kills it on failure.
-    let hung = out_dir.join("hung-node.sh");
-    std::fs::write(&hung, "#!/bin/sh\nexec sleep 1000\n").expect("write script");
-    {
-        use std::os::unix::fs::PermissionsExt;
-        std::fs::set_permissions(&hung, std::fs::Permissions::from_mode(0o755))
-            .expect("make executable");
-    }
+    // Prints nothing: the degenerate hung child.
     let mut opts = MeshOptions::new(&out_dir);
-    opts.binary = Some(hung);
+    opts.binary = Some(stand_in_node(&out_dir, ""));
     opts.deadline = Duration::from_secs(2);
     let start = Instant::now();
     let result = Mesh::spawn(&scenario, &opts);
@@ -148,5 +154,55 @@ fn hung_child_fails_within_the_deadline() {
         start.elapsed() < Duration::from_secs(30),
         "failure must be deadline-bounded, not a hang"
     );
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+/// A reply that misses its deadline ends the control connection: were it
+/// left open, the late reply would be read as the answer to the next command.
+#[test]
+fn a_late_reply_is_never_taken_for_the_next_commands() {
+    let out_dir = temp_out("late");
+    // The "node" is this test: the stand-in only announces our listener.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind control stand-in");
+    let ready = format!(
+        "echo ready udp=127.0.0.1:1 ctl={}\n",
+        listener.local_addr().expect("listener address")
+    );
+    let mut opts = MeshOptions::new(&out_dir);
+    opts.binary = Some(stand_in_node(&out_dir, &ready));
+    opts.deadline = Duration::from_secs(1);
+
+    let (late_sent, late_is_sent) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let node = std::thread::spawn(move || {
+        let (mut ctl, _) = listener.accept().expect("launcher connects");
+        let mut lines = BufReader::new(ctl.try_clone().expect("clone control")).lines();
+        let peers = lines.next().expect("peers line").expect("readable");
+        assert!(peers.starts_with("peers 0="), "{peers}");
+        ctl.write_all(b"ok\n").expect("reply to peers");
+        let status = lines.next().expect("status line").expect("readable");
+        assert_eq!(status, "status");
+        // Sit on the reply until the launcher has given up on it.
+        released.recv().expect("test still running");
+        let _ = ctl.write_all(b"late\n");
+        late_sent.send(()).expect("test still running");
+    });
+
+    let scenario = dgmc::experiments::scenario::Scenario {
+        net: dgmc::topology::Network::with_nodes(1),
+        steps: Vec::new(),
+    };
+    let mut mesh = Mesh::spawn(&scenario, &opts).expect("stand-in completes the handshake");
+    let first = mesh.command(0, "status");
+    assert!(first.is_err(), "no reply within the deadline: {first:?}");
+    release.send(()).expect("stand-in still running");
+    late_is_sent.recv().expect("stand-in wrote its late reply");
+    let second = mesh.command(0, "status");
+    assert!(
+        second.is_err(),
+        "stale reply handed to the next command: {second:?}"
+    );
+    node.join().expect("stand-in thread");
+    drop(mesh);
     let _ = std::fs::remove_dir_all(&out_dir);
 }
