@@ -86,6 +86,23 @@ if grep -rn 'set_nonblocking' crates/node/src ||
     exit 1
 fi
 
+# PR20: a flood's body is parsed in one place, `NodeCore::frame`, and only
+# after its FloodId proved fresh. The framing layer and the driver never name
+# a body decoder, so an eager parse cannot come back through them; and which
+# flood path runs is decided by what arrived (typed values from the DES, bytes
+# from a wire), never by a flag, an environment variable or an options field.
+# No wall-clock gate: `proto_unit`'s garbage-body-on-a-known-id test is the
+# deterministic pin (DESIGN.md §14).
+if grep -nE 'decode_(payload|mc_lsa|router_lsa)' crates/node/src/frame.rs crates/node/src/driver.rs; then
+    echo "the framing layer or the driver parses a flood body again; that is NodeCore::frame's, after the id"
+    exit 1
+fi
+if grep -rnE '"--(eager|lazy|typed|wire|flood|parse)[a-z-]*"|DGMC_(FLOOD|EAGER|LAZY|WIRE|PARSE)|(eager|lazy)_(parse|decode|floods?|bod(y|ies))|flood_(path|mode)|parse_(floods|bodies)' \
+    crates --include='*.rs' --include='*.toml'; then
+    echo "a switch selecting the flood path is back; the path follows the frame variant that arrived"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -27,17 +27,20 @@
 //! never a panic, and length fields are checked against the remaining
 //! buffer *before* any allocation so a garbage count cannot drive an
 //! out-of-memory abort (the node-facing robustness contract).
+//!
+//! Total is not yet safe: the engine asserts that stamps are as wide as the
+//! network. [`payload_is_sane`], [`router_lsa_is_sane`] and
+//! [`mc_sync_is_sane`] are the range/width checks a decoded value must pass
+//! before it may reach the LSDB or the engine.
 
 use crate::proto::{DataKind, DataMsg, DgmcPayload};
 use crate::{McEventKind, McId, McLsa, McSync, Timestamp};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dgmc_lsr::codec::{
-    decode_flood_id, decode_router_lsa, encode_flood_id, encode_router_lsa, CodecError,
-};
+use dgmc_lsr::codec::{decode_router_lsa, encode_flood_id, encode_router_lsa, CodecError};
 use dgmc_lsr::lsa::{FloodPacket, RouterLsa};
 use dgmc_mctree::{McTopology, McType, Role};
 use dgmc_topology::{LinkId, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Upper bound on the dense width of a decoded [`Timestamp`].
 ///
@@ -118,18 +121,15 @@ pub fn decode_topology(buf: &mut Bytes) -> Result<McTopology, CodecError> {
     let n_edges = buf.get_u32() as usize;
     // 8 bytes per edge, checked before the allocation the count sizes.
     need(buf, n_edges.checked_mul(8).ok_or(CodecError::Oversize)?)?;
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        need(buf, 8)?;
-        edges.push((NodeId(buf.get_u32()), NodeId(buf.get_u32())));
-    }
+    let edges: Vec<_> = (0..n_edges)
+        .map(|_| (NodeId(buf.get_u32()), NodeId(buf.get_u32())))
+        .collect();
     need(buf, 4)?;
     let n_terms = buf.get_u32() as usize;
-    let mut terminals = BTreeSet::new();
-    for _ in 0..n_terms {
-        need(buf, 4)?;
-        terminals.insert(NodeId(buf.get_u32()));
-    }
+    need(buf, n_terms.checked_mul(4).ok_or(CodecError::Oversize)?)?;
+    // Collected, not inserted one by one: encoder output is sorted, so the
+    // set is bulk-built from one run.
+    let terminals = (0..n_terms).map(|_| NodeId(buf.get_u32())).collect();
     Ok(McTopology::from_edges(edges, terminals))
 }
 
@@ -388,21 +388,54 @@ pub fn decode_db_sync(buf: &mut Bytes) -> Result<(Vec<RouterLsa>, Vec<McSync>), 
     Ok((router_lsas, mc_states))
 }
 
+fn node_ok(node: NodeId, n: usize) -> bool {
+    (node.0 as usize) < n
+}
+
+fn topology_ok(t: &McTopology, n: usize) -> bool {
+    t.terminals().iter().all(|&term| node_ok(term, n))
+        && t.edges().all(|(a, b)| node_ok(a, n) && node_ok(b, n))
+}
+
+/// Checks a decoded router LSA against the `n`-switch network: origin and
+/// every advertised neighbour in range.
+pub fn router_lsa_is_sane(lsa: &RouterLsa, n: usize) -> bool {
+    node_ok(lsa.origin, n) && lsa.links.iter().all(|adv| node_ok(adv.neighbor, n))
+}
+
+/// Checks a decoded [`McSync`] against the `n`-switch network: the three
+/// stamps exactly `n` wide, every node id in range.
+pub fn mc_sync_is_sane(sync: &McSync, n: usize) -> bool {
+    [&sync.r, &sync.e, &sync.c].iter().all(|t| t.len() == n)
+        && sync.c_source.is_none_or(|s| node_ok(s, n))
+        && sync.members.keys().all(|&m| node_ok(m, n))
+        && sync.installed.as_ref().is_none_or(|t| topology_ok(t, n))
+}
+
+/// Checks a decoded flood payload against the `n`-switch network: every
+/// node id in range, the stamp of an MC LSA exactly `n` wide.
+///
+/// A payload that decodes but fails this is structurally valid yet
+/// poisonous — a stamp of the wrong width trips the engine's `assert_eq!`
+/// on merge — so it is the gate between every decoder and the LSDB or the
+/// engine: `dgmc_node::frame::frame_is_sane` applies it to frames that
+/// arrive typed, [`crate::proto::NodeCore`] to a flood body it has just
+/// parsed.
+pub fn payload_is_sane(payload: &DgmcPayload, n: usize) -> bool {
+    match payload {
+        DgmcPayload::Router(lsa) => router_lsa_is_sane(lsa, n),
+        DgmcPayload::Mc(lsa) => {
+            node_ok(lsa.source, n)
+                && lsa.stamp.len() == n
+                && lsa.proposal.as_ref().is_none_or(|t| topology_ok(t, n))
+        }
+    }
+}
+
 /// Encodes a flood packet (duplicate-suppression id plus payload).
 pub fn encode_flood_packet(packet: &FloodPacket<DgmcPayload>, out: &mut BytesMut) {
     encode_flood_id(packet.id, out);
     encode_payload(&packet.payload, out);
-}
-
-/// Decodes a flood packet.
-///
-/// # Errors
-///
-/// Propagates inner codec errors.
-pub fn decode_flood_packet(buf: &mut Bytes) -> Result<FloodPacket<DgmcPayload>, CodecError> {
-    let id = decode_flood_id(buf)?;
-    let payload = decode_payload(buf)?;
-    Ok(FloodPacket { id, payload })
 }
 
 /// Encodes a data-plane packet.

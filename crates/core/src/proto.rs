@@ -19,8 +19,25 @@
 //! its revival, frames from non-neighbours are dropped and counted
 //! ([`counters::UNKNOWN_SENDER`]), and link events naming an unknown
 //! neighbour are ignored.
+//!
+//! A flood is decided on its identity first. Off a wire it arrives as
+//! [`Frame::FloodWire`] — id read, body still bytes — and `NodeCore::frame`
+//! goes, in this order: neighbour gate → has the flooder seen the id? (a
+//! duplicate, two copies in three, is counted and dropped unparsed, whatever
+//! its body holds) → decode the whole body and check it against the network
+//! width, exactly as [`crate::codec::payload_is_sane`] vets a typed frame
+//! (a failure is counted under [`counters::DECODE_ERRORS`] or
+//! [`counters::INSANE_FRAMES`] and leaves the id unseen, so a well-formed
+//! copy is still accepted) → accept the id → relay the frame *as received*
+//! (bodies that are valid but not canonical are forwarded verbatim; every
+//! receiver decodes them to the same value) → hand the typed payload to the
+//! handler the typed [`Frame::Flood`] arm ends in. Which arm runs follows
+//! from what arrived, not from a setting: simulations pass typed values, a
+//! socket delivers bytes, and the origin of a flood emits typed frames.
 
+use crate::codec::{decode_payload, payload_is_sane};
 use crate::{DgmcAction, DgmcEngine, McId, McLsa, McSync};
+use bytes::Bytes;
 use dgmc_lsr::flood::Flooder;
 use dgmc_lsr::lsa::{FloodPacket, LinkAdv, RouterLsa};
 use dgmc_lsr::{Lsdb, RoutingTable};
@@ -73,8 +90,14 @@ pub enum DataKind {
 /// datagram.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// A flood packet (router or MC LSA) relayed hop by hop.
+    /// A flood packet (router or MC LSA) relayed hop by hop, as a typed
+    /// value: what a switch originates and what a simulation passes around.
     Flood(FloodPacket<DgmcPayload>),
+    /// A flood packet as it came off a wire: the id is read, the payload is
+    /// still the encoded [`DgmcPayload`] (tag + LSA), unparsed and
+    /// unchecked. The core parses it only once the id proves fresh, and
+    /// relays these very bytes.
+    FloodWire(FloodPacket<Rc<[u8]>>),
     /// OSPF-style database exchange after a link came up.
     DbSync {
         /// The sender's router LSA database.
@@ -123,6 +146,12 @@ pub mod counters {
     /// Frames from switches that are not neighbours on any incident link
     /// (outside input; never bumped inside a simulation).
     pub const UNKNOWN_SENDER: &str = "node.unknown_sender";
+    /// Datagrams, or fresh flood bodies, that failed to decode
+    /// (truncated/garbage/bad tag/trailing bytes; outside input).
+    pub const DECODE_ERRORS: &str = "node.decode_errors";
+    /// Frames, or fresh flood bodies, that decoded but failed the
+    /// range/width checks against the network (outside input).
+    pub const INSANE_FRAMES: &str = "node.insane_frames";
 }
 
 /// Histogram names recorded by [`NodeCore`] and the experiment runner.
@@ -370,20 +399,16 @@ impl NodeCore {
             .map(|&(l, ..)| l)
     }
 
-    /// Sends `packet` on every up link except `except`; returns the fan-out.
-    fn relay(
-        &self,
-        fx: &mut Step<'_>,
-        packet: &FloodPacket<DgmcPayload>,
-        except: Option<LinkId>,
-    ) -> u64 {
+    /// Sends the flood frame `copy` makes on every up link except `except`;
+    /// returns the fan-out.
+    fn relay(&self, fx: &mut Step<'_>, except: Option<LinkId>, copy: impl Fn() -> Frame) -> u64 {
         let mut fanout = 0;
         for &(link, neighbor, _, up) in &self.incident {
             if up && Some(link) != except {
                 fanout += 1;
                 fx.out.push(Output::Send {
                     to: neighbor,
-                    frame: Frame::Flood(packet.clone()),
+                    frame: copy(),
                 });
             }
         }
@@ -392,8 +417,24 @@ impl NodeCore {
 
     fn flood(&mut self, fx: &mut Step<'_>, payload: DgmcPayload) {
         let packet = self.flooder.originate(payload);
-        let fanout = self.relay(fx, &packet, None);
+        let fanout = self.relay(fx, None, || Frame::Flood(packet.clone()));
         fx.metrics.observe_named(histograms::FLOOD_FANOUT, fanout);
+    }
+
+    /// The payload of a flood accepted here for the first time.
+    fn flooded(&mut self, fx: &mut Step<'_>, payload: DgmcPayload) {
+        match payload {
+            DgmcPayload::Router(lsa) => {
+                if self.lsdb.install(lsa) {
+                    self.refresh_image(fx);
+                }
+            }
+            DgmcPayload::Mc(lsa) => {
+                fx.bump(counters::MC_LSAS, 1);
+                let actions = self.engine.on_mc_lsa(lsa);
+                self.execute(fx, actions);
+            }
+        }
     }
 
     fn execute(&mut self, fx: &mut Step<'_>, actions: Vec<DgmcAction>) {
@@ -578,19 +619,34 @@ impl NodeCore {
                     fx.bump(counters::DUPLICATES, 1);
                     return;
                 }
-                self.relay(fx, &packet, Some(via));
-                match packet.payload {
-                    DgmcPayload::Router(lsa) => {
-                        if self.lsdb.install(lsa) {
-                            self.refresh_image(fx);
-                        }
-                    }
-                    DgmcPayload::Mc(lsa) => {
-                        fx.bump(counters::MC_LSAS, 1);
-                        let actions = self.engine.on_mc_lsa(lsa);
-                        self.execute(fx, actions);
-                    }
+                self.relay(fx, Some(via), || Frame::Flood(packet.clone()));
+                self.flooded(fx, packet.payload);
+            }
+            Frame::FloodWire(packet) => {
+                // Identity first: two copies in three are duplicates, and a
+                // duplicate is decided on its id without parsing its body.
+                if self.flooder.seen(packet.id) {
+                    fx.bump(counters::DUPLICATES, 1);
+                    return;
                 }
+                // A body that is rejected leaves no trace: the id stays
+                // unseen, so a well-formed copy is still accepted later.
+                let mut body = Bytes::from(&packet.payload[..]);
+                let payload = match decode_payload(&mut body) {
+                    Ok(payload) if body.is_empty() => payload,
+                    _ => {
+                        fx.bump(counters::DECODE_ERRORS, 1);
+                        return;
+                    }
+                };
+                if !payload_is_sane(&payload, self.width()) {
+                    fx.bump(counters::INSANE_FRAMES, 1);
+                    return;
+                }
+                self.flooder.accept(packet.id);
+                // The next hop gets the bytes this one received.
+                self.relay(fx, Some(via), || Frame::FloodWire(packet.clone()));
+                self.flooded(fx, payload);
             }
             Frame::DbSync {
                 router_lsas,

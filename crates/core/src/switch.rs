@@ -199,6 +199,8 @@ pub fn trace_label(msg: &SwitchMsg) -> String {
             DgmcPayload::Router(lsa) => format!("router-lsa sw{}", lsa.origin.0),
             DgmcPayload::Mc(lsa) => format!("mc-lsa {} sw{}", lsa.mc, lsa.source.0),
         },
+        // Unparsed, so the label has only the id to go on.
+        SwitchMsg::Frame(Frame::FloodWire(packet)) => format!("wire-lsa sw{}", packet.id.origin.0),
         SwitchMsg::Frame(Frame::Data(data)) => format!("data {} #{}", data.mc, data.packet_id),
         SwitchMsg::Frame(Frame::DbSync { .. }) => "db-sync".to_owned(),
         SwitchMsg::HostJoin { mc, .. } => format!("join {mc}"),

@@ -10,13 +10,13 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dgmc_core::codec::{
-    decode_data_msg, decode_db_sync, decode_flood_packet, decode_mc_lsa, decode_mc_sync,
+    decode_data_msg, decode_db_sync, decode_mc_lsa, decode_mc_sync, decode_payload,
     decode_timestamp, decode_topology, encode_data_msg, encode_db_sync, encode_flood_packet,
     encode_mc_lsa, encode_mc_sync, MAX_TIMESTAMP_WIDTH,
 };
 use dgmc_core::switch::{DataKind, DataMsg, DgmcPayload};
 use dgmc_core::{McEventKind, McId, McLsa, McSync, Timestamp};
-use dgmc_lsr::codec::decode_router_lsa;
+use dgmc_lsr::codec::{decode_flood_id, decode_router_lsa};
 use dgmc_lsr::lsa::{FloodId, FloodPacket, LinkAdv, RouterLsa};
 use dgmc_mctree::{McTopology, McType, Role};
 use dgmc_topology::{LinkId, NodeId};
@@ -201,7 +201,13 @@ proptest! {
             payload: DgmcPayload::Mc(lsa),
         };
         let bytes = encoded(|out| encode_flood_packet(&packet, out));
-        let back = decode_flood_packet(&mut Bytes::from(&bytes[..])).expect("decode");
+        // A flood is read the way a switch reads it: the id, then the body.
+        let mut buf = Bytes::from(&bytes[..]);
+        let back = FloodPacket {
+            id: decode_flood_id(&mut buf).expect("decode id"),
+            payload: decode_payload(&mut buf).expect("decode body"),
+        };
+        prop_assert!(buf.is_empty());
         prop_assert_eq!(encoded(|out| encode_flood_packet(&back, out)), bytes);
 
         let bytes = encoded(|out| encode_data_msg(&data, out));
@@ -232,7 +238,7 @@ proptest! {
         let _ = decode_mc_lsa(&mut Bytes::from(&bytes[..]));
         let _ = decode_mc_sync(&mut Bytes::from(&bytes[..]));
         let _ = decode_db_sync(&mut Bytes::from(&bytes[..]));
-        let _ = decode_flood_packet(&mut Bytes::from(&bytes[..]));
+        let _ = decode_payload(&mut Bytes::from(&bytes[..]));
         let _ = decode_data_msg(&mut Bytes::from(&bytes[..]));
         let _ = decode_router_lsa(&mut Bytes::from(&bytes[..]));
     }

@@ -59,6 +59,12 @@ impl Flooder {
     pub fn accept(&mut self, id: FloodId) -> bool {
         self.seen.insert(id)
     }
+
+    /// `true` when flood `id` was originated or accepted here — what
+    /// [`accept`](Self::accept) would refuse — without recording anything.
+    pub fn seen(&self, id: FloodId) -> bool {
+        self.seen.contains(&id)
+    }
 }
 
 /// The links a relaying node must forward a just-accepted packet on:
@@ -97,7 +103,9 @@ mod tests {
             origin: NodeId(5),
             seq: 3,
         };
+        assert!(!f.seen(id), "asking does not record");
         assert!(f.accept(id), "first copy accepted");
+        assert!(f.seen(id));
         assert!(!f.accept(id), "duplicate dropped");
     }
 

@@ -311,6 +311,9 @@ impl Driver {
         Ok(())
     }
 
+    /// One datagram: framed, vetted, handed to the core. A flood's body is
+    /// not parsed here; the core does that once the id proves fresh, and
+    /// counts a bad one under the same two names.
     fn on_datagram(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.rx += 1;
         *self

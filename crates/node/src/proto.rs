@@ -13,15 +13,15 @@ pub mod node_counters {
     /// Frames from nodes that are not neighbors on any incident link
     /// (bumped by the core, which does the check).
     pub use dgmc_core::proto::counters::UNKNOWN_SENDER;
+    /// Datagrams that failed to decode, and datagrams that decoded but
+    /// failed the range/width checks: the driver bumps them for what
+    /// [`crate::frame`] rejects, the core for a fresh flood body (which the
+    /// framing hands it unparsed).
+    pub use dgmc_core::proto::counters::{DECODE_ERRORS, INSANE_FRAMES};
     /// Datagrams received on the UDP socket.
     pub const RX_DATAGRAMS: &str = "node.rx_datagrams";
     /// Datagrams handed to the socket for sending.
     pub const TX_DATAGRAMS: &str = "node.tx_datagrams";
-    /// Datagrams that failed to decode (truncated/garbage/bad tag).
-    pub const DECODE_ERRORS: &str = "node.decode_errors";
-    /// Datagrams that decoded but failed semantic validation
-    /// ([`crate::frame::frame_is_sane`]).
-    pub const INSANE_FRAMES: &str = "node.insane_frames";
     /// Sends the loss shim converted into delayed retransmissions.
     pub const SHIM_RETRANSMITS: &str = "node.shim_retransmits";
     /// Sends the loss shim dropped for good (hard loss).
