@@ -103,6 +103,25 @@ if grep -rnE '"--(eager|lazy|typed|wire|flood|parse)[a-z-]*"|DGMC_(FLOOD|EAGER|L
     exit 1
 fi
 
+# PR22: the image follows the LSDB. `Lsdb::install` patches the one image in
+# place when the LSA kept its roster and rebuilds it otherwise; the switch
+# borrows `lsdb.image()` and only recomputes routes. `proto.rs` naming the
+# from-scratch builder, or `NodeCore` holding an `image:` field again, is the
+# per-LSA rebuild and the second copy coming back. Which of the two paths runs
+# follows from the LSA, never from a flag, an environment variable or an
+# options field. No wall-clock gate: `image_follows_every_install` and the
+# `debug_assert` in `install` are the pins (DESIGN.md §14).
+if grep -n 'local_image' crates/core/src/proto.rs ||
+    grep -nE '^[[:space:]]*(pub(\([a-z]+\))? )?image:' crates/core/src/proto.rs; then
+    echo "NodeCore rebuilds or stores its own image again; it borrows Lsdb::image()"
+    exit 1
+fi
+if grep -rnE '"--(incremental|rebuild|delta|patch)[a-z-]*"|DGMC_(IMAGE|DELTA|REBUILD|INCREMENTAL|PATCH)|(incremental|delta|rebuild|patch)_(image|lsdb)|image_(mode|path|delta|rebuild)' \
+    crates --include='*.rs' --include='*.toml'; then
+    echo "a switch selecting delta vs rebuild is back; the path follows whether the roster changed"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -398,9 +398,16 @@ fn topology_ok(t: &McTopology, n: usize) -> bool {
 }
 
 /// Checks a decoded router LSA against the `n`-switch network: origin and
-/// every advertised neighbour in range.
+/// every advertised neighbour in range, no link from the origin to itself,
+/// no neighbour listed twice (a network has one link per switch pair).
 pub fn router_lsa_is_sane(lsa: &RouterLsa, n: usize) -> bool {
-    node_ok(lsa.origin, n) && lsa.links.iter().all(|adv| node_ok(adv.neighbor, n))
+    let mut listed = vec![false; n];
+    node_ok(lsa.origin, n)
+        && lsa.links.iter().all(|adv| {
+            node_ok(adv.neighbor, n)
+                && adv.neighbor != lsa.origin
+                && !std::mem::replace(&mut listed[adv.neighbor.index()], true)
+        })
 }
 
 /// Checks a decoded [`McSync`] against the `n`-switch network: the three

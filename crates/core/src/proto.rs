@@ -1,7 +1,9 @@
 //! The D-GMC switch: the one implementation of the paper's
 //! `EventHandler()`/`ReceiveLSA()` over a link-state substrate.
 //!
-//! [`NodeCore`] owns the [`DgmcEngine`], the flooder, the LSDB, the routing
+//! [`NodeCore`] owns the [`DgmcEngine`], the flooder, the LSDB (and through it
+//! the one local image: an accepted router LSA patches it in place inside
+//! [`Lsdb::install`], and the core only recomputes its routes), the routing
 //! table, the local incident-link truth and the data plane. It is sans-IO:
 //! every input is an `on_*` call stamped with the caller's clock, every
 //! effect is an [`Output`] returned in the order it must happen. No sockets,
@@ -237,7 +239,6 @@ pub struct NodeCore {
     incident: Vec<(LinkId, NodeId, u64, bool)>,
     next_router_seq: u64,
     engine: DgmcEngine,
-    image: Network,
     last_install_nanos: u64,
     /// (mc, packet_id) -> copies delivered to the local host.
     delivered: BTreeMap<(McId, u64), u32>,
@@ -277,12 +278,8 @@ impl NodeCore {
         spf_cache: SpfCache,
         observer: SharedObserver,
     ) -> NodeCore {
-        let mut lsdb = Lsdb::new(net.len());
-        for n in net.nodes() {
-            lsdb.install(RouterLsa::describe(net, n, 0));
-        }
-        let image = lsdb.local_image();
-        let routes = RoutingTable::compute_with(&image, me, &spf_cache);
+        let lsdb = Lsdb::from_network(net);
+        let routes = RoutingTable::compute_with(lsdb.image(), me, &spf_cache);
         let incident = net
             .links()
             .filter(|l| l.a == me || l.b == me)
@@ -300,7 +297,6 @@ impl NodeCore {
             incident,
             next_router_seq: 1,
             engine,
-            image,
             last_install_nanos: 0,
             delivered: BTreeMap::new(),
             failed: false,
@@ -326,10 +322,10 @@ impl NodeCore {
         &self.engine
     }
 
-    /// The core's local image of the network (the LSDB reconstruction its
-    /// computations run against).
+    /// The core's local image of the network: the one the LSDB keeps
+    /// current, which routes and topology computations run against.
     pub fn image(&self) -> &Network {
-        &self.image
+        self.lsdb.image()
     }
 
     /// The unicast routing table.
@@ -426,7 +422,7 @@ impl NodeCore {
         match payload {
             DgmcPayload::Router(lsa) => {
                 if self.lsdb.install(lsa) {
-                    self.refresh_image(fx);
+                    self.recompute_routes(fx);
                 }
             }
             DgmcPayload::Mc(lsa) => {
@@ -500,10 +496,12 @@ impl NodeCore {
         self.execute(fx, actions);
     }
 
-    fn refresh_image(&mut self, fx: &mut Step<'_>) {
+    /// The routing table of the image as the LSDB now holds it; called after
+    /// every `install` that changed the database.
+    fn recompute_routes(&mut self, fx: &mut Step<'_>) {
         let before = self.engine.spf_cache().stats();
-        self.image = self.lsdb.local_image();
-        self.routes = RoutingTable::compute_with(&self.image, self.me, self.engine.spf_cache());
+        self.routes =
+            RoutingTable::compute_with(self.lsdb.image(), self.me, self.engine.spf_cache());
         self.record_spf_delta(fx, before);
     }
 
@@ -657,7 +655,7 @@ impl NodeCore {
                     changed |= self.lsdb.install(lsa);
                 }
                 if changed {
-                    self.refresh_image(fx);
+                    self.recompute_routes(fx);
                 }
                 let actions = self.engine.import_sync(mc_states);
                 self.execute(fx, actions);
@@ -676,14 +674,10 @@ impl NodeCore {
         if up {
             // Database exchange toward the (possibly just revived) far
             // endpoint, as OSPF does when an adjacency forms.
-            let node_count = u32::try_from(self.lsdb.node_count()).expect("node ids fit u32");
-            let router_lsas = (0..node_count)
-                .filter_map(|i| self.lsdb.get(NodeId(i)).cloned())
-                .collect();
             fx.out.push(Output::Send {
                 to: neighbor,
                 frame: Frame::DbSync {
-                    router_lsas,
+                    router_lsas: self.lsdb.lsas().cloned().collect(),
                     mc_states: self.engine.export_sync(),
                 },
             });
@@ -707,7 +701,7 @@ impl NodeCore {
             };
             self.next_router_seq += 1;
             self.lsdb.install(lsa.clone());
-            self.refresh_image(fx);
+            self.recompute_routes(fx);
             fx.bump(counters::ROUTER_FLOODS, 1);
             self.flood(fx, DgmcPayload::Router(lsa));
             // ...then the k MC LSAs for affected connections.
@@ -744,7 +738,7 @@ impl NodeCore {
             Input::Link(neighbor, up, detector) => self.link_event(fx, neighbor, up, detector),
             Input::ComputationDone(mc) => {
                 let before = self.engine.spf_cache().stats();
-                let actions = self.engine.on_computation_done(mc, &self.image);
+                let actions = self.engine.on_computation_done(mc, self.lsdb.image());
                 self.record_spf_delta(fx, before);
                 self.execute(fx, actions);
             }

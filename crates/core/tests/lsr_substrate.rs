@@ -1,17 +1,21 @@
 //! Properties of the link-state substrate — flooding coverage and route
 //! convergence after a failure — checked on the shipped switch
-//! ([`DgmcSwitch`] over `NodeCore`), over random networks.
+//! ([`DgmcSwitch`] over `NodeCore`), over random networks; and, on a mesh of
+//! bare `NodeCore`s, that the image each switch keeps patched stays the image
+//! of its own database through cuts, a repair and a crash/revival.
 
+use dgmc_core::proto::{Frame, NodeCore, Output};
 use dgmc_core::switch::{
     build_dgmc_sim, counters, inject_link_event, DgmcConfig, DgmcSwitch, SwitchMsg,
 };
 use dgmc_des::{ActorId, SimDuration, Simulation};
-use dgmc_lsr::RoutingTable;
+use dgmc_lsr::{Lsdb, RoutingTable};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, spf, LinkId, LinkState, Network, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 fn arb_net() -> impl Strategy<Value = Network> {
@@ -100,4 +104,136 @@ proptest! {
             }
         }
     }
+}
+
+/// The shipped cores of a network on an in-memory FIFO wire, driven by hand
+/// (no connections, so no timers) so that the test can ask a core for its
+/// database the way a neighbour would.
+struct Mesh {
+    cores: Vec<NodeCore>,
+    wire: VecDeque<(NodeId, NodeId, Frame)>,
+    truth: Network,
+    failed: Vec<bool>,
+    /// The database every core starts from.
+    warm: Lsdb,
+}
+
+impl Mesh {
+    fn new(net: &Network) -> Mesh {
+        let core = |n| NodeCore::new(n, net, 300_000, Rc::new(SphStrategy::new()));
+        Mesh {
+            cores: net.nodes().map(core).collect(),
+            wire: VecDeque::new(),
+            truth: net.clone(),
+            failed: vec![false; net.len()],
+            warm: Lsdb::from_network(net),
+        }
+    }
+
+    /// Queues what `from` sent and delivers until the wire is empty.
+    fn settle(&mut self, from: NodeId, outputs: Vec<Output>) {
+        let sent = |from, outputs: Vec<Output>| {
+            outputs.into_iter().map(move |o| match o {
+                Output::Send { to, frame } => (from, to, frame),
+                Output::StartTimer { .. } => unreachable!("no connection was ever joined"),
+            })
+        };
+        self.wire.extend(sent(from, outputs));
+        while let Some((from, to, frame)) = self.wire.pop_front() {
+            let outputs = self.cores[to.index()].on_frame(0, from, frame);
+            self.wire.extend(sent(to, outputs));
+        }
+    }
+
+    /// A ground-truth link transition: the lower endpoint detects it.
+    fn link(&mut self, id: LinkId, up: bool) {
+        let state = if up { LinkState::Up } else { LinkState::Down };
+        self.truth.set_link_state(id, state).unwrap();
+        let (a, b) = self.truth.link(id).unwrap().endpoints();
+        for (me, other, detector) in [(a, b, true), (b, a, false)] {
+            let outputs = self.cores[me.index()].on_link_event(0, other, up, detector);
+            self.settle(me, outputs);
+        }
+    }
+
+    /// A crash or a revival: every neighbour over a link that is up in the
+    /// ground truth detects it.
+    fn node(&mut self, node: NodeId, up: bool) {
+        self.failed[node.index()] = !up;
+        let outputs = self.cores[node.index()].on_admin(0, up);
+        self.settle(node, outputs);
+        let neighbors: Vec<NodeId> = self.truth.neighbors(node).map(|(n, _)| n).collect();
+        for n in neighbors {
+            let outputs = self.cores[n.index()].on_link_event(0, node, up, true);
+            self.settle(n, outputs);
+        }
+    }
+
+    /// At quiescence, every live switch's image is the rebuild of its own
+    /// database, shows each link up exactly when the ground truth has it up
+    /// between two live switches, and its routes are the routes of that
+    /// image. Returns the most LSAs one database held.
+    fn check(&mut self, after: &str) -> usize {
+        let mut most = 0;
+        for me in self.truth.nodes().filter(|n| !self.failed[n.index()]) {
+            // The database as the protocol exports it: what the switch sends
+            // a neighbour whose link comes up (here one that is up already).
+            let (live, _) = self
+                .truth
+                .neighbors(me)
+                .find(|(n, _)| !self.failed[n.index()])
+                .unwrap();
+            let core = &mut self.cores[me.index()];
+            let Some(Output::Send {
+                frame: Frame::DbSync { router_lsas, .. },
+                ..
+            }) = core.on_link_event(0, live, true, false).pop()
+            else {
+                panic!("a link-up sends one database exchange");
+            };
+            most = most.max(router_lsas.len());
+            // Rebuilt from the warm start every core began with (a cold
+            // database would rebuild its image once per first LSA).
+            let mut db = self.warm.clone();
+            for lsa in &router_lsas {
+                db.install(lsa.clone());
+            }
+            assert!(db.lsas().eq(&router_lsas), "{after}: database of {me}");
+            let rebuilt = db.local_image();
+            assert_eq!(core.image(), &rebuilt, "{after}: image of {me}");
+            assert_eq!(core.image().digest(), rebuilt.digest());
+            for l in self.truth.links() {
+                let up = l.is_up() && !self.failed[l.a.index()] && !self.failed[l.b.index()];
+                let seen = core.image().link_between(l.a, l.b).expect("advertised");
+                assert_eq!(seen.is_up(), up, "{after}: {} as {me} sees it", l.id);
+            }
+            assert_eq!(
+                core.routes(),
+                &RoutingTable::compute(core.image(), me),
+                "{after}: routes of {me}"
+            );
+        }
+        most
+    }
+}
+
+#[test]
+fn every_image_follows_its_database_through_cuts_repair_and_revival() {
+    let net = generate::grid(11, 10);
+    let crashed = NodeId(37);
+    let incident = |n| net.links().find(move |l| l.a == n || l.b == n).unwrap().id;
+    let (first, second) = (incident(NodeId(0)), incident(crashed));
+    let mut mesh = Mesh::new(&net);
+    mesh.check("warm start");
+    mesh.link(first, false);
+    mesh.check("cut");
+    mesh.link(second, false);
+    mesh.check("second cut");
+    mesh.link(first, true);
+    mesh.check("repair");
+    mesh.node(crashed, false);
+    mesh.check("crash");
+    mesh.node(crashed, true);
+    // The revived switch took its neighbours' whole databases in one frame.
+    assert_eq!(mesh.check("revival"), 110);
 }

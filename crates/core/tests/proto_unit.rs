@@ -5,9 +5,9 @@ use bytes::BytesMut;
 use dgmc_core::codec::encode_payload;
 use dgmc_core::proto::{counters, DataKind, DataMsg, DgmcPayload, Frame, NodeCore, Output};
 use dgmc_core::{McId, McLsa, McType, Role, Timestamp};
-use dgmc_lsr::lsa::{FloodId, FloodPacket};
+use dgmc_lsr::lsa::{FloodId, FloodPacket, LinkAdv, RouterLsa};
 use dgmc_mctree::{McTopology, SphStrategy};
-use dgmc_topology::{generate, NodeId};
+use dgmc_topology::{generate, LinkId, NodeId};
 use std::rc::Rc;
 
 const MC: McId = McId(1);
@@ -241,4 +241,50 @@ fn a_failed_switch_drops_a_wire_flood_before_consulting_its_id() {
     core.on_admin(450_000, true);
     core.on_frame(500_000, NodeId(0), wire(id, &body_of(&lsa)));
     assert_eq!(core.metrics().counter_value(counters::MC_LSAS), 1);
+}
+
+/// A router LSA in which switch 0 lists itself (or switch 1 twice) as a
+/// neighbour passes every range check, and used to panic each switch that
+/// accepted the flood while it rebuilt its image. It is insane: counted,
+/// nothing stored, nothing relayed, the id left fresh — and a well-formed
+/// LSA under the same id is then accepted, relayed and reaches the image.
+#[test]
+fn a_router_lsa_advertising_its_own_origin_or_a_neighbour_twice_is_insane() {
+    let adv = |neighbor, up| LinkAdv {
+        link: LinkId(0),
+        neighbor: NodeId(neighbor),
+        cost: 1,
+        up,
+    };
+    let body = |links| {
+        let lsa = RouterLsa {
+            origin: NodeId(0),
+            seq: 1,
+            links,
+        };
+        let mut out = BytesMut::new();
+        encode_payload(&DgmcPayload::Router(lsa), &mut out);
+        out.to_vec()
+    };
+    let id = FloodId {
+        origin: NodeId(0),
+        seq: 0,
+    };
+    let mut core = core_on_path(1);
+    let (engine_before, image_before) = (core.engine().export_sync(), core.image().clone());
+    for bad in [vec![adv(0, true)], vec![adv(1, true), adv(1, false)]] {
+        let outputs = core.on_frame(400_000, NodeId(0), wire(id, &body(bad)));
+        assert!(outputs.is_empty(), "unexpected outputs: {outputs:?}");
+    }
+    assert_eq!(core.engine().export_sync(), engine_before);
+    assert_eq!(core.image(), &image_before);
+    assert_eq!(core.metrics().counter_value(counters::INSANE_FRAMES), 2);
+    assert_eq!(core.metrics().counter_value(counters::DECODE_ERRORS), 0);
+    assert_eq!(core.metrics().counter_value(counters::DUPLICATES), 0);
+
+    let outputs = core.on_frame(400_001, NodeId(0), wire(id, &body(vec![adv(1, false)])));
+    assert_eq!(sent_frames(outputs).len(), 1, "relayed to switch 2");
+    let cut = core.image().link_between(NodeId(0), NodeId(1)).unwrap();
+    assert!(!cut.is_up(), "the good LSA reached the image");
+    assert_eq!(core.metrics().counter_value(counters::INSANE_FRAMES), 2);
 }

@@ -1,9 +1,14 @@
-//! Reliable flooding with duplicate suppression.
+//! Flooding with duplicate suppression.
 //!
 //! Flooding is the transport of every advertisement in the system — router
 //! LSAs and D-GMC's MC LSAs alike. Each flooding operation has a unique
 //! [`FloodId`]; a node relays the first copy it sees on every up link except
 //! the arrival link, and drops duplicates.
+//!
+//! That is all this module does: a set of seen ids. There is no
+//! acknowledgement and no retransmission, so delivery is only as reliable as
+//! the links underneath — the paper *assumes* reliable FIFO flooding, and
+//! making that a property of this code is ROADMAP.md item 2.
 
 use crate::lsa::{FloodId, FloodPacket};
 use dgmc_topology::{LinkId, NodeId};

@@ -5,15 +5,16 @@
 //! flooding of link-state advertisements (LSAs). This crate provides that
 //! substrate:
 //!
-//! * [`flood`] — reliable network-wide flooding with duplicate suppression,
-//!   usable with *any* payload (the D-GMC core floods its MC LSAs through the
-//!   same mechanism, mirroring the paper's shared LSA transport),
+//! * [`flood`] — network-wide flooding with duplicate suppression (no acks:
+//!   as reliable as the links), usable with *any* payload (the D-GMC core
+//!   floods its MC LSAs through the same mechanism, mirroring the paper's
+//!   shared LSA transport),
 //! * [`lsa`] — router LSAs with sequence numbers describing a switch's
 //!   incident links,
 //! * [`Lsdb`] — the link-state database each switch keeps, and the *local
-//!   image* of the network it induces,
+//!   image* of the network it induces, patched in place as LSAs arrive,
 //! * [`RoutingTable`] — unicast next-hop tables computed from the local
-//!   image by Dijkstra SPF.
+//!   image by Dijkstra SPF, filled in one pass over the tree.
 //!
 //! The per-switch state machine tying these together is
 //! `dgmc_core::proto::NodeCore`; the substrate's flooding and
@@ -31,8 +32,7 @@
 //! for n in net.nodes() {
 //!     db.install(RouterLsa::describe(&net, n, 1));
 //! }
-//! let image = db.local_image();
-//! let table = RoutingTable::compute(&image, NodeId(0));
+//! let table = RoutingTable::compute(db.image(), NodeId(0));
 //! assert_eq!(table.next_hop(NodeId(2)), Some(NodeId(1)));
 //! ```
 

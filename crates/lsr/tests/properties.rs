@@ -2,12 +2,13 @@
 //! networks (flooding and route convergence are checked on the shipped
 //! switch, in `crates/core/tests/lsr_substrate.rs`).
 
-use dgmc_lsr::lsa::RouterLsa;
+use dgmc_lsr::lsa::{LinkAdv, RouterLsa};
 use dgmc_lsr::Lsdb;
-use dgmc_topology::{generate, Network, NodeId};
+use dgmc_topology::{generate, LinkId, Network, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 fn arb_net() -> impl Strategy<Value = Network> {
     (5usize..40, any::<u64>()).prop_map(|(n, seed)| {
@@ -51,7 +52,6 @@ proptest! {
     /// order.
     #[test]
     fn lsdb_is_order_insensitive(net in arb_net(), order_seed in any::<u64>()) {
-        use rand::seq::SliceRandom;
         let mut forward = Lsdb::new(net.len());
         for n in net.nodes() {
             forward.install(RouterLsa::describe(&net, n, 1));
@@ -63,5 +63,84 @@ proptest! {
             shuffled.install(RouterLsa::describe(&net, n, 1));
         }
         prop_assert_eq!(forward.local_image(), shuffled.local_image());
+    }
+
+    /// The image `install` maintains is the image a rebuild would produce,
+    /// after *every* install of a random history: a database filled in
+    /// arbitrary order (so most of it runs partial), single and multiple
+    /// flips per LSA, always one-sided (only the origin's own claim moves,
+    /// as when a lone detector advertises), flips back (repairs), stale and
+    /// equal sequence numbers, and the roster changes that take the rebuild
+    /// path — a cost change, a neighbour dropped, a neighbour added.
+    #[test]
+    fn image_follows_every_install(net in arb_net(), seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let n = net.len();
+        // What each switch would advertise now, and what the database holds.
+        let mut latest: Vec<RouterLsa> =
+            net.nodes().map(|v| RouterLsa::describe(&net, v, 1)).collect();
+        let mut stored: Vec<Option<u64>> = vec![None; n];
+        let mut unfilled: Vec<usize> = (0..n).collect();
+        unfilled.shuffle(rng);
+        let mut db = Lsdb::new(n);
+        for _ in 0..6 * n {
+            let fill = !unfilled.is_empty() && rng.gen_bool(0.5);
+            let origin = if fill { unfilled.pop().unwrap() } else { rng.gen_range(0..n) };
+            let lsa = &mut latest[origin];
+            match rng.gen_range(0..10) {
+                // Re-sent as it is: new the first time, an equal seq after.
+                0 => {}
+                // Older than what is stored, and lying about every link.
+                1 => {
+                    let lie = |adv: &LinkAdv| LinkAdv { up: !adv.up, ..*adv };
+                    let stale = RouterLsa {
+                        seq: lsa.seq - 1,
+                        links: lsa.links.iter().map(lie).collect(),
+                        ..lsa.clone()
+                    };
+                    let before = db.image().clone();
+                    prop_assert_eq!(db.install(stale), stored[origin].is_none());
+                    if stored[origin].is_some() {
+                        prop_assert_eq!(db.image(), &before);
+                    }
+                    stored[origin] = stored[origin].or(Some(lsa.seq - 1));
+                }
+                2 if !lsa.links.is_empty() => {
+                    let at = rng.gen_range(0..lsa.links.len());
+                    lsa.links[at].cost += rng.gen_range(1..5);
+                    lsa.seq += 1;
+                }
+                3 if !lsa.links.is_empty() => {
+                    lsa.links.remove(rng.gen_range(0..lsa.links.len()));
+                    lsa.seq += 1;
+                }
+                4 => {
+                    let neighbor = NodeId::from(rng.gen_range(0..n));
+                    let listed = lsa.links.iter().any(|adv| adv.neighbor == neighbor);
+                    if neighbor.index() != origin && !listed {
+                        let (cost, up) = (rng.gen_range(1..9), rng.gen());
+                        lsa.links.push(LinkAdv { link: LinkId(0), neighbor, cost, up });
+                        lsa.seq += 1;
+                    }
+                }
+                // The shipped case: the roster stands, 1-3 up bits flip.
+                _ => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        if !lsa.links.is_empty() {
+                            let at = rng.gen_range(0..lsa.links.len());
+                            lsa.links[at].up = !lsa.links[at].up;
+                        }
+                    }
+                    lsa.seq += 1;
+                }
+            }
+            let fresh = stored[origin].is_none_or(|seq| seq < lsa.seq);
+            prop_assert_eq!(db.install(lsa.clone()), fresh, "origin {} seq {}", origin, lsa.seq);
+            stored[origin] = stored[origin].max(Some(lsa.seq));
+            let rebuilt = db.local_image();
+            prop_assert_eq!(db.image(), &rebuilt);
+            prop_assert_eq!(db.image().digest(), rebuilt.digest());
+        }
+        prop_assert!(unfilled.len() < n, "the database was at least partly filled");
     }
 }
