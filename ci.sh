@@ -122,6 +122,30 @@ if grep -rnE '"--(incremental|rebuild|delta|patch)[a-z-]*"|DGMC_(IMAGE|DELTA|REB
     exit 1
 fi
 
+# A tree is a value. `McTopology` is one `Arc` (a clone is a refcount
+# bump, the mutators copy on write; an `Rc` would make trees neither `Send` nor
+# `Sync`), and an install diffs trees instead of rebuilding them: `McArena::sync`
+# collecting a tree's edges, or `proto.rs` naming an edge set again, is the
+# per-install copy coming back. Shared is the only path: no flag, environment
+# variable or options field selects copied trees. No wall-clock gate: the
+# arena's rebuild oracle and the size ratchet in `mc.rs` are the pins
+# (DESIGN.md §14).
+if sed -n '/pub fn sync/,/^    }/p' crates/core/src/arena.rs | grep -n 'collect' ||
+    grep -n 'BTreeSet<(NodeId, NodeId)>' crates/core/src/proto.rs; then
+    echo "an install copies a tree's edges again; diff with McTopology::diff_edges"
+    exit 1
+fi
+if ! grep -q 'Arc<' crates/mctree/src/topology_type.rs ||
+    grep -nE '(^|[^A-Za-z_])Rc<' crates/mctree/src/topology_type.rs; then
+    echo "McTopology is no longer one shared Arc"
+    exit 1
+fi
+if grep -rnE '"--(deep-copy|share|copy|cow)[a-z-]*"|DGMC_(SHARE|COPY|COW)|(share|shared|deep_copy|copy|cow)_(trees?|topolog(y|ies))|(tree|topology)_(share|sharing|copy|cow)\b|deep_copy' \
+    crates --include='*.rs' --include='*.toml'; then
+    echo "a switch selecting shared vs copied trees is back; there is one path"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -22,7 +22,11 @@
 //!   making `is_quiet` O(1).
 //!
 //! The views are *derived* data. They are refreshed by [`McArena::sync`],
-//! which every engine entry point calls after mutating a state; under
+//! which every engine entry point calls after mutating a state. A slot keeps
+//! the tree it last indexed — a handle on the state's own shared
+//! [`McTopology`], not a copy — and `sync` diffs the installed tree against
+//! it: the same tree (a stamp bump) costs a pointer compare, a new one
+//! touches the edge index only for the edges that changed. Under
 //! `debug_assertions` the hot queries recompute their answer from scratch
 //! and assert agreement, so any missed `sync` fails loudly in every test
 //! run. The reference scans are kept (`using_edge_scan`, `is_quiet_scan`)
@@ -30,16 +34,32 @@
 
 use crate::state::McState;
 use crate::McId;
+use dgmc_mctree::McTopology;
 use dgmc_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Normalized installed edge → ids of MCs whose topology uses it.
+type EdgeIndex = BTreeMap<(NodeId, NodeId), BTreeSet<McId>>;
+
 /// A normalized (smaller id first) undirected edge, matching
-/// [`dgmc_mctree::McTopology`]'s canonical edge form.
+/// [`McTopology`]'s canonical edge form.
 fn normalize(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
         (a, b)
     } else {
         (b, a)
+    }
+}
+
+/// Records (`add`) or forgets `mc` as a user of `edge`.
+fn reindex(edge_index: &mut EdgeIndex, mc: McId, edge: (NodeId, NodeId), add: bool) {
+    if add {
+        edge_index.entry(edge).or_default().insert(mc);
+    } else if let Some(users) = edge_index.get_mut(&edge) {
+        users.remove(&mc);
+        if users.is_empty() {
+            edge_index.remove(&edge);
+        }
     }
 }
 
@@ -49,8 +69,9 @@ fn normalize(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 struct Slot {
     /// The state; `None` while the slot sits on the free list.
     state: Option<McState>,
-    /// Installed edges (normalized, sorted) as of the last `sync`.
-    edges: Vec<(NodeId, NodeId)>,
+    /// The installed topology as of the last `sync`: what the edge index
+    /// holds for this MC.
+    installed: Option<McTopology>,
     /// Whether the MC counted as busy as of the last `sync`.
     busy: bool,
 }
@@ -66,7 +87,7 @@ pub(crate) struct McArena {
     /// MC ids with a non-empty mailbox or an in-flight computation.
     busy: BTreeSet<McId>,
     /// Normalized installed edge → ids of MCs whose topology uses it.
-    edge_index: BTreeMap<(NodeId, NodeId), BTreeSet<McId>>,
+    edge_index: EdgeIndex,
 }
 
 impl McArena {
@@ -125,7 +146,7 @@ impl McArena {
                             .expect("more than u32::MAX resident MC states");
                         self.slots.push(Slot {
                             state: Some(state),
-                            edges: Vec::new(),
+                            installed: None,
                             busy: false,
                         });
                         slot
@@ -151,15 +172,9 @@ impl McArena {
         let slot = self.index.remove(&mc)?;
         let cell = &mut self.slots[slot as usize];
         let state = cell.state.take();
-        for &edge in &cell.edges {
-            if let Some(users) = self.edge_index.get_mut(&edge) {
-                users.remove(&mc);
-                if users.is_empty() {
-                    self.edge_index.remove(&edge);
-                }
-            }
+        for edge in cell.installed.take().iter().flat_map(McTopology::edges) {
+            reindex(&mut self.edge_index, mc, edge, false);
         }
-        cell.edges.clear();
         cell.busy = false;
         self.busy.remove(&mc);
         self.free.push(slot);
@@ -185,36 +200,16 @@ impl McArena {
                 self.busy.remove(&mc);
             }
         }
-        // Diff the installed-edge snapshot; topologies are tiny relative to
-        // the state, and most syncs leave the tree untouched (the common
-        // case is a stamp bump), so compare — allocation-free — before
-        // rewriting.
-        let unchanged = match state.installed.as_ref() {
-            Some(t) => {
-                t.edge_count() == cell.edges.len() && t.edges().eq(cell.edges.iter().copied())
-            }
-            None => cell.edges.is_empty(),
-        };
-        if unchanged {
+        // Most syncs leave the tree untouched (a stamp bump): the slot then
+        // shares the state's tree and the compare is a pointer compare. An
+        // install re-indexes only the edges that changed.
+        if cell.installed == state.installed {
             return;
         }
-        let edges: Vec<(NodeId, NodeId)> = match state.installed.as_ref() {
-            Some(t) => t.edges().collect(),
-            None => Vec::new(),
-        };
-        let old = std::mem::replace(&mut cell.edges, edges);
-        for &edge in &old {
-            if let Some(users) = self.edge_index.get_mut(&edge) {
-                users.remove(&mc);
-                if users.is_empty() {
-                    self.edge_index.remove(&edge);
-                }
-            }
-        }
-        let cell = &self.slots[slot as usize];
-        for &edge in &cell.edges {
-            self.edge_index.entry(edge).or_default().insert(mc);
-        }
+        let old = std::mem::replace(&mut cell.installed, state.installed.clone());
+        McTopology::diff_edges(old.as_ref(), cell.installed.as_ref(), |edge, gone| {
+            reindex(&mut self.edge_index, mc, edge, !gone);
+        });
     }
 
     /// `true` when no resident MC has queued LSAs or an in-flight
@@ -264,8 +259,9 @@ impl McArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgmc_mctree::{McTopology, McType};
-    use std::collections::BTreeSet;
+    use dgmc_mctree::McType;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn state_with_tree(mc: McId, edges: &[(u32, u32)]) -> McState {
         let mut st = McState::new(mc, McType::Symmetric, 8);
@@ -334,5 +330,69 @@ mod tests {
         arena.get_mut(McId(7)).unwrap().computing = None;
         arena.sync(McId(7));
         assert!(arena.is_quiet());
+    }
+
+    /// The edge index rebuilt from scratch from the resident states.
+    fn rebuilt(arena: &McArena) -> EdgeIndex {
+        let mut index = EdgeIndex::new();
+        for (mc, st) in arena.iter() {
+            for edge in st.installed.iter().flat_map(McTopology::edges) {
+                index.entry(edge).or_default().insert(mc);
+            }
+        }
+        index
+    }
+
+    fn random_tree(rng: &mut StdRng) -> McTopology {
+        let edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..6))
+            .map(|_| (NodeId(rng.gen_range(0..8)), NodeId(rng.gen_range(0..8))))
+            .collect();
+        McTopology::from_edges(edges, BTreeSet::new())
+    }
+
+    /// The diffed index against the oracle, after every kind of sync, with a
+    /// plain `assert` so that release builds check it too.
+    #[test]
+    fn edge_index_equals_a_rebuild_after_every_sync() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut arena = McArena::new();
+        for _ in 0..5000 {
+            let mc = McId(rng.gen_range(0..6));
+            let op = rng.gen_range(0..7);
+            match (op, arena.get_mut(mc)) {
+                // Allocate (reusing a freed slot when there is one) or
+                // replace the whole state.
+                (0, _) => {
+                    let mut st = state_with_tree(mc, &[]);
+                    st.installed = Some(random_tree(&mut rng)).filter(|_| rng.gen_bool(0.8));
+                    arena.insert(mc, st);
+                }
+                (1, Some(st)) => st.installed = Some(random_tree(&mut rng)),
+                // The same tree: the shared handle, then an equal rebuild.
+                (2, Some(st)) => st.installed = st.installed.clone(),
+                (3, Some(st)) => {
+                    st.installed = st
+                        .installed
+                        .as_ref()
+                        .map(|t| McTopology::from_edges(t.edges(), t.terminals().clone()));
+                }
+                (4, Some(st)) => st.installed = None,
+                (5, Some(st)) => {
+                    if let Some(t) = st.installed.as_mut() {
+                        let (a, b) = (NodeId(rng.gen_range(0..8)), NodeId(rng.gen_range(0..8)));
+                        if !t.remove_edge(a, b) {
+                            t.insert_edge(a, b);
+                        }
+                    }
+                }
+                (6, _) => {
+                    arena.remove(mc);
+                }
+                _ => {}
+            }
+            arena.sync(mc);
+            assert_eq!(arena.edge_index, rebuilt(&arena), "after op {op} on {mc}");
+        }
+        assert!(arena.slots.len() <= 6, "freed slots are reused");
     }
 }

@@ -700,7 +700,7 @@ impl DgmcEngine {
                 st.installed = Some(topology);
                 (me, own_edges)
             } else {
-                let (topo, stamp, source) = job.stashed_candidate.clone().expect("checked above");
+                let (topo, stamp, source) = job.stashed_candidate.expect("checked above");
                 let edges = topo.edge_count();
                 st.c = stamp;
                 st.c_source = Some(source);
@@ -722,7 +722,7 @@ impl DgmcEngine {
         } else {
             // The stashed candidate survives the withdrawal and competes in
             // the drain below (deviation from Fig. 5 line 29; DESIGN.md §3).
-            carry = job.stashed_candidate.clone();
+            carry = job.stashed_candidate;
             match job.pending_event {
                 Some(event) => {
                     // Fig. 4 lines 11-13: withdraw the proposal but still
@@ -833,7 +833,7 @@ impl DgmcEngine {
                 if replace {
                     candidate = Some((
                         lsa.proposal.clone().expect("checked above"),
-                        lsa.stamp.clone(),
+                        lsa.stamp,
                         lsa.source,
                     ));
                     self.observer.emit(|now| DecisionEvent {

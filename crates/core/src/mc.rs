@@ -129,4 +129,22 @@ mod tests {
         assert_eq!(McId(2).to_string(), "mc2");
         assert!(McId(1) < McId(2));
     }
+
+    // Switches move trees and LSAs between the model checker's threads.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<McTopology>();
+        send_sync::<McLsa>();
+        send_sync::<crate::McSync>();
+        send_sync::<crate::McState>();
+    };
+
+    /// Every DES event moves one `SwitchMsg` through the heap: a field that
+    /// inflates it (a tree held inline again) fails here.
+    #[test]
+    fn lsa_and_switch_message_stay_small() {
+        assert!(std::mem::size_of::<McTopology>() <= 8);
+        assert!(std::mem::size_of::<McLsa>() <= 64);
+        assert!(std::mem::size_of::<crate::switch::SwitchMsg>() <= 80);
+    }
 }

@@ -43,10 +43,10 @@ use bytes::Bytes;
 use dgmc_lsr::flood::Flooder;
 use dgmc_lsr::lsa::{FloodPacket, LinkAdv, RouterLsa};
 use dgmc_lsr::{Lsdb, RoutingTable};
-use dgmc_mctree::{McAlgorithm, McType, Role};
+use dgmc_mctree::{McAlgorithm, McTopology, McType, Role};
 use dgmc_obs::{MetricsRegistry, SharedObserver};
 use dgmc_topology::{LinkId, Network, NodeId, SpfCache, SpfCacheStats};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Everything that can be flooded: the paper's MC and non-MC LSAs.
@@ -246,9 +246,9 @@ pub struct NodeCore {
     failed: bool,
     /// When the in-flight computation for each MC started (latency metric).
     computation_started: BTreeMap<McId, u64>,
-    /// Edge set of the previously installed topology per MC, for the
-    /// disruption-on-rearrangement counter.
-    installed_edges: BTreeMap<McId, BTreeSet<(NodeId, NodeId)>>,
+    /// The previously installed topology per MC (a handle on the shared
+    /// tree), for the disruption-on-rearrangement counter.
+    installed_edges: BTreeMap<McId, McTopology>,
     /// Withdrawals seen since the last local membership event.
     withdrawn_since_event: u64,
     metrics: MetricsRegistry,
@@ -427,9 +427,21 @@ impl NodeCore {
             }
             DgmcPayload::Mc(lsa) => {
                 fx.bump(counters::MC_LSAS, 1);
+                let mc = lsa.mc;
                 let actions = self.engine.on_mc_lsa(lsa);
                 self.execute(fx, actions);
+                self.forget_if_gone(mc);
             }
+        }
+    }
+
+    /// Drops the bookkeeping of `mc` once the engine tore it down (only a
+    /// mailbox drain does, or a `DbSync` import): neither map grows with
+    /// every id ever seen, and a re-created MC inherits nothing.
+    fn forget_if_gone(&mut self, mc: McId) {
+        if self.engine.state(mc).is_none() {
+            self.computation_started.remove(&mc);
+            self.installed_edges.remove(&mc);
         }
     }
 
@@ -456,19 +468,11 @@ impl NodeCore {
                         fx.metrics
                             .observe_named(histograms::INSTALL_LATENCY_US, latency / 1_000);
                     }
-                    let edges: BTreeSet<(NodeId, NodeId)> = self
-                        .engine
-                        .installed(mc)
-                        .map(|t| t.edges().collect())
-                        .unwrap_or_default();
+                    let installed = self.engine.installed(mc).cloned().unwrap_or_default();
                     if let Some(previous) = self.installed_edges.get(&mc) {
-                        let disrupted = previous.difference(&edges).count();
-                        fx.bump(
-                            counters::DISRUPTED_EDGES,
-                            u64::try_from(disrupted).expect("edge count fits u64"),
-                        );
+                        fx.bump(counters::DISRUPTED_EDGES, edges_lost(previous, &installed));
                     }
-                    self.installed_edges.insert(mc, edges);
+                    self.installed_edges.insert(mc, installed);
                 }
                 DgmcAction::Withdrawn { mc: _ } => {
                     fx.bump(counters::WITHDRAWN, 1);
@@ -659,6 +663,12 @@ impl NodeCore {
                 }
                 let actions = self.engine.import_sync(mc_states);
                 self.execute(fx, actions);
+                // The import prunes states the peer no longer knows.
+                let engine = &self.engine;
+                self.computation_started
+                    .retain(|&mc, _| engine.state(mc).is_some());
+                self.installed_edges
+                    .retain(|&mc, _| engine.state(mc).is_some());
             }
             Frame::Data(data) => self.on_data(fx, data),
         }
@@ -741,6 +751,7 @@ impl NodeCore {
                 let actions = self.engine.on_computation_done(mc, self.lsdb.image());
                 self.record_spf_delta(fx, before);
                 self.execute(fx, actions);
+                self.forget_if_gone(mc);
             }
             Input::SendData(mc, packet_id) => self.inject_data(fx, mc, packet_id),
             Input::Admin(_) => {}
@@ -809,5 +820,78 @@ impl NodeCore {
     /// on) or revival.
     pub fn on_admin(&mut self, now_nanos: u64, up: bool) -> Vec<Output> {
         self.own_step(now_nanos, Input::Admin(up))
+    }
+}
+
+/// The edges of `old` that `new` no longer has (the disruption count of one
+/// rearrangement): one merge over the two sorted edge sets, no allocation.
+fn edges_lost(old: &McTopology, new: &McTopology) -> u64 {
+    let mut lost = 0;
+    McTopology::diff_edges(Some(old), Some(new), |_, gone| lost += u64::from(gone));
+    lost
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dgmc_mctree::SphStrategy;
+    use dgmc_topology::generate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn edges_lost_is_the_set_difference() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let mut random = || {
+                (0..rng.gen_range(0..8))
+                    .map(|_| (NodeId(rng.gen_range(0..5)), NodeId(rng.gen_range(5..10))))
+                    .collect::<BTreeSet<_>>()
+            };
+            let (old, new) = (random(), random());
+            let tree = |edges: &BTreeSet<_>| McTopology::from_edges(edges.clone(), BTreeSet::new());
+            assert_eq!(
+                edges_lost(&tree(&old), &tree(&new)),
+                u64::try_from(old.difference(&new).count()).unwrap(),
+                "{old:?} -> {new:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn torn_down_mcs_leave_no_bookkeeping() {
+        let net = generate::ring(4);
+        let mut core = NodeCore::new(NodeId(0), &net, 1_000, Rc::new(SphStrategy::new()));
+        let forgotten = |core: &NodeCore, mc| {
+            core.engine().state(mc).is_none()
+                && !core.computation_started.contains_key(&mc)
+                && !core.installed_edges.contains_key(&mc)
+        };
+        let (mc, role) = (McId(1), Role::SenderReceiver);
+        // Create, tear down, re-create, tear down again.
+        for now in [0, 10_000] {
+            core.on_join(now, mc, McType::Symmetric, role);
+            assert!(core.computation_started.contains_key(&mc));
+            core.on_computation_done(now + 1_000, mc);
+            assert!(core.installed_edges.contains_key(&mc));
+            core.on_leave(now + 2_000, mc);
+            core.on_computation_done(now + 3_000, mc);
+            assert!(forgotten(&core, mc), "torn down by the drain at {now}");
+        }
+        // A quiet MC the peer no longer knows is pruned by the import.
+        let other = McId(2);
+        core.on_join(20_000, other, McType::Symmetric, role);
+        core.on_computation_done(21_000, other);
+        assert!(core.installed_edges.contains_key(&other));
+        core.on_frame(
+            22_000,
+            NodeId(1),
+            Frame::DbSync {
+                router_lsas: Vec::new(),
+                mc_states: Vec::new(),
+            },
+        );
+        assert!(forgotten(&core, other), "pruned by the DbSync import");
     }
 }

@@ -2,6 +2,7 @@ use dgmc_topology::{Network, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A multipoint-connection topology: the tree subgraph a proposal encodes.
 ///
@@ -10,6 +11,13 @@ use std::fmt;
 /// endpoint pairs of the switch graph; the structure is independent of any
 /// particular network instance so it can be flooded and compared for
 /// equality.
+///
+/// A topology is an immutable shared value: the two sets live behind one
+/// [`Arc`], so `clone` is a reference-count bump and every relay, mailbox
+/// entry, candidate and installed slot holding the same proposal shares one
+/// tree. The mutators copy on write ([`Arc::make_mut`]) and leave other
+/// holders untouched; one that changes nothing copies nothing. Equality and
+/// hashing are by value, and the type is `Send + Sync`.
 ///
 /// # Examples
 ///
@@ -25,10 +33,25 @@ use std::fmt;
 /// assert!(t.is_tree());
 /// assert_eq!(t.neighbors_in(NodeId(1)), vec![NodeId(0), NodeId(2)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct McTopology {
+    sets: Arc<Sets>,
+}
+
+/// The shared body of a [`McTopology`].
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct Sets {
     edges: BTreeSet<(NodeId, NodeId)>,
     terminals: BTreeSet<NodeId>,
+}
+
+impl fmt::Debug for McTopology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("McTopology")
+            .field("edges", &self.sets.edges)
+            .field("terminals", &self.sets.terminals)
+            .finish()
+    }
 }
 
 /// Why a topology failed validation against a network and terminal set.
@@ -68,10 +91,7 @@ impl McTopology {
     /// With zero terminals this is the *empty* topology (a destroyed MC);
     /// with one terminal it is the singleton tree.
     pub fn new(terminals: BTreeSet<NodeId>) -> Self {
-        McTopology {
-            edges: BTreeSet::new(),
-            terminals,
-        }
+        McTopology::from_edges([], terminals)
     }
 
     /// Creates the empty topology (no terminals, no edges).
@@ -93,51 +113,87 @@ impl McTopology {
             .filter(|(a, b)| a != b)
             .map(|(a, b)| normalize(a, b))
             .collect();
-        McTopology { edges, terminals }
+        McTopology {
+            sets: Arc::new(Sets { edges, terminals }),
+        }
     }
 
     /// Adds an edge (normalized); ignores self-loops and duplicates.
     pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return false;
-        }
-        self.edges.insert(normalize(a, b))
+        let edge = normalize(a, b);
+        a != b
+            && !self.sets.edges.contains(&edge)
+            && Arc::make_mut(&mut self.sets).edges.insert(edge)
     }
 
     /// Removes an edge; returns `true` if it was present.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.edges.remove(&normalize(a, b))
+        let edge = normalize(a, b);
+        self.sets.edges.contains(&edge) && Arc::make_mut(&mut self.sets).edges.remove(&edge)
     }
 
     /// Returns `true` if the (normalized) edge is part of the topology.
     pub fn contains_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.edges.contains(&normalize(a, b))
+        self.sets.edges.contains(&normalize(a, b))
     }
 
     /// Iterates over the normalized edges in sorted order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edges.iter().copied()
+        self.sets.edges.iter().copied()
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.sets.edges.len()
+    }
+
+    /// Walks the symmetric difference of two edge sets in one sorted merge,
+    /// without allocating: `f(edge, true)` for an edge only in `old`,
+    /// `f(edge, false)` for one only in `new`, in edge order. `None` stands
+    /// for the edgeless topology; two handles on one shared tree return at
+    /// once.
+    pub fn diff_edges(
+        old: Option<&McTopology>,
+        new: Option<&McTopology>,
+        mut f: impl FnMut((NodeId, NodeId), bool),
+    ) {
+        if let (Some(a), Some(b)) = (old, new) {
+            if Arc::ptr_eq(&a.sets, &b.sets) {
+                return;
+            }
+        }
+        let mut old = old.into_iter().flat_map(McTopology::edges).peekable();
+        let mut new = new.into_iter().flat_map(McTopology::edges).peekable();
+        loop {
+            let gone = match (old.peek(), new.peek()) {
+                (None, None) => return,
+                (Some(a), Some(b)) if a == b => {
+                    old.next();
+                    new.next();
+                    continue;
+                }
+                (Some(a), Some(b)) => a < b,
+                (gone, _) => gone.is_some(),
+            };
+            let edge = if gone { old.next() } else { new.next() };
+            f(edge.expect("peeked"), gone);
+        }
     }
 
     /// The terminal (member) set this topology was computed for.
     pub fn terminals(&self) -> &BTreeSet<NodeId> {
-        &self.terminals
+        &self.sets.terminals
     }
 
     /// Replaces the terminal set (used by incremental updates).
     pub fn set_terminals(&mut self, terminals: BTreeSet<NodeId>) {
-        self.terminals = terminals;
+        Arc::make_mut(&mut self.sets).terminals = terminals;
     }
 
     /// All nodes touched by the topology: edge endpoints plus terminals.
     pub fn nodes(&self) -> BTreeSet<NodeId> {
-        let mut nodes: BTreeSet<NodeId> = self.terminals.clone();
-        for &(a, b) in &self.edges {
+        let mut nodes: BTreeSet<NodeId> = self.sets.terminals.clone();
+        for &(a, b) in &self.sets.edges {
             nodes.insert(a);
             nodes.insert(b);
         }
@@ -146,12 +202,13 @@ impl McTopology {
 
     /// Returns `true` if `n` is a terminal or an edge endpoint.
     pub fn touches(&self, n: NodeId) -> bool {
-        self.terminals.contains(&n) || self.edges.iter().any(|&(a, b)| a == n || b == n)
+        self.sets.terminals.contains(&n) || self.sets.edges.iter().any(|&(a, b)| a == n || b == n)
     }
 
     /// The topology neighbors of `n`, sorted.
     pub fn neighbors_in(&self, n: NodeId) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
+            .sets
             .edges
             .iter()
             .filter_map(|&(a, b)| {
@@ -170,7 +227,8 @@ impl McTopology {
 
     /// Degree of `n` within the topology.
     pub fn degree_in(&self, n: NodeId) -> usize {
-        self.edges
+        self.sets
+            .edges
             .iter()
             .filter(|&&(a, b)| a == n || b == n)
             .count()
@@ -178,7 +236,7 @@ impl McTopology {
 
     /// Returns `true` if the topology has neither edges nor terminals.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty() && self.terminals.is_empty()
+        self.sets.edges.is_empty() && self.sets.terminals.is_empty()
     }
 
     /// Structural tree check: connected and acyclic over the touched nodes.
@@ -189,7 +247,7 @@ impl McTopology {
         if nodes.is_empty() {
             return true;
         }
-        if self.edges.len() + 1 != nodes.len() {
+        if self.sets.edges.len() + 1 != nodes.len() {
             return false;
         }
         self.connected_over(&nodes)
@@ -218,7 +276,7 @@ impl McTopology {
     /// topology is stale with respect to this image).
     pub fn total_cost(&self, net: &Network) -> Option<u64> {
         let mut sum = 0u64;
-        for &(a, b) in &self.edges {
+        for &(a, b) in &self.sets.edges {
             let link = net.link_between(a, b).filter(|l| l.is_up())?;
             sum += link.cost;
         }
@@ -237,14 +295,14 @@ impl McTopology {
         net: &Network,
         terminals: &BTreeSet<NodeId>,
     ) -> Result<(), TopologyValidationError> {
-        for &(a, b) in &self.edges {
+        for &(a, b) in &self.sets.edges {
             if net.link_between(a, b).filter(|l| l.is_up()).is_none() {
                 return Err(TopologyValidationError::MissingEdge(a, b));
             }
         }
         let nodes = self.nodes();
         if !nodes.is_empty() {
-            if self.edges.len() + 1 > nodes.len() {
+            if self.sets.edges.len() + 1 > nodes.len() {
                 return Err(TopologyValidationError::Cycle);
             }
             if !self.connected_over(&nodes) {
@@ -294,7 +352,7 @@ impl McTopology {
             let prune: Vec<NodeId> = nodes
                 .iter()
                 .copied()
-                .filter(|n| !self.terminals.contains(n) && self.degree_in(*n) <= 1)
+                .filter(|n| !self.sets.terminals.contains(n) && self.degree_in(*n) <= 1)
                 .collect();
             if prune.is_empty() {
                 return;
@@ -314,8 +372,8 @@ impl fmt::Display for McTopology {
         write!(
             f,
             "mc-topology({} terminals, {} edges)",
-            self.terminals.len(),
-            self.edges.len()
+            self.sets.terminals.len(),
+            self.sets.edges.len()
         )
     }
 }
@@ -480,5 +538,112 @@ mod tests {
         assert_eq!(t.nodes(), terminals(&[0, 1, 5]));
         assert!(t.touches(NodeId(5)), "isolated terminal still touched");
         assert_eq!(t.degree_in(NodeId(0)), 1);
+    }
+
+    // Relays, mailboxes and the model checker's worker threads hold trees.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<McTopology>();
+    };
+
+    /// 0-1-2 with a dangling 1-3 branch over terminals {0, 2}.
+    fn branchy() -> McTopology {
+        McTopology::from_edges(
+            [
+                (NodeId(0), NodeId(1)),
+                (NodeId(1), NodeId(2)),
+                (NodeId(1), NodeId(3)),
+            ],
+            terminals(&[0, 2]),
+        )
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_alone() {
+        let original = branchy();
+        let snapshot = (
+            original.edges().collect::<Vec<_>>(),
+            original.terminals().clone(),
+        );
+        let unchanged = |t: &McTopology| {
+            assert_eq!(t.edges().collect::<Vec<_>>(), snapshot.0);
+            assert_eq!(t.terminals(), &snapshot.1);
+        };
+        let mutators: [fn(&mut McTopology); 4] = [
+            |t| assert!(t.insert_edge(NodeId(2), NodeId(4))),
+            |t| assert!(t.remove_edge(NodeId(1), NodeId(0))),
+            |t| t.set_terminals(terminals(&[0])),
+            |t| t.prune_non_terminal_leaves(),
+        ];
+        for mutate in mutators {
+            let mut copy = original.clone();
+            assert!(Arc::ptr_eq(&copy.sets, &original.sets), "clone shares");
+            mutate(&mut copy);
+            assert_ne!(copy, original, "the clone changed");
+            unchanged(&original);
+        }
+    }
+
+    #[test]
+    fn mutators_that_change_nothing_copy_nothing() {
+        let original = branchy();
+        let mut copy = original.clone();
+        assert!(!copy.remove_edge(NodeId(0), NodeId(2)), "absent edge");
+        assert!(!copy.insert_edge(NodeId(2), NodeId(1)), "present edge");
+        assert!(!copy.insert_edge(NodeId(4), NodeId(4)), "self-loop");
+        assert!(Arc::ptr_eq(&copy.sets, &original.sets));
+    }
+
+    #[test]
+    fn debug_prints_the_two_sets() {
+        assert_eq!(
+            format!(
+                "{:?}",
+                McTopology::from_edges([(NodeId(1), NodeId(0))], terminals(&[2]))
+            ),
+            "McTopology { edges: {(NodeId(0), NodeId(1))}, terminals: {NodeId(2)} }"
+        );
+    }
+
+    #[test]
+    fn equality_and_hash_are_by_value() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash_of(value: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            value.hash(&mut h);
+            h.finish()
+        }
+        let t = branchy();
+        let sets: (BTreeSet<(NodeId, NodeId)>, BTreeSet<NodeId>) =
+            (t.edges().collect(), t.terminals().clone());
+        assert_eq!(hash_of(&t), hash_of(&sets));
+        // Built separately: equal and hashed alike without sharing a body.
+        let twin = McTopology::from_edges(sets.0.iter().copied(), sets.1.clone());
+        assert!(!Arc::ptr_eq(&twin.sets, &t.sets));
+        assert_eq!(twin, t);
+        assert_eq!(hash_of(&twin), hash_of(&t));
+    }
+
+    #[test]
+    fn diff_edges_walks_the_symmetric_difference() {
+        let old = branchy();
+        let new = McTopology::from_edges(
+            [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(4))],
+            BTreeSet::new(),
+        );
+        let diff = |a: Option<&McTopology>, b: Option<&McTopology>| {
+            let mut out = Vec::new();
+            McTopology::diff_edges(a, b, |(x, y), gone| out.push((x.0, y.0, gone)));
+            out
+        };
+        assert_eq!(
+            diff(Some(&old), Some(&new)),
+            [(1, 2, true), (1, 3, true), (2, 4, false)]
+        );
+        assert_eq!(diff(None, Some(&new)), [(0, 1, false), (2, 4, false)]);
+        assert_eq!(diff(Some(&new), None), [(0, 1, true), (2, 4, true)]);
+        assert!(diff(Some(&old), Some(&old.clone())).is_empty());
+        assert!(diff(None, None).is_empty());
     }
 }
