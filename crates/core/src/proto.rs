@@ -38,7 +38,7 @@
 //! socket delivers bytes, and the origin of a flood emits typed frames.
 
 use crate::codec::{decode_payload, payload_is_sane};
-use crate::{DgmcAction, DgmcEngine, McId, McLsa, McSync};
+use crate::{DgmcAction, DgmcEngine, EngineMutation, McId, McLsa, McSync};
 use bytes::Bytes;
 use dgmc_lsr::flood::Flooder;
 use dgmc_lsr::lsa::{FloodPacket, LinkAdv, RouterLsa};
@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Everything that can be flooded: the paper's MC and non-MC LSAs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum DgmcPayload {
     /// A non-MC LSA (`F = ¬mc`), processed by the unicast LSR substrate.
     Router(RouterLsa),
@@ -59,7 +59,7 @@ pub enum DgmcPayload {
 }
 
 /// A data-plane packet traveling a multipoint connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct DataMsg {
     /// The connection carrying the packet.
     pub mc: McId,
@@ -72,7 +72,7 @@ pub struct DataMsg {
 }
 
 /// Delivery phase of a [`DataMsg`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum DataKind {
     /// Being forwarded along tree edges; `via` is the arrival link (`None`
     /// at the injection point).
@@ -90,7 +90,7 @@ pub enum DataKind {
 
 /// Everything one switch can send another — one simulated message, one UDP
 /// datagram.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum Frame {
     /// A flood packet (router or MC LSA) relayed hop by hop, as a typed
     /// value: what a switch originates and what a simulation passes around.
@@ -228,7 +228,7 @@ impl Step<'_> {
 }
 
 /// The sans-IO protocol core (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NodeCore {
     me: NodeId,
     tc_nanos: u64,
@@ -320,6 +320,18 @@ impl NodeCore {
     /// Read access to the protocol engine.
     pub fn engine(&self) -> &DgmcEngine {
         &self.engine
+    }
+
+    /// Read access to the link-state substrate — the flooder's record of
+    /// seen floods and the LSDB — for digests of the whole switch state.
+    pub fn substrate(&self) -> (&Flooder, &Lsdb) {
+        (&self.flooder, &self.lsdb)
+    }
+
+    /// Installs a deliberate protocol defect in the engine (test harnesses
+    /// only; see [`DgmcEngine::set_mutation`]).
+    pub fn set_mutation(&mut self, mutation: EngineMutation) {
+        self.engine.set_mutation(mutation);
     }
 
     /// The core's local image of the network: the one the LSDB keeps

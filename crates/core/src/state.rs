@@ -44,7 +44,7 @@ pub struct ComputationJob {
 /// A per-MC state snapshot exchanged during database synchronization when a
 /// link comes up (the OSPF database-exchange analog; see
 /// [`crate::DgmcEngine::export_sync`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct McSync {
     /// The connection.
     pub mc: McId,

@@ -19,18 +19,14 @@
 //!   under and a revisit is pruned only if some remembered sleep set is a
 //!   *subset* of the current one (Godefroid's criterion).
 //!
-//! Actions are identified across paths and worker threads by a
-//! content-based [`Model::action_key`]; traces recorded as key sequences
-//! replay bit-for-bit via [`replay`], shrink via [`minimize`] (prefix
-//! bisection + delta-debugging chunk removal), and shard across workers via
-//! [`explore_sharded`] (DFS-subtree prefixes over [`crate::par::sweep`],
-//! byte-identical for every `jobs` value). [`explore`] is the same search
-//! as one DFS over one cache — fewer states, no `Sync` model, slower than
-//! two real threads (DESIGN.md §11 has the numbers) — and
-//! [`backward_search`] is serial and holds its states.
+//! Actions are identified across paths by a content-based
+//! [`Model::action_key`]; traces recorded as key sequences replay
+//! bit-for-bit via [`replay`] and shrink via [`minimize`] (prefix bisection +
+//! delta-debugging chunk removal). [`explore`] is the one forward search, a
+//! DFS over one state cache, and [`backward_search`] is a BFS that holds its
+//! states; both are serial, so a model need not be `Sync`.
 
 use crate::explorer::Violation;
-use crate::par;
 use dgmc_obs::{JsonValue, MetricsRegistry};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -54,8 +50,7 @@ pub mod metric_names {
 
 /// A deterministic, process-independent hasher (FNV-1a with a SplitMix64
 /// finalizer). `std`'s default hasher is seeded per process, which would
-/// make state hashes — and therefore reports — unstable across runs and
-/// workers.
+/// make state hashes — and therefore reports — unstable across runs.
 #[derive(Debug, Clone)]
 pub struct StableHasher {
     state: u64,
@@ -105,7 +100,7 @@ pub fn stable_hash_of(value: &impl std::hash::Hash) -> u64 {
 ///
 /// Implementations must be deterministic — `enabled` order, `apply`
 /// results, keys and hashes may depend only on the state — or traces will
-/// not replay and sharded runs will disagree.
+/// not replay.
 pub trait Model {
     /// A full system state. Cloned at every branch point.
     type State: Clone;
@@ -119,9 +114,9 @@ pub trait Model {
     fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
 
     /// A content-based identity for an enabled action: the same semantic
-    /// action must map to the same key on every path and worker that can
-    /// execute it (so sleep sets, cache subsets and replayed traces agree),
-    /// and distinct enabled actions of one state must have distinct keys.
+    /// action must map to the same key on every path that can execute it
+    /// (so sleep sets, cache subsets and replayed traces agree), and
+    /// distinct enabled actions of one state must have distinct keys.
     fn action_key(&self, state: &Self::State, action: &Self::Action) -> u64;
 
     /// Conservative independence for partial-order reduction: return `true`
@@ -172,8 +167,7 @@ pub struct McConfig {
     /// incomplete).
     pub max_depth: usize,
     /// Maximum search states expanded; the budget marks the run incomplete
-    /// when hit. One budget per DFS: [`explore_sharded`] applies it to each
-    /// subtree.
+    /// when hit.
     pub max_states: u64,
     /// Stop at the first counterexample instead of collecting all leaves.
     pub fail_fast: bool,
@@ -207,15 +201,6 @@ pub struct McStats {
 }
 
 impl McStats {
-    fn absorb(&mut self, other: &McStats) {
-        self.states += other.states;
-        self.transitions += other.transitions;
-        self.pruned += other.pruned;
-        self.sleep_skipped += other.sleep_skipped;
-        self.leaves += other.leaves;
-        self.max_depth = self.max_depth.max(other.max_depth);
-    }
-
     /// Publishes the statistics as PR-1 metrics counters.
     pub fn publish(&self, metrics: &mut MetricsRegistry) {
         let pairs = [
@@ -244,7 +229,7 @@ pub struct Counterexample<A> {
     pub violations: Vec<Violation>,
 }
 
-/// The result of a (possibly sharded) exploration.
+/// The result of an exploration.
 #[derive(Debug, Clone)]
 pub struct McReport<A> {
     /// Search statistics.
@@ -253,8 +238,7 @@ pub struct McReport<A> {
     /// bounds (no depth cut, no state budget hit, no fail-fast stop with
     /// unexplored siblings).
     pub complete: bool,
-    /// The first counterexample found (in the canonical serial order), if
-    /// any.
+    /// The first counterexample found, if any.
     pub counterexample: Option<Counterexample<A>>,
 }
 
@@ -292,7 +276,7 @@ impl<A> McReport<A> {
     }
 
     /// Renders the report as one stable JSON object. Two runs agree iff
-    /// their rendered reports are byte-identical (the CI `--jobs` gate).
+    /// their rendered reports are byte-identical.
     pub fn to_json(&self) -> String {
         let cx = match &self.counterexample {
             None => JsonValue::Null,
@@ -598,267 +582,6 @@ pub fn minimize<M: Model>(
     let replayed = replay(model, &current, true, max_depth).expect("minimized trace replays");
     debug_assert!(replayed.failed());
     (current, replayed)
-}
-
-/// How many DFS-subtree prefixes [`explore_sharded`] expands before
-/// fanning out. Fixed (not derived from `jobs`) so the decomposition — and
-/// therefore the report — is identical for every worker count.
-const SHARD_PREFIXES: usize = 64;
-
-/// One expanded DFS prefix, shippable across threads: the path (as content
-/// keys, with the actions for trace reconstruction) and the subtree root's
-/// sleep set (as keys — the worker resolves them against its own replayed
-/// root state).
-struct Prefix<A> {
-    path_keys: Vec<u64>,
-    path_actions: Vec<A>,
-    sleep_keys: Vec<u64>,
-    /// Violations that ended this prefix during expansion (step violations
-    /// or a quiescent-leaf failure); such a prefix is terminal.
-    violations: Vec<Violation>,
-    terminal: bool,
-}
-
-/// Sharded exploration: BFS-expands the top of the tree into at most
-/// [`SHARD_PREFIXES`] subtree prefixes, then explores each subtree with an
-/// independent DFS across `jobs` workers ([`par::sweep`]).
-///
-/// Statistics are merged in prefix order and a counterexample is
-/// canonicalized to the first failing prefix, so the report is
-/// **byte-identical for every `jobs` value** — the CI gate diffs the
-/// rendered JSON across worker counts. Each subtree has a private state
-/// cache; cross-subtree revisits are re-explored, so sharded totals exceed
-/// the serial [`explore`] totals (deterministically so) — and a private
-/// state budget: [`McConfig::max_states`] bounds each subtree, not the
-/// run, which may therefore visit up to `SHARD_PREFIXES` times the limit
-/// before it reports `complete: false`.
-pub fn explore_sharded<M>(model: &M, config: &McConfig, jobs: usize) -> McReport<M::Action>
-where
-    M: Model + Sync,
-    M::Action: Send + Sync,
-{
-    // --- Phase 1: deterministic serial expansion of the tree's top. ---
-    let mut expansion_stats = McStats::default();
-    let mut complete = true;
-    // Work queue of open prefixes, each carrying its replayed state.
-    struct Open<M: Model> {
-        state: M::State,
-        path_keys: Vec<u64>,
-        path_actions: Vec<M::Action>,
-        sleep: Vec<SleepEntry<M::Action>>,
-    }
-    let mut open: VecDeque<Open<M>> = VecDeque::new();
-    let mut done: Vec<Prefix<M::Action>> = Vec::new();
-    open.push_back(Open {
-        state: model.initial(),
-        path_keys: Vec::new(),
-        path_actions: Vec::new(),
-        sleep: Vec::new(),
-    });
-    while open.len() + done.len() < SHARD_PREFIXES {
-        let Some(node) = open.pop_front() else { break };
-        let enabled = model.enabled(&node.state);
-        let sleep_keys: BTreeSet<u64> = node.sleep.iter().map(|(k, _)| *k).collect();
-        if enabled.is_empty() {
-            expansion_stats.states += 1;
-            expansion_stats.max_depth = expansion_stats.max_depth.max(node.path_keys.len());
-            expansion_stats.leaves += 1;
-            let violations = model.check_quiescent(&node.state);
-            done.push(Prefix {
-                path_keys: node.path_keys,
-                path_actions: node.path_actions,
-                sleep_keys: Vec::new(),
-                violations,
-                terminal: true,
-            });
-            continue;
-        }
-        let runnable: Vec<&M::Action> = enabled
-            .iter()
-            .filter(|a| !sleep_keys.contains(&model.action_key(&node.state, a)))
-            .collect();
-        if runnable.is_empty() {
-            expansion_stats.states += 1;
-            expansion_stats.sleep_skipped += enabled.len() as u64;
-            continue; // fully asleep: covered elsewhere, not a subtree
-        }
-        if node.path_keys.len() >= config.max_depth {
-            expansion_stats.states += 1;
-            complete = false;
-            continue;
-        }
-        // Expand this node exactly as the DFS sibling loop would.
-        expansion_stats.states += 1;
-        expansion_stats.max_depth = expansion_stats.max_depth.max(node.path_keys.len());
-        let mut explored: Vec<SleepEntry<M::Action>> = Vec::new();
-        let mut failed_here = false;
-        for action in model.enabled(&node.state) {
-            let key = model.action_key(&node.state, &action);
-            if sleep_keys.contains(&key) {
-                expansion_stats.sleep_skipped += 1;
-                continue;
-            }
-            let child_sleep: Vec<SleepEntry<M::Action>> = node
-                .sleep
-                .iter()
-                .chain(explored.iter())
-                .filter(|(_, other)| model.commutes(&node.state, other, &action))
-                .cloned()
-                .collect();
-            if !failed_here {
-                let step = model.apply(&node.state, &action);
-                expansion_stats.transitions += 1;
-                let mut path_keys = node.path_keys.clone();
-                path_keys.push(key);
-                let mut path_actions = node.path_actions.clone();
-                path_actions.push(action.clone());
-                if step.violations.is_empty() {
-                    open.push_back(Open {
-                        state: step.state,
-                        path_keys,
-                        path_actions,
-                        sleep: child_sleep,
-                    });
-                } else {
-                    done.push(Prefix {
-                        path_keys,
-                        path_actions,
-                        sleep_keys: Vec::new(),
-                        violations: step.violations,
-                        terminal: true,
-                    });
-                    if config.fail_fast {
-                        // Siblings after a fail-fast hit stay unexplored in
-                        // the serial order; mirror that by stopping this
-                        // node's expansion (canonical truncation happens in
-                        // the merge below).
-                        failed_here = true;
-                    }
-                }
-            }
-            explored.push((key, action));
-        }
-        if failed_here {
-            complete = false;
-            break;
-        }
-    }
-    // Remaining open nodes become subtree tasks.
-    for node in open {
-        done.push(Prefix {
-            sleep_keys: node.sleep.iter().map(|(k, _)| *k).collect(),
-            path_keys: node.path_keys,
-            path_actions: node.path_actions,
-            violations: Vec::new(),
-            terminal: false,
-        });
-    }
-    // The expansion above emits prefixes in BFS order, which is a pure
-    // function of the model — independent of `jobs` — and that is all the
-    // byte-identity guarantee needs. Keep insertion order.
-    let prefixes = done;
-
-    // --- Phase 2: fan the subtrees out over the worker pool. ---
-    struct SubtreeResult<A> {
-        stats: McStats,
-        complete: bool,
-        counterexample: Option<Counterexample<A>>,
-    }
-    let results: Vec<Option<SubtreeResult<M::Action>>> = par::sweep(
-        jobs.max(1),
-        prefixes.len(),
-        |_| (),
-        |(), index| {
-            let prefix = &prefixes[index];
-            if prefix.terminal {
-                return SubtreeResult {
-                    stats: McStats::default(),
-                    complete: true,
-                    counterexample: (!prefix.violations.is_empty()).then(|| Counterexample {
-                        trace: prefix.path_actions.clone(),
-                        keys: prefix.path_keys.clone(),
-                        violations: prefix.violations.clone(),
-                    }),
-                };
-            }
-            // Rebuild the subtree root in-thread by replaying the prefix,
-            // then resolve the sleep keys against its enabled actions.
-            let mut state = model.initial();
-            for key in &prefix.path_keys {
-                let enabled = model.enabled(&state);
-                let action = enabled
-                    .into_iter()
-                    .find(|a| model.action_key(&state, a) == *key)
-                    .expect("prefix keys replay deterministically");
-                state = model.apply(&state, &action).state;
-            }
-            let sleep: Vec<SleepEntry<M::Action>> = model
-                .enabled(&state)
-                .into_iter()
-                .filter_map(|a| {
-                    let k = model.action_key(&state, &a);
-                    prefix.sleep_keys.contains(&k).then_some((k, a))
-                })
-                .collect();
-            let mut dfs = Dfs {
-                model,
-                config: McConfig {
-                    // Depth budget is global trace depth, not subtree depth.
-                    max_depth: config.max_depth.saturating_sub(prefix.path_keys.len()),
-                    ..*config
-                },
-                visited: HashMap::new(),
-                stats: McStats::default(),
-                complete: true,
-                counterexample: None,
-                trace: Vec::new(),
-                keys: Vec::new(),
-                stop: false,
-            };
-            dfs.dfs(&state, &sleep, 0);
-            let counterexample = dfs.counterexample.map(|cx| Counterexample {
-                trace: prefix
-                    .path_actions
-                    .iter()
-                    .cloned()
-                    .chain(cx.trace)
-                    .collect(),
-                keys: prefix.path_keys.iter().copied().chain(cx.keys).collect(),
-                violations: cx.violations,
-            });
-            SubtreeResult {
-                stats: McStats {
-                    max_depth: dfs.stats.max_depth + prefix.path_keys.len(),
-                    ..dfs.stats
-                },
-                complete: dfs.complete,
-                counterexample,
-            }
-        },
-        |result| config.fail_fast && result.counterexample.is_some(),
-    );
-
-    // --- Phase 3: canonical merge, truncated at the first failing prefix
-    // (completed slots form a prefix of the task range, so the scan sees
-    // everything the serial order would have). ---
-    let mut stats = expansion_stats;
-    let mut counterexample = None;
-    for result in results.into_iter().flatten() {
-        stats.absorb(&result.stats);
-        complete &= result.complete;
-        if result.counterexample.is_some() && counterexample.is_none() {
-            counterexample = result.counterexample;
-            if config.fail_fast {
-                complete = false;
-                break;
-            }
-        }
-    }
-    McReport {
-        stats,
-        complete,
-        counterexample,
-    }
 }
 
 /// Bounds for [`backward_search`].
@@ -1249,23 +972,6 @@ mod tests {
         let mut broken = cx.keys.clone();
         broken[0] = 0xDEAD_BEEF;
         assert!(replay(&model, &broken, false, 64).is_none());
-    }
-
-    #[test]
-    fn sharded_report_is_byte_identical_across_jobs() {
-        for (conflict, bad) in [(false, 99), (true, 1)] {
-            let model = Toy {
-                writers: 4,
-                conflict,
-                bad_shared: bad,
-            };
-            let config = McConfig::default();
-            let baseline = explore_sharded(&model, &config, 1).to_json();
-            for jobs in [2, 4, 8] {
-                let report = explore_sharded(&model, &config, jobs).to_json();
-                assert_eq!(baseline, report, "jobs={jobs} diverged");
-            }
-        }
     }
 
     #[test]

@@ -43,11 +43,13 @@
 //! the forward counterexample's). `--crashes N` is shared with the sweep:
 //! fail-stop switch crashes there, scheduler-chosen crash points here.
 //!
-//! Shared flags: `--jobs N` (worker threads of the sweep and of the forward
-//! systematic search, default `min(cores, 8)`; the report is byte-identical
-//! for every value; `--backward` is one serial search and ignores it),
-//! `--nodes N`, `--flaps N`, `--out DIR` (default `results`), `--report FILE`
-//! (write the report JSON). Exits non-zero if any checked schedule fails.
+//! Sweep flags also: `--jobs N` (worker threads, default `min(cores, 8)`;
+//! the report is byte-identical for every value). The systematic searches
+//! are serial.
+//!
+//! Shared flags: `--nodes N`, `--flaps N`, `--out DIR` (default `results`),
+//! `--report FILE` (write the report JSON). A flag of the other mode is a
+//! usage error (exit 2). Exits non-zero if any checked schedule fails.
 
 use dgmc_des::explorer::ExploreConfig;
 use dgmc_des::{par, SimDuration};
@@ -68,6 +70,34 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
     }
 }
 
+/// Flags that only mean something with `--systematic`.
+const SYSTEMATIC_ONLY: [&str; 10] = [
+    "--losses",
+    "--joins",
+    "--leaves",
+    "--topology",
+    "--max-depth",
+    "--max-states",
+    "--mutate",
+    "--trace",
+    "--backward",
+    "--backward-target",
+];
+
+/// Flags that only mean something for the seed sweep.
+const SWEEP_ONLY: [&str; 10] = [
+    "--seeds",
+    "--start",
+    "--seed",
+    "--loss",
+    "--hard-loss",
+    "--duplicate",
+    "--jitter-us",
+    "--timeline",
+    "--fail-fast",
+    "--jobs",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ExploreConfig {
@@ -83,10 +113,12 @@ fn main() {
     let mut backward_targets: Option<Vec<u64>> = None;
     let mut out_dir = "results".to_owned();
     let mut report_path: Option<String> = None;
+    let mut given = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
         let value = args.get(i + 1);
+        given.push(flag);
         match flag {
             "--fail-fast" => {
                 config.fail_fast = true;
@@ -165,9 +197,8 @@ fn main() {
             }
             "--trace" => {
                 let raw: String = parse(flag, value);
-                let keys: Result<Vec<u64>, _> =
-                    raw.split(',').map(str::trim).map(str::parse).collect();
-                match keys {
+                let keys = raw.split(',').map(str::trim).filter(|k| !k.is_empty());
+                match keys.map(str::parse).collect() {
                     Ok(keys) => trace_keys = Some(keys),
                     Err(_) => {
                         eprintln!("invalid value {raw:?} for --trace (comma-separated u64 keys)");
@@ -183,9 +214,15 @@ fn main() {
         i += 2;
     }
 
-    if backward && !systematic_mode {
-        eprintln!("--backward requires --systematic");
-        std::process::exit(2);
+    for flag in given {
+        if !systematic_mode && SYSTEMATIC_ONLY.contains(&flag) {
+            eprintln!("{flag} requires --systematic");
+            std::process::exit(2);
+        }
+        if systematic_mode && SWEEP_ONLY.contains(&flag) {
+            eprintln!("{flag} is a seed-sweep flag; it does not apply with --systematic");
+            std::process::exit(2);
+        }
     }
     if systematic_mode {
         if let Err(e) = sys.validate() {
@@ -193,9 +230,9 @@ fn main() {
             std::process::exit(2);
         }
         if backward {
-            run_backward_mode(&config, &sys, backward_targets.as_deref(), report_path);
+            run_backward_mode(&sys, backward_targets.as_deref(), report_path);
         } else {
-            run_systematic_mode(&config, &sys, trace_keys.as_deref(), &out_dir, report_path);
+            run_systematic_mode(&sys, trace_keys.as_deref(), &out_dir, report_path);
         }
         return;
     }
@@ -259,7 +296,6 @@ fn main() {
 /// or exhaustively explore the scripted scenario, minimizing and bundling
 /// any counterexample.
 fn run_systematic_mode(
-    config: &ExploreConfig,
     sys: &SystematicParams,
     trace: Option<&[u64]>,
     out_dir: &str,
@@ -286,18 +322,17 @@ fn run_systematic_mode(
 
     eprintln!(
         "systematically exploring a {}-node {} with {} join(s), {} leave(s), {} flap(s) \
-         on {} worker(s) (mutation {:?}, depth <= {}, states <= {})",
+         (mutation {:?}, depth <= {}, states <= {})",
         sys.nodes,
         sys.topology,
         sys.joins,
         sys.leaves,
         sys.flaps,
-        config.jobs.max(1),
         sys.mutation,
         sys.max_depth,
         sys.max_states,
     );
-    let run = systematic::run_systematic(config, sys);
+    let run = systematic::run_systematic(sys);
     for name in [
         dgmc_des::mc::metric_names::STATES,
         dgmc_des::mc::metric_names::TRANSITIONS,
@@ -334,7 +369,6 @@ fn run_systematic_mode(
 /// the predecessor graph. Exits 0 iff a target was reached (the witness
 /// schedule is printed and replayable with `--trace`).
 fn run_backward_mode(
-    config: &ExploreConfig,
     sys: &SystematicParams,
     explicit_targets: Option<&[u64]>,
     report_path: Option<String>,
@@ -343,7 +377,7 @@ fn run_backward_mode(
         Some(hashes) => hashes.to_vec(),
         None => {
             eprintln!("no --backward-target given: seeding from the forward counterexample");
-            let run = systematic::run_systematic(config, sys);
+            let run = systematic::run_systematic(sys);
             let Some(min) = &run.minimized else {
                 eprintln!(
                     "forward exploration found no violation to seed \

@@ -1,34 +1,42 @@
 //! Bounded systematic exploration of D-GMC schedules (DESIGN.md §11).
 //!
 //! Where the seed sweep ([`crate::explore`]) *samples* schedules, this
-//! module *enumerates* them: a [`SystematicModel`] exposes every message
-//! delivery, computation completion and scripted host/link event of a small
-//! scenario as an explicit scheduler choice point for the
-//! [`dgmc_des::mc`] model checker, which walks all interleavings with
-//! sleep-set partial-order reduction and canonical-state pruning.
+//! module *enumerates* them. A [`SystematicModel`] runs one shipped
+//! [`NodeCore`] per switch and makes every input a core can be handed a
+//! scheduler choice point for the [`dgmc_des::mc`] model checker: a scripted
+//! host or link event, the oldest frame in flight on a directed link, an
+//! armed `Tc` timer. The checker walks all interleavings with sleep-set
+//! partial-order reduction and canonical-state pruning. Flooding, relay, the
+//! neighbour gate, duplicate drop, router LSAs and `DbSync` are the core's
+//! own code; the model only carries frames and fires timers.
 //!
 //! Two oracles run on every trace:
 //!
 //! * the protocol invariant suite ([`dgmc_core::invariants::check_engines`])
 //!   at every quiescent leaf, and
 //! * lockstep conformance against the executable Fig. 4/5 specification
-//!   ([`dgmc_core::spec`]): after every transition the engine's emitted
-//!   actions and full per-MC state must match the spec's — divergence is
-//!   itself a counterexample, even when no invariant breaks.
+//!   ([`dgmc_core::spec`]): each core's twin is fed what the core's engine
+//!   saw, and after every step the MC floods and timers in the core's
+//!   outputs, its install and withdrawal counts and its full per-MC state
+//!   must match the spec's — divergence is itself a counterexample, even
+//!   when no invariant breaks.
 //!
 //! Counterexamples are shrunk with [`mc::minimize`] (trace truncation plus
 //! choice-point bisection) and packaged as [`ReproBundle`]s whose
 //! `--trace` key list replays the schedule bit-for-bit.
 
 use dgmc_core::invariants::check_engines;
-use dgmc_core::spec::{self, SpecSwitch};
-use dgmc_core::{DgmcAction, DgmcEngine, EngineMutation, McId, McLsa};
-use dgmc_des::explorer::{ExploreConfig, ReproBundle, Violation};
+use dgmc_core::proto::{counters, DgmcPayload, Frame, NodeCore, Output};
+use dgmc_core::spec::{self, SpecAction, SpecSwitch};
+use dgmc_core::switch::{link_event_inputs, SwitchMsg};
+use dgmc_core::{EngineMutation, McId};
+use dgmc_des::explorer::{ReproBundle, Violation};
 use dgmc_des::mc::{self, McConfig, McReport, Replay, StableHasher, Step};
-use dgmc_mctree::{McAlgorithm, McTopology, McType, Role, SphStrategy};
+use dgmc_lsr::lsa::{FloodId, FloodPacket};
+use dgmc_mctree::{McAlgorithm, McType, Role, SphStrategy};
 use dgmc_obs::{render_causal, CausalItem, JsonValue, MetricsRegistry};
 use dgmc_topology::{generate, LinkState, Network, NodeId, SpfCache};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -92,11 +100,11 @@ pub struct SystematicParams {
     /// Deliberate engine defect under test ([`EngineMutation::None`] for
     /// the faithful protocol).
     pub mutation: EngineMutation,
-    /// Fail-stop fault budget: up to this many switches may crash (losing
-    /// all MC soft state, tombstones included) at scheduler-chosen points.
+    /// Fail-stop fault budget: up to this many switches may crash at
+    /// scheduler-chosen points, their cores dropping every later input.
     pub crashes: usize,
-    /// Message-loss budget: up to this many in-flight LSAs may be dropped
-    /// at scheduler-chosen points (flooding is reliable when 0).
+    /// Message-loss budget: up to this many frames in flight may be dropped
+    /// at scheduler-chosen points (every link is reliable when 0).
     pub losses: usize,
 }
 
@@ -213,89 +221,111 @@ impl fmt::Display for ScriptEvent {
     }
 }
 
-/// One scheduler choice point: fire a scripted event, complete an
-/// in-flight topology computation, or deliver one flooded LSA.
+/// One scheduler choice point: fire a scripted event, fire an armed
+/// computation timer, or hand a directed link's oldest frame to its
+/// receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SysAction {
     /// Fire script entry `.0`.
     Script(usize),
-    /// The `Tc` computation timer fires at `switch` for `mc`.
+    /// The armed `Tc` computation timer fires at `switch` for `mc`.
     Complete {
         /// The computing switch.
         switch: NodeId,
         /// The connection being recomputed.
         mc: McId,
     },
-    /// Deliver the pending flooded LSA with this (path-local) id.
-    Deliver(u64),
-    /// Fail-stop the switch: all MC soft state (states, tombstones,
-    /// in-flight computations) is lost. Consumes one unit of the crash
-    /// budget ([`SystematicParams::crashes`]).
+    /// Deliver the oldest frame in flight on the directed link `from -> to`.
+    Deliver {
+        /// The sending switch.
+        from: NodeId,
+        /// The receiving switch.
+        to: NodeId,
+    },
+    /// Fail-stop the switch: its core drops every later input. Consumes one
+    /// unit of the crash budget ([`SystematicParams::crashes`]).
     Crash(NodeId),
-    /// Drop the pending flooded LSA with this (path-local) id instead of
+    /// Drop the oldest frame in flight on `from -> to` instead of
     /// delivering it. Consumes one unit of the loss budget
     /// ([`SystematicParams::losses`]).
-    Lose(u64),
+    Lose {
+        /// The sending switch.
+        from: NodeId,
+        /// The receiving switch.
+        to: NodeId,
+    },
 }
 
-/// One switch under test: the engine and its lockstep specification twin.
-#[derive(Debug, Clone)]
-pub struct SwitchPair {
-    /// The production protocol engine.
-    pub engine: DgmcEngine,
-    /// The pure Fig. 4/5 specification mirror.
-    pub spec: SpecSwitch,
-}
-
-/// A full system state: every switch (engine + spec), the link-state
-/// image, and the multiset of in-flight flooded LSAs.
+/// A full system state: one shipped core and its spec twin per switch, the
+/// frames in flight, the armed timers and the ground-truth network.
 #[derive(Debug, Clone)]
 pub struct SysState {
-    /// All switches, indexed by node id.
-    pub switches: Vec<SwitchPair>,
-    /// The current link-state image (mutated by link script events).
+    /// The protocol cores, indexed by node id; shared between states until
+    /// a step writes one.
+    pub cores: Vec<Rc<NodeCore>>,
+    /// Each core's Fig. 4/5 twin, fed what the core's engine saw.
+    pub specs: Vec<SpecSwitch>,
+    /// Ground truth: link script events flip its links.
     pub net: Network,
-    /// In-flight messages: path-local id -> (destination, LSA). Ids are
-    /// allocation order along the current path; identity for pruning and
-    /// replay is the *content* (see [`SystematicModel::action_key`]).
-    ///
-    /// Delivery honors per-(origin, destination) FIFO: only the oldest
-    /// pending message of each channel is enabled, mirroring the DES net
-    /// model's guarantee that same-origin LSAs never overtake each other
-    /// along a path (`dgmc_des::net`). Cross-channel order is the free
-    /// scheduler choice the checker enumerates.
-    pub pending: BTreeMap<u64, (NodeId, McLsa)>,
-    next_msg: u64,
+    /// Frames in flight per directed link `(from, to)`, oldest first. Only
+    /// the oldest can be delivered (per-link FIFO, like a wire); cross-link
+    /// order is the free choice the checker enumerates. A link with nothing
+    /// in flight has no entry.
+    pub links: BTreeMap<(NodeId, NodeId), VecDeque<Frame>>,
+    /// Armed `Tc` timers, `(switch, mc)`.
+    pub timers: BTreeSet<(NodeId, McId)>,
     /// Which script entries have fired.
     pub script_done: Vec<bool>,
     /// Remaining fail-stop crashes the scheduler may inject.
     pub crash_budget: usize,
-    /// Remaining message losses the scheduler may inject.
+    /// Remaining frame losses the scheduler may inject.
     pub loss_budget: usize,
-    /// Which switches have crashed (fail-stop, soft state lost). Crashed
-    /// switches are excluded from the quiescence oracle: losing MC tables
-    /// is exactly what fail-stop means, and until the link-state layer
-    /// re-syncs them (outside this model) they cannot agree. The checked
-    /// property is that a crash never corrupts the *survivors*.
-    pub crashed: Vec<bool>,
 }
 
-/// The FIFO channel a pending message travels on: `(origin, destination)`.
-fn channel(msg: &(NodeId, McLsa)) -> (NodeId, NodeId) {
-    (msg.1.source, msg.0)
+/// The one connection every scenario exercises.
+const MC: McId = McId(1);
+
+/// `Tc` in the cores' tick domain. Timers fire as scheduler choices, so the
+/// value never matters.
+const TC_NANOS: u64 = 1_000;
+
+/// The counters a step is judged by, in the order [`tally`] reads them.
+const TALLIED: [&str; 5] = [
+    counters::FLOODINGS,
+    counters::INSTALLS,
+    counters::WITHDRAWN,
+    counters::MC_LSAS,
+    counters::DUPLICATES,
+];
+
+fn tally(core: &NodeCore) -> [u64; 5] {
+    TALLIED.map(|name| core.metrics().counter_value(name))
+}
+
+/// An input the model hands one core.
+enum Input {
+    Join,
+    Leave,
+    Link {
+        neighbor: NodeId,
+        up: bool,
+        detector: bool,
+    },
+    Frame {
+        from: NodeId,
+        frame: Frame,
+    },
+    Timer(McId),
 }
 
 /// The D-GMC scenario as a [`mc::Model`]: holds only plain data (network,
-/// script, parameters) so sharded exploration can share it across workers;
-/// engines and spec switches are built afresh inside [`Model::initial`].
+/// script, parameters); the cores and their spec twins are built inside
+/// [`Model::initial`].
 #[derive(Debug, Clone)]
 pub struct SystematicModel {
     net: Network,
     script: Vec<ScriptEvent>,
     warm: Vec<NodeId>,
-    mc: McId,
-    mc_type: McType,
-    role: Role,
     mutation: EngineMutation,
     crashes: usize,
     losses: usize,
@@ -303,13 +333,29 @@ pub struct SystematicModel {
 
 use mc::Model;
 
-/// What an action touches, for the independence relation: the switches
-/// whose state it reads or writes, and whether it reads/writes the shared
-/// link-state image.
-struct Footprint {
-    switches: Vec<NodeId>,
-    net_read: bool,
-    net_write: bool,
+/// A frame for timelines.
+fn describe_frame(frame: &Frame) -> String {
+    match frame {
+        Frame::Flood(packet) => match &packet.payload {
+            DgmcPayload::Mc(lsa) => lsa.to_string(),
+            DgmcPayload::Router(lsa) => lsa.to_string(),
+        },
+        Frame::DbSync { .. } => "db-sync".to_owned(),
+        // The model sends neither data nor undecoded frames.
+        other => format!("{other:?}"),
+    }
+}
+
+fn pop_head(
+    links: &mut BTreeMap<(NodeId, NodeId), VecDeque<Frame>>,
+    link: (NodeId, NodeId),
+) -> Frame {
+    let queue = links.get_mut(&link).expect("an enabled link has frames");
+    let frame = queue.pop_front().expect("an enabled link has frames");
+    if queue.is_empty() {
+        links.remove(&link);
+    }
+    frame
 }
 
 impl SystematicModel {
@@ -362,9 +408,6 @@ impl SystematicModel {
             net,
             script,
             warm,
-            mc: McId(1),
-            mc_type: McType::Symmetric,
-            role: Role::SenderReceiver,
             mutation: params.mutation,
             crashes: params.crashes,
             losses: params.losses,
@@ -386,9 +429,6 @@ impl SystematicModel {
             net,
             script,
             warm,
-            mc: McId(1),
-            mc_type: McType::Symmetric,
-            role: Role::SenderReceiver,
             mutation,
             crashes: 0,
             losses: 0,
@@ -404,158 +444,227 @@ impl SystematicModel {
         let mut out = Vec::new();
         if include_scripts {
             for (i, ev) in self.script.iter().enumerate() {
-                if state.script_done[i] {
-                    continue;
-                }
-                if let ScriptEvent::LinkUp { after, .. } = ev {
-                    if !state.script_done[*after] {
-                        continue;
-                    }
-                }
-                out.push(SysAction::Script(i));
-            }
-        }
-        for pair in &state.switches {
-            for mc in pair.engine.mc_ids() {
-                if pair
-                    .engine
-                    .state(mc)
-                    .is_some_and(|st| st.computing.is_some())
-                {
-                    out.push(SysAction::Complete {
-                        switch: pair.engine.id(),
-                        mc,
-                    });
+                let waiting =
+                    matches!(ev, ScriptEvent::LinkUp { after, .. } if !state.script_done[*after]);
+                if !state.script_done[i] && !waiting {
+                    out.push(SysAction::Script(i));
                 }
             }
         }
-        // Per-channel FIFO: only the head (smallest id) of each
-        // (origin, destination) channel is deliverable.
-        let mut heads: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-        for (&id, msg) in &state.pending {
-            heads.entry(channel(msg)).or_insert(id);
-        }
-        let heads: Vec<u64> = heads.into_values().collect();
-        out.extend(heads.iter().copied().map(SysAction::Deliver));
+        let timers = state.timers.iter();
+        out.extend(timers.map(|&(switch, mc)| SysAction::Complete { switch, mc }));
+        let heads = state.links.keys();
+        out.extend(
+            heads
+                .clone()
+                .map(|&(from, to)| SysAction::Deliver { from, to }),
+        );
         // Fault injection is an adversarial top-level choice (never taken
-        // during the deterministic warm-up drain): any channel head can be
-        // lost instead of delivered, and any switch still holding MC soft
-        // state can fail-stop, while the budgets last.
+        // during the deterministic warm-up drain): any link's oldest frame
+        // can be lost instead of delivered, and any live switch still
+        // holding MC soft state can fail-stop, while the budgets last.
         if include_scripts {
             if state.loss_budget > 0 {
-                out.extend(heads.into_iter().map(SysAction::Lose));
+                out.extend(heads.map(|&(from, to)| SysAction::Lose { from, to }));
             }
             if state.crash_budget > 0 {
-                for pair in &state.switches {
-                    if !pair.engine.mc_ids().is_empty() || pair.engine.tombstones().next().is_some()
-                    {
-                        out.push(SysAction::Crash(pair.engine.id()));
-                    }
-                }
+                let holds_state = |core: &&Rc<NodeCore>| {
+                    let engine = core.engine();
+                    engine.mc_count() > 0 || engine.tombstones().next().is_some()
+                };
+                let live = state.cores.iter().filter(|core| !core.is_failed());
+                out.extend(
+                    live.filter(holds_state)
+                        .map(|core| SysAction::Crash(core.id())),
+                );
             }
         }
         out
     }
 
-    fn footprint(&self, state: &SysState, action: &SysAction) -> Footprint {
-        match action {
-            SysAction::Script(i) => match self.script[*i] {
-                ScriptEvent::Join { at } | ScriptEvent::Leave { at } => Footprint {
-                    switches: vec![at],
-                    net_read: false,
-                    net_write: false,
-                },
-                ScriptEvent::LinkDown { a, b } | ScriptEvent::LinkUp { a, b, .. } => Footprint {
-                    // The lower endpoint is the detector that runs
-                    // EventHandler(); the link-state write touches the
-                    // shared image.
-                    switches: vec![a.min(b)],
-                    net_read: false,
-                    net_write: true,
-                },
+    /// The switches whose state an action reads or writes. Nothing else is
+    /// shared: a core computes on its own image, sending appends to a link
+    /// that only its receiver pops, and a link event changes ground truth
+    /// only for its two endpoints.
+    fn footprint(&self, action: &SysAction) -> [Option<NodeId>; 2] {
+        match *action {
+            SysAction::Script(i) => match self.script[i] {
+                ScriptEvent::Join { at } | ScriptEvent::Leave { at } => [Some(at), None],
+                ScriptEvent::LinkDown { a, b } | ScriptEvent::LinkUp { a, b, .. } => {
+                    [Some(a), Some(b)]
+                }
             },
-            SysAction::Complete { switch, .. } => Footprint {
-                switches: vec![*switch],
-                net_read: true,
-                net_write: false,
-            },
-            SysAction::Deliver(id) | SysAction::Lose(id) => Footprint {
-                // Lose shares Deliver's footprint: both consume the same
-                // channel head, so the two orders of the same message are
-                // dependent and both get explored.
-                switches: vec![state.pending[id].0],
-                net_read: false,
-                net_write: false,
-            },
-            SysAction::Crash(switch) => Footprint {
-                switches: vec![*switch],
-                net_read: false,
-                net_write: false,
-            },
+            SysAction::Complete { switch, .. } | SysAction::Crash(switch) => [Some(switch), None],
+            SysAction::Deliver { to, .. } | SysAction::Lose { to, .. } => [Some(to), None],
         }
     }
 
-    /// Floods `actions`' LSAs from `source` to every other switch
-    /// (link-state flooding is modeled reliable and source-excluding).
-    fn dispatch(&self, state: &mut SysState, source: NodeId, actions: &[DgmcAction]) {
-        for action in actions {
-            if let DgmcAction::Flood(lsa) = action {
-                for i in 0..state.switches.len() as u32 {
-                    if NodeId(i) == source {
-                        continue;
+    /// Hands every link's head that its receiver drops unread — a flood it
+    /// has already seen, or anything once it has crashed — to the receiver
+    /// at once. Such a delivery changes nothing but the link, and nothing
+    /// else can happen on that link first, so taking it now loses no
+    /// schedule; leaving it a choice would only multiply states by where
+    /// duplicates sit in the queues.
+    fn drop_unread(next: &mut SysState) {
+        loop {
+            let unread = next.links.iter().find(|((_, to), frames)| {
+                let core = &next.cores[to.index()];
+                core.is_failed()
+                    || matches!(&frames[0], Frame::Flood(p) if core.substrate().0.seen(p.id))
+            });
+            let Some(&(from, to)) = unread.map(|(link, _)| link) else {
+                return;
+            };
+            let frame = pop_head(&mut next.links, (from, to));
+            let outputs = Rc::make_mut(&mut next.cores[to.index()]).on_frame(0, from, frame);
+            assert!(outputs.is_empty(), "a dropped frame has no effects");
+        }
+    }
+
+    /// Hands `input` to the core of switch `at`, puts its sends on the links
+    /// and arms its timers, and runs the lockstep oracle: the spec twin is
+    /// fed what the core's engine saw, and the step's MC floods, timers,
+    /// installs, withdrawals and resulting per-MC state must match the
+    /// twin's. Returns the violations and the step's effects, rendered.
+    fn step(&self, next: &mut SysState, at: NodeId, input: Input) -> (Vec<Violation>, String) {
+        let core = Rc::make_mut(&mut next.cores[at.index()]);
+        let spec = &mut next.specs[at.index()];
+        let before = tally(core);
+        let outputs = match &input {
+            Input::Join => core.on_join(0, MC, McType::Symmetric, Role::SenderReceiver),
+            Input::Leave => core.on_leave(0, MC),
+            &Input::Link {
+                neighbor,
+                up,
+                detector,
+            } => core.on_link_event(0, neighbor, up, detector),
+            Input::Frame { from, frame } => core.on_frame(0, *from, frame.clone()),
+            Input::Timer(mc) => core.on_computation_done(0, *mc),
+        };
+        let after = tally(core);
+        let [floodings, installs, withdrawn, fresh, duplicates]: [u64; 5] =
+            std::array::from_fn(|i| after[i] - before[i]);
+        let fed = match &input {
+            _ if core.is_failed() => None,
+            Input::Join => Some(spec.host_join(MC, McType::Symmetric, Role::SenderReceiver)),
+            Input::Leave => Some(spec.host_leave(MC)),
+            &Input::Link {
+                neighbor,
+                detector: true,
+                ..
+            } => Some(spec.link_event(at, neighbor)),
+            Input::Frame {
+                frame:
+                    Frame::Flood(FloodPacket {
+                        payload: DgmcPayload::Mc(lsa),
+                        ..
+                    }),
+                ..
+            } if fresh == 1 => Some(spec.receive_lsa(lsa.clone())),
+            Input::Timer(mc) => {
+                let (image, algo, cache) = (core.image(), SphStrategy::new(), SpfCache::disabled());
+                let mut compute = |terminals: &BTreeSet<NodeId>, previous: Option<&_>| {
+                    algo.compute_with(image, terminals, previous, &cache)
+                };
+                Some(spec.computation_done(*mc, &mut compute))
+            }
+            _ => None,
+        };
+        let spec_actions = fed.map_or_else(Vec::new, |(twin, actions)| {
+            *spec = twin;
+            actions
+        });
+
+        let (mut floods, mut timers, mut effects) = (Vec::new(), Vec::new(), Vec::new());
+        let mut last = None;
+        for output in &outputs {
+            match output {
+                // Every copy of one flood is sent in a row.
+                Output::Send {
+                    frame: frame @ Frame::Flood(packet),
+                    ..
+                } if last != Some(packet.id) => {
+                    last = Some(packet.id);
+                    let own = packet.id.origin == at;
+                    let verb = if own { "flood" } else { "relay" };
+                    effects.push(format!("{verb} {}", describe_frame(frame)));
+                    if let (true, DgmcPayload::Mc(lsa)) = (own, &packet.payload) {
+                        floods.push(lsa);
                     }
-                    let id = state.next_msg;
-                    state.next_msg += 1;
-                    state.pending.insert(id, (NodeId(i), lsa.clone()));
+                }
+                Output::Send {
+                    to,
+                    frame: Frame::DbSync { .. },
+                } => effects.push(format!("db-sync to {to}")),
+                Output::Send { .. } => {}
+                Output::StartTimer { mc, .. } => {
+                    timers.push(*mc);
+                    effects.push(format!("start-computation {mc}"));
                 }
             }
         }
-    }
+        effects.extend((0..installs).map(|_| format!("installed {MC}")));
+        effects.extend((0..withdrawn).map(|_| format!("withdrawn {MC}")));
+        effects.extend((0..duplicates).map(|_| "duplicate dropped".to_owned()));
+        let effects = if effects.is_empty() {
+            "no actions".to_owned()
+        } else {
+            effects.join(", ")
+        };
 
-    /// The per-step conformance oracle: the engine must have emitted
-    /// exactly the actions the spec requires and landed in exactly the
-    /// spec's state.
-    fn divergence(
-        pair: &SwitchPair,
-        spec_actions: &[spec::SpecAction],
-        engine_actions: &[DgmcAction],
-    ) -> Vec<Violation> {
-        let mut out = Vec::new();
-        if !spec::actions_match(spec_actions, engine_actions) {
-            out.push(Violation {
+        // A switch whose every link is down floods into nothing: then only
+        // the count of floods can be compared.
+        let wired = next
+            .net
+            .links()
+            .any(|l| (l.a == at || l.b == at) && l.is_up());
+        let (mut spec_floods, mut spec_timers, mut spec_tally) = (Vec::new(), Vec::new(), (0, 0));
+        for action in &spec_actions {
+            match action {
+                SpecAction::Flood(lsa) => spec_floods.push(lsa),
+                SpecAction::StartComputation(mc) => spec_timers.push(*mc),
+                SpecAction::Installed(_) => spec_tally.0 += 1,
+                SpecAction::Withdrawn(_) => spec_tally.1 += 1,
+            }
+        }
+        let agrees = floodings == spec_floods.len() as u64
+            && (if wired {
+                floods == spec_floods
+            } else {
+                floods.is_empty()
+            })
+            && timers == spec_timers
+            && (installs, withdrawn) == spec_tally;
+        let mut violations = Vec::new();
+        if !agrees {
+            let spec_rendered: Vec<String> = spec_actions.iter().map(ToString::to_string).collect();
+            violations.push(Violation {
                 invariant: "spec".into(),
                 detail: format!(
-                    "{}: engine actions {:?} diverge from spec {:?}",
-                    pair.engine.id(),
-                    engine_actions
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>(),
-                    spec_actions
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>(),
+                    "{at}: core took [{effects}], spec [{}]",
+                    spec_rendered.join(", ")
                 ),
             });
         }
-        if let Some(diff) = spec::diff_engine(&pair.spec, &pair.engine) {
-            out.push(Violation {
+        if let Some(diff) = spec::diff_engine(spec, core.engine()) {
+            violations.push(Violation {
                 invariant: "spec".into(),
-                detail: format!("{}: state divergence: {diff}", pair.engine.id()),
+                detail: format!("{at}: state divergence: {diff}"),
             });
         }
-        out
-    }
 
-    fn render_actions(actions: &[DgmcAction]) -> String {
-        if actions.is_empty() {
-            return "no actions".into();
+        for output in outputs {
+            match output {
+                Output::Send { to, frame } => {
+                    next.links.entry((at, to)).or_default().push_back(frame);
+                }
+                Output::StartTimer { mc, .. } => {
+                    let armed = next.timers.insert((at, mc));
+                    assert!(armed, "one computation per switch and connection");
+                }
+            }
         }
-        actions
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
+        (violations, effects)
     }
 
     /// Applies one action, returning the successor, any divergence
@@ -566,126 +675,76 @@ impl SystematicModel {
         action: &SysAction,
     ) -> (SysState, Vec<Violation>, String) {
         let mut next = state.clone();
-        let (violations, desc) = match action {
+        let (violations, desc) = match *action {
             SysAction::Script(i) => {
-                next.script_done[*i] = true;
-                let ev = self.script[*i];
-                self.fire_script(&mut next, &ev)
+                next.script_done[i] = true;
+                self.fire_script(&mut next, self.script[i])
             }
             SysAction::Complete { switch, mc } => {
-                let SysState { switches, net, .. } = &mut next;
-                let pair = &mut switches[switch.0 as usize];
-                let engine_actions = pair.engine.on_computation_done(*mc, net);
-                let algo = SphStrategy::new();
-                let cache = SpfCache::disabled();
-                let mut compute = |terminals: &BTreeSet<NodeId>, previous: Option<&McTopology>| {
-                    algo.compute_with(net, terminals, previous, &cache)
-                };
-                let (spec_next, spec_actions) = pair.spec.computation_done(*mc, &mut compute);
-                pair.spec = spec_next;
-                let violations = Self::divergence(pair, &spec_actions, &engine_actions);
-                let desc = format!(
-                    "computation done at {switch} for {mc} -> {}",
-                    Self::render_actions(&engine_actions)
-                );
-                self.dispatch(&mut next, *switch, &engine_actions);
+                next.timers.remove(&(switch, mc));
+                let (violations, effects) = self.step(&mut next, switch, Input::Timer(mc));
+                let desc = format!("computation done at {switch} for {mc} -> {effects}");
                 (violations, desc)
             }
-            SysAction::Deliver(id) => {
-                let (to, lsa) = next
-                    .pending
-                    .remove(id)
-                    .expect("delivering a pending message");
-                let pair = &mut next.switches[to.0 as usize];
-                let engine_actions = pair.engine.on_mc_lsa(lsa.clone());
-                let (spec_next, spec_actions) = pair.spec.receive_lsa(lsa.clone());
-                pair.spec = spec_next;
-                let violations = Self::divergence(pair, &spec_actions, &engine_actions);
-                let desc = format!(
-                    "deliver {lsa} to {to} -> {}",
-                    Self::render_actions(&engine_actions)
-                );
-                self.dispatch(&mut next, to, &engine_actions);
-                (violations, desc)
+            SysAction::Deliver { from, to } => {
+                let frame = pop_head(&mut next.links, (from, to));
+                let label = format!("deliver {} {from}->{to}", describe_frame(&frame));
+                let (violations, effects) = self.step(&mut next, to, Input::Frame { from, frame });
+                (violations, format!("{label} -> {effects}"))
             }
             SysAction::Crash(switch) => {
-                // Fail-stop: the switch restarts with empty MC tables —
-                // engine and spec together, so the lockstep oracle keeps
-                // holding on the survivor.
-                let n = next.switches.len();
-                let algo: Rc<dyn McAlgorithm> = Rc::new(SphStrategy::new());
-                let mut engine = DgmcEngine::new(*switch, n, algo);
-                engine.set_mutation(self.mutation);
-                let mut spec = SpecSwitch::new(*switch, n);
-                spec.set_mutation(self.mutation);
-                next.switches[switch.0 as usize] = SwitchPair { engine, spec };
-                next.crashed[switch.0 as usize] = true;
+                Rc::make_mut(&mut next.cores[switch.index()]).on_admin(0, false);
                 next.crash_budget -= 1;
-                (
-                    Vec::new(),
-                    format!("crash at {switch} (MC soft state lost)"),
-                )
+                let desc = format!("crash at {switch} (fail-stop: every later input dropped)");
+                (Vec::new(), desc)
             }
-            SysAction::Lose(id) => {
-                let (to, lsa) = next.pending.remove(id).expect("losing a pending message");
+            SysAction::Lose { from, to } => {
+                let frame = pop_head(&mut next.links, (from, to));
                 next.loss_budget -= 1;
-                (Vec::new(), format!("lose {lsa} to {to}"))
+                let desc = format!("lose {} {from}->{to}", describe_frame(&frame));
+                (Vec::new(), desc)
             }
         };
+        Self::drop_unread(&mut next);
         (next, violations, desc)
     }
 
-    fn fire_script(&self, next: &mut SysState, ev: &ScriptEvent) -> (Vec<Violation>, String) {
-        match *ev {
-            ScriptEvent::Join { at } => {
-                let pair = &mut next.switches[at.0 as usize];
-                let engine_actions = pair.engine.local_join(self.mc, self.mc_type, self.role);
-                let (spec_next, spec_actions) =
-                    pair.spec.host_join(self.mc, self.mc_type, self.role);
-                pair.spec = spec_next;
-                let violations = Self::divergence(pair, &spec_actions, &engine_actions);
-                let desc = format!("{ev} -> {}", Self::render_actions(&engine_actions));
-                self.dispatch(next, at, &engine_actions);
-                (violations, desc)
-            }
-            ScriptEvent::Leave { at } => {
-                let pair = &mut next.switches[at.0 as usize];
-                let engine_actions = pair.engine.local_leave(self.mc);
-                let (spec_next, spec_actions) = pair.spec.host_leave(self.mc);
-                pair.spec = spec_next;
-                let violations = Self::divergence(pair, &spec_actions, &engine_actions);
-                let desc = format!("{ev} -> {}", Self::render_actions(&engine_actions));
-                self.dispatch(next, at, &engine_actions);
-                (violations, desc)
-            }
+    fn fire_script(&self, next: &mut SysState, ev: ScriptEvent) -> (Vec<Violation>, String) {
+        let (violations, effects) = match ev {
+            ScriptEvent::Join { at } => self.step(next, at, Input::Join),
+            ScriptEvent::Leave { at } => self.step(next, at, Input::Leave),
             ScriptEvent::LinkDown { a, b } | ScriptEvent::LinkUp { a, b, .. } => {
-                let target = if matches!(ev, ScriptEvent::LinkDown { .. }) {
-                    LinkState::Down
-                } else {
-                    LinkState::Up
-                };
+                let up = matches!(ev, ScriptEvent::LinkUp { .. });
                 let link = next
                     .net
                     .link_between(a, b)
                     .expect("scripted link exists")
-                    .id;
+                    .clone();
+                let target = if up { LinkState::Up } else { LinkState::Down };
                 next.net
-                    .set_link_state(link, target)
+                    .set_link_state(link.id, target)
                     .expect("link state change");
-                let detector = a.min(b);
-                let SysState {
-                    switches, net: _, ..
-                } = next;
-                let pair = &mut switches[detector.0 as usize];
-                let engine_actions = pair.engine.local_link_event(a, b);
-                let (spec_next, spec_actions) = pair.spec.link_event(a, b);
-                pair.spec = spec_next;
-                let violations = Self::divergence(pair, &spec_actions, &engine_actions);
-                let desc = format!("{ev} -> {}", Self::render_actions(&engine_actions));
-                self.dispatch(next, detector, &engine_actions);
-                (violations, desc)
+                // Both endpoints learn at once, the detector first.
+                let (mut violations, mut effects) = (Vec::new(), Vec::new());
+                for (switch, msg) in link_event_inputs(&link, up) {
+                    let detector = match msg {
+                        SwitchMsg::LinkEvent { detector, .. } => detector,
+                        _ => unreachable!("link_event_inputs builds link events"),
+                    };
+                    let neighbor = link.other(switch);
+                    let input = Input::Link {
+                        neighbor,
+                        up,
+                        detector,
+                    };
+                    let (more, did) = self.step(next, switch, input);
+                    violations.extend(more);
+                    effects.push(format!("{switch}: {did}"));
+                }
+                (violations, effects.join("; "))
             }
-        }
+        };
+        (violations, format!("{ev} -> {effects}"))
     }
 }
 
@@ -693,34 +752,34 @@ impl Model for SystematicModel {
     type State = SysState;
     type Action = SysAction;
 
-    /// Builds all switches and runs the deterministic warm-up: each warm
-    /// member joins and the system is drained to quiescence (always the
-    /// first enabled non-script action) before the scripted concurrency
-    /// starts.
+    /// Builds every switch's core and spec twin on the ground-truth network
+    /// and runs the deterministic warm-up: each warm member joins and the
+    /// system is drained to quiescence (always the first enabled non-script
+    /// action) before the scripted concurrency starts.
     fn initial(&self) -> SysState {
-        let n = self.net.len();
-        let algo: Rc<dyn McAlgorithm> = Rc::new(SphStrategy::new());
-        let switches = (0..n as u32)
-            .map(|i| {
-                let mut engine = DgmcEngine::new(NodeId(i), n, Rc::clone(&algo));
-                engine.set_mutation(self.mutation);
-                let mut spec = SpecSwitch::new(NodeId(i), n);
-                spec.set_mutation(self.mutation);
-                SwitchPair { engine, spec }
-            })
-            .collect();
+        let algorithm: Rc<dyn McAlgorithm> = Rc::new(SphStrategy::new());
+        let core = |id| {
+            let mut core = NodeCore::new(id, &self.net, TC_NANOS, Rc::clone(&algorithm));
+            core.set_mutation(self.mutation);
+            core
+        };
+        let spec = |id| {
+            let mut spec = SpecSwitch::new(id, self.net.len());
+            spec.set_mutation(self.mutation);
+            spec
+        };
         let mut state = SysState {
-            switches,
+            cores: self.net.nodes().map(|id| Rc::new(core(id))).collect(),
+            specs: self.net.nodes().map(spec).collect(),
             net: self.net.clone(),
-            pending: BTreeMap::new(),
-            next_msg: 0,
+            links: BTreeMap::new(),
+            timers: BTreeSet::new(),
             script_done: vec![false; self.script.len()],
             crash_budget: self.crashes,
             loss_budget: self.losses,
-            crashed: vec![false; n],
         };
         for &at in &self.warm {
-            let (violations, desc) = self.fire_script(&mut state, &ScriptEvent::Join { at });
+            let (violations, desc) = self.step(&mut state, at, Input::Join);
             assert!(
                 violations.is_empty(),
                 "warm-up diverged at '{desc}': {violations:?}"
@@ -743,48 +802,31 @@ impl Model for SystematicModel {
         self.enabled_of(state, true)
     }
 
+    /// Content identity: a delivery or loss is keyed by its link *and* the
+    /// frame at the head, so the same frame keys identically on every path
+    /// that can deliver it and a stale bundle fails to resolve.
     fn action_key(&self, state: &SysState, action: &SysAction) -> u64 {
         let mut h = StableHasher::new();
-        match action {
-            SysAction::Script(i) => {
-                0u8.hash(&mut h);
-                i.hash(&mut h);
-            }
-            SysAction::Complete { switch, mc } => {
-                1u8.hash(&mut h);
-                switch.hash(&mut h);
-                mc.hash(&mut h);
-            }
-            SysAction::Deliver(id) => {
-                // Content identity, not the path-local allocation id: the
-                // same undelivered LSA must key identically on every path
-                // that can deliver it.
-                let (to, lsa) = &state.pending[id];
-                2u8.hash(&mut h);
-                to.hash(&mut h);
-                lsa.hash(&mut h);
-            }
-            SysAction::Crash(switch) => {
-                3u8.hash(&mut h);
-                switch.hash(&mut h);
-            }
-            SysAction::Lose(id) => {
-                let (to, lsa) = &state.pending[id];
-                4u8.hash(&mut h);
-                to.hash(&mut h);
-                lsa.hash(&mut h);
-            }
+        let head = |from, to| &state.links[&(from, to)][0];
+        match *action {
+            SysAction::Script(i) => (0u8, i).hash(&mut h),
+            SysAction::Complete { switch, mc } => (1u8, switch, mc).hash(&mut h),
+            SysAction::Deliver { from, to } => (2u8, from, to, head(from, to)).hash(&mut h),
+            SysAction::Crash(switch) => (3u8, switch).hash(&mut h),
+            SysAction::Lose { from, to } => (4u8, from, to, head(from, to)).hash(&mut h),
         }
         h.finish()
     }
 
-    fn commutes(&self, state: &SysState, a: &SysAction, b: &SysAction) -> bool {
-        let fa = self.footprint(state, a);
-        let fb = self.footprint(state, b);
-        let disjoint = fa.switches.iter().all(|s| !fb.switches.contains(s));
-        disjoint
-            && !(fa.net_write && (fb.net_read || fb.net_write))
-            && !(fb.net_write && (fa.net_read || fa.net_write))
+    /// Disjoint footprints, and not the two fates of one link's head.
+    fn commutes(&self, _state: &SysState, a: &SysAction, b: &SysAction) -> bool {
+        let link = |action: &SysAction| match *action {
+            SysAction::Deliver { from, to } | SysAction::Lose { from, to } => Some((from, to)),
+            _ => None,
+        };
+        let (fa, fb) = (self.footprint(a), self.footprint(b));
+        fa.iter().flatten().all(|s| !fb.contains(&Some(*s)))
+            && (link(a).is_none() || link(a) != link(b))
     }
 
     fn apply(&self, state: &SysState, action: &SysAction) -> Step<SysState> {
@@ -795,59 +837,59 @@ impl Model for SystematicModel {
         }
     }
 
-    /// Canonical digest: per-switch engine and spec state, the link-state
-    /// image digest, the script progress, and the pending messages hashed
-    /// as per-channel ordered sequences — invariant under allocation-id
-    /// differences between interleavings of commuting actions (channel
-    /// order is preserved by the FIFO rule; cross-channel order is not
-    /// state), so such interleavings converge to one search node.
+    /// Canonical digest: per switch the engine's and the spec's per-MC
+    /// state and tombstones, the LSDB, the failure flag, how many floods it
+    /// originated and which of the floods still in flight it has seen (no
+    /// other seen id can arrive again); then ground truth, the links' frames
+    /// in order, the armed timers, script progress and the budgets.
+    /// Interleavings of commuting actions land on one digest: a link's order
+    /// is preserved by FIFO, and cross-link order is not state.
     fn state_hash(&self, state: &SysState) -> u64 {
         let mut h = StableHasher::new();
-        for pair in &state.switches {
-            for mc in pair.engine.mc_ids() {
-                mc.hash(&mut h);
-                pair.engine.state(mc).hash(&mut h);
+        let in_flight: BTreeSet<FloodId> = state
+            .links
+            .values()
+            .flatten()
+            .filter_map(|frame| match frame {
+                Frame::Flood(packet) => Some(packet.id),
+                _ => None,
+            })
+            .collect();
+        for (core, spec) in state.cores.iter().zip(&state.specs) {
+            let engine = core.engine();
+            for mc in engine.mc_ids() {
+                (mc, engine.state(mc)).hash(&mut h);
             }
             // Tombstones shape future behavior (they fence or revive later
             // LSAs), so they are part of the canonical state.
-            for (mc, tomb) in pair.engine.tombstones() {
-                mc.hash(&mut h);
-                tomb.hash(&mut h);
-            }
-            for mc in pair.spec.mc_ids() {
-                mc.hash(&mut h);
-                pair.spec.state(mc).hash(&mut h);
-            }
-            for (mc, tomb) in pair.spec.tombstones() {
-                mc.hash(&mut h);
-                tomb.hash(&mut h);
-            }
+            engine.tombstones().for_each(|tomb| tomb.hash(&mut h));
+            let (flooder, lsdb) = core.substrate();
+            let own = |seq| {
+                flooder.seen(FloodId {
+                    origin: core.id(),
+                    seq,
+                })
+            };
+            (0u64..).take_while(|&seq| own(seq)).count().hash(&mut h);
+            in_flight
+                .iter()
+                .for_each(|&id| flooder.seen(id).hash(&mut h));
+            lsdb.lsas().for_each(|lsa| lsa.hash(&mut h));
+            (core.is_failed(), spec).hash(&mut h);
         }
         state.net.digest().hash(&mut h);
+        state.links.hash(&mut h);
+        state.timers.hash(&mut h);
         state.script_done.hash(&mut h);
-        state.crash_budget.hash(&mut h);
-        state.loss_budget.hash(&mut h);
-        state.crashed.hash(&mut h);
-        let mut channels: BTreeMap<(NodeId, NodeId), Vec<u64>> = BTreeMap::new();
-        for msg in state.pending.values() {
-            channels
-                .entry(channel(msg))
-                .or_default()
-                .push(mc::stable_hash_of(&msg.1));
-        }
-        channels.hash(&mut h);
+        (state.crash_budget, state.loss_budget).hash(&mut h);
         h.finish()
     }
 
     fn check_quiescent(&self, state: &SysState) -> Vec<Violation> {
-        // Crashed switches lost their soft state by definition; the suite
-        // checks the survivors (see [`SysState::crashed`]).
-        let engines: Vec<&DgmcEngine> = state
-            .switches
-            .iter()
-            .filter(|p| !state.crashed[p.engine.id().0 as usize])
-            .map(|p| &p.engine)
-            .collect();
+        // A crashed switch is fail-stopped: the suite checks that the
+        // survivors agree.
+        let live = state.cores.iter().filter(|core| !core.is_failed());
+        let engines: Vec<_> = live.map(|core| core.engine()).collect();
         check_engines(&engines, &state.net)
             .into_iter()
             .map(|v| Violation {
@@ -882,17 +924,16 @@ pub struct SystematicRun {
 }
 
 /// Explores every interleaving of the scenario within the configured
-/// bounds, honoring `config.jobs` via deterministic DFS-prefix sharding.
-/// The report is byte-identical for every worker count. A counterexample is
-/// minimized and packaged before returning.
-pub fn run_systematic(config: &ExploreConfig, params: &SystematicParams) -> SystematicRun {
+/// bounds with one DFS ([`mc::explore`]): `max_states` bounds the whole
+/// run. A counterexample is minimized and packaged before returning.
+pub fn run_systematic(params: &SystematicParams) -> SystematicRun {
     let model = SystematicModel::new(params);
     let mc_config = McConfig {
         max_depth: params.max_depth,
         max_states: params.max_states,
         fail_fast: true,
     };
-    let report = mc::explore_sharded(&model, &mc_config, config.jobs.max(1));
+    let report = mc::explore(&model, &mc_config);
     let mut metrics = MetricsRegistry::new();
     report.stats.publish(&mut metrics);
     let minimized = report.counterexample.as_ref().map(|cx| {
@@ -951,55 +992,52 @@ pub fn run_backward(
 }
 
 /// Renders the minimized trace as a human-readable *causal* timeline: one
-/// line per choice point with the engine actions it triggered, indented
-/// under the step that caused it (the step that flooded a delivered LSA, or
-/// the step that started a completing computation; scripted events are
-/// roots). Steps stay in schedule order and keep their schedule numbers, so
-/// the interleaving and the causality are both visible at once.
+/// line per choice point with what the core did, indented under the step
+/// that caused it (the step that sent a delivered frame, or the step that
+/// armed a firing timer; scripted events and crashes are roots). Steps stay
+/// in schedule order and keep their schedule numbers, so the interleaving
+/// and the causality are both visible at once.
 pub fn describe_trace(model: &SystematicModel, trace: &[SysAction]) -> Vec<String> {
     let mut state = model.initial();
-    // Message id -> creating step; (switch, mc) -> step that started the
-    // in-flight computation. Warm-up drains to quiescence, so every pending
-    // message and computation is created by a traced step.
-    let mut msg_creator: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut computing: BTreeMap<(NodeId, McId), u64> = BTreeMap::new();
+    // The step that sent each frame in flight (per link, oldest first) and
+    // the step that armed each timer. Warm-up drains to quiescence, so every
+    // frame and timer is created by a traced step.
+    let mut senders: BTreeMap<(NodeId, NodeId), VecDeque<u64>> = BTreeMap::new();
+    let mut armers: BTreeMap<(NodeId, McId), u64> = BTreeMap::new();
     let mut items = Vec::new();
     let mut notes_at: Vec<Vec<String>> = Vec::new();
     for (i, action) in trace.iter().enumerate() {
         let step = i as u64 + 1;
-        let parent = match action {
-            SysAction::Script(_) | SysAction::Crash(_) => 0,
-            SysAction::Deliver(id) | SysAction::Lose(id) => {
-                msg_creator.get(id).copied().unwrap_or(0)
+        let parent = match *action {
+            SysAction::Script(_) | SysAction::Crash(_) => None,
+            SysAction::Deliver { from, to } | SysAction::Lose { from, to } => {
+                senders.get(&(from, to)).and_then(VecDeque::front).copied()
             }
-            SysAction::Complete { switch, mc } => {
-                computing.get(&(*switch, *mc)).copied().unwrap_or(0)
-            }
+            SysAction::Complete { switch, mc } => armers.remove(&(switch, mc)),
         };
-        if let SysAction::Complete { switch, mc } = action {
-            computing.remove(&(*switch, *mc));
-        }
-        let before: BTreeSet<u64> = state.pending.keys().copied().collect();
         let (next, violations, desc) = model.transition(&state, action);
-        for &id in next.pending.keys() {
-            if !before.contains(&id) {
-                msg_creator.insert(id, step);
-            }
+        // A step pops frames off the front of links (the one it delivers or
+        // loses, and any its receivers drop unread) and appends what it
+        // sends: the frames it popped are the shortest head of the old queue
+        // whose rest begins the new one.
+        for (link, sent) in &mut senders {
+            let digests = |s: &SysState| -> Vec<u64> {
+                let frames = s.links.get(link).into_iter().flatten();
+                frames.map(mc::stable_hash_of).collect()
+            };
+            let (old, new) = (digests(&state), digests(&next));
+            let popped = (0..old.len()).find(|&k| new.starts_with(&old[k..]));
+            sent.drain(..popped.unwrap_or(old.len()));
         }
-        for pair in &next.switches {
-            for mc in pair.engine.mc_ids() {
-                if pair
-                    .engine
-                    .state(mc)
-                    .is_some_and(|st| st.computing.is_some())
-                {
-                    computing.entry((pair.engine.id(), mc)).or_insert(step);
-                }
-            }
+        for (link, frames) in &next.links {
+            senders.entry(*link).or_default().resize(frames.len(), step);
+        }
+        for &timer in &next.timers {
+            armers.entry(timer).or_insert(step);
         }
         items.push(CausalItem {
             id: step,
-            parent,
+            parent: parent.unwrap_or(0),
             label: format!("{step:>3}. {desc}"),
         });
         notes_at.push(violations.iter().map(|v| format!("     !! {v}")).collect());
@@ -1025,7 +1063,13 @@ fn replay_command(params: &SystematicParams, keys: &[u64]) -> String {
         command.push_str(&format!(" --{flag} {value}"));
     }
     let keys: Vec<String> = keys.iter().map(u64::to_string).collect();
-    format!("{command} --trace {}", keys.join(","))
+    // An empty schedule (deterministic completion alone fails) is `''`.
+    let keys = if keys.is_empty() {
+        "''".to_owned()
+    } else {
+        keys.join(",")
+    };
+    format!("{command} --trace {keys}")
 }
 
 fn make_bundle(
@@ -1074,7 +1118,7 @@ mod tests {
 
     #[test]
     fn three_node_two_join_scenario_fully_explores_clean() {
-        let run = run_systematic(&ExploreConfig::default(), &quick());
+        let run = run_systematic(&quick());
         assert!(run.report.passed(), "{}", run.report.summary());
         assert!(run.report.complete, "{}", run.report.summary());
         assert!(run.report.stats.states > 10, "{}", run.report.summary());
@@ -1096,9 +1140,9 @@ mod tests {
         let state = model.initial();
         // The warm member (highest id) is installed and quiet before any
         // scripted action fires.
-        assert!(state.pending.is_empty());
-        assert!(state.switches[3].engine.is_member(McId(1)));
-        assert!(state.switches[3].engine.installed(McId(1)).is_some());
+        assert!(state.links.is_empty() && state.timers.is_empty());
+        assert!(state.cores[3].engine().is_member(MC));
+        assert!(state.cores[3].engine().installed(MC).is_some());
         assert!(state.script_done.iter().all(|done| !done));
         assert_eq!(
             model.script(),
@@ -1126,12 +1170,12 @@ mod tests {
         let delivers: Vec<SysAction> = model
             .enabled(&state)
             .into_iter()
-            .filter(|a| matches!(a, SysAction::Deliver(_)))
+            .filter(|a| matches!(a, SysAction::Deliver { .. }))
             .collect();
-        assert_eq!(delivers.len(), 2, "flood to both other switches");
+        assert_eq!(delivers.len(), 2, "flood on both links of the origin");
         assert!(model.commutes(&state, &delivers[0], &delivers[1]));
         assert!(!model.commutes(&state, &delivers[0], &delivers[0]));
-        // Content keys are distinct (different destinations).
+        // Content keys are distinct (different links).
         assert_ne!(
             model.action_key(&state, &delivers[0]),
             model.action_key(&state, &delivers[1])
@@ -1176,7 +1220,7 @@ mod tests {
         let deliver = model
             .enabled(&state)
             .into_iter()
-            .find(|a| matches!(a, SysAction::Deliver(_)))
+            .find(|a| matches!(a, SysAction::Deliver { .. }))
             .expect("the computation flooded an LSA");
         trace.push(deliver);
         let lines = describe_trace(&model, &trace);
@@ -1198,7 +1242,7 @@ mod tests {
             mutation: EngineMutation::SkipWithdrawal,
             ..quick()
         };
-        let run = run_systematic(&ExploreConfig::default(), &params);
+        let run = run_systematic(&params);
         let minimized = run.minimized.expect("mutated engine must diverge");
         assert!(!run.report.passed());
         assert!(minimized.replay.failed());

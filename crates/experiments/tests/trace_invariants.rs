@@ -11,7 +11,6 @@
 
 use dgmc_core::switch::{histograms, DgmcConfig};
 use dgmc_core::EngineMutation;
-use dgmc_des::explorer::ExploreConfig;
 use dgmc_des::mc::{self, McConfig};
 use dgmc_experiments::presets::{self, ExperimentSpec, WorkloadKind};
 use dgmc_experiments::runner::{run_dgmc, RunMetrics, RunOptions, TraceMode};
@@ -128,7 +127,7 @@ fn teardown_resurrection_race_renders_as_a_causal_timeline() {
         mutation: EngineMutation::UnfencedTeardown,
         ..SystematicParams::default()
     };
-    let run = systematic::run_systematic(&ExploreConfig::default(), &params);
+    let run = systematic::run_systematic(&params);
     assert!(!run.report.passed(), "{}", run.report.summary());
     let min = run.minimized.expect("race minimizes to a bundle");
     assert!(

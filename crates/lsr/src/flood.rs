@@ -8,7 +8,7 @@
 //! That is all this module does: a set of seen ids. There is no
 //! acknowledgement and no retransmission, so delivery is only as reliable as
 //! the links underneath — the paper *assumes* reliable FIFO flooding, and
-//! making that a property of this code is ROADMAP.md item 2.
+//! making that a property of this code is ROADMAP.md item 3.
 
 use crate::lsa::{FloodId, FloodPacket};
 use dgmc_topology::{LinkId, NodeId};

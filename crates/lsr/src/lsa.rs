@@ -21,7 +21,7 @@ pub struct LinkAdv {
 /// This is the non-MC LSA of the paper ("the exact format of link/nodal event
 /// descriptions is defined by the underlying unicast LSR protocol"); higher
 /// sequence numbers supersede lower ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RouterLsa {
     /// The advertising switch.
     pub origin: NodeId,
@@ -87,7 +87,7 @@ impl fmt::Display for FloodId {
 }
 
 /// A payload in flight during a flooding operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct FloodPacket<P> {
     /// Identity of the flooding operation this packet belongs to.
     pub id: FloodId,
