@@ -133,27 +133,33 @@ if grep -rnE '"--(incremental|rebuild|delta|patch)[a-z-]*"|DGMC_(IMAGE|DELTA|REB
     exit 1
 fi
 
-# A tree is a value. `McTopology` is one `Arc` (a clone is a refcount
-# bump, the mutators copy on write; an `Rc` would make trees neither `Send` nor
-# `Sync`), and an install diffs trees instead of rebuilding them: `McArena::sync`
-# collecting a tree's edges, or `proto.rs` naming an edge set again, is the
-# per-install copy coming back. Shared is the only path: no flag, environment
-# variable or options field selects copied trees. No wall-clock gate: the
-# arena's rebuild oracle and the size ratchet in `mc.rs` are the pins
-# (DESIGN.md §14).
+# A tree is a value and a sorted slice. `McTopology` is one `Rc` (a clone is
+# a refcount bump, the mutators copy on write; nothing moves a tree between
+# threads since the sharded model checker went, so no atomic refcount is paid
+# on every relay) over one sorted `Vec` of edges (binary search, index-merge
+# diffs; a `BTreeSet` of edges is the node walk coming back). An install diffs
+# trees instead of rebuilding them: `McArena::sync` collecting a tree's edges,
+# or `proto.rs` naming an edge set again, is the per-install copy coming back.
+# Shared is the only path: no flag, environment variable or options field
+# selects copied trees or the layout. No wall-clock gate: the arena's rebuild
+# oracle, the two-set reference test in `topology_type.rs` and the size
+# ratchet in `mc.rs` are the pins (DESIGN.md §14).
 if sed -n '/pub fn sync/,/^    }/p' crates/core/src/arena.rs | grep -n 'collect' ||
     grep -n 'BTreeSet<(NodeId, NodeId)>' crates/core/src/proto.rs; then
     echo "an install copies a tree's edges again; diff with McTopology::diff_edges"
     exit 1
 fi
-if ! grep -q 'Arc<' crates/mctree/src/topology_type.rs ||
-    grep -nE '(^|[^A-Za-z_])Rc<' crates/mctree/src/topology_type.rs; then
-    echo "McTopology is no longer one shared Arc"
+# The tests keep a two-`BTreeSet` reference, so only the code above them is
+# held to the layout.
+if ! grep -qE '(^|[^A-Za-z_])Rc<' crates/mctree/src/topology_type.rs ||
+    sed '/^#\[cfg(test)\]/,$d' crates/mctree/src/topology_type.rs |
+    grep -nE 'Arc<|BTreeSet<\(NodeId, NodeId\)>'; then
+    echo "McTopology is no longer one shared Rc over a sorted edge slice"
     exit 1
 fi
-if grep -rnE '"--(deep-copy|share|copy|cow)[a-z-]*"|DGMC_(SHARE|COPY|COW)|(share|shared|deep_copy|copy|cow)_(trees?|topolog(y|ies))|(tree|topology)_(share|sharing|copy|cow)\b|deep_copy' \
+if grep -rnE '"--(deep-copy|share|copy|cow|layout)[a-z-]*"|DGMC_(SHARE|COPY|COW|LAYOUT)|(share|shared|deep_copy|copy|cow)_(trees?|topolog(y|ies))|(tree|topology|edge)_(share|sharing|copy|cow|layout)\b|deep_copy' \
     crates --include='*.rs' --include='*.toml'; then
-    echo "a switch selecting shared vs copied trees is back; there is one path"
+    echo "a switch selecting shared vs copied trees, or the edge layout, is back; there is one path"
     exit 1
 fi
 

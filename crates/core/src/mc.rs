@@ -130,15 +130,6 @@ mod tests {
         assert!(McId(1) < McId(2));
     }
 
-    // Switches move trees and LSAs between the model checker's threads.
-    const _: fn() = || {
-        fn send_sync<T: Send + Sync>() {}
-        send_sync::<McTopology>();
-        send_sync::<McLsa>();
-        send_sync::<crate::McSync>();
-        send_sync::<crate::McState>();
-    };
-
     /// Every DES event moves one `SwitchMsg` through the heap: a field that
     /// inflates it (a tree held inline again) fails here.
     #[test]

@@ -281,8 +281,7 @@ impl NodeCore {
         let lsdb = Lsdb::from_network(net);
         let routes = RoutingTable::compute_with(lsdb.image(), me, &spf_cache);
         let incident = net
-            .links()
-            .filter(|l| l.a == me || l.b == me)
+            .links_of(me)
             .map(|l| (l.id, l.other(me), l.cost, l.is_up()))
             .collect();
         let mut engine = DgmcEngine::new(me, net.len(), algorithm);

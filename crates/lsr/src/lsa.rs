@@ -42,9 +42,8 @@ impl RouterLsa {
     /// Panics if `origin` is not a node of `net`.
     pub fn describe(net: &Network, origin: NodeId, seq: u64) -> RouterLsa {
         assert!(net.contains_node(origin), "unknown origin {origin}");
-        let mut links: Vec<LinkAdv> = net
-            .links()
-            .filter(|l| l.a == origin || l.b == origin)
+        let links = net
+            .links_of(origin)
             .map(|l| LinkAdv {
                 link: l.id,
                 neighbor: l.other(origin),
@@ -52,7 +51,6 @@ impl RouterLsa {
                 up: l.state == LinkState::Up,
             })
             .collect();
-        links.sort_by_key(|adv| adv.link);
         RouterLsa { origin, seq, links }
     }
 }
@@ -124,6 +122,39 @@ mod tests {
         assert!(!l0.up);
         let l1 = lsa.links.iter().find(|a| a.link == LinkId(1)).unwrap();
         assert!(l1.up);
+    }
+
+    /// `describe` against its reference definition: every link of the
+    /// network, filtered to the origin's and sorted by id.
+    #[test]
+    fn describe_equals_a_filter_over_every_link() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        for _ in 0..40 {
+            let (n, m) = (rng.gen_range(2..30), rng.gen_range(1..4));
+            let mut net = generate::barabasi_albert(&mut rng, n, m, 9);
+            for id in 0..net.link_count() {
+                if rng.gen_bool(0.3) {
+                    let id = LinkId(u32::try_from(id).unwrap());
+                    net.set_link_state(id, LinkState::Down).unwrap();
+                }
+            }
+            for origin in net.nodes() {
+                let mut links: Vec<LinkAdv> = net
+                    .links()
+                    .filter(|l| l.a == origin || l.b == origin)
+                    .map(|l| LinkAdv {
+                        link: l.id,
+                        neighbor: l.other(origin),
+                        cost: l.cost,
+                        up: l.is_up(),
+                    })
+                    .collect();
+                links.sort_by_key(|adv| adv.link);
+                assert_eq!(RouterLsa::describe(&net, origin, 5).links, links);
+            }
+        }
     }
 
     #[test]

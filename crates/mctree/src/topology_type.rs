@@ -1,23 +1,25 @@
 use dgmc_topology::{Network, NodeId};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A multipoint-connection topology: the tree subgraph a proposal encodes.
 ///
 /// This is the `P` component of an MC LSA — "a complete topological
 /// description of the MC". Edges are stored as normalized `(min, max)`
-/// endpoint pairs of the switch graph; the structure is independent of any
-/// particular network instance so it can be flooded and compared for
-/// equality.
+/// endpoint pairs of the switch graph, in one sorted, duplicate-free slice;
+/// the structure is independent of any particular network instance so it
+/// can be flooded and compared for equality.
 ///
-/// A topology is an immutable shared value: the two sets live behind one
-/// [`Arc`], so `clone` is a reference-count bump and every relay, mailbox
+/// A topology is an immutable shared value: edges and terminals live behind
+/// one [`Rc`], so `clone` is a reference-count bump and every relay, mailbox
 /// entry, candidate and installed slot holding the same proposal shares one
-/// tree. The mutators copy on write ([`Arc::make_mut`]) and leave other
+/// tree. The mutators copy on write ([`Rc::make_mut`]) and leave other
 /// holders untouched; one that changes nothing copies nothing. Equality and
-/// hashing are by value, and the type is `Send + Sync`.
+/// hashing are by value, and hash alike to the `(BTreeSet, BTreeSet)` pair
+/// of edges and terminals.
 ///
 /// # Examples
 ///
@@ -35,20 +37,29 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct McTopology {
-    sets: Arc<Sets>,
+    sets: Rc<Sets>,
 }
 
 /// The shared body of a [`McTopology`].
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 struct Sets {
-    edges: BTreeSet<(NodeId, NodeId)>,
+    /// Normalized edges, sorted and deduplicated: every method that builds
+    /// or edits it keeps that so, and lookups binary-search it.
+    edges: Vec<(NodeId, NodeId)>,
     terminals: BTreeSet<NodeId>,
 }
 
+/// Prints the edges as a set, the text the repro bundles embed.
 impl fmt::Debug for McTopology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Edges<'a>(&'a [(NodeId, NodeId)]);
+        impl fmt::Debug for Edges<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
         f.debug_struct("McTopology")
-            .field("edges", &self.sets.edges)
+            .field("edges", &Edges(&self.sets.edges))
             .field("terminals", &self.sets.terminals)
             .finish()
     }
@@ -106,35 +117,52 @@ impl McTopology {
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
     {
-        // Collected, not inserted one by one: the set is built in bulk from
-        // the sorted run, a fraction of the node allocations.
-        let edges = edges
+        // Sorted once: encoder output is already in order, which the sort
+        // sees in one linear pass.
+        let mut edges: Vec<_> = edges
             .into_iter()
             .filter(|(a, b)| a != b)
             .map(|(a, b)| normalize(a, b))
             .collect();
+        edges.sort_unstable();
+        edges.dedup();
         McTopology {
-            sets: Arc::new(Sets { edges, terminals }),
+            sets: Rc::new(Sets { edges, terminals }),
         }
+    }
+
+    /// Where `edge` sits in the sorted edge slice: `Ok` if present, `Err`
+    /// with the insertion point if not.
+    fn find(&self, edge: (NodeId, NodeId)) -> Result<usize, usize> {
+        self.sets.edges.binary_search(&edge)
     }
 
     /// Adds an edge (normalized); ignores self-loops and duplicates.
     pub fn insert_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         let edge = normalize(a, b);
-        a != b
-            && !self.sets.edges.contains(&edge)
-            && Arc::make_mut(&mut self.sets).edges.insert(edge)
+        match self.find(edge) {
+            Err(at) if a != b => {
+                Rc::make_mut(&mut self.sets).edges.insert(at, edge);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Removes an edge; returns `true` if it was present.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let edge = normalize(a, b);
-        self.sets.edges.contains(&edge) && Arc::make_mut(&mut self.sets).edges.remove(&edge)
+        match self.find(normalize(a, b)) {
+            Ok(at) => {
+                Rc::make_mut(&mut self.sets).edges.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Returns `true` if the (normalized) edge is part of the topology.
     pub fn contains_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.sets.edges.contains(&normalize(a, b))
+        self.find(normalize(a, b)).is_ok()
     }
 
     /// Iterates over the normalized edges in sorted order.
@@ -158,26 +186,33 @@ impl McTopology {
         mut f: impl FnMut((NodeId, NodeId), bool),
     ) {
         if let (Some(a), Some(b)) = (old, new) {
-            if Arc::ptr_eq(&a.sets, &b.sets) {
+            if Rc::ptr_eq(&a.sets, &b.sets) {
                 return;
             }
         }
-        let mut old = old.into_iter().flat_map(McTopology::edges).peekable();
-        let mut new = new.into_iter().flat_map(McTopology::edges).peekable();
-        loop {
-            let gone = match (old.peek(), new.peek()) {
-                (None, None) => return,
-                (Some(a), Some(b)) if a == b => {
-                    old.next();
-                    new.next();
-                    continue;
-                }
-                (Some(a), Some(b)) => a < b,
-                (gone, _) => gone.is_some(),
-            };
-            let edge = if gone { old.next() } else { new.next() };
-            f(edge.expect("peeked"), gone);
+        fn slice(t: Option<&McTopology>) -> &[(NodeId, NodeId)] {
+            t.map_or(&[], |t| &t.sets.edges)
         }
+        let (old, new) = (slice(old), slice(new));
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&a), Some(&b)) = (old.get(i), new.get(j)) {
+            match a.cmp(&b) {
+                Ordering::Less => {
+                    f(a, true);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    f(b, false);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        old[i..].iter().for_each(|&edge| f(edge, true));
+        new[j..].iter().for_each(|&edge| f(edge, false));
     }
 
     /// The terminal (member) set this topology was computed for.
@@ -187,7 +222,7 @@ impl McTopology {
 
     /// Replaces the terminal set (used by incremental updates).
     pub fn set_terminals(&mut self, terminals: BTreeSet<NodeId>) {
-        Arc::make_mut(&mut self.sets).terminals = terminals;
+        Rc::make_mut(&mut self.sets).terminals = terminals;
     }
 
     /// All nodes touched by the topology: edge endpoints plus terminals.
@@ -540,12 +575,6 @@ mod tests {
         assert_eq!(t.degree_in(NodeId(0)), 1);
     }
 
-    // Relays, mailboxes and the model checker's worker threads hold trees.
-    const _: fn() = || {
-        fn send_sync<T: Send + Sync>() {}
-        send_sync::<McTopology>();
-    };
-
     /// 0-1-2 with a dangling 1-3 branch over terminals {0, 2}.
     fn branchy() -> McTopology {
         McTopology::from_edges(
@@ -577,7 +606,7 @@ mod tests {
         ];
         for mutate in mutators {
             let mut copy = original.clone();
-            assert!(Arc::ptr_eq(&copy.sets, &original.sets), "clone shares");
+            assert!(Rc::ptr_eq(&copy.sets, &original.sets), "clone shares");
             mutate(&mut copy);
             assert_ne!(copy, original, "the clone changed");
             unchanged(&original);
@@ -591,7 +620,7 @@ mod tests {
         assert!(!copy.remove_edge(NodeId(0), NodeId(2)), "absent edge");
         assert!(!copy.insert_edge(NodeId(2), NodeId(1)), "present edge");
         assert!(!copy.insert_edge(NodeId(4), NodeId(4)), "self-loop");
-        assert!(Arc::ptr_eq(&copy.sets, &original.sets));
+        assert!(Rc::ptr_eq(&copy.sets, &original.sets));
     }
 
     #[test]
@@ -605,22 +634,22 @@ mod tests {
         );
     }
 
+    fn hash_of(value: &impl std::hash::Hash) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
     fn equality_and_hash_are_by_value() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        fn hash_of(value: &impl Hash) -> u64 {
-            let mut h = DefaultHasher::new();
-            value.hash(&mut h);
-            h.finish()
-        }
         let t = branchy();
         let sets: (BTreeSet<(NodeId, NodeId)>, BTreeSet<NodeId>) =
             (t.edges().collect(), t.terminals().clone());
         assert_eq!(hash_of(&t), hash_of(&sets));
         // Built separately: equal and hashed alike without sharing a body.
         let twin = McTopology::from_edges(sets.0.iter().copied(), sets.1.clone());
-        assert!(!Arc::ptr_eq(&twin.sets, &t.sets));
+        assert!(!Rc::ptr_eq(&twin.sets, &t.sets));
         assert_eq!(twin, t);
         assert_eq!(hash_of(&twin), hash_of(&t));
     }
@@ -645,5 +674,117 @@ mod tests {
         assert_eq!(diff(Some(&new), None), [(0, 1, true), (2, 4, true)]);
         assert!(diff(Some(&old), Some(&old.clone())).is_empty());
         assert!(diff(None, None).is_empty());
+    }
+
+    /// The reference: edges and terminals as two `BTreeSet`s, with the
+    /// derived `Debug` whose text the repro bundles embed.
+    mod reference {
+        use dgmc_topology::NodeId;
+        use std::collections::BTreeSet;
+
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+        pub struct McTopology {
+            pub edges: BTreeSet<(NodeId, NodeId)>,
+            pub terminals: BTreeSet<NodeId>,
+        }
+    }
+
+    /// Random scripts of builds and edits run on the sorted slice and on
+    /// two `BTreeSet`s side by side; after every step the two agree on
+    /// membership, order, diffs, equality, hash and `Debug` text, and an
+    /// edit that changes nothing still shares the body.
+    #[test]
+    fn sorted_slice_matches_the_two_set_reference() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let norm = |a: NodeId, b: NodeId| (a.min(b), a.max(b));
+        let node = |rng: &mut StdRng| NodeId(rng.gen_range(0..7));
+        let diff = |a: Option<&McTopology>, b: Option<&McTopology>| {
+            let mut out = Vec::new();
+            McTopology::diff_edges(a, b, |edge, gone| out.push((edge, gone)));
+            out
+        };
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut t = McTopology::empty();
+        let mut model = reference::McTopology::default();
+        for step in 0..4000 {
+            let (before, model_before) = (t.clone(), model.clone());
+            let op = rng.gen_range(0..8);
+            match op {
+                // Unsorted input with reversed copies, duplicates and
+                // self-loops.
+                0 => {
+                    let mut edges: Vec<_> = (0..rng.gen_range(0..10))
+                        .map(|_| (node(&mut rng), node(&mut rng)))
+                        .collect();
+                    for i in 0..edges.len() {
+                        if rng.gen_bool(0.3) {
+                            let (a, b) = edges[i];
+                            edges.push(if rng.gen_bool(0.5) { (b, a) } else { (a, b) });
+                        }
+                    }
+                    edges.shuffle(&mut rng);
+                    let terminals: BTreeSet<_> =
+                        (0..rng.gen_range(0..4)).map(|_| node(&mut rng)).collect();
+                    model.edges = edges
+                        .iter()
+                        .filter(|(a, b)| a != b)
+                        .map(|&(a, b)| norm(a, b))
+                        .collect();
+                    model.terminals = terminals.clone();
+                    t = McTopology::from_edges(edges, terminals);
+                }
+                1..=3 => {
+                    let (a, b) = (node(&mut rng), node(&mut rng));
+                    let added = a != b && model.edges.insert(norm(a, b));
+                    assert_eq!(t.insert_edge(a, b), added, "step {step}: insert {a}-{b}");
+                }
+                4..=6 => {
+                    let (a, b) = (node(&mut rng), node(&mut rng));
+                    let removed = model.edges.remove(&norm(a, b));
+                    assert_eq!(t.remove_edge(a, b), removed, "step {step}: remove {a}-{b}");
+                }
+                _ => {
+                    model.terminals = (0..rng.gen_range(0..4)).map(|_| node(&mut rng)).collect();
+                    t.set_terminals(model.terminals.clone());
+                }
+            }
+            let ctx = format!("step {step}, op {op}: {model:?}");
+            if (1..=6).contains(&op) && model == model_before {
+                assert!(Rc::ptr_eq(&t.sets, &before.sets), "{ctx}: a no-op copied");
+            }
+            for (a, b) in (0..7).flat_map(|a| (0..7).map(move |b| (NodeId(a), NodeId(b)))) {
+                let want = model.edges.contains(&norm(a, b));
+                assert_eq!(t.contains_edge(a, b), want, "{ctx}: contains {a}-{b}");
+            }
+            assert!(t.edges().eq(model.edges.iter().copied()), "{ctx}: edges()");
+            assert_eq!(t.edge_count(), model.edges.len(), "{ctx}");
+            assert_eq!(t.terminals(), &model.terminals, "{ctx}");
+            let moved: Vec<_> = model_before
+                .edges
+                .symmetric_difference(&model.edges)
+                .map(|&edge| (edge, model_before.edges.contains(&edge)))
+                .collect();
+            assert_eq!(diff(Some(&before), Some(&t)), moved, "{ctx}: diff");
+            let all = |gone| model.edges.iter().map(move |&edge| (edge, gone));
+            assert!(diff(None, Some(&t)).into_iter().eq(all(false)), "{ctx}");
+            assert!(diff(Some(&t), None).into_iter().eq(all(true)), "{ctx}");
+            let twin = McTopology::from_edges(model.edges.iter().copied(), model.terminals.clone());
+            assert_eq!(t, twin, "{ctx}: equality");
+            assert_eq!(t == before, model == model_before, "{ctx}: equality");
+            assert_eq!(
+                hash_of(&t),
+                hash_of(&(&model.edges, &model.terminals)),
+                "{ctx}: hash"
+            );
+            assert_eq!(format!("{t:?}"), format!("{model:?}"), "{ctx}: Debug");
+            assert_eq!(format!("{t:#?}"), format!("{model:#?}"), "{ctx}: Debug");
+            assert_eq!(
+                format!("{before:?}"),
+                format!("{model_before:?}"),
+                "{ctx}: an edit reached the shared original"
+            );
+        }
     }
 }

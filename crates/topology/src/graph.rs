@@ -271,14 +271,19 @@ impl Network {
         self.links.iter().filter(|l| l.is_up())
     }
 
-    /// Iterates over the up links incident to `n`.
-    pub fn up_links_of(&self, n: NodeId) -> impl Iterator<Item = &Link> + '_ {
+    /// Iterates over every link incident to `n`, up or down, in link-id
+    /// order (links are only ever appended, so adjacency is id order).
+    pub fn links_of(&self, n: NodeId) -> impl Iterator<Item = &Link> + '_ {
         self.adjacency
             .get(n.index())
             .into_iter()
             .flatten()
             .map(move |&id| &self.links[id.index()])
-            .filter(|l| l.is_up())
+    }
+
+    /// Iterates over the up links incident to `n`.
+    pub fn up_links_of(&self, n: NodeId) -> impl Iterator<Item = &Link> + '_ {
+        self.links_of(n).filter(|l| l.is_up())
     }
 
     /// Iterates over the up neighbors of `n` together with the joining link.
