@@ -163,6 +163,26 @@ if grep -rnE '"--(deep-copy|share|copy|cow|layout)[a-z-]*"|DGMC_(SHARE|COPY|COW|
     exit 1
 fi
 
+# A delivery is a FIFO pop. The DES queue keeps a `const` number of FIFO
+# lanes, one per delay (an actor schedules at an advancing instant, so one
+# delay's events come due in scheduling order), over a fallback heap; the
+# flooder keeps one mark per origin plus the ids above it, so `flood.rs`
+# naming a `HashSet` above its tests is the SipHashed seen-set coming back.
+# Lanes and marks are the only path: no flag, environment variable or options
+# field selects the queue or the seen-set layout. No wall-clock gate: the
+# queue and flooder model tests and `proto_unit`'s out-of-range origin test
+# are the pins (DESIGN.md §14).
+if ! grep -qE '^const LANES: usize = [0-9]+;' crates/des/src/sim.rs ||
+    sed '/^#\[cfg(test)\]/,$d' crates/lsr/src/flood.rs | grep -n 'HashSet'; then
+    echo "the DES queue lost its const lanes or the flooder hashes its seen ids again"
+    exit 1
+fi
+if grep -rnE '"--(lanes?|heap|queue|seen|marks?|early)[a-z-]*"|DGMC_(LANES?|HEAP|QUEUE|SEEN|MARKS?)|(lanes?|queue|heap)_(count|mode|layout|kind|kinds)\b|(seen|flood_id|dedup)_(set|mode|layout|kind)\b|(set|with)_lanes' \
+    crates --include='*.rs' --include='*.toml'; then
+    echo "a switch selecting the event queue or the seen-set layout is back; there is one path"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -130,7 +130,8 @@ mod tests {
         assert!(McId(1) < McId(2));
     }
 
-    /// Every DES event moves one `SwitchMsg` through the heap: a field that
+    /// Every DES event moves one `SwitchMsg` into and out of the event
+    /// queue (a delay's FIFO lane, or the fallback heap): a field that
     /// inflates it (a tree held inline again) fails here.
     #[test]
     fn lsa_and_switch_message_stay_small() {

@@ -24,10 +24,13 @@
 //!
 //! A flood is decided on its identity first. Off a wire it arrives as
 //! [`Frame::FloodWire`] — id read, body still bytes — and `NodeCore::frame`
-//! goes, in this order: neighbour gate → has the flooder seen the id? (a
-//! duplicate, two copies in three, is counted and dropped unparsed, whatever
-//! its body holds) → decode the whole body and check it against the network
-//! width, exactly as [`crate::codec::payload_is_sane`] vets a typed frame
+//! goes, in this order: neighbour gate → is the id's origin a switch of the
+//! network? (the flooder indexes its marks by origin; either arm of a flood
+//! naming one outside is counted under [`counters::INSANE_FRAMES`] and
+//! dropped) → has the flooder seen the id? (a duplicate, two copies in
+//! three, is counted and dropped unparsed, whatever its body holds) →
+//! decode the whole body and check it against the network width, exactly
+//! as [`crate::codec::payload_is_sane`] vets a typed frame
 //! (a failure is counted under [`counters::DECODE_ERRORS`] or
 //! [`counters::INSANE_FRAMES`] and leaves the id unseen, so a well-formed
 //! copy is still accepted) → accept the id → relay the frame *as received*
@@ -152,7 +155,8 @@ pub mod counters {
     /// (truncated/garbage/bad tag/trailing bytes; outside input).
     pub const DECODE_ERRORS: &str = "node.decode_errors";
     /// Frames, or fresh flood bodies, that decoded but failed the
-    /// range/width checks against the network (outside input).
+    /// range/width checks against the network, and floods whose id names an
+    /// origin outside it (outside input).
     pub const INSANE_FRAMES: &str = "node.insane_frames";
 }
 
@@ -626,6 +630,16 @@ impl NodeCore {
             fx.bump(counters::UNKNOWN_SENDER, 1);
             return;
         };
+        // The flooder keeps one mark per origin, indexed by the id: an
+        // origin outside the network must never reach it.
+        if let Frame::Flood(FloodPacket { id, .. }) | Frame::FloodWire(FloodPacket { id, .. }) =
+            &frame
+        {
+            if id.origin.index() >= self.width() {
+                fx.bump(counters::INSANE_FRAMES, 1);
+                return;
+            }
+        }
         match frame {
             Frame::Flood(packet) => {
                 if !self.flooder.accept(packet.id) {

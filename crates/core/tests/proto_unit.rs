@@ -220,6 +220,47 @@ fn a_known_flood_id_with_a_garbage_body_is_a_duplicate() {
     assert_eq!(core.metrics().counter_value(counters::MC_LSAS), 1);
 }
 
+/// The flooder indexes its marks by origin, so a flood whose id names a
+/// switch outside the network is insane in either arm, typed or wire, and is
+/// dropped before the flooder is asked: no output, the id left unseen, the
+/// engine untouched — even with a well-formed body.
+#[test]
+fn a_flood_from_an_origin_outside_the_network_is_insane() {
+    let (id, lsa) = join_flood_of_switch_0();
+    let mut core = core_on_path(1);
+    let engine_before = core.engine().export_sync();
+    let mut frames = 0;
+    for origin in [3, 4, u32::MAX] {
+        let id = FloodId {
+            origin: NodeId(origin),
+            ..id
+        };
+        let typed = Frame::Flood(FloodPacket {
+            id,
+            payload: DgmcPayload::Mc(lsa.clone()),
+        });
+        for frame in [typed, wire(id, &body_of(&lsa))] {
+            let outputs = core.on_frame(400_000, NodeId(0), frame);
+            assert!(outputs.is_empty(), "unexpected outputs: {outputs:?}");
+            frames += 1;
+        }
+        assert!(!core.substrate().0.seen(id), "{id} recorded");
+    }
+    assert_eq!(core.engine().export_sync(), engine_before);
+    assert!(core.quiet());
+    assert_eq!(
+        core.metrics().counter_value(counters::INSANE_FRAMES),
+        frames
+    );
+    for name in [
+        counters::DUPLICATES,
+        counters::DECODE_ERRORS,
+        counters::MC_LSAS,
+    ] {
+        assert_eq!(core.metrics().counter_value(name), 0, "{name}");
+    }
+}
+
 /// A failed switch reads nothing — not even the id: the flood it dropped
 /// while down is fresh when it is back.
 #[test]

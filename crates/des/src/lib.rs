@@ -5,7 +5,10 @@
 //! small, fully deterministic event-driven kernel with
 //!
 //! * simulated time ([`SimTime`], [`SimDuration`]) with nanosecond ticks,
-//! * an event queue with deterministic FIFO tie-breaking ([`Simulation`]),
+//! * an event queue with deterministic FIFO tie-breaking ([`Simulation`]):
+//!   one FIFO lane per constant delay, since events scheduled at an
+//!   advancing instant with one delay come due in scheduling order, and a
+//!   binary heap for the delays that get no lane,
 //! * message-passing actors ([`Actor`]) addressed by [`ActorId`],
 //! * named counters and statistical tallies with 95% confidence intervals
 //!   ([`stats`]), matching how the paper reports its figures,

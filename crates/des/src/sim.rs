@@ -6,7 +6,7 @@ use dgmc_obs::{
     StampSnapshot, Trace,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Identifier of an actor registered with a [`Simulation`].
@@ -87,6 +87,119 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
+/// How many delays get a FIFO lane of their own. An actor layer sends with a
+/// constant delay or two (a D-GMC switch: the per-hop delay and `Tc`); the
+/// rest of the lanes absorb a fault model's jittered copies while they last.
+const LANES: usize = 4;
+
+/// The pending events, delivered in `(at, seq)` order.
+///
+/// An actor schedules at the current instant, and the instant never goes
+/// back, so the events scheduled with one delay are already in `(at, seq)`
+/// order. Each such delay gets a FIFO lane while any lane is free (a lane is
+/// free again once it is empty); a delay that finds no lane, and every
+/// harness injection, goes to a fallback binary heap. The next event is the
+/// least of the lane heads and the heap's top: the order one heap over all
+/// events gives, at O(1) a delivery on the paper's two-delay timing model.
+struct EventQueue<M> {
+    lanes: [Lane<M>; LANES],
+    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+}
+
+/// Events scheduled with one delay, in scheduling order.
+struct Lane<M> {
+    delay: SimDuration,
+    events: VecDeque<Scheduled<M>>,
+}
+
+/// Where the next event waits.
+#[derive(Clone, Copy)]
+enum Head {
+    Lane(usize),
+    Heap,
+}
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            lanes: std::array::from_fn(|_| Lane {
+                delay: SimDuration::ZERO,
+                events: VecDeque::new(),
+            }),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Queues `event`, scheduled `delay` before its `at` by an actor at the
+    /// current instant: into the lane of `delay`, else into a free lane,
+    /// else into the heap.
+    fn push(&mut self, delay: SimDuration, event: Scheduled<M>) {
+        let mut chosen = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.delay == delay {
+                chosen = Some(i);
+                break;
+            }
+            if chosen.is_none() && lane.events.is_empty() {
+                chosen = Some(i);
+            }
+        }
+        let Some(i) = chosen else {
+            self.heap.push(Reverse(event));
+            return;
+        };
+        let lane = &mut self.lanes[i];
+        debug_assert!(
+            lane.events
+                .back()
+                .is_none_or(|last| (last.at, last.seq) < (event.at, event.seq)),
+            "a lane must stay in (at, seq) order"
+        );
+        lane.delay = delay;
+        lane.events.push_back(event);
+    }
+
+    /// Queues `event` into the heap, whatever its delay.
+    fn push_heap(&mut self, event: Scheduled<M>) {
+        self.heap.push(Reverse(event));
+    }
+
+    /// The least pending event's instant and where it waits: one scan.
+    fn head(&self) -> Option<(SimTime, Head)> {
+        let mut best = self
+            .heap
+            .peek()
+            .map(|Reverse(s)| ((s.at, s.seq), Head::Heap));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(s) = lane.events.front() {
+                if best.is_none_or(|(key, _)| (s.at, s.seq) < key) {
+                    best = Some(((s.at, s.seq), Head::Lane(i)));
+                }
+            }
+        }
+        best.map(|((at, _), head)| (at, head))
+    }
+
+    /// Removes the event [`head`](Self::head) just found at `head`.
+    fn pop(&mut self, head: Head) -> Scheduled<M> {
+        // Unwrap audit: `head` names a non-empty source found by the scan
+        // right before, with nothing popped since — structural invariant.
+        match head {
+            Head::Lane(i) => self.lanes[i].events.pop_front(),
+            Head::Heap => self.heap.pop().map(|Reverse(s)| s),
+        }
+        .expect("the head was just found")
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() + self.lanes.iter().map(|l| l.events.len()).sum::<usize>()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty() && self.lanes.iter().all(|l| l.events.is_empty())
+    }
+}
+
 /// A function rendering a message into a short causal-span label.
 type Labeler<M> = Box<dyn Fn(&M) -> String>;
 
@@ -108,7 +221,7 @@ pub enum RunOutcome {
 pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: ActorId,
-    queue: &'a mut BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: &'a mut EventQueue<M>,
     seq: &'a mut u64,
     metrics: &'a mut MetricsRegistry,
     net: Option<&'a mut (dyn NetModel + 'static)>,
@@ -147,12 +260,15 @@ impl<'a, M> Ctx<'a, M> {
             || labeler.map_or_else(|| "msg".to_owned(), |l| l(&msg)),
         );
         *self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            at,
-            seq: *self.seq,
-            env: Envelope { to, from, msg },
-            span,
-        }));
+        self.queue.push(
+            delay,
+            Scheduled {
+                at,
+                seq: *self.seq,
+                env: Envelope { to, from, msg },
+                span,
+            },
+        );
         span
     }
 
@@ -270,7 +386,7 @@ impl<'a, M> Ctx<'a, M> {
 /// seeded explicitly).
 pub struct Simulation<M> {
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: EventQueue<M>,
     seq: u64,
     now: SimTime,
     metrics: MetricsRegistry,
@@ -305,7 +421,7 @@ impl<M> Simulation<M> {
     pub fn new() -> Self {
         Simulation {
             actors: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             seq: 0,
             now: SimTime::ZERO,
             metrics: MetricsRegistry::new(),
@@ -412,7 +528,7 @@ impl<M> Simulation<M> {
                 labeler.map_or_else(|| "msg".to_owned(), |l| l(&msg))
             });
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
+        self.queue.push_heap(Scheduled {
             at,
             seq: self.seq,
             env: Envelope {
@@ -421,7 +537,7 @@ impl<M> Simulation<M> {
                 msg,
             },
             span,
-        }));
+        });
     }
 
     /// Reads a counter's value (0 if the counter was never touched).
@@ -496,16 +612,13 @@ impl<M> Simulation<M> {
             if self.events_processed >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            let at = match self.queue.peek() {
-                None => return RunOutcome::Quiescent,
-                Some(Reverse(s)) => s.at,
+            let Some((at, head)) = self.queue.head() else {
+                return RunOutcome::Quiescent;
             };
             if at > horizon {
                 return RunOutcome::HorizonReached;
             }
-            // Unwrap audit: the peek above returned Some and nothing popped
-            // since (single-threaded loop) — structural invariant.
-            let Reverse(scheduled) = self.queue.pop().expect("peeked");
+            let scheduled = self.queue.pop(head);
             debug_assert!(scheduled.at >= self.now, "event from the past");
             self.now = scheduled.at;
             self.observer.set_now(self.now.as_nanos());
@@ -538,9 +651,11 @@ impl<M> Simulation<M> {
         }
     }
 
-    /// Runs a single event if one is pending; returns its delivery time.
+    /// Runs every event of the next pending instant, including those the
+    /// handlers schedule for that same instant; returns the instant, or
+    /// `None` when nothing is pending.
     pub fn step(&mut self) -> Option<SimTime> {
-        let at = self.queue.peek().map(|Reverse(s)| s.at)?;
+        let (at, _) = self.queue.head()?;
         self.run_until(at);
         Some(at)
     }
@@ -702,6 +817,139 @@ mod tests {
         assert_eq!(sim.counter_value("received"), 1);
         assert_eq!(sim.step(), Some(SimTime::ZERO + SimDuration::micros(7)));
         assert_eq!(sim.step(), None);
+    }
+
+    /// The reference the lanes must equal: one heap over every event, keyed
+    /// by `(at, id)` with ids handed out in scheduling order (so `id` orders
+    /// like `seq`), and the draws that drive both.
+    struct QueueModel {
+        rng: rand::rngs::StdRng,
+        reference: BinaryHeap<Reverse<(SimTime, u64)>>,
+        next_id: u64,
+        budget: u64,
+        injected: std::collections::BTreeSet<u64>,
+    }
+
+    impl QueueModel {
+        /// A few delays that repeat, as a switch's per-hop delay and `Tc`
+        /// do, and one-off delays from more values than there are lanes.
+        /// Whole microseconds, so instants collide across lanes and the heap.
+        fn delay(&mut self) -> SimDuration {
+            use rand::Rng;
+            if self.rng.gen_bool(0.7) {
+                SimDuration::micros([2, 3, 7][self.rng.gen_range(0..3usize)])
+            } else {
+                SimDuration::micros(self.rng.gen_range(0..=40u64))
+            }
+        }
+
+        /// Records an event scheduled `delay` after `now`; returns its id.
+        fn schedule(&mut self, now: SimTime, delay: SimDuration) -> u64 {
+            let id = self.next_id;
+            self.next_id += 1;
+            self.reference.push(Reverse((now + delay, id)));
+            id
+        }
+    }
+
+    /// Checks each delivery against the reference's least event, then sends
+    /// and sets timers with fresh draws until the budget is spent.
+    struct QueueDriver(std::rc::Rc<std::cell::RefCell<QueueModel>>);
+
+    impl Actor<u64> for QueueDriver {
+        fn handle(&mut self, ctx: &mut Ctx<'_, u64>, env: Envelope<u64>) {
+            use rand::Rng;
+            let mut m = self.0.borrow_mut();
+            let Reverse(expected) = m.reference.pop().expect("delivered more than scheduled");
+            assert_eq!((ctx.now(), env.msg), expected, "delivery order");
+            if m.next_id >= m.budget {
+                return;
+            }
+            for _ in 0..m.rng.gen_range(0..=2u32) {
+                let delay = m.delay();
+                let id = m.schedule(ctx.now(), delay);
+                if m.rng.gen_bool(0.5) {
+                    let to = ActorId(m.rng.gen_range(0..2u32));
+                    ctx.send(to, delay, id);
+                } else {
+                    ctx.schedule_self(delay, id);
+                }
+            }
+        }
+    }
+
+    /// Random sends and timers at an advancing instant, harness injections,
+    /// and runs to random horizons, single steps and quiescence, interleaved:
+    /// the lanes deliver exactly the `(at, seq)` sequence of one heap, lanes
+    /// are reused for new delays, and delays without a lane fall back to the
+    /// heap.
+    #[test]
+    fn lanes_deliver_in_the_order_of_one_heap() {
+        use rand::{Rng, SeedableRng};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        for seed in 0..8 {
+            let model = Rc::new(RefCell::new(QueueModel {
+                rng: rand::rngs::StdRng::seed_from_u64(seed),
+                reference: BinaryHeap::new(),
+                next_id: 0,
+                budget: 20_000,
+                injected: Default::default(),
+            }));
+            let mut sim = Simulation::new();
+            for _ in 0..2 {
+                sim.add_actor(Box::new(QueueDriver(Rc::clone(&model))));
+            }
+            let (mut lane_delays, mut fell_back) = (std::collections::BTreeSet::new(), false);
+            while model.borrow().next_id < model.borrow().budget {
+                let mut m = model.borrow_mut();
+                for _ in 0..m.rng.gen_range(1..=3u32) {
+                    let delay = m.delay();
+                    let id = m.schedule(sim.now(), delay);
+                    m.injected.insert(id);
+                    sim.inject(ActorId(m.rng.gen_range(0..2u32)), delay, id);
+                }
+                let (mode, ahead) = (m.rng.gen_range(0..4u32), m.rng.gen_range(0..30u64));
+                drop(m);
+                match mode {
+                    0 => {
+                        let expected = model.borrow().reference.peek().map(|r| r.0 .0);
+                        assert_eq!(sim.step(), expected);
+                    }
+                    1 => {
+                        sim.run_to_quiescence();
+                    }
+                    _ => {
+                        let horizon = sim.now() + SimDuration::micros(ahead);
+                        let outcome = sim.run_until(horizon);
+                        let next = model.borrow().reference.peek().map(|r| r.0 .0);
+                        match next {
+                            None => assert_eq!(outcome, RunOutcome::Quiescent),
+                            Some(at) => {
+                                assert_eq!(outcome, RunOutcome::HorizonReached);
+                                assert!(at > horizon, "{at} was due by {horizon}");
+                            }
+                        }
+                    }
+                }
+                let m = model.borrow();
+                lane_delays.extend(sim.queue.lanes.iter().map(|l| l.delay));
+                fell_back |= sim
+                    .queue
+                    .heap
+                    .iter()
+                    .any(|r| !m.injected.contains(&r.0.env.msg));
+                assert_eq!(sim.queue.len(), m.reference.len());
+                assert_eq!(sim.is_quiescent(), m.reference.is_empty());
+            }
+            assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+            let m = model.borrow();
+            assert!(m.reference.is_empty(), "scheduled but never delivered");
+            assert_eq!(sim.events_processed(), m.next_id);
+            assert!(lane_delays.len() > LANES, "lanes were never reused");
+            assert!(fell_back, "no actor's delay ever fell back to the heap");
+        }
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! [`FloodId`]; a node relays the first copy it sees on every up link except
 //! the arrival link, and drops duplicates.
 //!
-//! That is all this module does: a set of seen ids. There is no
-//! acknowledgement and no retransmission, so delivery is only as reliable as
-//! the links underneath — the paper *assumes* reliable FIFO flooding, and
-//! making that a property of this code is ROADMAP.md item 3.
+//! That is all this module does: a record of seen ids, kept as one mark per
+//! origin ("every seq below this was seen") plus the few ids that arrived
+//! above their origin's mark, which fold into the mark as the gaps below
+//! them close. There is no acknowledgement and no retransmission, so
+//! delivery is only as reliable as the links underneath — the paper
+//! *assumes* reliable FIFO flooding, and making that a property of this code
+//! is ROADMAP.md item 3. Until then a gap that never closes keeps every later
+//! id of its origin in the early set.
 
 use crate::lsa::{FloodId, FloodPacket};
 use dgmc_topology::{LinkId, NodeId};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Per-node flooding engine: originates flood ids and suppresses duplicates.
 ///
@@ -32,7 +36,10 @@ use std::collections::HashSet;
 pub struct Flooder {
     node: NodeId,
     next_seq: u64,
-    seen: HashSet<FloodId>,
+    /// Per origin (indexed by id): every seq below this was seen.
+    next: Vec<u64>,
+    /// Seen ids above their origin's mark.
+    early: BTreeSet<FloodId>,
 }
 
 impl Flooder {
@@ -41,8 +48,34 @@ impl Flooder {
         Flooder {
             node,
             next_seq: 0,
-            seen: HashSet::new(),
+            next: Vec::new(),
+            early: BTreeSet::new(),
         }
+    }
+
+    /// Records `id` as seen; `true` if it was not seen before. An origin
+    /// beyond the index grows it, so a caller taking ids from outside the
+    /// program checks the origin against the network first.
+    fn insert(&mut self, id: FloodId) -> bool {
+        let origin = id.origin.index();
+        if origin >= self.next.len() {
+            self.next.resize(origin + 1, 0);
+        }
+        let mark = &mut self.next[origin];
+        if id.seq < *mark {
+            return false;
+        }
+        if id.seq > *mark {
+            return self.early.insert(id);
+        }
+        *mark += 1;
+        while self.early.remove(&FloodId {
+            origin: id.origin,
+            seq: *mark,
+        }) {
+            *mark += 1;
+        }
+        true
     }
 
     /// Starts a new flooding operation carrying `payload`.
@@ -55,20 +88,25 @@ impl Flooder {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.seen.insert(id);
+        self.insert(id);
         FloodPacket { id, payload }
     }
 
     /// Records the arrival of flood `id`; returns `true` exactly once per id
     /// (first copy), `false` for duplicates.
+    ///
+    /// `id.origin` indexes a per-origin mark, so an id read from outside
+    /// the program must name a switch of the network before it gets here.
     pub fn accept(&mut self, id: FloodId) -> bool {
-        self.seen.insert(id)
+        self.insert(id)
     }
 
     /// `true` when flood `id` was originated or accepted here — what
     /// [`accept`](Self::accept) would refuse — without recording anything.
     pub fn seen(&self, id: FloodId) -> bool {
-        self.seen.contains(&id)
+        self.next
+            .get(id.origin.index())
+            .is_some_and(|&mark| id.seq < mark || self.early.contains(&id))
     }
 }
 
@@ -132,6 +170,58 @@ mod tests {
         assert_eq!(out, vec![(LinkId(2), NodeId(3))]);
         let all = relay_links(&incident, None);
         assert_eq!(all, vec![(LinkId(0), NodeId(1)), (LinkId(2), NodeId(3))]);
+    }
+
+    /// Every seq of a few origins arriving one to three times, shuffled
+    /// (odd rounds) or in order per origin with the origins interleaved
+    /// (even rounds), with the flooder's own originations and `seen` probes
+    /// of ids that never arrive mixed in: `accept` and `seen` answer as a
+    /// set of seen ids does, and once every gap has closed nothing is left
+    /// above a mark.
+    #[test]
+    fn marks_answer_like_a_set_of_seen_ids() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        let mut rng = StdRng::seed_from_u64(28);
+        for round in 0..60 {
+            let mut f = Flooder::new(NodeId(rng.gen_range(0..6)));
+            let mut reference = HashSet::new();
+            let mut arrivals = Vec::new();
+            for origin in 0..6 {
+                for seq in 0..rng.gen_range(0..40) {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        arrivals.push(FloodId {
+                            origin: NodeId(origin),
+                            seq,
+                        });
+                    }
+                }
+            }
+            arrivals.shuffle(&mut rng);
+            if round % 2 == 0 {
+                arrivals.sort_by_key(|id| id.seq);
+            }
+            for id in arrivals {
+                let probe = FloodId {
+                    origin: NodeId(rng.gen_range(0..8)),
+                    seq: rng.gen_range(0..45),
+                };
+                assert_eq!(f.seen(probe), reference.contains(&probe), "{probe}");
+                if rng.gen_bool(0.05) {
+                    reference.insert(f.originate(()).id);
+                }
+                assert_eq!(f.accept(id), reference.insert(id), "{id}");
+                assert!(f.seen(id));
+            }
+            assert!(f.early.is_empty(), "gaps closed, yet {:?}", f.early);
+            for (origin, &mark) in f.next.iter().enumerate() {
+                let ids = reference.iter().filter(|id| id.origin.index() == origin);
+                assert_eq!(mark, ids.count() as u64, "origin {origin}");
+            }
+        }
     }
 
     #[test]
