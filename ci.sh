@@ -36,10 +36,9 @@ echo "== one-path ratchet: no constructor/runner families, no engine jobs fork =
 # PR14 folded the `_with_cache/_sharded/_jobs/_faulty/_traced` twins into one
 # entry point per layer; an option goes in the layer's options struct, not
 # into a second function name. Allowed: `build_dgmc_sim_with_cache` (frozen by
-# perf/) and the seed sweep's pool: `par::default_jobs` and
-# `explorer::explore_sharded`.
+# perf/) and the seed sweep's pool size, `par::default_jobs`.
 if grep -rnE 'pub fn [a-z0-9_]+_(with_cache|sharded|jobs|faulty|traced)\b|set_jobs' crates/*/src |
-    grep -vE '^crates/des/src/(par|explorer)\.rs:.*pub fn (default_jobs|explore_sharded)\b' |
+    grep -vE '^crates/des/src/par\.rs:.*pub fn default_jobs\b' |
     grep -vE 'pub fn build_dgmc_sim_with_cache\b'; then
     echo "a second entry point for an option (or the engine jobs fork) is back; see DESIGN.md §13"
     exit 1
@@ -183,6 +182,25 @@ if grep -rnE '"--(lanes?|heap|queue|seen|marks?|early)[a-z-]*"|DGMC_(LANES?|HEAP
     exit 1
 fi
 
+# Routes repair from the LSDB's own delta, so the SPF cache memoizes nothing:
+# `SpfCache` is pooled Dijkstra/repair arenas plus counters, and a switch's
+# routing table repairs its own tree from `Lsdb::take_changes`. A map or a
+# content digest in `cache.rs` above its tests is the digest-keyed memo coming
+# back; `SpfCache::disabled` is its off switch. No flag, environment variable
+# or options field selects a memo. No wall-clock gate: the route check after
+# every input in `lsr_substrate` and `repair_equals_full_recompute_under_heavy_churn`
+# are the pins (DESIGN.md §9).
+if sed '/^#\[cfg(test)\]/,$d' crates/topology/src/cache.rs | grep -nE 'HashMap|digest\(' ||
+    grep -rn 'SpfCache::disabled' crates src tests examples; then
+    echo "the SPF cache memoizes again; routes repair from the LSDB's delta (DESIGN.md §9)"
+    exit 1
+fi
+if grep -rnE '"--(memo|cache|no-cache|uncached)[a-z-]*"|DGMC_(MEMO|CACHE|SPF)|(memo|spf_cache|cache)_(mode|enabled|kind|generations?)\b|(enable|disable|with)_memo\b|pub (spf_)?cache: SpfCache' \
+    crates --include='*.rs' --include='*.toml'; then
+    echo "a switch selecting an SPF memo is back; routes repair from the LSDB's delta"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -307,14 +325,14 @@ echo "== benchmark package builds and passes its toy-size workloads =="
 # instead of silently rewriting perf/Cargo.lock.
 cargo test --offline --locked -q --manifest-path perf/Cargo.toml
 
-echo "== fig6 preset exposes the cache hit-rate counter =="
-cargo run --offline -q --release -p dgmc-experiments --bin exp1 -- --quick >/dev/null
-grep -q '"spf_cache.hits":' results/exp1.metrics.json || {
-    echo "spf_cache.hits counter absent from results/exp1.metrics.json"
+echo "== the mesh smoke repaired its routes from the LSDB's delta =="
+# The teleconference cuts link 1-2 at 60 ms, so every node of the mesh smoke
+# repairs its routing tree from the router LSA's one-link delta.
+repairs=$(sed -n 's/.*"spf_cache\.repairs":\([0-9]*\).*/\1/p' results/mesh-smoke.json)
+[ "${repairs:-0}" -gt 0 ] || {
+    echo "spf_cache.repairs missing or zero in results/mesh-smoke.json"
     exit 1
 }
-hits=$(sed -n 's/.*"spf_cache.hits":\([0-9]*\).*/\1/p' results/exp1.metrics.json)
-[ "${hits:-0}" -gt 0 ] || { echo "spf_cache.hits is zero for the fig6 preset"; exit 1; }
 
 echo "== exp1 trace export is schema-valid and jobs-independent =="
 cargo run --offline -q --release -p dgmc-experiments --bin exp1 -- \

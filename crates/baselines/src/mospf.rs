@@ -88,7 +88,7 @@ pub struct MospfRouter {
     cache: BTreeMap<(NodeId, McId), McTopology>,
     /// (group, packet id) -> copies delivered locally.
     delivered: BTreeMap<(McId, u64), u32>,
-    /// Memoized SPF runs backing tree computations.
+    /// Pooled arenas for the SPF runs backing tree computations.
     spf: SpfCache,
 }
 
@@ -164,9 +164,8 @@ impl MospfRouter {
         let tree = match self.cache.get(&(source, group)) {
             Some(t) => t.clone(),
             None => {
-                // Cache miss: compute the source-rooted pruned SPT. The
-                // SPF memo only speeds the simulator up; the modeled
-                // computation still happens and is still counted.
+                // Cache miss: compute the source-rooted pruned SPT (the
+                // modeled computation, counted).
                 ctx.counter(counters::COMPUTATIONS).incr();
                 let members = self.members.get(&group).cloned().unwrap_or_default();
                 let t = algorithms::pruned_spt_with(&self.image, source, &members, &self.spf);

@@ -164,17 +164,17 @@ impl DgmcEngine {
         self.mutation = mutation;
     }
 
-    /// Plugs in a (typically simulation-wide shared) SPF computation cache.
+    /// Plugs in the SPF arenas and counters (in a simulation, one handle
+    /// shared by every switch, so the counters sum over the network).
     ///
-    /// Every engine gets a private cache by default; sharing one handle
-    /// across engines lets switches holding identical images reuse each
-    /// other's shortest-path trees. Purely an optimization — computed
-    /// topologies are identical either way.
+    /// Every engine gets a private one by default. The cache memoizes
+    /// nothing, so computed topologies are identical either way.
     pub fn set_spf_cache(&mut self, cache: SpfCache) {
         self.spf_cache = cache;
     }
 
-    /// The engine's SPF cache handle.
+    /// The engine's SPF cache handle (the routing table's repairs count into
+    /// it too).
     pub fn spf_cache(&self) -> &SpfCache {
         &self.spf_cache
     }

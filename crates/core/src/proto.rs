@@ -3,7 +3,8 @@
 //!
 //! [`NodeCore`] owns the [`DgmcEngine`], the flooder, the LSDB (and through it
 //! the one local image: an accepted router LSA patches it in place inside
-//! [`Lsdb::install`], and the core only recomputes its routes), the routing
+//! [`Lsdb::install`], and the core only brings its routes up to date, by
+//! repairing its routing tree from the delta the LSDB recorded), the routing
 //! table, the local incident-link truth and the data plane. It is sans-IO:
 //! every input is an `on_*` call stamped with the caller's clock, every
 //! effect is an [`Output`] returned in the order it must happen. No sockets,
@@ -139,15 +140,11 @@ pub mod counters {
     /// connection's previously installed topology but absent from the newly
     /// installed one (the disruption-on-rearrangement numerator).
     pub const DISRUPTED_EDGES: &str = "dgmc.disrupted_edges";
-    /// SPF computations answered from the epoch-versioned cache.
-    pub const SPF_CACHE_HITS: &str = "spf_cache.hits";
-    /// SPF computations that ran Dijkstra (cache miss).
+    /// SPF computations: Dijkstra runs plus routing-tree repairs.
     pub const SPF_CACHE_MISSES: &str = "spf_cache.misses";
-    /// Cache misses answered by incremental delta repair of a sibling
-    /// generation's tree instead of a from-scratch Dijkstra.
+    /// Routing-tree repairs from the LSDB's link delta instead of a
+    /// from-scratch Dijkstra (counted in the misses too).
     pub const SPF_CACHE_REPAIRS: &str = "spf_cache.repairs";
-    /// Cache generations evicted because the image kept changing.
-    pub const SPF_CACHE_INVALIDATIONS: &str = "spf_cache.invalidations";
     /// Frames from switches that are not neighbours on any incident link
     /// (outside input; never bumped inside a simulation).
     pub const UNKNOWN_SENDER: &str = "node.unknown_sender";
@@ -178,9 +175,9 @@ pub mod histograms {
     /// path — one sample per measured-phase membership event, recorded by
     /// the experiment runner when causal tracing is on.
     pub const OP_CONVERGENCE_US: &str = "dgmc.op_convergence_us";
-    /// Nodes settled per cache-missing SPF run — the deterministic
-    /// compute-work histogram (simulated work, not wall-clock, so that
-    /// metrics stay byte-identical across hosts and cache configurations).
+    /// Nodes settled (or retouched, for a repair) per handler step that ran
+    /// SPF — the deterministic compute-work histogram (simulated work, not
+    /// wall-clock, so that metrics stay byte-identical across hosts).
     pub const SPF_SETTLED_PER_COMPUTE: &str = "spf_cache.settled_per_compute";
 }
 
@@ -515,28 +512,25 @@ impl NodeCore {
         self.execute(fx, actions);
     }
 
-    /// The routing table of the image as the LSDB now holds it; called after
-    /// every `install` that changed the database.
+    /// Brings the routing table up to the image the LSDB now holds, from the
+    /// link delta it recorded since the last call; called after every
+    /// `install` that changed the database (a `DbSync` batch: after all).
     fn recompute_routes(&mut self, fx: &mut Step<'_>) {
         let before = self.engine.spf_cache().stats();
-        self.routes =
-            RoutingTable::compute_with(self.lsdb.image(), self.me, self.engine.spf_cache());
+        let changes = self.lsdb.take_changes();
+        let (image, cache) = (self.lsdb.image(), self.engine.spf_cache());
+        self.routes.follow(image, changes.as_deref(), cache);
         self.record_spf_delta(fx, before);
     }
 
-    /// Publishes the cache activity caused by one handler step. Only
-    /// deterministic quantities are recorded (hit/miss/invalidation counts
-    /// and settled-node work); wall-clock nanoseconds stay out of the
-    /// registry so `metrics.json` is byte-identical across hosts and runs.
+    /// Publishes the SPF work caused by one handler step. Only deterministic
+    /// quantities are recorded (run and repair counts and settled-node
+    /// work); wall-clock nanoseconds stay out of the registry so
+    /// `metrics.json` is byte-identical across hosts and runs.
     fn record_spf_delta(&mut self, fx: &mut Step<'_>, before: SpfCacheStats) {
         let after = self.engine.spf_cache().stats();
-        fx.bump(counters::SPF_CACHE_HITS, after.hits - before.hits);
         fx.bump(counters::SPF_CACHE_MISSES, after.misses - before.misses);
         fx.bump(counters::SPF_CACHE_REPAIRS, after.repairs - before.repairs);
-        fx.bump(
-            counters::SPF_CACHE_INVALIDATIONS,
-            after.invalidations - before.invalidations,
-        );
         if after.misses > before.misses {
             fx.metrics.observe_named(
                 histograms::SPF_SETTLED_PER_COMPUTE,

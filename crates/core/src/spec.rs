@@ -662,7 +662,7 @@ mod tests {
         net: &'a dgmc_topology::Network,
     ) -> impl FnMut(&BTreeSet<NodeId>, Option<&McTopology>) -> McTopology + 'a {
         move |terminals, previous| {
-            SphStrategy::new().compute_with(net, terminals, previous, &SpfCache::disabled())
+            SphStrategy::new().compute_with(net, terminals, previous, &SpfCache::new())
         }
     }
 

@@ -230,10 +230,10 @@ pub fn trace_phase(label: &str) -> &'static str {
 
 /// Builds a simulation with one [`DgmcSwitch`] per node of `net`.
 ///
-/// Actor ids equal node ids. All switches share one [`SpfCache`]: local
-/// images are content-addressed, so while images agree (the common case —
-/// floods converge fast) one switch's SPF run serves every other switch and
-/// every terminal of every connection.
+/// Actor ids equal node ids. All switches share one [`SpfCache`]: one set
+/// of Dijkstra arenas and one set of counters for the simulation. Nothing
+/// is shared between switches' answers: each switch computes its own
+/// topologies, and its routing table repairs its own tree (DESIGN.md §9).
 pub fn build_dgmc_sim(
     net: &Network,
     config: DgmcConfig,
@@ -242,8 +242,8 @@ pub fn build_dgmc_sim(
     build_dgmc_sim_with_cache(net, config, algorithm, SpfCache::new())
 }
 
-/// [`build_dgmc_sim`] with an explicit shared [`SpfCache`] — pass
-/// [`SpfCache::disabled`] to measure the uncached from-scratch baseline.
+/// [`build_dgmc_sim`] with an explicit shared [`SpfCache`], for a caller
+/// that reads or resets its counters.
 pub fn build_dgmc_sim_with_cache(
     net: &Network,
     config: DgmcConfig,

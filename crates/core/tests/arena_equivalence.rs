@@ -106,7 +106,7 @@ impl LockstepCluster {
         let algo = SphStrategy::new();
         let (next, sa) =
             self.specs[node].computation_done(mc, &mut |terminals: &BTreeSet<NodeId>, previous| {
-                algo.compute_with(&net, terminals, previous, &SpfCache::disabled())
+                algo.compute_with(&net, terminals, previous, &SpfCache::new())
             });
         self.lockstep(node, next, &sa, ea);
     }

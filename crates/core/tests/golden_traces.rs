@@ -110,7 +110,7 @@ impl Pair {
         let (next, sa) =
             self.spec
                 .computation_done(MC, &mut |terminals: &BTreeSet<NodeId>, previous| {
-                    algo.compute_with(net, terminals, previous, &SpfCache::disabled())
+                    algo.compute_with(net, terminals, previous, &SpfCache::new())
                 });
         self.lockstep(next, sa, ea)
     }

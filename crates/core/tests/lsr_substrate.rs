@@ -2,13 +2,17 @@
 //! convergence after a failure — checked on the shipped switch
 //! ([`DgmcSwitch`] over `NodeCore`), over random networks; and, on a mesh of
 //! bare `NodeCore`s, that the image each switch keeps patched stays the image
-//! of its own database through cuts, a repair and a crash/revival.
+//! of its own database through cuts, a repair, a re-costed link and a
+//! crash/revival, and that after every single input its routes — repaired
+//! from the database's link delta — are the from-scratch routes of its image.
 
-use dgmc_core::proto::{Frame, NodeCore, Output};
+use dgmc_core::proto::{DgmcPayload, Frame, NodeCore, Output};
 use dgmc_core::switch::{
     build_dgmc_sim, counters, inject_link_event, DgmcConfig, DgmcSwitch, SwitchMsg,
 };
 use dgmc_des::{ActorId, SimDuration, Simulation};
+use dgmc_lsr::flood::Flooder;
+use dgmc_lsr::lsa::RouterLsa;
 use dgmc_lsr::{Lsdb, RoutingTable};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, spf, LinkId, LinkState, Network, NodeId};
@@ -130,8 +134,18 @@ impl Mesh {
         }
     }
 
-    /// Queues what `from` sent and delivers until the wire is empty.
+    /// The routes `me` holds are those of a from-scratch Dijkstra over its
+    /// image — whatever mix of repairs and recomputations got them there.
+    fn routes_follow(&self, me: NodeId) {
+        let core = &self.cores[me.index()];
+        let fresh = RoutingTable::compute(core.image(), me);
+        assert_eq!(core.routes(), &fresh, "routes of {me}");
+    }
+
+    /// Queues what `from` sent after its step and delivers until the wire
+    /// is empty, checking every receiver's routes after every frame.
     fn settle(&mut self, from: NodeId, outputs: Vec<Output>) {
+        self.routes_follow(from);
         let sent = |from, outputs: Vec<Output>| {
             outputs.into_iter().map(move |o| match o {
                 Output::Send { to, frame } => (from, to, frame),
@@ -141,8 +155,24 @@ impl Mesh {
         self.wire.extend(sent(from, outputs));
         while let Some((from, to, frame)) = self.wire.pop_front() {
             let outputs = self.cores[to.index()].on_frame(0, from, frame);
+            self.routes_follow(to);
             self.wire.extend(sent(to, outputs));
         }
+    }
+
+    /// `origin`'s switch re-advertises its links with one cost changed, a
+    /// roster change that makes every receiver rebuild its image. The core
+    /// itself is left alone; its neighbours receive the flood from it.
+    fn recost(&mut self, origin: NodeId, seq: u64, link: LinkId, cost: u64) {
+        self.truth.set_link_cost(link, cost).unwrap();
+        let lsa = RouterLsa::describe(&self.truth, origin, seq);
+        let packet = Flooder::new(origin).originate(DgmcPayload::Router(lsa));
+        let neighbors: Vec<NodeId> = self.truth.neighbors(origin).map(|(n, _)| n).collect();
+        for n in neighbors {
+            let frame = Frame::Flood(packet.clone());
+            self.wire.push_back((origin, n, frame));
+        }
+        self.settle(origin, Vec::new());
     }
 
     /// A ground-truth link transition: the lower endpoint detects it.
@@ -231,9 +261,23 @@ fn every_image_follows_its_database_through_cuts_repair_and_revival() {
     mesh.check("second cut");
     mesh.link(first, true);
     mesh.check("repair");
+    // A switch far from every later detector, so its stale sequence numbers
+    // never matter; the re-costed link is one its grid row routes over.
+    let (far, next) = (NodeId(100), NodeId(101));
+    let recosted = net.link_between(far, next).unwrap().id;
+    mesh.recost(far, 5, recosted, 40);
+    mesh.check("re-cost");
     mesh.node(crashed, false);
     mesh.check("crash");
     mesh.node(crashed, true);
     // The revived switch took its neighbours' whole databases in one frame.
     assert_eq!(mesh.check("revival"), 110);
+    // Both ways to new routes ran: repairs from a delta, and full runs
+    // (beyond each core's first) after the re-cost voided the deltas.
+    let stats = mesh.cores.iter().map(|c| c.engine().spf_cache().stats());
+    let (runs, repairs) = stats.fold((0, 0), |(r, p), s| (r + s.misses, p + s.repairs));
+    assert!(
+        repairs > 0 && runs - repairs > 110,
+        "{repairs} repairs of {runs} runs"
+    );
 }

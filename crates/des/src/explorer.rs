@@ -7,7 +7,8 @@
 //! any failing schedule is reproduced exactly by re-running its seed.
 //!
 //! This module is protocol-agnostic: [`explore`] drives a caller-supplied
-//! closure from seed to [`SeedOutcome`] and aggregates an [`ExploreReport`];
+//! closure from seed to [`SeedOutcome`] on a worker pool and aggregates an
+//! [`ExploreReport`];
 //! [`ReproBundle`] packages a failing seed together with the fault-plan JSON
 //! and the tail of the decision timeline into one self-contained JSON file.
 //! The D-GMC scenario assembly and the protocol invariant suite live in the
@@ -168,60 +169,31 @@ impl ExploreReport {
     }
 }
 
-/// Runs `run` over the configured seed range and aggregates the outcomes.
+/// Runs `run` over the configured seed range across `config.jobs` workers
+/// (see [`par::sweep`]) and aggregates the outcomes.
 ///
 /// The closure owns the scenario: everything it does must derive from the
-/// seed it is given, or failures will not replay.
-///
-/// # Panics
-///
-/// Panics if the seed range overflows (see [`ExploreConfig::end_seed`]).
-pub fn explore(config: &ExploreConfig, mut run: impl FnMut(u64) -> SeedOutcome) -> ExploreReport {
-    let mut report = ExploreReport::default();
-    for seed in config.start_seed..config.end_seed() {
-        let outcome = run(seed);
-        debug_assert_eq!(outcome.seed, seed, "scenario must report its own seed");
-        report.checked += 1;
-        if !outcome.passed() {
-            report.failures.push(outcome);
-            if config.fail_fast {
-                break;
-            }
-        }
-    }
-    report
-}
-
-/// Sharded variant of [`explore`]: the seed range is split across
-/// `config.jobs` workers (see [`par::sweep`]), each owning the per-worker
-/// state built by `init` (typically a scratch SPF cache — anything reusable
-/// across seeds that must not cross threads).
-///
-/// The report is aggregated **in seed order** and canonicalized, so it is
-/// byte-identical to the serial [`explore`] for every `jobs` value: without
-/// `fail_fast` every seed appears exactly once; with `fail_fast` the report
-/// is truncated at the *smallest* failing seed even if a worker racing ahead
-/// also failed on a later one (the serial sweep would never have reached it).
+/// seed it is given, or failures will not replay. The report is aggregated
+/// **in seed order**, so it is byte-identical for every `jobs` value:
+/// without `fail_fast` every seed appears exactly once; with `fail_fast` the
+/// report is truncated at the *smallest* failing seed even if a worker
+/// racing ahead also failed on a later one (a serial sweep would never have
+/// reached it).
 ///
 /// # Panics
 ///
 /// Panics if the seed range overflows (see [`ExploreConfig::end_seed`]) or
 /// the seed count does not fit the address space.
-pub fn explore_sharded<S>(
-    config: &ExploreConfig,
-    init: impl Fn(usize) -> S + Sync,
-    run: impl Fn(&mut S, u64) -> SeedOutcome + Sync,
-) -> ExploreReport {
+pub fn explore(config: &ExploreConfig, run: impl Fn(u64) -> SeedOutcome + Sync) -> ExploreReport {
     let _ = config.end_seed(); // reject overflowing ranges up front
     let tasks = usize::try_from(config.seeds).expect("seed count exceeds the address space");
     let start = config.start_seed;
     let slots = par::sweep(
         config.jobs.max(1),
         tasks,
-        init,
-        |state, index| {
+        |index| {
             let seed = start + u64::try_from(index).expect("index bounded by seed count");
-            let outcome = run(state, seed);
+            let outcome = run(seed);
             debug_assert_eq!(outcome.seed, seed, "scenario must report its own seed");
             outcome
         },
@@ -230,7 +202,7 @@ pub fn explore_sharded<S>(
 
     // Completed slots form a prefix of the range (par::sweep claims indices
     // in increasing order and drains in-flight seeds), so a seed-ordered
-    // scan reconstructs exactly what the serial sweep would have reported.
+    // scan reconstructs exactly what a serial sweep would have reported.
     let mut report = ExploreReport::default();
     for outcome in slots.into_iter().flatten() {
         report.checked += 1;
@@ -383,16 +355,16 @@ mod tests {
             seeds: 5,
             ..ExploreConfig::default()
         };
-        let mut seen = Vec::new();
+        let seen = std::sync::Mutex::new(Vec::new());
         let report = explore(&config, |seed| {
-            seen.push(seed);
+            seen.lock().unwrap().push(seed);
             if seed % 2 == 0 {
                 fail(seed)
             } else {
                 SeedOutcome::pass(seed)
             }
         });
-        assert_eq!(seen, vec![10, 11, 12, 13, 14]);
+        assert_eq!(seen.into_inner().unwrap(), vec![10, 11, 12, 13, 14]);
         assert_eq!(report.checked, 5);
         assert_eq!(report.first_failing_seed(), Some(10));
         assert_eq!(report.failures.len(), 3);
@@ -422,18 +394,23 @@ mod tests {
     #[test]
     fn seed_range_ending_exactly_at_u64_max_is_accepted() {
         // The topmost legal range: the exclusive end lands on u64::MAX.
-        let config = ExploreConfig {
-            start_seed: u64::MAX - 2,
-            seeds: 2,
-            ..ExploreConfig::default()
-        };
-        let mut seen = Vec::new();
-        let report = explore(&config, |seed| {
-            seen.push(seed);
-            SeedOutcome::pass(seed)
-        });
-        assert_eq!(seen, vec![u64::MAX - 2, u64::MAX - 1]);
-        assert_eq!(report.checked, 2, "no silent truncation at the top");
+        for jobs in [1, 2] {
+            let config = ExploreConfig {
+                start_seed: u64::MAX - 2,
+                seeds: 2,
+                jobs,
+                ..ExploreConfig::default()
+            };
+            let seen = std::sync::Mutex::new(Vec::new());
+            let report = explore(&config, |seed| {
+                seen.lock().unwrap().push(seed);
+                SeedOutcome::pass(seed)
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, vec![u64::MAX - 2, u64::MAX - 1]);
+            assert_eq!(report.checked, 2, "no silent truncation at the top");
+        }
     }
 
     #[test]
@@ -448,31 +425,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "seed range overflows u64")]
-    fn sharded_explorer_rejects_overflowing_ranges_too() {
-        let config = ExploreConfig {
-            start_seed: u64::MAX,
-            seeds: 1,
-            jobs: 2,
-            ..ExploreConfig::default()
-        };
-        explore_sharded(&config, |_| (), |(), seed| SeedOutcome::pass(seed));
-    }
-
-    #[test]
-    fn sharded_explorer_handles_the_topmost_legal_range() {
-        let config = ExploreConfig {
-            start_seed: u64::MAX - 3,
-            seeds: 3,
-            jobs: 2,
-            ..ExploreConfig::default()
-        };
-        let report = explore_sharded(&config, |_| (), |(), seed| SeedOutcome::pass(seed));
-        assert_eq!(report.checked, 3);
-        assert!(report.passed());
-    }
-
-    #[test]
     fn all_passing_sweep_summarizes_cleanly() {
         let report = explore(&ExploreConfig::default(), SeedOutcome::pass);
         assert!(report.passed());
@@ -481,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_reports_are_byte_identical_to_serial() {
+    fn reports_are_byte_identical_for_every_job_count() {
         let scenario = |seed: u64| {
             if seed % 7 == 3 {
                 fail(seed)
@@ -499,25 +451,25 @@ mod tests {
                 },
                 scenario,
             );
-            for jobs in [1, 2, 4, 8] {
+            for jobs in [2, 4, 8] {
                 let config = ExploreConfig {
                     start_seed: 5,
                     seeds: 40,
                     fail_fast,
                     jobs,
                 };
-                let sharded = explore_sharded(&config, |_| (), |(), seed| scenario(seed));
+                let parallel = explore(&config, scenario);
                 assert_eq!(
-                    serial, sharded,
+                    serial, parallel,
                     "jobs={jobs} fail_fast={fail_fast} diverged from serial"
                 );
-                assert_eq!(serial.to_json(), sharded.to_json());
+                assert_eq!(serial.to_json(), parallel.to_json());
             }
         }
     }
 
     #[test]
-    fn sharded_fail_fast_truncates_at_the_smallest_failing_seed() {
+    fn parallel_fail_fast_truncates_at_the_smallest_failing_seed() {
         // Every seed from 10 on fails; whichever worker finishes first, the
         // canonical report must stop at seed 10 exactly like the serial run.
         let config = ExploreConfig {
@@ -526,42 +478,16 @@ mod tests {
             fail_fast: true,
             jobs: 4,
         };
-        let report = explore_sharded(
-            &config,
-            |_| (),
-            |(), seed| {
-                if seed >= 10 {
-                    fail(seed)
-                } else {
-                    SeedOutcome::pass(seed)
-                }
-            },
-        );
+        let report = explore(&config, |seed| {
+            if seed >= 10 {
+                fail(seed)
+            } else {
+                SeedOutcome::pass(seed)
+            }
+        });
         assert_eq!(report.checked, 11);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.first_failing_seed(), Some(10));
-    }
-
-    #[test]
-    fn sharded_workers_get_private_state() {
-        let config = ExploreConfig {
-            start_seed: 0,
-            seeds: 30,
-            fail_fast: false,
-            jobs: 3,
-        };
-        // Per-worker counters: each worker increments only its own state, so
-        // the per-seed work never needs synchronization.
-        let report = explore_sharded(
-            &config,
-            |_worker| 0u64,
-            |ran, seed| {
-                *ran += 1;
-                SeedOutcome::pass(seed)
-            },
-        );
-        assert_eq!(report.checked, 30);
-        assert!(report.passed());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Seeds are pure, independent functions of their number, so a sweep shards
 //! perfectly: `--jobs N` workers claim task indices from one atomic counter
-//! and each runs its own `Rc`-based simulation stack (worker state is
-//! created *inside* the worker thread and never crosses it, so nothing in
+//! and each task builds its own `Rc`-based simulation stack *inside* the
+//! worker thread running it (only the result crosses threads, so nothing in
 //! the single-threaded simulation layers needs to become `Send`). Results
 //! land in per-index slots and the caller aggregates them **in task order**,
 //! which is what makes `--jobs 1` and `--jobs 8` byte-identical.
@@ -28,9 +28,7 @@ pub fn default_jobs() -> usize {
 /// Runs `tasks` task indices across `jobs` workers and returns one slot per
 /// index, in index order.
 ///
-/// * `init(worker)` builds the per-worker state (a scratch `SpfCache`, a
-///   metrics registry, ...) inside that worker's thread.
-/// * `run(state, index)` executes one task.
+/// * `run(index)` executes one task.
 /// * `cancel(result)` inspects each finished task; returning `true` raises
 ///   the shared cancellation flag (fail-fast). Workers observe the flag
 ///   before claiming their next index, so in-flight tasks still drain.
@@ -39,11 +37,10 @@ pub fn default_jobs() -> usize {
 /// `None`; claimed slots are always `Some` by the time this returns. With
 /// `jobs <= 1` the tasks run serially on the calling thread with identical
 /// semantics, so a parallel sweep degrades to the plain loop.
-pub fn sweep<T, S>(
+pub fn sweep<T>(
     jobs: usize,
     tasks: usize,
-    init: impl Fn(usize) -> S + Sync,
-    run: impl Fn(&mut S, usize) -> T + Sync,
+    run: impl Fn(usize) -> T + Sync,
     cancel: impl Fn(&T) -> bool + Sync,
 ) -> Vec<Option<T>>
 where
@@ -55,9 +52,8 @@ where
         return slots;
     }
     if jobs <= 1 {
-        let mut state = init(0);
         for (index, slot) in slots.iter_mut().enumerate() {
-            let result = run(&mut state, index);
+            let result = run(index);
             let stop = cancel(&result);
             *slot = Some(result);
             if stop {
@@ -72,30 +68,26 @@ where
     let shared = Mutex::new(slots);
     let workers = jobs.min(tasks);
     std::thread::scope(|scope| {
-        for worker in 0..workers {
+        for _ in 0..workers {
             let next = &next;
             let cancelled = &cancelled;
             let shared = &shared;
-            let init = &init;
             let run = &run;
             let cancel = &cancel;
-            scope.spawn(move || {
-                let mut state = init(worker);
-                loop {
-                    if cancelled.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let index = next.fetch_add(1, Ordering::SeqCst);
-                    if index >= tasks {
-                        break;
-                    }
-                    let result = run(&mut state, index);
-                    if cancel(&result) {
-                        cancelled.store(true, Ordering::SeqCst);
-                    }
-                    let mut slots = shared.lock().unwrap_or_else(|e| e.into_inner());
-                    slots[index] = Some(result);
+            scope.spawn(move || loop {
+                if cancelled.load(Ordering::SeqCst) {
+                    break;
                 }
+                let index = next.fetch_add(1, Ordering::SeqCst);
+                if index >= tasks {
+                    break;
+                }
+                let result = run(index);
+                if cancel(&result) {
+                    cancelled.store(true, Ordering::SeqCst);
+                }
+                let mut slots = shared.lock().unwrap_or_else(|e| e.into_inner());
+                slots[index] = Some(result);
             });
         }
     });
@@ -105,8 +97,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-    use std::rc::Rc;
 
     #[test]
     fn default_jobs_is_small_and_positive() {
@@ -117,27 +107,16 @@ mod tests {
     #[test]
     fn all_tasks_complete_and_land_in_their_slot() {
         for jobs in [1, 2, 4, 9] {
-            let out = sweep(jobs, 20, |_| (), |_, i| i * 3, |_| false);
+            let out = sweep(jobs, 20, |i| i * 3, |_| false);
             let values: Vec<usize> = out.into_iter().map(Option::unwrap).collect();
             assert_eq!(values, (0..20).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn worker_state_is_created_per_worker_and_not_send() {
-        // Rc is !Send: the pool must build and use it entirely in-thread.
-        let out = sweep(4, 16, Rc::new, |state, i| (*state.as_ref(), i), |_| false);
-        let workers: BTreeSet<usize> = out.iter().map(|s| s.unwrap().0).collect();
-        assert!(!workers.is_empty());
-        for (i, slot) in out.iter().enumerate() {
-            assert_eq!(slot.unwrap().1, i);
-        }
-    }
-
-    #[test]
     fn cancellation_keeps_a_prefix_and_drains_the_failing_task() {
         for jobs in [1, 4] {
-            let out = sweep(jobs, 100, |_| (), |_, i| i, |&i| i == 5);
+            let out = sweep(jobs, 100, |i| i, |&i| i == 5);
             // The failing index itself completed...
             assert_eq!(out[5], Some(5));
             // ...everything claimed before it completed too (claims are in
@@ -159,7 +138,7 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_a_no_op() {
-        let out: Vec<Option<u32>> = sweep(4, 0, |_| (), |_, _| unreachable!(), |_| false);
+        let out: Vec<Option<u32>> = sweep(4, 0, |_| unreachable!(), |_| false);
         assert!(out.is_empty());
     }
 }

@@ -239,8 +239,7 @@ fn main() {
 
     if let Some(seed) = replay_seed {
         // Verbose single-seed replay: the diagnosis path of a repro bundle.
-        let cache = dgmc_topology::SpfCache::new();
-        let run = explore::run_scenario(seed, &params, Some(params.timeline), &cache);
+        let run = explore::run_scenario(seed, &params, Some(params.timeline));
         if run.outcome.passed() {
             println!(
                 "seed {seed} passed: all invariants held ({})",
@@ -248,7 +247,7 @@ fn main() {
             );
             return;
         }
-        let bundle = explore::repro_bundle(seed, &params, &cache);
+        let bundle = explore::repro_bundle(seed, &params);
         print!("{}", bundle.render());
         // Replays deliberately refresh any stale bundle for this seed.
         match bundle.write_replacing(&out_dir) {

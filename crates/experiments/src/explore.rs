@@ -14,14 +14,14 @@ use crate::runner::EXPERIMENT_MC;
 use crate::scenario::{self, Step};
 use crate::workload::{self, BurstParams, Workload};
 use dgmc_core::invariants;
-use dgmc_core::switch::{build_dgmc_sim_with_cache, trace_label, DgmcConfig};
+use dgmc_core::switch::{build_dgmc_sim, trace_label, DgmcConfig};
 use dgmc_des::explorer::{self, ExploreConfig, ExploreReport, ReproBundle, SeedOutcome, Violation};
 use dgmc_des::{
     FaultPlan, FaultyNet, LinkFaults, LinkFlap, NetStats, NodeOutage, RunOutcome, SimDuration,
 };
 use dgmc_mctree::SphStrategy;
 use dgmc_obs::render_trace_timeline;
-use dgmc_topology::{generate, LinkState, Network, NodeId, SpfCache};
+use dgmc_topology::{generate, LinkState, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -252,18 +252,7 @@ fn measured_steps(workload: &Workload, plan: &FaultPlan) -> Vec<Step> {
 /// `timeline` asks for the decision log: `Some(n)` attaches a ring of `n`
 /// decisions and returns its rendered tail (used by replays; the sweep path
 /// passes `None` and pays nothing for observability).
-///
-/// `cache` is the per-*worker* scratch state of the parallel sweep: each
-/// worker builds one inside its own thread (the cache is `Rc`-based and must
-/// not cross threads) and threads it through every seed it claims. Networks
-/// are content-addressed, so reuse is protocol-neutral and the verdict is
-/// identical with a fresh, shared or disabled cache.
-pub fn run_scenario(
-    seed: u64,
-    params: &ExploreParams,
-    timeline: Option<usize>,
-    cache: &SpfCache,
-) -> ScenarioRun {
+pub fn run_scenario(seed: u64, params: &ExploreParams, timeline: Option<usize>) -> ScenarioRun {
     let Scenario {
         net,
         workload,
@@ -273,12 +262,7 @@ pub fn run_scenario(
     // members join, well separated.
     let steps = workload.warm_up(EXPERIMENT_MC, SimDuration::millis(10));
     let mut script = scenario::Scenario { net, steps };
-    let mut sim = build_dgmc_sim_with_cache(
-        &script.net,
-        params.config,
-        Rc::new(SphStrategy::new()),
-        cache.clone(),
-    );
+    let mut sim = build_dgmc_sim(&script.net, params.config, Rc::new(SphStrategy::new()));
     sim.set_event_budget(EVENT_BUDGET);
     let log = timeline.map(|cap| sim.observer().attach_log(cap.max(1)));
     sim.set_net_model(FaultyNet::new(plan.clone(), seed ^ NET_SEED_SALT));
@@ -347,10 +331,10 @@ pub fn run_scenario(
 /// repro bundle for every failing seed into `out_dir` from inside the worker
 /// that found it.
 ///
-/// Each worker owns its own `Rc`-based simulation stack and a private
-/// scratch [`SpfCache`]; outcomes are merged deterministically in seed
-/// order, so the report is byte-identical for every `jobs` value (see
-/// [`explorer::explore_sharded`]).
+/// Each seed builds its own `Rc`-based simulation stack inside the worker
+/// running it; outcomes are merged deterministically in seed order, so the
+/// report is byte-identical for every `jobs` value (see
+/// [`explorer::explore`]).
 ///
 /// Bundle filenames derive from the seed, so two workers failing
 /// simultaneously can never collide on a path; a bundle left over from an
@@ -365,24 +349,20 @@ pub fn explore_and_bundle(
 ) -> (ExploreReport, Vec<(ReproBundle, PathBuf)>) {
     let out_dir = out_dir.as_ref();
     let written: Mutex<Vec<(ReproBundle, PathBuf)>> = Mutex::new(Vec::new());
-    let report = explorer::explore_sharded(
-        config,
-        |_worker| SpfCache::new(),
-        |cache, seed| {
-            let outcome = run_scenario(seed, params, None, cache).outcome;
-            if !outcome.passed() {
-                let bundle = repro_bundle(seed, params, cache);
-                match write_bundle_fresh(&bundle, out_dir) {
-                    Ok(path) => written
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((bundle, path)),
-                    Err(e) => eprintln!("failed to write repro bundle for seed {seed}: {e}"),
-                }
+    let report = explorer::explore(config, |seed| {
+        let outcome = run_scenario(seed, params, None).outcome;
+        if !outcome.passed() {
+            let bundle = repro_bundle(seed, params);
+            match write_bundle_fresh(&bundle, out_dir) {
+                Ok(path) => written
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push((bundle, path)),
+                Err(e) => eprintln!("failed to write repro bundle for seed {seed}: {e}"),
             }
-            outcome
-        },
-    );
+        }
+        outcome
+    });
     let mut written = written.into_inner().unwrap_or_else(|e| e.into_inner());
     written.sort_by_key(|(bundle, _)| bundle.seed);
     (report, written)
@@ -405,9 +385,9 @@ fn write_bundle_fresh(bundle: &ReproBundle, out_dir: &Path) -> io::Result<PathBu
 
 /// Re-runs a failing seed with the decision log attached and packages the
 /// minimized repro: seed, fault-plan JSON, violations, timeline tail and
-/// the one-command replay line. `cache` as in [`run_scenario`].
-pub fn repro_bundle(seed: u64, params: &ExploreParams, cache: &SpfCache) -> ReproBundle {
-    let run = run_scenario(seed, params, Some(params.timeline), cache);
+/// the one-command replay line.
+pub fn repro_bundle(seed: u64, params: &ExploreParams) -> ReproBundle {
+    let run = run_scenario(seed, params, Some(params.timeline));
     let mut timeline = run.timeline;
     if !run.causal.is_empty() {
         timeline.push("-- causal span timeline (measured phase) --".into());
@@ -470,7 +450,7 @@ mod tests {
 
     #[test]
     fn chaos_runs_actually_exercise_the_fault_path() {
-        let run = run_scenario(3, &quick(), None, &SpfCache::new());
+        let run = run_scenario(3, &quick(), None);
         assert!(run.outcome.passed(), "{:?}", run.outcome.violations);
         assert!(run.net_stats.sent > 0);
         assert!(
@@ -552,24 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_scratch_cache_does_not_change_verdicts() {
-        // One cache reused across seeds (a worker's view) versus a fresh
-        // cache per seed: the content-addressed cache must be invisible.
-        let params = quick();
-        let cache = SpfCache::new();
-        for seed in 0..4 {
-            let reused = run_scenario(seed, &params, None, &cache);
-            let fresh = run_scenario(seed, &params, None, &SpfCache::new());
-            assert_eq!(reused.outcome, fresh.outcome);
-            assert_eq!(reused.plan, fresh.plan);
-            assert_eq!(reused.net_stats, fresh.net_stats);
-        }
-    }
-
-    #[test]
     fn replays_render_a_causal_span_timeline() {
         let params = quick();
-        let run = run_scenario(3, &params, Some(params.timeline), &SpfCache::new());
+        let run = run_scenario(3, &params, Some(params.timeline));
         assert!(!run.causal.is_empty(), "replay path collects spans");
         // A tail render of a busy run starts with the omission header and
         // contains causally indented children.
@@ -580,7 +545,7 @@ mod tests {
         );
         assert!(run.causal.iter().any(|l| l.contains('↳')));
         // The sweep path pays nothing: no log, no spans.
-        let sweep = run_scenario(3, &params, None, &SpfCache::new());
+        let sweep = run_scenario(3, &params, None);
         assert!(sweep.causal.is_empty());
         assert!(sweep.timeline.is_empty());
     }

@@ -200,9 +200,9 @@ fn make_workload(kind: &WorkloadKind, rng: &mut StdRng, net: &Network) -> Worklo
 /// `Tally` float sums, the merged metrics registry and the rendered
 /// `*.metrics.json` byte-identical for every `jobs` value.
 ///
-/// Each run builds its own network, workload and `Rc`-based simulation (and
-/// its own per-run SPF cache) inside the worker thread that claims it, so
-/// nothing in the simulation stack is shared across threads.
+/// Each run builds its own network, workload and `Rc`-based simulation
+/// inside the worker thread that claims it, so nothing in the simulation
+/// stack is shared across threads.
 pub fn run_experiment(
     spec: &ExperimentSpec,
     jobs: usize,
@@ -220,8 +220,7 @@ pub fn run_experiment(
         let runs = par::sweep(
             jobs.max(1),
             spec.graphs_per_size,
-            |_worker| (),
-            |(), g| {
+            |g| {
                 let seed = spec
                     .seed
                     .wrapping_mul(1_000_003)

@@ -2,12 +2,12 @@
 
 use crate::scenario::{self, Scenario};
 use crate::workload::Workload;
-use dgmc_core::switch::{self, build_dgmc_sim_with_cache, counters, histograms, DgmcConfig};
+use dgmc_core::switch::{self, build_dgmc_sim, counters, histograms, DgmcConfig};
 use dgmc_core::{convergence, invariants, McId};
 use dgmc_des::{FaultPlan, FaultyNet, RunOutcome, SimDuration};
 use dgmc_mctree::McAlgorithm;
 use dgmc_obs::{critical_paths, MetricsRegistry, Trace};
-use dgmc_topology::{metrics, Network, SpfCache};
+use dgmc_topology::{metrics, Network};
 use std::rc::Rc;
 
 /// The connection id used by all experiment runs.
@@ -129,7 +129,7 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// The optional arguments of [`run_dgmc`]; the default is a fault-free,
-/// untraced run on a fresh cache.
+/// untraced run.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions<'a> {
     /// Seeded fault injection on the delivery path: every message is routed
@@ -139,10 +139,6 @@ pub struct RunOptions<'a> {
     /// consensus check. Fault outcomes (drops, retransmissions, duplicates,
     /// jitter) appear as span annotations in a traced run.
     pub faults: Option<(&'a FaultPlan, u64)>,
-    /// The SPF cache shared by the run's switches — pass
-    /// [`SpfCache::disabled`] to measure the uncached from-scratch baseline
-    /// (metrics are identical either way; only wall-clock differs).
-    pub cache: SpfCache,
     /// Causal tracing of the measured phase. Tracing changes no protocol
     /// behaviour: the span tree is built on the side of the ordinary
     /// delivery path.
@@ -167,10 +163,9 @@ pub fn run_dgmc(
 ) -> Result<RunMetrics, RunError> {
     let RunOptions {
         faults,
-        cache,
         trace: trace_mode,
     } = opts;
-    let mut sim = build_dgmc_sim_with_cache(net, config, algorithm, cache);
+    let mut sim = build_dgmc_sim(net, config, algorithm);
     sim.set_event_budget(200_000_000);
     if let Some((plan, fault_seed)) = faults {
         sim.set_net_model(FaultyNet::new(plan.clone(), fault_seed));
@@ -421,43 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_hit_but_protocol_neutral() {
-        let run = |cache| {
-            let opts = RunOptions {
-                cache,
-                ..RunOptions::default()
-            };
-            bursty_lan(30, 2, opts)
-        };
-        let cached = run(SpfCache::new());
-        let uncached = run(SpfCache::disabled());
-        // The cache serves real lookups during the measured phase...
-        assert!(cached.registry.counter_value(counters::SPF_CACHE_HITS) > 0);
-        assert_eq!(uncached.registry.counter_value(counters::SPF_CACHE_HITS), 0);
-        // ...without perturbing a single protocol-level quantity.
-        assert_eq!(cached.events, uncached.events);
-        assert_eq!(cached.computations, uncached.computations);
-        assert_eq!(cached.floodings, uncached.floodings);
-        assert_eq!(cached.withdrawn, uncached.withdrawn);
-        assert_eq!(cached.convergence_rounds, uncached.convergence_rounds);
-        for name in [
-            counters::COMPUTATIONS,
-            counters::FLOODINGS,
-            counters::INSTALLS,
-            counters::WITHDRAWN,
-            counters::MEMBER_EVENTS,
-            counters::MC_LSAS,
-            counters::DUPLICATES,
-        ] {
-            assert_eq!(
-                cached.registry.counter_value(name),
-                uncached.registry.counter_value(name),
-                "{name} diverged under caching"
-            );
-        }
-    }
-
-    #[test]
     fn run_metrics_ratios_handle_zero_events() {
         let m = RunMetrics {
             events: 0,
@@ -547,7 +505,6 @@ mod tests {
             let opts = RunOptions {
                 faults: Some((&plan, 7 ^ 0x55)),
                 trace: TraceMode::Full,
-                ..RunOptions::default()
             };
             bursty_lan(25, 7, opts)
         };

@@ -562,7 +562,7 @@ impl SystematicModel {
                 ..
             } if fresh == 1 => Some(spec.receive_lsa(lsa.clone())),
             Input::Timer(mc) => {
-                let (image, algo, cache) = (core.image(), SphStrategy::new(), SpfCache::disabled());
+                let (image, algo, cache) = (core.image(), SphStrategy::new(), SpfCache::new());
                 let mut compute = |terminals: &BTreeSet<NodeId>, previous: Option<&_>| {
                     algo.compute_with(image, terminals, previous, &cache)
                 };

@@ -12,9 +12,11 @@
 //! * [`lsa`] — router LSAs with sequence numbers describing a switch's
 //!   incident links,
 //! * [`Lsdb`] — the link-state database each switch keeps, and the *local
-//!   image* of the network it induces, patched in place as LSAs arrive,
+//!   image* of the network it induces, patched in place as LSAs arrive
+//!   (with a record of the link flips since the routes last read it),
 //! * [`RoutingTable`] — unicast next-hop tables computed from the local
-//!   image by Dijkstra SPF, filled in one pass over the tree.
+//!   image by Dijkstra SPF, filled in one pass over the tree, and repaired
+//!   from the LSDB's record of flips rather than recomputed.
 //!
 //! The per-switch state machine tying these together is
 //! `dgmc_core::proto::NodeCore`; the substrate's flooding and

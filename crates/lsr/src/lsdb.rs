@@ -10,6 +10,12 @@
 //! cost change — rebuilds the image, once per `install`. Which of the two
 //! runs follows from the LSA, not from a setting.
 //!
+//! The patch path also records what it did to the image: one
+//! [`LinkChange`] per link whose state differs from what it was at the last
+//! [`Lsdb::take_changes`], a flip and its flip-back cancelling. That is the
+//! delta a routing table repairs its shortest-path tree from. A rebuild may
+//! renumber links, so it voids the record until the next take.
+//!
 //! [`Lsdb::local_image`] is that rebuild: a function of the stored LSAs
 //! only, never of their arrival order, and the oracle the delta path is
 //! `debug_assert`ed and tested against. Both are total: a claim naming the
@@ -17,6 +23,7 @@
 //! listed twice is folded, nothing panics.
 
 use crate::lsa::{LinkAdv, RouterLsa};
+use dgmc_topology::spf::LinkChange;
 use dgmc_topology::{LinkState, Network, NodeId};
 
 /// The link-state database: the most recent router LSA from every switch.
@@ -46,6 +53,9 @@ pub struct Lsdb {
     lsas: Vec<Option<RouterLsa>>,
     /// Always `== self.local_image()`.
     image: Network,
+    /// The image's net link changes since the last `take_changes`, or
+    /// `None` once a rebuild happened in between.
+    changes: Option<Vec<LinkChange>>,
 }
 
 /// `false` when the stored LSA of `from` reports its link toward `to` down;
@@ -61,6 +71,7 @@ impl Lsdb {
         Lsdb {
             lsas: vec![None; n_nodes],
             image: Network::with_nodes(n_nodes),
+            changes: Some(Vec::new()),
         }
     }
 
@@ -68,7 +79,7 @@ impl Lsdb {
     /// description of its links at sequence number 0, the image built once.
     pub fn from_network(net: &Network) -> Self {
         let describe = |n| Some(RouterLsa::describe(net, n, 0));
-        let mut db = Lsdb::default();
+        let mut db = Lsdb::new(0);
         db.lsas = net.nodes().map(describe).collect();
         db.image = db.local_image();
         db
@@ -99,6 +110,7 @@ impl Lsdb {
         };
         let Some(old) = old.filter(same_roster) else {
             self.image = self.local_image();
+            self.changes = None;
             return true;
         };
         for (was, now) in old.links.iter().zip(&new.links) {
@@ -106,16 +118,41 @@ impl Lsdb {
                 continue;
             }
             // A self-advertisement or an out-of-range neighbour has no link.
-            let Some(link) = self.image.link_between(origin, now.neighbor).map(|l| l.id) else {
+            let Some((link, cost)) = self
+                .image
+                .link_between(origin, now.neighbor)
+                .map(|l| (l.id, l.cost))
+            else {
                 continue;
             };
             let up = claims_up(&self.lsas, origin, now.neighbor)
                 && claims_up(&self.lsas, now.neighbor, origin);
             let state = if up { LinkState::Up } else { LinkState::Down };
-            self.image.set_link_state(link, state).expect("link found");
+            let was = self.image.set_link_state(link, state).expect("link found");
+            let Some(changes) = self.changes.as_mut().filter(|_| was != state) else {
+                continue;
+            };
+            // Only the state moves here, so a second flip is the way back.
+            match changes.iter().position(|c| c.link == link) {
+                Some(at) => {
+                    changes.swap_remove(at);
+                }
+                None => changes.push(LinkChange {
+                    link,
+                    old_cost: (!up).then_some(cost),
+                    new_cost: up.then_some(cost),
+                }),
+            }
         }
         debug_assert_eq!(self.image, self.local_image(), "patched image != rebuild");
         true
+    }
+
+    /// The image's net link changes since the previous call (or since the
+    /// database was created), and a fresh record from here: `None` when a
+    /// rebuild happened in between, so the change is not a link delta.
+    pub fn take_changes(&mut self) -> Option<Vec<LinkChange>> {
+        self.changes.replace(Vec::new())
     }
 
     /// The stored LSAs, in origin order.

@@ -5,8 +5,15 @@
 //! labelled node, or a child of the root, which is its own next hop), then
 //! label the chain just climbed. Every node is labelled once — O(n), no
 //! per-destination path — and equals [`spf::SpfTree::first_hop`] everywhere.
+//!
+//! The table keeps the tree it was filled from. When the image changes, the
+//! table repairs that tree from the link delta the LSDB recorded
+//! ([`crate::Lsdb::take_changes`]) and runs Dijkstra only when there is no
+//! delta or the repair does not apply — the same routes either way.
 
-use dgmc_topology::{spf, Network, NodeId, SpfCache};
+use dgmc_topology::spf::{self, LinkChange, SpfTree};
+use dgmc_topology::{Network, NodeId, SpfCache};
+use std::rc::Rc;
 
 /// A unicast routing table: next hop and cost toward every destination.
 ///
@@ -27,8 +34,10 @@ use dgmc_topology::{spf, Network, NodeId, SpfCache};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
+    /// The shortest-path tree rooted at the switch; its `dist` is the cost
+    /// column.
+    tree: Rc<SpfTree>,
     next_hop: Vec<Option<NodeId>>,
-    cost: Vec<Option<u64>>,
 }
 
 impl RoutingTable {
@@ -38,21 +47,34 @@ impl RoutingTable {
     ///
     /// Panics if `me` is not a node of `image`.
     pub fn compute(image: &Network, me: NodeId) -> RoutingTable {
-        Self::from_tree(&spf::shortest_path_tree(image, me))
+        Self::from_tree(Rc::new(spf::shortest_path_tree(image, me)))
     }
 
-    /// [`compute`](Self::compute) through an [`SpfCache`], sharing the SPF
-    /// run with the MC topology algorithms and other switches holding the
-    /// same image. Result identical to `compute`.
+    /// [`compute`](Self::compute) through the pooled arenas of an
+    /// [`SpfCache`], counted in its stats. Result identical to `compute`.
     ///
     /// # Panics
     ///
     /// Panics if `me` is not a node of `image`.
     pub fn compute_with(image: &Network, me: NodeId, cache: &SpfCache) -> RoutingTable {
-        Self::from_tree(&cache.tree(image, me))
+        Self::from_tree(cache.tree(image, me))
     }
 
-    fn from_tree(tree: &spf::SpfTree) -> RoutingTable {
+    /// Brings the table up to date with `image`, given `changes`, the
+    /// image's net link changes since the table was last computed (`None`:
+    /// unknown). The tree is repaired from them, or recomputed when they
+    /// are unknown or the repair does not apply; no change, no work. The
+    /// result equals [`compute`](Self::compute)`(image, me)`.
+    pub fn follow(&mut self, image: &Network, changes: Option<&[LinkChange]>, cache: &SpfCache) {
+        if changes.is_some_and(<[LinkChange]>::is_empty) {
+            return;
+        }
+        let repaired = changes.and_then(|changes| cache.repair(image, &self.tree, changes));
+        let tree = repaired.unwrap_or_else(|| cache.tree(image, self.tree.root));
+        *self = Self::from_tree(tree);
+    }
+
+    fn from_tree(tree: Rc<SpfTree>) -> RoutingTable {
         let mut next_hop: Vec<Option<NodeId>> = vec![None; tree.parent.len()];
         for dest in 0..tree.parent.len() {
             let mut cur = dest;
@@ -77,10 +99,7 @@ impl RoutingTable {
                 cur = tree.parent[cur].map_or(top, |(parent, _)| parent.index());
             }
         }
-        RoutingTable {
-            next_hop,
-            cost: tree.dist.clone(),
-        }
+        RoutingTable { tree, next_hop }
     }
 
     /// Next hop toward `dest`, or `None` for self and unreachable nodes.
@@ -90,7 +109,7 @@ impl RoutingTable {
 
     /// Shortest-path cost to `dest` (`Some(0)` for self).
     pub fn cost(&self, dest: NodeId) -> Option<u64> {
-        self.cost.get(dest.index()).copied().flatten()
+        self.tree.cost_to(dest)
     }
 
     /// Returns `true` if `dest` is reachable (self counts as reachable).
@@ -174,10 +193,11 @@ mod tests {
             );
         }
         let stats = cache.stats();
-        assert_eq!(stats.misses, 18, "one SPF per (switch, image)");
-        // A second switch with the same image shares the entry.
-        RoutingTable::compute_with(&net, NodeId(0), &cache);
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (18, 0),
+            "one SPF per (switch, image)"
+        );
     }
 
     #[test]
@@ -208,8 +228,8 @@ mod tests {
                 }
             }
             for root in net.nodes() {
-                let tree = spf::shortest_path_tree(&net, root);
-                let table = RoutingTable::from_tree(&tree);
+                let tree = Rc::new(spf::shortest_path_tree(&net, root));
+                let table = RoutingTable::from_tree(Rc::clone(&tree));
                 assert_eq!(table.len(), n);
                 for v in net.nodes() {
                     assert_eq!(table.next_hop(v), tree.first_hop(v), "{root}->{v}");

@@ -4,11 +4,31 @@
 
 use dgmc_lsr::lsa::{LinkAdv, RouterLsa};
 use dgmc_lsr::Lsdb;
+use dgmc_topology::spf::LinkChange;
 use dgmc_topology::{generate, LinkId, Network, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+/// The link changes from `before` to `after` by position, or `None` when
+/// the two do not list the same links in the same order.
+fn positional_diff(before: &Network, after: &Network) -> Option<Vec<LinkChange>> {
+    let same = |(x, y): (&dgmc_topology::Link, &dgmc_topology::Link)| {
+        (x.id, x.a, x.b, x.cost) == (y.id, y.a, y.b, y.cost)
+    };
+    let pairs = || before.links().zip(after.links());
+    if before.link_count() != after.link_count() || !pairs().all(same) {
+        return None;
+    }
+    let changes = pairs().filter(|(x, y)| x.is_up() != y.is_up());
+    let change = |(x, y): (&dgmc_topology::Link, &dgmc_topology::Link)| LinkChange {
+        link: x.id,
+        old_cost: x.is_up().then_some(x.cost),
+        new_cost: y.is_up().then_some(y.cost),
+    };
+    Some(changes.map(change).collect())
+}
 
 fn arb_net() -> impl Strategy<Value = Network> {
     (5usize..40, any::<u64>()).prop_map(|(n, seed)| {
@@ -71,7 +91,9 @@ proptest! {
     /// flips per LSA, always one-sided (only the origin's own claim moves,
     /// as when a lone detector advertises), flips back (repairs), stale and
     /// equal sequence numbers, and the roster changes that take the rebuild
-    /// path — a cost change, a neighbour dropped, a neighbour added.
+    /// path — a cost change, a neighbour dropped, a neighbour added. At
+    /// random points the delta the database reports since the previous take
+    /// is the positional diff of the two images, unless a rebuild voided it.
     #[test]
     fn image_follows_every_install(net in arb_net(), seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);
@@ -83,6 +105,7 @@ proptest! {
         let mut unfilled: Vec<usize> = (0..n).collect();
         unfilled.shuffle(rng);
         let mut db = Lsdb::new(n);
+        let (mut base, mut deltas) = (db.image().clone(), 0);
         for _ in 0..6 * n {
             let fill = !unfilled.is_empty() && rng.gen_bool(0.5);
             let origin = if fill { unfilled.pop().unwrap() } else { rng.gen_range(0..n) };
@@ -140,7 +163,17 @@ proptest! {
             let rebuilt = db.local_image();
             prop_assert_eq!(db.image(), &rebuilt);
             prop_assert_eq!(db.image().digest(), rebuilt.digest());
+            if rng.gen_bool(0.3) {
+                let diff = positional_diff(&base, db.image());
+                if let Some(mut changes) = db.take_changes() {
+                    changes.sort_by_key(|c| c.link);
+                    prop_assert_eq!(Some(changes), diff);
+                    deltas += 1;
+                }
+                base = db.image().clone();
+            }
         }
         prop_assert!(unfilled.len() < n, "the database was at least partly filled");
+        prop_assert!(deltas > 0, "some takes came after patches only");
     }
 }

@@ -9,11 +9,11 @@
 //! for further study, and [`crate::McTopology::validate`] flags such
 //! topologies as disconnected.
 
-//! Every heuristic comes in two forms: the historical signature computing
-//! from scratch, and a `*_with` variant taking an
-//! [`SpfCache`](dgmc_topology::SpfCache) that memoizes the underlying
-//! Dijkstra runs across terminals, MCs and engines. Both produce identical
-//! results; the plain form simply runs over a throwaway disabled cache.
+//! Every heuristic comes in two forms: the historical signature, and a
+//! `*_with` variant whose Dijkstra runs go through the pooled arenas of an
+//! [`SpfCache`](dgmc_topology::SpfCache) and are counted in its stats. The
+//! cache memoizes nothing, so both produce identical results; the plain form
+//! simply runs over a throwaway cache.
 
 use crate::McTopology;
 use dgmc_topology::{spf, unionfind::UnionFind, Network, NodeId, SpfCache};
@@ -40,10 +40,10 @@ use std::rc::Rc;
 /// assert_eq!(tree.edge_count(), 3);
 /// ```
 pub fn takahashi_matsuyama(net: &Network, terminals: &BTreeSet<NodeId>) -> McTopology {
-    takahashi_matsuyama_with(net, terminals, &SpfCache::disabled())
+    takahashi_matsuyama_with(net, terminals, &SpfCache::new())
 }
 
-/// [`takahashi_matsuyama`] with memoized shortest-path forests.
+/// [`takahashi_matsuyama`] with its shortest-path forests run through `cache`.
 pub fn takahashi_matsuyama_with(
     net: &Network,
     terminals: &BTreeSet<NodeId>,
@@ -176,10 +176,10 @@ pub fn kmb_with(net: &Network, terminals: &BTreeSet<NodeId>, cache: &SpfCache) -
 ///
 /// Panics if `root` is not a node of `net`.
 pub fn pruned_spt(net: &Network, root: NodeId, terminals: &BTreeSet<NodeId>) -> McTopology {
-    pruned_spt_with(net, root, terminals, &SpfCache::disabled())
+    pruned_spt_with(net, root, terminals, &SpfCache::new())
 }
 
-/// [`pruned_spt`] with a memoized root tree.
+/// [`pruned_spt`] with its root tree run through `cache`.
 ///
 /// # Panics
 ///
@@ -342,10 +342,10 @@ fn extract_tree(
 /// result is the singleton tree at `joining`; if the image offers no path
 /// the terminal stays isolated.
 pub fn greedy_join(net: &Network, tree: &McTopology, joining: NodeId) -> McTopology {
-    greedy_join_with(net, tree, joining, &SpfCache::disabled())
+    greedy_join_with(net, tree, joining, &SpfCache::new())
 }
 
-/// [`greedy_join`] with a memoized forest from the tree's nodes.
+/// [`greedy_join`] with its forest from the tree's nodes run through `cache`.
 pub fn greedy_join_with(
     net: &Network,
     tree: &McTopology,
@@ -443,7 +443,7 @@ mod tests {
             .link(0, 2, 3)
             .build();
         let want = terminals(&[0, 1, 2]);
-        let tree = kmb_with(&net, &want, &SpfCache::disabled());
+        let tree = kmb_with(&net, &want, &SpfCache::new());
         assert_eq!(tree.validate(&net, &want), Ok(()));
         assert_eq!(tree.total_cost(&net), Some(3), "uses the Steiner point 4");
     }
@@ -459,7 +459,7 @@ mod tests {
                 .into_iter()
                 .collect();
             let t1 = takahashi_matsuyama(&net, &want);
-            let t2 = kmb_with(&net, &want, &SpfCache::disabled());
+            let t2 = kmb_with(&net, &want, &SpfCache::new());
             assert_eq!(t1.validate(&net, &want), Ok(()));
             assert_eq!(t2.validate(&net, &want), Ok(()));
         }
@@ -532,7 +532,7 @@ mod tests {
         let root = NodeId(0);
         let want = terminals(&[3, 4, 5]);
         for bound in [4u64, 5, 7] {
-            let tree = delay_bounded_with(&net, root, &want, bound, &SpfCache::disabled()).unwrap();
+            let tree = delay_bounded_with(&net, root, &want, bound, &SpfCache::new()).unwrap();
             let mut full = want.clone();
             full.insert(root);
             assert_eq!(tree.validate(&net, &full), Ok(()), "bound {bound}");
@@ -548,10 +548,10 @@ mod tests {
         let net = generate::path(5);
         let want = terminals(&[4]);
         assert_eq!(
-            delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::disabled()),
+            delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::new()),
             Err(NodeId(4))
         );
-        assert!(delay_bounded_with(&net, NodeId(0), &want, 4, &SpfCache::disabled()).is_ok());
+        assert!(delay_bounded_with(&net, NodeId(0), &want, 4, &SpfCache::new()).is_ok());
     }
 
     #[test]
@@ -568,11 +568,11 @@ mod tests {
             .link(0, 4, 3)
             .build();
         let want = terminals(&[3, 4]);
-        let loose = delay_bounded_with(&net, NodeId(0), &want, 10, &SpfCache::disabled()).unwrap();
+        let loose = delay_bounded_with(&net, NodeId(0), &want, 10, &SpfCache::new()).unwrap();
         assert_eq!(loose.total_cost(&net), Some(4), "shared chain when allowed");
         let loose_delays = crate::metrics::tree_path_costs(&loose, &net, NodeId(0)).unwrap();
         assert_eq!(loose_delays[&NodeId(4)], 4);
-        let tight = delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::disabled()).unwrap();
+        let tight = delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::new()).unwrap();
         let tight_delays = crate::metrics::tree_path_costs(&tight, &net, NodeId(0)).unwrap();
         assert!(tight_delays[&NodeId(4)] <= 3, "bound honored");
         assert_eq!(tight.total_cost(&net), Some(6), "direct link when tight");
@@ -588,8 +588,8 @@ mod tests {
             .into_iter()
             .collect();
         let bound = dgmc_topology::metrics::cost_diameter(&net);
-        let a = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::disabled()).unwrap();
-        let b = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::disabled()).unwrap();
+        let a = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::new()).unwrap();
+        let b = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::new()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -617,8 +617,8 @@ mod tests {
             takahashi_matsuyama(&net, &want)
         );
         assert_eq!(
-            kmb_with(&net, &want, &SpfCache::disabled()),
-            kmb_with(&net, &want, &SpfCache::disabled())
+            kmb_with(&net, &want, &SpfCache::new()),
+            kmb_with(&net, &want, &SpfCache::new())
         );
         assert_eq!(
             pruned_spt(&net, NodeId(0), &want),

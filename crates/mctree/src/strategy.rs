@@ -17,13 +17,12 @@ use std::fmt;
 /// because every switch computes the same topology from the same image.
 pub trait McAlgorithm: fmt::Debug {
     /// Computes a topology spanning `terminals` over the image `net`,
-    /// optionally starting from the `previous` installed topology, memoizing
-    /// shortest-path work in `cache`.
+    /// optionally starting from the `previous` installed topology, running
+    /// its shortest-path work through `cache`'s pooled arenas.
     ///
-    /// The cache is an optimization only: for a fixed image and terminal set
-    /// the result must be identical whatever the cache contains (shared,
-    /// fresh or disabled), since protocol consensus depends on every switch
-    /// proposing the same topology.
+    /// For a fixed image and terminal set the result is identical whichever
+    /// cache handle is passed (it memoizes nothing), since protocol consensus
+    /// depends on every switch proposing the same topology.
     fn compute_with(
         &self,
         net: &Network,
@@ -32,15 +31,15 @@ pub trait McAlgorithm: fmt::Debug {
         cache: &SpfCache,
     ) -> McTopology;
 
-    /// [`compute_with`](Self::compute_with) over a throwaway, disabled cache
-    /// (from-scratch computation; the historical entry point).
+    /// [`compute_with`](Self::compute_with) over a throwaway cache (the
+    /// historical entry point).
     fn compute(
         &self,
         net: &Network,
         terminals: &BTreeSet<NodeId>,
         previous: Option<&McTopology>,
     ) -> McTopology {
-        self.compute_with(net, terminals, previous, &SpfCache::disabled())
+        self.compute_with(net, terminals, previous, &SpfCache::new())
     }
 
     /// Short human-readable strategy name (for reports).

@@ -136,9 +136,8 @@ impl Network {
     /// Two networks with identical nodes, links (including [`LinkId`]
     /// assignment, costs and up/down states) have equal digests regardless of
     /// how they were built — a link that went down and back up restores the
-    /// original digest. [`SpfCache`](crate::SpfCache) keys shared results on
-    /// this value so engines whose local images agree byte-for-byte reuse each
-    /// other's shortest-path trees.
+    /// original digest. The systematic model checker hashes it as part of
+    /// its canonical state.
     pub fn digest(&self) -> u64 {
         mix(self.adjacency.len() as u64 ^ 0xD1B5_4A32_D192_ED03) ^ self.link_acc
     }

@@ -241,11 +241,11 @@ pub(crate) struct RepairScratch {
 /// Repairs a Dijkstra labeling in place after a batch of link changes —
 /// the delta counterpart of [`run_dijkstra`], and **exactly** equal to it.
 ///
-/// `dist`/`parent` must hold the final labeling of `run_dijkstra` over the
-/// *pre-change* network (same `sources`, same `keep_sources_rooted`), and
-/// `net` must be the post-change network: for every change, the link's
-/// current effective cost must equal `new_cost` and its effective cost in
-/// the pre-change image must have been `old_cost`. `sources` must be sorted.
+/// `dist`/`parent` must hold the final labeling of the tree `run_dijkstra`
+/// grows from `root` over the *pre-change* network, and `net` must be the
+/// post-change network: for every change, the link's current effective cost
+/// must equal `new_cost` and its effective cost in the pre-change image must
+/// have been `old_cost`.
 ///
 /// Returns `Some(work)` (a deterministic settled/retouched node count, the
 /// analogue of `run_dijkstra`'s return) on success, in which case the
@@ -271,30 +271,26 @@ pub(crate) struct RepairScratch {
 ///    run to fixpoint in heap order converges to the exact distance field
 ///    (labels start as upper bounds; at fixpoint no edge is relaxable, which
 ///    pins every label to the true distance).
-/// 3. **Recanonicalization.** `run_dijkstra`'s final parent of a non-source
+/// 3. **Recanonicalization.** `run_dijkstra`'s final parent of a non-root
 ///    node `v` is the minimum `(u, link)` over up-neighbors with
 ///    `dist[u] + cost == dist[v]` (every neighbor relaxes `v` after
-///    settling, so the tie-break sees all equal-sum candidates); sources
-///    keep `None`. That makes the parent a pure function of the distance
+///    settling, so the tie-break sees all equal-sum candidates); the root
+///    keeps `None`. That makes the parent a pure function of the distance
 ///    field, recomputable locally for the nodes whose candidate sets could
 ///    have changed: retouched nodes, their neighbors, and the endpoints of
-///    every changed link. Zero-cost links would break the "sources keep
-///    `None`" half (a zero-cost cycle through a source can capture its
+///    every changed link. Zero-cost links would break the "root keeps
+///    `None`" half (a zero-cost cycle through the root can capture its
 ///    parent), which is why they force the `None` bailout above.
 pub(crate) fn repair_dijkstra(
     net: &Network,
-    sources: &[NodeId],
-    keep_sources_rooted: bool,
+    root: NodeId,
     changes: &[LinkChange],
     dist: &mut [Option<u64>],
     parent: &mut [Option<(NodeId, LinkId)>],
     scratch: &mut RepairScratch,
 ) -> Option<usize> {
     let n = net.len();
-    if dist.len() != n || parent.len() != n || sources.is_empty() {
-        return None;
-    }
-    if sources.iter().any(|&s| !net.contains_node(s)) {
+    if dist.len() != n || parent.len() != n || !net.contains_node(root) {
         return None;
     }
     // Validate the delta against the post-change image and drop no-ops
@@ -355,12 +351,10 @@ pub(crate) fn repair_dijkstra(
         let state = &mut scratch.state;
         state.clear();
         state.resize(n, 0u8);
-        for &s in sources {
-            state[s.index()] = 2;
-        }
+        state[root.index()] = 2;
         for &r in &orphan_roots {
             if state[r.index()] == 2 {
-                // A source's parent must be None; the input is inconsistent.
+                // The root's parent must be None; the input is inconsistent.
                 return None;
             }
             state[r.index()] = 1;
@@ -527,15 +521,13 @@ pub(crate) fn repair_dijkstra(
         add(link.a, &mut scratch.recanon, &mut scratch.p_mark);
         add(link.b, &mut scratch.recanon, &mut scratch.p_mark);
     }
-    let _ = keep_sources_rooted; // parents of sources are None either way
     for i in 0..scratch.recanon.len() {
         let v = scratch.recanon[i];
         work += 1;
         let canonical = match dist[v.index()] {
             None => None,
-            // With all costs >= 1 a source never has an equal-sum candidate,
-            // so its parent stays None in both tie-break modes.
-            Some(_) if sources.binary_search(&v).is_ok() => None,
+            // With all costs >= 1 the root never has an equal-sum candidate.
+            Some(_) if v == root => None,
             Some(dv) => {
                 let mut best: Option<(NodeId, LinkId)> = None;
                 for (u, link) in net.neighbors(v) {
@@ -571,47 +563,13 @@ pub fn repair_shortest_path_tree(
     tree: &mut SpfTree,
     changes: &[LinkChange],
 ) -> Option<usize> {
-    if !net.contains_node(tree.root) {
-        return None;
-    }
-    let sources = [tree.root];
     let mut scratch = RepairScratch::default();
     repair_dijkstra(
         net,
-        &sources,
-        false,
+        tree.root,
         changes,
         &mut tree.dist,
         &mut tree.parent,
-        &mut scratch,
-    )
-}
-
-/// Repairs a multi-source `forest` in place so it equals
-/// [`shortest_path_forest`]`(net, sources)` after the link delta `changes`.
-///
-/// Same contract as [`repair_shortest_path_tree`], with the forest
-/// tie-break (sources keep `None` parents).
-pub fn repair_shortest_path_forest(
-    net: &Network,
-    forest: &mut SpfTree,
-    sources: &[NodeId],
-    changes: &[LinkChange],
-) -> Option<usize> {
-    let mut sorted: Vec<NodeId> = sources.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.is_empty() || sorted.iter().any(|&s| !net.contains_node(s)) {
-        return None;
-    }
-    let mut scratch = RepairScratch::default();
-    repair_dijkstra(
-        net,
-        &sorted,
-        true,
-        changes,
-        &mut forest.dist,
-        &mut forest.parent,
         &mut scratch,
     )
 }
@@ -804,16 +762,6 @@ mod tests {
             assert!(work.is_some(), "repair bailed for root {root}");
             let full = shortest_path_tree(&fresh, root);
             assert_eq!(tree, full, "repair diverged for root {root}");
-        }
-        // Forest flavor over a couple of source sets.
-        let all: Vec<NodeId> = net.nodes().collect();
-        for sources in [&all[..1], &all[..2.min(all.len())], &all[..]] {
-            let mut fresh = net.clone();
-            let mut forest = shortest_path_forest(&fresh, sources);
-            let changes = apply_changes(&mut fresh, specs);
-            let work = repair_shortest_path_forest(&fresh, &mut forest, sources, &changes);
-            assert!(work.is_some(), "forest repair bailed for {sources:?}");
-            assert_eq!(forest, shortest_path_forest(&fresh, sources));
         }
     }
 

@@ -8,7 +8,6 @@ use dgmc::des::{FaultPlan, FaultyNet, LinkFaults, RunOutcome};
 use dgmc::experiments::explore::{self, ExploreParams};
 use dgmc::obs::DecisionKind;
 use dgmc::prelude::*;
-use dgmc::topology::SpfCache;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -57,7 +56,7 @@ fn hard_loss_is_caught_and_the_bundle_replays() {
         .expect("genuine loss breaks the reliable-flooding assumption");
 
     // The violation is a pure function of the seed.
-    let run = || explore::run_scenario(seed, &params, None, &SpfCache::new()).outcome;
+    let run = || explore::run_scenario(seed, &params, None).outcome;
     let (a, b) = (run(), run());
     assert!(!a.violations.is_empty());
     assert_eq!(a.violations, b.violations);
