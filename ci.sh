@@ -201,6 +201,26 @@ if grep -rnE '"--(memo|cache|no-cache|uncached)[a-z-]*"|DGMC_(MEMO|CACHE|SPF)|(m
     exit 1
 fi
 
+# One sweep, one row: every experiment harness folds its graphs through
+# `presets::sweep` (the pooled sweep that hands results back in graph order)
+# into `presets::Row`, so a `for g in 0..` or `for r in 0..runs` loop above a
+# file's tests is a serial per-graph loop coming back. The convergence tail is
+# the exact nearest-rank percentiles of its samples, so `des::stats` keeps no
+# bucketed `Histogram`; a run under injected faults is
+# `explore::run_scenario`'s, so `run_dgmc` takes a `TraceMode`, not an options
+# struct with a `faults` field.
+for f in crates/experiments/src/*.rs crates/experiments/src/bin/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'for g in 0\.\.|for r in 0\.\.runs'; then
+        echo "$f: a serial per-graph loop is back; fold the graphs through presets::sweep"
+        exit 1
+    fi
+done
+if grep -n 'Histogram' crates/des/src/stats.rs ||
+    grep -nE 'RunOptions|faults *:|\.faults\b' crates/experiments/src/runner.rs; then
+    echo "des::stats::Histogram or run_dgmc's fault options are back; see DESIGN.md §10"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -1046,6 +1046,10 @@ mod tests {
                         kind: DeliveryKind::Duplicate,
                     },
                 ],
+                3 => vec![Delivery {
+                    delay: base + SimDuration::micros(40),
+                    kind: DeliveryKind::Retransmit(2),
+                }],
                 _ => vec![Delivery {
                     delay: base,
                     kind: DeliveryKind::Original,
@@ -1060,9 +1064,11 @@ mod tests {
         impl Actor<u64> for Sender {
             fn handle(&mut self, ctx: &mut Ctx<'_, u64>, env: Envelope<u64>) {
                 if env.from.is_none() && env.to == ActorId(0) {
-                    // Two sends: the first is dropped, the second duplicated.
+                    // Three sends: the first is dropped, the second
+                    // duplicated, the third arrives after two lost attempts.
                     ctx.send(ActorId(1), SimDuration::micros(1), 10);
                     ctx.send(ActorId(1), SimDuration::micros(1), 11);
+                    ctx.send(ActorId(1), SimDuration::micros(1), 12);
                 }
             }
         }
@@ -1079,8 +1085,9 @@ mod tests {
         sim.run_to_quiescence();
         let trace = sim.take_causal_trace().unwrap();
         trace.validate().unwrap();
-        // Root + dropped m10 + original m11 + duplicate m11.
-        assert_eq!(trace.len(), 4);
+        // Root + dropped m10 + original m11 + duplicate m11 + retransmitted
+        // m12.
+        assert_eq!(trace.len(), 5);
         let dropped = &trace.spans[1];
         assert_eq!(dropped.notes, vec!["fault:drop".to_owned()]);
         assert_eq!(dropped.start_ns, dropped.end_ns);
@@ -1093,5 +1100,18 @@ mod tests {
                 "fault:jitter +250ns".to_owned()
             ]
         );
+        // A recovered loss surfaces as a retransmit-annotated span, and only
+        // there: the fault-free delivery above carries no note at all.
+        let retransmitted = &trace.spans[4];
+        assert_eq!(retransmitted.label, "m12");
+        assert_eq!(
+            retransmitted.notes,
+            vec![
+                "fault:retransmit rounds=2".to_owned(),
+                "fault:jitter +40000ns".to_owned()
+            ]
+        );
+        assert_eq!(sim.net_stats().retransmits, 2);
+        assert_eq!(sim.counter_value(net_counters::RETRANSMITS), 2);
     }
 }

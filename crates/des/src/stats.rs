@@ -152,142 +152,6 @@ impl FromIterator<f64> for Tally {
     }
 }
 
-/// A fixed-bucket histogram over `[0, +inf)` with percentile queries.
-///
-/// Buckets grow geometrically (factor 2 from `first_bucket`), so the
-/// histogram covers many orders of magnitude with bounded memory — suited
-/// to convergence-time distributions whose tails matter.
-///
-/// # Examples
-///
-/// ```
-/// use dgmc_des::stats::Histogram;
-/// let mut h = Histogram::new(1.0, 16);
-/// for x in [0.5, 1.5, 3.0, 3.5, 100.0] {
-///     h.record(x);
-/// }
-/// assert_eq!(h.len(), 5);
-/// assert!(h.percentile(0.5) <= h.percentile(0.95));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    first_bucket: f64,
-    /// counts[i] covers [first*2^(i-1), first*2^i); counts[0] covers
-    /// [0, first).
-    counts: Vec<u64>,
-    total: u64,
-    max_seen: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram whose first bucket ends at `first_bucket` and
-    /// which has `buckets` geometric buckets (values beyond the last bucket
-    /// clamp into it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_bucket <= 0` or `buckets == 0`.
-    pub fn new(first_bucket: f64, buckets: usize) -> Histogram {
-        assert!(first_bucket > 0.0, "first bucket must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            first_bucket,
-            counts: vec![0; buckets],
-            total: 0,
-            max_seen: 0.0,
-        }
-    }
-
-    /// Records one non-negative observation (negatives clamp to zero).
-    pub fn record(&mut self, x: f64) {
-        let x = x.max(0.0);
-        let idx = self.bucket_index(x);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.max_seen = self.max_seen.max(x);
-    }
-
-    /// Index of the bucket covering `x`, comparing against the exact bucket
-    /// boundaries `first * 2^i`.
-    ///
-    /// Doubling an f64 is exact, so the comparisons are too. The previous
-    /// `(x / first).log2().floor()` formulation rounded the quotient at
-    /// boundary values when `first` is not a power of two (e.g.
-    /// `0.6 / 0.3 == 1.9999999999999998`), filing boundary samples one
-    /// bucket low.
-    fn bucket_index(&self, x: f64) -> usize {
-        let last = self.counts.len() - 1;
-        if x < self.first_bucket || last == 0 {
-            return 0;
-        }
-        let mut upper = self.first_bucket * 2.0;
-        let mut idx = 1;
-        while x >= upper && idx < last {
-            upper *= 2.0;
-            idx += 1;
-        }
-        idx
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Largest observation seen.
-    pub fn max(&self) -> f64 {
-        self.max_seen
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile (`0 < q <= 1`).
-    ///
-    /// Returns 0 for an empty histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `(0, 1]`.
-    pub fn percentile(&self, q: f64) -> f64 {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let want = (q * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= want {
-                return if i == 0 {
-                    self.first_bucket
-                } else {
-                    self.first_bucket * 2f64.powi(i as i32)
-                };
-            }
-        }
-        self.max_seen
-    }
-
-    /// Iterates over `(bucket_upper_bound, count)` for non-empty buckets.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts.iter().enumerate().filter_map(move |(i, &c)| {
-            if c == 0 {
-                None
-            } else {
-                let bound = if i == 0 {
-                    self.first_bucket
-                } else {
-                    self.first_bucket * 2f64.powi(i as i32)
-                };
-                Some((bound, c))
-            }
-        })
-    }
-}
-
 /// Two-sided 97.5th percentile of Student's t distribution for `df` degrees
 /// of freedom (so that ±t covers 95%).
 fn t_value_975(df: usize) -> f64 {
@@ -374,89 +238,6 @@ mod tests {
         assert!(t_value_975(30) > t_value_975(1000));
         assert!((t_value_975(1000) - 1.96).abs() < 1e-9);
         assert!(t_value_975(0).is_infinite());
-    }
-
-    #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = Histogram::new(1.0, 8);
-        for x in [0.1, 0.2, 0.9, 1.5, 3.0, 7.0, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.len(), 7);
-        assert_eq!(h.max(), 100.0);
-        // p50 falls in the [1,2) bucket -> bound 2.0 (4th of 7 values).
-        assert_eq!(h.percentile(0.5), 2.0);
-        assert!(h.percentile(1.0) >= h.percentile(0.5));
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(buckets[0], (1.0, 3), "three sub-1 values");
-    }
-
-    #[test]
-    fn histogram_boundary_values_land_in_the_upper_bucket() {
-        // Bucket i covers [first*2^(i-1), first*2^i): a sample exactly on a
-        // boundary belongs to the bucket above it. With first = 0.3 the old
-        // log2-based indexing returned 1.9999999999999998 for 0.6/0.3 and
-        // filed the sample one bucket low.
-        for first in [0.3, 0.7, 1.0, 2.5] {
-            let buckets = 10;
-            let mut h = Histogram::new(first, buckets);
-            let mut boundary = first;
-            for i in 1..buckets {
-                h.record(boundary); // == first * 2^(i-1), exact
-                let counts: Vec<_> = h.buckets().collect();
-                assert_eq!(
-                    counts.last().unwrap(),
-                    &(first * 2f64.powi(i as i32), 1),
-                    "boundary {boundary} (first {first}) misbucketed"
-                );
-                boundary *= 2.0;
-            }
-            // Just below each boundary stays in the lower bucket.
-            let mut h = Histogram::new(first, buckets);
-            let below = first * (1.0 - f64::EPSILON);
-            h.record(below);
-            assert_eq!(h.buckets().next().unwrap(), (first, 1));
-        }
-    }
-
-    #[test]
-    fn histogram_regression_first_point_three() {
-        let mut h = Histogram::new(0.3, 8);
-        h.record(0.6);
-        // 0.6 ∈ [0.6, 1.2) -> the bucket with upper bound 1.2.
-        assert_eq!(h.buckets().next().unwrap(), (0.3 * 4.0, 1));
-    }
-
-    #[test]
-    fn histogram_single_bucket_takes_everything() {
-        let mut h = Histogram::new(1.0, 1);
-        h.record(0.5);
-        h.record(123.0);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.buckets().next().unwrap(), (1.0, 2));
-    }
-
-    #[test]
-    fn histogram_clamps_extremes() {
-        let mut h = Histogram::new(1.0, 4);
-        h.record(-5.0); // clamps to 0
-        h.record(1e12); // clamps to last bucket
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.percentile(0.25), 1.0);
-    }
-
-    #[test]
-    fn empty_histogram_is_safe() {
-        let h = Histogram::new(2.0, 4);
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(0.5), 0.0);
-        assert_eq!(h.buckets().count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn bad_quantile_panics() {
-        Histogram::new(1.0, 2).percentile(0.0);
     }
 
     #[test]

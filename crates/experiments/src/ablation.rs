@@ -8,9 +8,11 @@
 //! * `Tf/Tc` ratio sweep — how the timing regime shifts the overhead
 //!   between computations and floodings.
 
-use crate::runner::{run_dgmc, RunMetrics, RunOptions};
+use crate::presets::{sweep, Row};
+use crate::runner::{run_dgmc, RunMetrics, TraceMode};
 use crate::workload::{self, BurstParams};
 use dgmc_core::switch::DgmcConfig;
+use dgmc_des::par;
 use dgmc_des::stats::Tally;
 use dgmc_des::SimDuration;
 use dgmc_mctree::{algorithms, KmbStrategy, McAlgorithm, SphStrategy};
@@ -20,52 +22,36 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-/// Outcome of one strategy arm in the strategy ablation.
-#[derive(Debug, Clone, Default)]
-pub struct StrategyArm {
-    /// Proposals per event.
-    pub proposals: Tally,
-    /// Convergence in rounds.
-    pub convergence: Tally,
-    /// Final tree cost relative to a from-scratch SPH tree (competitiveness).
-    pub competitiveness: Tally,
+/// The timing every ablation but the `Tc` sweep runs under (Experiment 1's).
+fn lan() -> DgmcConfig {
+    DgmcConfig::computation_dominated()
+}
+
+/// One bursty run on an `n`-switch Waxman graph drawn from `seed`; `None`
+/// if it failed.
+fn bursty_run(
+    n: usize,
+    seed: u64,
+    params: &BurstParams,
+    config: DgmcConfig,
+    algorithm: Rc<dyn McAlgorithm>,
+) -> Option<RunMetrics> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
+    let wl = workload::bursty(&mut rng, &net, params);
+    run_dgmc(&net, config, &wl, algorithm, TraceMode::Off).ok()
 }
 
 /// SPH-incremental versus KMB-from-scratch under identical bursty
-/// workloads.
-pub fn strategy_ablation(n: usize, graphs: usize, seed: u64) -> (StrategyArm, StrategyArm) {
-    let mut sph_arm = StrategyArm::default();
-    let mut kmb_arm = StrategyArm::default();
-    for g in 0..graphs {
+/// workloads: one [`Row`] per strategy.
+pub fn strategy_ablation(n: usize, graphs: usize, seed: u64) -> (Row, Row) {
+    let runs = sweep(par::default_jobs(), graphs, |g| {
         let s = seed.wrapping_add(g as u64);
-        for (arm, alg) in [
-            (
-                &mut sph_arm,
-                Rc::new(SphStrategy::new()) as Rc<dyn McAlgorithm>,
-            ),
-            (
-                &mut kmb_arm,
-                Rc::new(KmbStrategy::new()) as Rc<dyn McAlgorithm>,
-            ),
-        ] {
-            let mut rng = StdRng::seed_from_u64(s);
-            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-            if let Ok(m) = run_dgmc(
-                &net,
-                DgmcConfig::computation_dominated(),
-                &wl,
-                alg,
-                RunOptions::default(),
-            ) {
-                arm.proposals.record(m.proposals_per_event());
-                if let Some(r) = m.convergence_rounds {
-                    arm.convergence.record(r);
-                }
-            }
-        }
-    }
-    (sph_arm, kmb_arm)
+        let run = |alg| bursty_run(n, s, &BurstParams::default(), lan(), alg);
+        let sph = run(Rc::new(SphStrategy::new()) as Rc<dyn McAlgorithm>);
+        (sph, run(Rc::new(KmbStrategy::new())))
+    });
+    runs.into_iter().unzip()
 }
 
 /// Quality of dynamically maintained trees: applies a long random
@@ -103,195 +89,96 @@ pub fn incremental_quality(n: usize, steps: usize, seed: u64) -> Tally {
     tally
 }
 
-/// One row of the burst-size sweep.
-#[derive(Debug, Clone, Default)]
-pub struct BurstRow {
-    /// Number of clustered events.
-    pub burst: usize,
-    /// Proposals per event.
-    pub proposals: Tally,
-    /// Floodings per event.
-    pub floodings: Tally,
-    /// Convergence in rounds.
-    pub convergence: Tally,
-}
-
-/// Sweeps the burst size at a fixed network size.
-pub fn burst_sweep(n: usize, bursts: &[usize], graphs: usize, seed: u64) -> Vec<BurstRow> {
-    let mut rows = Vec::new();
-    for &burst in bursts {
-        let mut row = BurstRow {
-            burst,
-            ..BurstRow::default()
+/// Sweeps the burst size at a fixed network size: one [`Row`] per burst
+/// size.
+pub fn burst_sweep(n: usize, bursts: &[usize], graphs: usize, seed: u64) -> Vec<(usize, Row)> {
+    let row = |burst: usize| -> Row {
+        let params = BurstParams {
+            burst_events: burst,
+            ..BurstParams::default()
         };
-        for g in 0..graphs {
+        let runs = sweep(par::default_jobs(), graphs, |g| {
             let s = seed
                 .wrapping_mul(131)
                 .wrapping_add((burst as u64) << 24)
                 .wrapping_add(g as u64);
             let mut rng = StdRng::seed_from_u64(s);
             let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let params = BurstParams {
-                burst_events: burst,
-                ..BurstParams::default()
-            };
             let wl = workload::bursty(&mut rng, &net, &params);
-            if wl.events.is_empty() {
-                continue;
-            }
-            if let Ok(m) = run_dgmc(
-                &net,
-                DgmcConfig::computation_dominated(),
-                &wl,
-                Rc::new(SphStrategy::new()),
-                RunOptions::default(),
-            ) {
-                record(
-                    &mut row.proposals,
-                    &mut row.floodings,
-                    &mut row.convergence,
-                    &m,
-                );
-            }
-        }
-        rows.push(row);
-    }
-    rows
+            // An empty workload is no sample (and no failure) at all.
+            let alg = Rc::new(SphStrategy::new());
+            (!wl.events.is_empty()).then(|| run_dgmc(&net, lan(), &wl, alg, TraceMode::Off).ok())
+        });
+        runs.into_iter().flatten().collect()
+    };
+    bursts.iter().map(|&burst| (burst, row(burst))).collect()
 }
 
-/// One row of the timing-regime sweep.
-#[derive(Debug, Clone, Default)]
-pub struct TimingRow {
-    /// The `Tc` used (per-hop fixed at 10 µs).
-    pub tc_micros: u64,
-    /// Proposals per event.
-    pub proposals: Tally,
-    /// Floodings per event.
-    pub floodings: Tally,
-    /// Convergence in rounds (note: the round itself scales with `Tc`).
-    pub convergence: Tally,
-}
-
-/// Sweeps `Tc` at fixed per-hop delay, moving between the paper's two
-/// regimes.
-pub fn timing_sweep(n: usize, tcs_micros: &[u64], graphs: usize, seed: u64) -> Vec<TimingRow> {
-    let mut rows = Vec::new();
-    for &tc in tcs_micros {
-        let mut row = TimingRow {
-            tc_micros: tc,
-            ..TimingRow::default()
-        };
+/// Sweeps `Tc` (in µs) at a fixed 10 µs per-hop delay, moving between the
+/// paper's two regimes: one [`Row`] per `Tc` (its convergence is in
+/// rounds, and the round itself scales with `Tc`).
+pub fn timing_sweep(n: usize, tcs_micros: &[u64], graphs: usize, seed: u64) -> Vec<(u64, Row)> {
+    let row = |tc: u64| -> Row {
         let config = DgmcConfig {
             tc: SimDuration::micros(tc),
             per_hop: SimDuration::micros(10),
         };
-        for g in 0..graphs {
+        let runs = sweep(par::default_jobs(), graphs, |g| {
             let s = seed
                 .wrapping_mul(733)
                 .wrapping_add(tc << 18)
                 .wrapping_add(g as u64);
-            let mut rng = StdRng::seed_from_u64(s);
-            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-            if let Ok(m) = run_dgmc(
-                &net,
-                config,
-                &wl,
-                Rc::new(SphStrategy::new()),
-                RunOptions::default(),
-            ) {
-                record(
-                    &mut row.proposals,
-                    &mut row.floodings,
-                    &mut row.convergence,
-                    &m,
-                );
-            }
-        }
-        rows.push(row);
-    }
-    rows
-}
-
-/// One row of the connection-size sweep.
-#[derive(Debug, Clone, Default)]
-pub struct McSizeRow {
-    /// Initial member count before the burst.
-    pub members: usize,
-    /// Proposals per event.
-    pub proposals: Tally,
-    /// Floodings per event.
-    pub floodings: Tally,
+            let alg = Rc::new(SphStrategy::new());
+            bursty_run(n, s, &BurstParams::default(), config, alg)
+        });
+        runs.into_iter().collect()
+    };
+    tcs_micros.iter().map(|&tc| (tc, row(tc))).collect()
 }
 
 /// Sweeps the connection size (initial members) at a fixed network size —
 /// D-GMC's per-event cost must not grow with MC size (only the tree
 /// computation inside `Tc` does, which the metric deliberately excludes).
-pub fn mc_size_sweep(n: usize, sizes: &[usize], graphs: usize, seed: u64) -> Vec<McSizeRow> {
-    let mut rows = Vec::new();
-    for &members in sizes {
-        let mut row = McSizeRow {
-            members,
-            ..McSizeRow::default()
+pub fn mc_size_sweep(n: usize, sizes: &[usize], graphs: usize, seed: u64) -> Vec<(usize, Row)> {
+    let row = |members: usize| -> Row {
+        let params = BurstParams {
+            initial_members: members,
+            ..BurstParams::default()
         };
-        for g in 0..graphs {
+        let runs = sweep(par::default_jobs(), graphs, |g| {
             let s = seed
                 .wrapping_mul(911)
                 .wrapping_add((members as u64) << 20)
                 .wrapping_add(g as u64);
-            let mut rng = StdRng::seed_from_u64(s);
-            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let params = BurstParams {
-                initial_members: members,
-                ..BurstParams::default()
-            };
-            let wl = workload::bursty(&mut rng, &net, &params);
-            if let Ok(m) = run_dgmc(
-                &net,
-                DgmcConfig::computation_dominated(),
-                &wl,
-                Rc::new(SphStrategy::new()),
-                RunOptions::default(),
-            ) {
-                row.proposals.record(m.proposals_per_event());
-                row.floodings.record(m.floodings_per_event());
-            }
-        }
-        rows.push(row);
-    }
-    rows
+            bursty_run(n, s, &params, lan(), Rc::new(SphStrategy::new()))
+        });
+        runs.into_iter().collect()
+    };
+    sizes.iter().map(|&m| (m, row(m))).collect()
 }
 
-/// Distribution of convergence times (in rounds) over many bursty runs,
-/// for tail analysis beyond the mean ± CI the paper reports.
-pub fn convergence_distribution(n: usize, runs: usize, seed: u64) -> dgmc_des::stats::Histogram {
-    let mut hist = dgmc_des::stats::Histogram::new(0.5, 16);
-    for r in 0..runs {
+/// Convergence times (in rounds) of many bursty runs, sorted ascending,
+/// for tail analysis beyond the mean ± CI the paper reports; and the number
+/// of runs that failed.
+pub fn convergence_distribution(n: usize, runs: usize, seed: u64) -> (Vec<f64>, usize) {
+    let results = sweep(par::default_jobs(), runs, |r| {
         let s = seed.wrapping_mul(613).wrapping_add(r as u64);
-        let mut rng = StdRng::seed_from_u64(s);
-        let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-        let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-        if let Ok(m) = run_dgmc(
-            &net,
-            DgmcConfig::computation_dominated(),
-            &wl,
-            Rc::new(SphStrategy::new()),
-            RunOptions::default(),
-        ) {
-            if let Some(rounds) = m.convergence_rounds {
-                hist.record(rounds);
-            }
-        }
-    }
-    hist
+        let sph = Rc::new(SphStrategy::new());
+        let m = bursty_run(n, s, &BurstParams::default(), lan(), sph);
+        m.map(|m| m.convergence_rounds)
+    });
+    let failures = results.iter().filter(|r| r.is_none()).count();
+    let mut rounds: Vec<f64> = results.into_iter().flatten().flatten().collect();
+    rounds.sort_by(f64::total_cmp);
+    (rounds, failures)
 }
 
-fn record(proposals: &mut Tally, floodings: &mut Tally, convergence: &mut Tally, m: &RunMetrics) {
-    proposals.record(m.proposals_per_event());
-    floodings.record(m.floodings_per_event());
-    if let Some(r) = m.convergence_rounds {
-        convergence.record(r);
-    }
+/// The nearest-rank `q`-quantile (`0 < q <= 1`) of ascending `sorted`
+/// samples: the smallest sample with at least a `q` share of the samples
+/// at or below it, so it is always one of the samples. 0 when empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -301,6 +188,7 @@ mod tests {
     #[test]
     fn strategy_arms_both_converge() {
         let (sph, kmb) = strategy_ablation(20, 2, 5);
+        assert_eq!((sph.failures, kmb.failures), (0, 0));
         assert_eq!(sph.proposals.len(), 2);
         assert_eq!(kmb.proposals.len(), 2);
         // The protocol is algorithm-agnostic: overhead within the same
@@ -322,35 +210,41 @@ mod tests {
     fn burst_sweep_scales_with_conflicts() {
         let rows = burst_sweep(20, &[1, 8], 2, 9);
         assert_eq!(rows.len(), 2);
+        let (single, burst) = (&rows[0].1, &rows[1].1);
         assert!(
-            (rows[0].proposals.mean() - 1.0).abs() < 0.01,
+            (single.proposals.mean() - 1.0).abs() < 0.01,
             "single event is conflict-free"
         );
-        assert!(rows[1].proposals.mean() >= rows[0].proposals.mean());
+        assert!(burst.proposals.mean() >= single.proposals.mean());
     }
 
     #[test]
     fn mc_size_does_not_change_per_event_cost() {
         let rows = mc_size_sweep(25, &[3, 10], 2, 21);
         assert_eq!(rows.len(), 2);
-        let small = rows[0].proposals.mean();
-        let large = rows[1].proposals.mean();
+        let small = rows[0].1.proposals.mean();
+        let large = rows[1].1.proposals.mean();
         assert!((small - large).abs() < 1.0, "{small} vs {large}");
     }
 
     #[test]
     fn convergence_distribution_has_bounded_tail() {
-        let hist = convergence_distribution(25, 6, 33);
-        assert_eq!(hist.len(), 6);
-        assert!(hist.percentile(1.0) <= 16.0, "no pathological tails");
-        assert!(hist.percentile(0.5) >= 0.5);
+        let (rounds, failures) = convergence_distribution(25, 6, 33);
+        assert_eq!((rounds.len(), failures), (6, 0));
+        let (p50, p95) = (nearest_rank(&rounds, 0.5), nearest_rank(&rounds, 0.95));
+        let max = rounds[rounds.len() - 1];
+        assert!(p50 <= p95 && p95 <= max, "p50 {p50}, p95 {p95}, max {max}");
+        assert!(rounds.contains(&p50) && rounds.contains(&p95));
+        assert!(max <= 16.0, "no pathological tails");
+        assert!(p50 >= 0.5);
     }
 
     #[test]
     fn timing_sweep_produces_rows() {
         let rows = timing_sweep(20, &[50, 300], 2, 13);
         assert_eq!(rows.len(), 2);
-        for r in &rows {
+        for (_, r) in &rows {
+            assert_eq!(r.failures, 0);
             assert!(!r.proposals.is_empty());
             assert!(r.proposals.mean() >= 1.0);
         }

@@ -5,6 +5,13 @@
 
 use dgmc_experiments::ablation;
 
+/// Stdout keeps its format; a sweep that lost runs says so on stderr.
+fn report_failures(section: &str, failures: usize) {
+    if failures > 0 {
+        eprintln!("ablation ({section}): {failures} run(s) failed and are not in the means");
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n, graphs) = if quick { (30, 3) } else { (100, 10) };
@@ -23,6 +30,7 @@ fn main() {
         kmb.proposals.ci95_half_width(),
         kmb.convergence.mean()
     );
+    report_failures("a", sph.failures + kmb.failures);
 
     println!();
     println!("== (b) Incremental tree quality over a long join/leave trace ==");
@@ -40,48 +48,51 @@ fn main() {
     } else {
         &[1, 5, 10, 20, 30]
     };
-    for row in ablation::burst_sweep(n, bursts, graphs, 0xAB3) {
+    for (burst, row) in ablation::burst_sweep(n, bursts, graphs, 0xAB3) {
         println!(
             "burst {:>3}: proposals/event {:.2} ±{:.2}, floodings/event {:.2}, convergence {:.1} rounds",
-            row.burst,
+            burst,
             row.proposals.mean(),
             row.proposals.ci95_half_width(),
             row.floodings.mean(),
             row.convergence.mean()
         );
+        report_failures("c", row.failures);
     }
 
     println!();
     println!("== (d) Connection-size sweep: per-event cost vs MC size (n={n}) ==");
     let sizes: &[usize] = if quick { &[3, 10] } else { &[3, 10, 20, 40] };
-    for row in ablation::mc_size_sweep(n, sizes, graphs, 0xAB5) {
+    for (members, row) in ablation::mc_size_sweep(n, sizes, graphs, 0xAB5) {
         println!(
             "members {:>3}: proposals/event {:.2} ±{:.2}, floodings/event {:.2}",
-            row.members,
+            members,
             row.proposals.mean(),
             row.proposals.ci95_half_width(),
             row.floodings.mean()
         );
+        report_failures("d", row.failures);
     }
 
     println!();
     println!("== (e) Convergence-time distribution (bursty, n={n}) ==");
     let runs = if quick { 10 } else { 50 };
-    let hist = ablation::convergence_distribution(n, runs, 0xAB6);
+    let (rounds, failures) = ablation::convergence_distribution(n, runs, 0xAB6);
     println!(
-        "{} runs: p50 <= {:.1} rounds, p95 <= {:.1} rounds, max {:.2} rounds",
-        hist.len(),
-        hist.percentile(0.5),
-        hist.percentile(0.95),
-        hist.max()
+        "{} runs: p50 {:.2} rounds, p95 {:.2} rounds, max {:.2} rounds",
+        rounds.len(),
+        ablation::nearest_rank(&rounds, 0.5),
+        ablation::nearest_rank(&rounds, 0.95),
+        ablation::nearest_rank(&rounds, 1.0)
     );
+    report_failures("e", failures);
 
     println!();
     println!("== (f) Topology-family robustness (bursty, n={n}) ==");
-    for row in dgmc_experiments::robustness::family_sweep(n, graphs, 0xAB7) {
+    for (family, row) in dgmc_experiments::robustness::family_sweep(n, graphs, 0xAB7) {
         println!(
             "{:>16}: proposals/event {:.2} ±{:.2}, floodings/event {:.2}, convergence {:.1} rounds ({} failures)",
-            row.family.name(),
+            family.name(),
             row.proposals.mean(),
             row.proposals.ci95_half_width(),
             row.floodings.mean(),
@@ -97,13 +108,14 @@ fn main() {
     } else {
         &[10, 50, 100, 300, 1000]
     };
-    for row in ablation::timing_sweep(n, tcs, graphs, 0xAB4) {
+    for (tc, row) in ablation::timing_sweep(n, tcs, graphs, 0xAB4) {
         println!(
             "Tc {:>5}us: proposals/event {:.2}, floodings/event {:.2}, convergence {:.1} rounds",
-            row.tc_micros,
+            tc,
             row.proposals.mean(),
             row.floodings.mean(),
             row.convergence.mean()
         );
+        report_failures("g", row.failures);
     }
 }

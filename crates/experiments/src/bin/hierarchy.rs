@@ -6,7 +6,8 @@
 use dgmc_core::switch::DgmcConfig;
 use dgmc_core::{McId, McType, Role};
 use dgmc_des::stats::Tally;
-use dgmc_des::{ActorId, SimDuration};
+use dgmc_des::{par, ActorId, SimDuration};
+use dgmc_experiments::presets::sweep;
 use dgmc_hierarchy::backbone::Backbone;
 use dgmc_hierarchy::switch::{build_hier_sim, counters, HierMsg};
 use dgmc_hierarchy::{scope, AreaMap, HierarchicalMc};
@@ -78,29 +79,25 @@ fn main() {
     println!("== Hierarchical vs flat tree cost (10 members, {graphs} graphs) ==");
     println!("{:>6}  {:>12} {:>12}", "areas", "cost ratio", "ci95");
     for &k in &area_counts[1..] {
-        let mut ratio = Tally::new();
-        for g in 0..graphs {
+        let ratios = sweep(par::default_jobs(), graphs, |g| {
             let mut rng = StdRng::seed_from_u64(0x47AF + g as u64);
             let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
             let map = AreaMap::partition(&net, k);
             if !map.areas_connected(&net) {
-                continue; // Waxman areas can split; skip those draws.
+                return None; // Waxman areas can split; skip those draws.
             }
             let backbone = Backbone::build(&net, &map);
             let members: BTreeSet<NodeId> = generate::sample_nodes(&mut rng, &net, 10)
                 .into_iter()
                 .collect();
-            let Ok(hier) = HierarchicalMc::compute(&net, &map, &backbone, &members) else {
-                continue;
-            };
+            let hier = HierarchicalMc::compute(&net, &map, &backbone, &members).ok()?;
             let flat = algorithms::takahashi_matsuyama(&net, &members);
-            if let (Some(hc), Some(fc)) = (hier.topology().total_cost(&net), flat.total_cost(&net))
-            {
-                if fc > 0 {
-                    ratio.record(hc as f64 / fc as f64);
-                }
+            match (hier.topology().total_cost(&net), flat.total_cost(&net)) {
+                (Some(hc), Some(fc)) if fc > 0 => Some(hc as f64 / fc as f64),
+                _ => None,
             }
-        }
+        });
+        let ratio: Tally = ratios.into_iter().flatten().collect();
         println!(
             "{:>6}  {:>12.3} {:>12.3}",
             k,

@@ -15,10 +15,10 @@ fn main() {
         "{:>6}  {:>18}  {:>18}  {:>8}",
         "MCs", "proposals/event", "floodings/event", "failures"
     );
-    for row in multi_mc::multi_mc_sweep(n, &counts, graphs, 0x31C) {
+    for (connections, row) in multi_mc::multi_mc_sweep(n, &counts, graphs, 0x31C) {
         println!(
             "{:>6}  {:>9.2} ±{:>6.2}  {:>9.2} ±{:>6.2}  {:>8}",
-            row.connections,
+            connections,
             row.proposals.mean(),
             row.proposals.ci95_half_width(),
             row.floodings.mean(),

@@ -6,7 +6,8 @@
 //! topology computation at every switch involved in the MC", and Section 2's
 //! brute-force cost of n redundant computations per event.
 
-use crate::runner::{run_dgmc, RunOptions};
+use crate::presets::sweep;
+use crate::runner::{run_dgmc, TraceMode};
 use crate::scenario::{self, Scenario};
 use crate::workload::{self, SparseParams};
 use dgmc_baselines::brute_force::{self, BfMsg};
@@ -15,7 +16,7 @@ use dgmc_baselines::mospf::{self, MospfMsg};
 use dgmc_core::switch::{build_dgmc_sim, counters as dgmc_counters, DgmcConfig};
 use dgmc_core::{McId, Role};
 use dgmc_des::stats::Tally;
-use dgmc_des::{ActorId, SimDuration};
+use dgmc_des::{par, ActorId, SimDuration};
 use dgmc_mctree::{algorithms, metrics as tree_metrics, SphStrategy};
 use dgmc_topology::{generate, NodeId};
 use rand::rngs::StdRng;
@@ -49,116 +50,128 @@ pub struct ProtocolRow {
 /// Sparse events give the cleanest per-event accounting (each event is fully
 /// handled before the next).
 pub fn compare_protocols(sizes: &[usize], graphs_per_size: usize, seed: u64) -> Vec<ProtocolRow> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let mut row = ProtocolRow {
-            n,
-            ..ProtocolRow::default()
-        };
-        for g in 0..graphs_per_size {
+    let row = |n: usize| -> ProtocolRow {
+        let runs = sweep(par::default_jobs(), graphs_per_size, |g| {
             let run_seed = seed
                 .wrapping_mul(7_778_777)
                 .wrapping_add((n as u64) << 20)
                 .wrapping_add(g as u64);
-            let mut rng = StdRng::seed_from_u64(run_seed);
-            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let params = SparseParams::default();
-            let wl = workload::sparse(&mut rng, &net, &params);
-            if wl.events.is_empty() {
-                continue;
-            }
-            let events = wl.events.len() as f64;
-
-            // --- D-GMC ---
-            let dgmc = run_dgmc(
-                &net,
-                DgmcConfig::computation_dominated(),
-                &wl,
-                Rc::new(SphStrategy::new()),
-                RunOptions::default(),
-            )
-            .expect("sparse D-GMC run converges");
-            row.dgmc_computations
-                .record(dgmc.computations as f64 / events);
-            row.dgmc_floodings.record(dgmc.floodings as f64 / events);
-
-            // --- Brute force ---
-            let mut bf = brute_force::build_bf_sim(
-                &net,
-                DgmcConfig::computation_dominated().tc,
-                DgmcConfig::computation_dominated().per_hop,
-                Rc::new(SphStrategy::new()),
-            );
-            for (i, m) in wl.initial_members.iter().enumerate() {
-                bf.inject(
-                    ActorId(m.0),
-                    SimDuration::millis(200) * i as u64,
-                    BfMsg::HostJoin {
-                        mc: MC,
-                        role: Role::SenderReceiver,
-                    },
-                );
-            }
-            bf.run_to_quiescence();
-            bf.reset_counters();
-            for e in &wl.events {
-                let msg = if e.join {
-                    BfMsg::HostJoin {
-                        mc: MC,
-                        role: Role::SenderReceiver,
-                    }
-                } else {
-                    BfMsg::HostLeave { mc: MC }
-                };
-                bf.inject(ActorId(e.node.0), e.at, msg);
-            }
-            bf.run_to_quiescence();
-            row.bf_computations
-                .record(bf.counter_value(brute_force::counters::COMPUTATIONS) as f64 / events);
-            row.bf_floodings
-                .record(bf.counter_value(brute_force::counters::FLOODINGS) as f64 / events);
-
-            // --- MOSPF: after every membership event a datagram flows and
-            // retriggers computation at every on-tree router. ---
-            let mut mo = mospf::build_mospf_sim(&net, DgmcConfig::computation_dominated().per_hop);
-            for (i, m) in wl.initial_members.iter().enumerate() {
-                mo.inject(
-                    ActorId(m.0),
-                    SimDuration::millis(200) * i as u64,
-                    MospfMsg::HostJoin { group: MC },
-                );
-            }
-            mo.run_to_quiescence();
-            mo.reset_counters();
-            let source = wl.initial_members[0];
-            for (k, e) in wl.events.iter().enumerate() {
-                let msg = if e.join {
-                    MospfMsg::HostJoin { group: MC }
-                } else {
-                    MospfMsg::HostLeave { group: MC }
-                };
-                mo.inject(ActorId(e.node.0), SimDuration::ZERO, msg);
-                mo.run_to_quiescence();
-                mo.inject(
-                    ActorId(source.0),
-                    SimDuration::ZERO,
-                    MospfMsg::Data {
-                        group: MC,
-                        source,
-                        via: None,
-                        packet_id: k as u64,
-                    },
-                );
-                mo.run_to_quiescence();
-            }
-            row.mospf_computations
-                .record(mo.counter_value(mospf::counters::COMPUTATIONS) as f64 / events);
-            row.mospf_floodings
-                .record(mo.counter_value(mospf::counters::FLOODINGS) as f64 / events);
+            one_comparison(n, run_seed)
+        });
+        let mut row = ProtocolRow {
+            n,
+            ..ProtocolRow::default()
+        };
+        for [dc, bc, mc, df, bf, mf] in runs.into_iter().flatten() {
+            row.dgmc_computations.record(dc);
+            row.dgmc_floodings.record(df);
+            row.bf_computations.record(bc);
+            row.bf_floodings.record(bf);
+            row.mospf_computations.record(mc);
+            row.mospf_floodings.record(mf);
         }
-        rows.push(row);
+        row
+    };
+    sizes.iter().map(|&n| row(n)).collect()
+}
+
+/// One graph of [`compare_protocols`]: computations and floodings per event
+/// of D-GMC, brute force and MOSPF, in that order (`None` for an empty
+/// workload).
+fn one_comparison(n: usize, run_seed: u64) -> Option<[f64; 6]> {
+    let mut rng = StdRng::seed_from_u64(run_seed);
+    let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
+    let params = SparseParams::default();
+    let wl = workload::sparse(&mut rng, &net, &params);
+    if wl.events.is_empty() {
+        return None;
     }
-    rows
+    let events = wl.events.len() as f64;
+
+    // --- D-GMC ---
+    let dgmc = run_dgmc(
+        &net,
+        DgmcConfig::computation_dominated(),
+        &wl,
+        Rc::new(SphStrategy::new()),
+        TraceMode::Off,
+    )
+    .expect("sparse D-GMC run converges");
+
+    // --- Brute force ---
+    let mut bf = brute_force::build_bf_sim(
+        &net,
+        DgmcConfig::computation_dominated().tc,
+        DgmcConfig::computation_dominated().per_hop,
+        Rc::new(SphStrategy::new()),
+    );
+    for (i, m) in wl.initial_members.iter().enumerate() {
+        bf.inject(
+            ActorId(m.0),
+            SimDuration::millis(200) * i as u64,
+            BfMsg::HostJoin {
+                mc: MC,
+                role: Role::SenderReceiver,
+            },
+        );
+    }
+    bf.run_to_quiescence();
+    bf.reset_counters();
+    for e in &wl.events {
+        let msg = if e.join {
+            BfMsg::HostJoin {
+                mc: MC,
+                role: Role::SenderReceiver,
+            }
+        } else {
+            BfMsg::HostLeave { mc: MC }
+        };
+        bf.inject(ActorId(e.node.0), e.at, msg);
+    }
+    bf.run_to_quiescence();
+
+    // --- MOSPF: after every membership event a datagram flows and
+    // retriggers computation at every on-tree router. ---
+    let mut mo = mospf::build_mospf_sim(&net, DgmcConfig::computation_dominated().per_hop);
+    for (i, m) in wl.initial_members.iter().enumerate() {
+        mo.inject(
+            ActorId(m.0),
+            SimDuration::millis(200) * i as u64,
+            MospfMsg::HostJoin { group: MC },
+        );
+    }
+    mo.run_to_quiescence();
+    mo.reset_counters();
+    let source = wl.initial_members[0];
+    for (k, e) in wl.events.iter().enumerate() {
+        let msg = if e.join {
+            MospfMsg::HostJoin { group: MC }
+        } else {
+            MospfMsg::HostLeave { group: MC }
+        };
+        mo.inject(ActorId(e.node.0), SimDuration::ZERO, msg);
+        mo.run_to_quiescence();
+        mo.inject(
+            ActorId(source.0),
+            SimDuration::ZERO,
+            MospfMsg::Data {
+                group: MC,
+                source,
+                via: None,
+                packet_id: k as u64,
+            },
+        );
+        mo.run_to_quiescence();
+    }
+    let per_event = |count: u64| count as f64 / events;
+    Some([
+        per_event(dgmc.computations),
+        per_event(bf.counter_value(brute_force::counters::COMPUTATIONS)),
+        per_event(mo.counter_value(mospf::counters::COMPUTATIONS)),
+        per_event(dgmc.floodings),
+        per_event(bf.counter_value(brute_force::counters::FLOODINGS)),
+        per_event(mo.counter_value(mospf::counters::FLOODINGS)),
+    ])
 }
 
 /// Tree-quality comparison of CBT shared trees against D-GMC Steiner trees.
@@ -180,59 +193,69 @@ pub struct CbtRow {
 /// Compares CBT trees (best core) with the Steiner heuristic trees D-GMC
 /// installs, over random graphs and member sets.
 pub fn compare_cbt(sizes: &[usize], graphs_per_size: usize, seed: u64) -> Vec<CbtRow> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let mut row = CbtRow {
-            n,
-            ..CbtRow::default()
-        };
-        for g in 0..graphs_per_size {
+    let row = |n: usize| -> CbtRow {
+        let runs = sweep(par::default_jobs(), graphs_per_size, |g| {
             let run_seed = seed
                 .wrapping_mul(31_337)
                 .wrapping_add((n as u64) << 18)
                 .wrapping_add(g as u64);
-            let mut rng = StdRng::seed_from_u64(run_seed);
-            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let members: BTreeSet<NodeId> = generate::sample_nodes(&mut rng, &net, (n / 5).max(3))
-                .into_iter()
-                .collect();
-            let Some(best) = cbt::best_core(&net, &members) else {
-                continue;
-            };
-            let (tree, hops) = cbt::build_cbt(&net, best, &members);
-            let steiner = algorithms::takahashi_matsuyama(&net, &members);
-            row.cbt_join_hops.record(hops as f64 / members.len() as f64);
-            if let (Some(cc), Some(sc)) = (tree.cost(&net), steiner.total_cost(&net)) {
-                if sc > 0 {
-                    row.cost_ratio.record(cc as f64 / sc as f64);
-                }
-            }
-            let sconc = tree_metrics::max_link_load(&steiner);
-            if sconc > 0 {
-                row.concentration_ratio
-                    .record(tree.traffic_concentration() as f64 / sconc as f64);
-            }
-            if let (Some(worst), Some(best)) = (
-                cbt::worst_core(&net, &members),
-                cbt::best_core(&net, &members),
-            ) {
-                let ecc = |c: NodeId| -> f64 {
-                    let spt = dgmc_topology::spf::shortest_path_tree(&net, c);
-                    members
-                        .iter()
-                        .filter_map(|&m| spt.cost_to(m))
-                        .max()
-                        .unwrap_or(0) as f64
-                };
-                let (be, we) = (ecc(best), ecc(worst));
-                if be > 0.0 {
-                    row.core_delay_ratio.record(we / be);
-                }
+            one_cbt_comparison(n, run_seed)
+        });
+        let mut row = CbtRow {
+            n,
+            ..CbtRow::default()
+        };
+        for [hops, cost, concentration, core_delay] in runs.into_iter().flatten() {
+            for (x, tally) in [
+                (hops, &mut row.cbt_join_hops),
+                (cost, &mut row.cost_ratio),
+                (concentration, &mut row.concentration_ratio),
+                (core_delay, &mut row.core_delay_ratio),
+            ] {
+                tally.extend(x);
             }
         }
-        rows.push(row);
+        row
+    };
+    sizes.iter().map(|&n| row(n)).collect()
+}
+
+/// One graph of [`compare_cbt`]: the join hops per member, then the cost,
+/// concentration and core-delay ratios where they are defined (`None` when
+/// the member set has no core).
+fn one_cbt_comparison(n: usize, run_seed: u64) -> Option<[Option<f64>; 4]> {
+    let mut rng = StdRng::seed_from_u64(run_seed);
+    let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
+    let members: BTreeSet<NodeId> = generate::sample_nodes(&mut rng, &net, (n / 5).max(3))
+        .into_iter()
+        .collect();
+    let best = cbt::best_core(&net, &members)?;
+    let (tree, hops) = cbt::build_cbt(&net, best, &members);
+    let steiner = algorithms::takahashi_matsuyama(&net, &members);
+    let hops = hops as f64 / members.len() as f64;
+    let cost = match (tree.cost(&net), steiner.total_cost(&net)) {
+        (Some(cc), Some(sc)) if sc > 0 => Some(cc as f64 / sc as f64),
+        _ => None,
+    };
+    let sconc = tree_metrics::max_link_load(&steiner);
+    let concentration = (sconc > 0).then(|| tree.traffic_concentration() as f64 / sconc as f64);
+    let mut core_delay = None;
+    if let (Some(worst), Some(best)) = (
+        cbt::worst_core(&net, &members),
+        cbt::best_core(&net, &members),
+    ) {
+        let ecc = |c: NodeId| -> f64 {
+            let spt = dgmc_topology::spf::shortest_path_tree(&net, c);
+            members
+                .iter()
+                .filter_map(|&m| spt.cost_to(m))
+                .max()
+                .unwrap_or(0) as f64
+        };
+        let (be, we) = (ecc(best), ecc(worst));
+        core_delay = (be > 0.0).then(|| we / be);
     }
-    rows
+    Some([Some(hops), cost, concentration, core_delay])
 }
 
 /// Runs D-GMC and CBT over the *same* membership sequences and returns one
@@ -250,57 +273,65 @@ pub fn signaling_registry(
 ) -> dgmc_obs::MetricsRegistry {
     let mut registry = dgmc_obs::MetricsRegistry::new();
     for &n in sizes {
-        for g in 0..graphs_per_size {
+        let runs = sweep(par::default_jobs(), graphs_per_size, |g| {
             let run_seed = seed
                 .wrapping_mul(424_243)
                 .wrapping_add((n as u64) << 19)
                 .wrapping_add(g as u64);
-            let mut rng = StdRng::seed_from_u64(run_seed);
-            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-            let wl = workload::sparse(&mut rng, &net, &SparseParams::default());
-            if wl.events.is_empty() {
-                continue;
-            }
-
-            // D-GMC: measured-phase counters straight from the simulation's
-            // registry.
-            let mut sim = build_dgmc_sim(
-                &net,
-                DgmcConfig::computation_dominated(),
-                Rc::new(SphStrategy::new()),
-            );
-            let mut script = Scenario {
-                net: net.clone(),
-                steps: wl.warm_up(MC, SimDuration::millis(200)),
-            };
-            let Ok(()) = scenario::play(&script, &mut sim);
-            sim.run_to_quiescence();
-            sim.reset_counters();
-            script.steps = wl.measured(MC);
-            let Ok(()) = scenario::play(&script, &mut sim);
-            sim.run_to_quiescence();
-            registry.merge(sim.metrics());
-
-            // CBT: replay the same membership sequence as join requests
-            // toward the best core; only the measured-phase joins count.
-            let warm: BTreeSet<NodeId> = wl.initial_members.iter().copied().collect();
-            let Some(core) = cbt::best_core(&net, &warm) else {
-                continue;
-            };
-            let mut tree = cbt::CbtTree::new(core);
-            for &m in &warm {
-                tree.join(&net, m);
-            }
-            for e in &wl.events {
-                if e.join {
-                    tree.join_recorded(&net, e.node, &mut registry);
-                } else {
-                    tree.leave(e.node);
-                }
-            }
-        }
+            one_signaling(n, run_seed)
+        });
+        runs.iter().flatten().for_each(|r| registry.merge(r));
     }
     registry
+}
+
+/// One graph of [`signaling_registry`]: its own registry of both protocols'
+/// measured-phase signaling (`None` for an empty workload).
+fn one_signaling(n: usize, run_seed: u64) -> Option<dgmc_obs::MetricsRegistry> {
+    let mut rng = StdRng::seed_from_u64(run_seed);
+    let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
+    let wl = workload::sparse(&mut rng, &net, &SparseParams::default());
+    if wl.events.is_empty() {
+        return None;
+    }
+
+    // D-GMC: measured-phase counters straight from the simulation's
+    // registry.
+    let mut sim = build_dgmc_sim(
+        &net,
+        DgmcConfig::computation_dominated(),
+        Rc::new(SphStrategy::new()),
+    );
+    let mut script = Scenario {
+        net: net.clone(),
+        steps: wl.warm_up(MC, SimDuration::millis(200)),
+    };
+    let Ok(()) = scenario::play(&script, &mut sim);
+    sim.run_to_quiescence();
+    sim.reset_counters();
+    script.steps = wl.measured(MC);
+    let Ok(()) = scenario::play(&script, &mut sim);
+    sim.run_to_quiescence();
+    let mut registry = sim.metrics().clone();
+
+    // CBT: replay the same membership sequence as join requests toward the
+    // best core; only the measured-phase joins count.
+    let warm: BTreeSet<NodeId> = wl.initial_members.iter().copied().collect();
+    let Some(core) = cbt::best_core(&net, &warm) else {
+        return Some(registry);
+    };
+    let mut tree = cbt::CbtTree::new(core);
+    for &m in &warm {
+        tree.join(&net, m);
+    }
+    for e in &wl.events {
+        if e.join {
+            tree.join_recorded(&net, e.node, &mut registry);
+        } else {
+            tree.leave(e.node);
+        }
+    }
+    Some(registry)
 }
 
 /// Renders a protocol comparison table.

@@ -459,6 +459,15 @@ mod tests {
             run.net_stats
         );
         assert!(run.net_stats.reconciles(), "{}", run.net_stats);
+        // A faulty run reproduces bit for bit from its seed, down to the
+        // decision and span timelines of a replay, and observing it changes
+        // none of its traffic.
+        let replay = || run_scenario(3, &quick(), Some(quick().timeline));
+        let (a, b) = (replay(), replay());
+        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.net_stats, b.net_stats);
+        assert_eq!((a.timeline, a.causal), (b.timeline, b.causal));
+        assert_eq!(a.net_stats, run.net_stats);
     }
 
     #[test]

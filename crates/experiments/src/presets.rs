@@ -1,9 +1,11 @@
 //! Experiment presets matching the paper's three simulation setups, and the
-//! sweep driver that aggregates 20 random graphs per network size with 95%
-//! confidence intervals.
+//! one sweep every harness folds its random graphs through: [`sweep`]
+//! runs one closure per graph on the worker pool and hands the results back
+//! in graph order, and [`Row`] aggregates the paper's three per-event
+//! metrics with 95% confidence intervals.
 
 use crate::report;
-use crate::runner::{run_dgmc, RunMetrics, RunOptions, TraceMode};
+use crate::runner::{run_dgmc, RunMetrics, TraceMode};
 use crate::workload::{self, BurstParams, SparseParams, Workload};
 use dgmc_core::switch::DgmcConfig;
 use dgmc_des::par;
@@ -109,8 +111,8 @@ pub fn run_bin(tag: &str, mut spec: ExperimentSpec) {
         spec = quick(spec);
     }
     let sparse = matches!(spec.workload, WorkloadKind::Sparse(_));
-    let results = run_experiment(&spec, jobs_from_args(&args), |row| {
-        let (n, proposals, floodings) = (row.n, row.proposals.mean(), row.floodings.mean());
+    let results = run_experiment(&spec, jobs_from_args(&args), |n, row| {
+        let (proposals, floodings) = (row.proposals.mean(), row.floodings.mean());
         if sparse {
             // One computation per event is the floor; what matters is the excess.
             let excess = (proposals - 1.0).max(0.0);
@@ -153,19 +155,66 @@ pub fn quick(mut spec: ExperimentSpec) -> ExperimentSpec {
     spec
 }
 
-/// Aggregated metrics for one network size.
-#[derive(Debug, Clone, Default)]
-pub struct SizeRow {
-    /// The network size.
-    pub n: usize,
+/// The paper's three per-event metrics over a set of runs (mean and 95% CI
+/// of each), plus the runs that failed. A sweep that needs a label (a
+/// network size, a burst size, a `Tc`, a graph family) carries it beside
+/// the row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Row {
     /// Proposals (topology computations) per event.
     pub proposals: Tally,
     /// Flooding operations per event.
     pub floodings: Tally,
-    /// Convergence time in rounds (bursty workloads only).
+    /// Convergence time in rounds (runs with a round length only).
     pub convergence: Tally,
     /// Runs that failed (diverged / no consensus) — must stay 0.
     pub failures: usize,
+}
+
+impl Row {
+    /// Records one run; `None` is a failed run.
+    pub fn record(&mut self, run: Option<&RunMetrics>) {
+        let Some(m) = run else {
+            self.failures += 1;
+            return;
+        };
+        self.proposals.record(m.proposals_per_event());
+        self.floodings.record(m.floodings_per_event());
+        if let Some(r) = m.convergence_rounds {
+            self.convergence.record(r);
+        }
+    }
+}
+
+impl Extend<Option<RunMetrics>> for Row {
+    fn extend<I: IntoIterator<Item = Option<RunMetrics>>>(&mut self, runs: I) {
+        runs.into_iter().for_each(|run| self.record(run.as_ref()));
+    }
+}
+
+impl FromIterator<Option<RunMetrics>> for Row {
+    fn from_iter<I: IntoIterator<Item = Option<RunMetrics>>>(runs: I) -> Self {
+        let mut row = Row::default();
+        row.extend(runs);
+        row
+    }
+}
+
+/// The one per-graph loop of the experiment harnesses: runs `run(g)` for
+/// every graph `g < graphs` across `jobs` workers and returns the results
+/// **in graph order**.
+///
+/// Every graph is an independent pure function of its derived seed, so the
+/// sweep shards freely; folding the results in the order returned is the
+/// fold a serial loop performs, which keeps `Tally` float sums, merged
+/// registries and every rendered table byte-identical for every `jobs`
+/// value. Each run builds its own network, workload and `Rc`-based
+/// simulation inside the worker thread that claims it; only its result
+/// crosses threads.
+pub fn sweep<T: Send>(jobs: usize, graphs: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots = par::sweep(jobs, graphs, run, |_| false);
+    let done = |slot: Option<T>| slot.expect("uncancelled sweeps complete every graph");
+    slots.into_iter().map(done).collect()
 }
 
 /// Results of a full experiment sweep.
@@ -173,8 +222,8 @@ pub struct SizeRow {
 pub struct ExperimentResults {
     /// The spec that produced the results.
     pub name: String,
-    /// One row per network size.
-    pub rows: Vec<SizeRow>,
+    /// One row per network size, beside its size.
+    pub rows: Vec<(usize, Row)>,
     /// All per-run metric registries merged into one snapshot (see
     /// [`crate::report::write_metrics_snapshot`]).
     pub metrics: MetricsRegistry,
@@ -191,97 +240,57 @@ fn make_workload(kind: &WorkloadKind, rng: &mut StdRng, net: &Network) -> Worklo
     }
 }
 
-/// Runs the full sweep of an experiment spec across `jobs` worker threads,
-/// invoking `progress` after each completed size row.
-///
-/// Every graph of a size is an independent pure function of its derived
-/// seed, so the per-size sweep shards freely; results are folded back **in
-/// graph order** (the same fold a serial sweep performs), which keeps the
-/// `Tally` float sums, the merged metrics registry and the rendered
-/// `*.metrics.json` byte-identical for every `jobs` value.
-///
-/// Each run builds its own network, workload and `Rc`-based simulation
-/// inside the worker thread that claims it, so nothing in the simulation
-/// stack is shared across threads.
+/// Runs the full sweep of an experiment spec across `jobs` worker threads
+/// (see [`sweep`]), invoking `progress` after each completed size row.
 pub fn run_experiment(
     spec: &ExperimentSpec,
     jobs: usize,
-    mut progress: impl FnMut(&SizeRow),
+    mut progress: impl FnMut(usize, &Row),
 ) -> ExperimentResults {
     let mut rows = Vec::new();
     let mut metrics = MetricsRegistry::new();
     let mut trace = None;
     let exemplar_size = spec.sizes.first().copied();
     for &n in &spec.sizes {
-        let mut row = SizeRow {
-            n,
-            ..SizeRow::default()
-        };
-        let runs = par::sweep(
-            jobs.max(1),
-            spec.graphs_per_size,
-            |g| {
-                let seed = spec
-                    .seed
-                    .wrapping_mul(1_000_003)
-                    .wrapping_add((n as u64) << 16)
-                    .wrapping_add(g as u64);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
-                let workload = make_workload(&spec.workload, &mut rng, &net);
-                // Every run traces in Metrics mode (per-op convergence
-                // samples and gauges land in the merged registry); the
-                // first graph of the smallest size additionally keeps its
-                // spans as the sweep's exemplar trace.
-                let mode = if Some(n) == exemplar_size && g == 0 {
-                    TraceMode::Full
-                } else {
-                    TraceMode::Metrics
-                };
-                let opts = RunOptions {
-                    trace: mode,
-                    ..RunOptions::default()
-                };
-                run_dgmc(
-                    &net,
-                    spec.config,
-                    &workload,
-                    Rc::new(SphStrategy::new()),
-                    opts,
-                )
-                .ok()
-            },
-            |_| false,
-        );
-        // Fold in graph order: identical to the serial sweep, bit for bit.
-        for run in runs {
-            match run.expect("uncancelled sweeps complete every graph") {
-                Some(mut m) => {
-                    if let Some(t) = m.trace.take() {
-                        trace.get_or_insert(t);
-                    }
-                    record(&mut row, &m);
-                    metrics.merge(&m.registry);
+        let mut row = Row::default();
+        let runs = sweep(jobs, spec.graphs_per_size, |g| {
+            let seed = spec
+                .seed
+                .wrapping_mul(1_000_003)
+                .wrapping_add((n as u64) << 16)
+                .wrapping_add(g as u64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = generate::waxman(&mut rng, n, &generate::WaxmanParams::default());
+            let workload = make_workload(&spec.workload, &mut rng, &net);
+            // Every run traces in Metrics mode (per-op convergence samples
+            // and gauges land in the merged registry); the first graph of
+            // the smallest size additionally keeps its spans as the sweep's
+            // exemplar trace.
+            let mode = if Some(n) == exemplar_size && g == 0 {
+                TraceMode::Full
+            } else {
+                TraceMode::Metrics
+            };
+            let algorithm = Rc::new(SphStrategy::new());
+            run_dgmc(&net, spec.config, &workload, algorithm, mode).ok()
+        });
+        for mut run in runs {
+            if let Some(m) = &mut run {
+                if let Some(t) = m.trace.take() {
+                    trace.get_or_insert(t);
                 }
-                None => row.failures += 1,
+                metrics.merge(&m.registry);
             }
+            row.record(run.as_ref());
         }
-        progress(&row);
-        rows.push(row);
+        progress(n, &row);
+        rows.push((n, row));
     }
     ExperimentResults {
         name: spec.name.to_owned(),
         rows,
         metrics,
         trace,
-    }
-}
-
-fn record(row: &mut SizeRow, m: &RunMetrics) {
-    row.proposals.record(m.proposals_per_event());
-    row.floodings.record(m.floodings_per_event());
-    if let Some(r) = m.convergence_rounds {
-        row.convergence.record(r);
     }
 }
 
@@ -324,9 +333,23 @@ mod tests {
             }),
             seed: 77,
         };
-        let serial = run_experiment(&spec, 1, |_| {});
+        let serial = run_experiment(&spec, 1, |_, _| {});
+        // A fold that is not associative: 1e16-scaled values lose their low
+        // bits differently in every summation order, so only the graph-order
+        // fold gives the same bits for every job count.
+        let tally = |jobs| -> Tally {
+            let scaled = |g: usize| 1e16 * (g as f64 + 1.0).sqrt() + g as f64;
+            sweep(jobs, 64, scaled).into_iter().collect()
+        };
         for jobs in [2, 4] {
-            let parallel = run_experiment(&spec, jobs, |_| {});
+            let (a, b) = (tally(1), tally(jobs));
+            assert_eq!(a.len(), b.len());
+            assert_eq!(
+                (a.mean().to_bits(), a.variance().to_bits()),
+                (b.mean().to_bits(), b.variance().to_bits()),
+                "jobs={jobs} changed the bits of a graph-order f64 fold"
+            );
+            let parallel = run_experiment(&spec, jobs, |_, _| {});
             assert_eq!(
                 serial.metrics, parallel.metrics,
                 "jobs={jobs} changed the merged registry"
@@ -363,9 +386,9 @@ mod tests {
             }),
             seed: 11,
         };
-        let results = run_experiment(&spec, 1, |_| {});
+        let results = run_experiment(&spec, 1, |_, _| {});
         assert_eq!(results.rows.len(), 1);
-        let row = &results.rows[0];
+        let (_, row) = &results.rows[0];
         assert_eq!(row.failures, 0);
         assert_eq!(row.proposals.len(), 3);
         assert!(row.proposals.mean() >= 1.0);

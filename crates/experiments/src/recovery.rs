@@ -3,6 +3,7 @@
 //! link/nodal events". This module measures how quickly a multipoint
 //! connection recovers from the failure of a link its tree uses.
 
+use crate::presets::sweep;
 use crate::scenario::{self, Scenario};
 use crate::workload::Workload;
 use dgmc_core::switch::{
@@ -10,7 +11,7 @@ use dgmc_core::switch::{
 };
 use dgmc_core::{convergence, McId};
 use dgmc_des::stats::Tally;
-use dgmc_des::{ActorId, RunOutcome, SimDuration};
+use dgmc_des::{par, ActorId, RunOutcome, SimDuration};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, LinkState};
 use rand::rngs::StdRng;
@@ -40,31 +41,33 @@ pub struct RecoveryRow {
 /// transit switch); recovery is complete when the survivors install a valid
 /// tree on the degraded network.
 pub fn recovery_sweep(sizes: &[usize], graphs: usize, seed: u64) -> Vec<RecoveryRow> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let mut row = RecoveryRow {
-            n,
-            ..RecoveryRow::default()
-        };
-        for g in 0..graphs {
+    let row = |n: usize| -> RecoveryRow {
+        let runs = sweep(par::default_jobs(), graphs, |g| {
             let run_seed = seed
                 .wrapping_mul(26_041)
                 .wrapping_add((n as u64) << 22)
                 .wrapping_add(g as u64);
-            if let Some(rounds) = one_link_recovery(n, run_seed) {
-                row.link_recovery_rounds.record(rounds);
-            } else {
-                row.skipped += 1;
-            }
-            if let Some(rounds) = one_node_recovery(n, run_seed ^ 0x5A5A) {
-                row.node_recovery_rounds.record(rounds);
-            } else {
-                row.skipped += 1;
+            let link = one_link_recovery(n, run_seed);
+            (link, one_node_recovery(n, run_seed ^ 0x5A5A))
+        });
+        let mut row = RecoveryRow {
+            n,
+            ..RecoveryRow::default()
+        };
+        for (link, node) in runs {
+            for (rounds, tally) in [
+                (link, &mut row.link_recovery_rounds),
+                (node, &mut row.node_recovery_rounds),
+            ] {
+                match rounds {
+                    Some(r) => tally.record(r),
+                    None => row.skipped += 1,
+                }
             }
         }
-        rows.push(row);
-    }
-    rows
+        row
+    };
+    sizes.iter().map(|&n| row(n)).collect()
 }
 
 fn setup(

@@ -1,7 +1,7 @@
 //! Plain-text and CSV rendering of experiment results, in the same
 //! rows/series the paper's figures report.
 
-use crate::presets::{ExperimentResults, SizeRow};
+use crate::presets::{ExperimentResults, Row};
 use dgmc_des::stats::Tally;
 use dgmc_obs::{chrome_trace_json, JsonValue, MetricsRegistry, Trace};
 use std::fmt::Write as _;
@@ -24,11 +24,11 @@ pub fn text_table(results: &ExperimentResults) -> String {
         "{:>6}  {:>18}  {:>18}  {:>18}  {:>8}",
         "n", "proposals/event", "floodings/event", "convergence(rounds)", "failures"
     );
-    for row in &results.rows {
+    for (n, row) in &results.rows {
         let _ = writeln!(
             out,
             "{:>6}  {:>18}  {:>18}  {:>18}  {:>8}",
-            row.n,
+            n,
             cell(&row.proposals),
             cell(&row.floodings),
             cell(&row.convergence),
@@ -41,22 +41,22 @@ pub fn text_table(results: &ExperimentResults) -> String {
 /// Renders the results as CSV (`n,metric,mean,ci95`).
 pub fn csv(results: &ExperimentResults) -> String {
     let mut out = String::from("n,metric,mean,ci95,samples\n");
-    for row in &results.rows {
-        push_csv(&mut out, row, "proposals_per_event", &row.proposals);
-        push_csv(&mut out, row, "floodings_per_event", &row.floodings);
-        push_csv(&mut out, row, "convergence_rounds", &row.convergence);
+    for &(n, ref row) in &results.rows {
+        push_csv(&mut out, n, "proposals_per_event", &row.proposals);
+        push_csv(&mut out, n, "floodings_per_event", &row.floodings);
+        push_csv(&mut out, n, "convergence_rounds", &row.convergence);
     }
     out
 }
 
-fn push_csv(out: &mut String, row: &SizeRow, metric: &str, t: &Tally) {
+fn push_csv(out: &mut String, n: usize, metric: &str, t: &Tally) {
     if t.is_empty() {
         return;
     }
     let _ = writeln!(
         out,
         "{},{},{:.6},{:.6},{}",
-        row.n,
+        n,
         metric,
         t.mean(),
         t.ci95_half_width(),
@@ -133,7 +133,7 @@ pub fn write_trace_snapshot(
 ///
 /// Panics on an unknown metric name.
 pub fn ascii_chart(results: &ExperimentResults, metric: &str, width: usize) -> String {
-    let select = |row: &SizeRow| -> Tally {
+    let select = |row: &Row| -> Tally {
         match metric {
             "proposals" => row.proposals.clone(),
             "floodings" => row.floodings.clone(),
@@ -144,15 +144,15 @@ pub fn ascii_chart(results: &ExperimentResults, metric: &str, width: usize) -> S
     let max = results
         .rows
         .iter()
-        .map(|r| select(r).mean())
+        .map(|(_, r)| select(r).mean())
         .fold(0.0f64, f64::max)
         .max(1e-9);
     let mut out = String::new();
     let _ = writeln!(out, "{} — {metric}/event vs n", results.name);
-    for row in &results.rows {
+    for (n, row) in &results.rows {
         let mean = select(row).mean();
         let bars = ((mean / max) * width as f64).round() as usize;
-        let _ = writeln!(out, "{:>5} | {:<width$} {mean:.3}", row.n, "#".repeat(bars));
+        let _ = writeln!(out, "{n:>5} | {:<width$} {mean:.3}", "#".repeat(bars));
     }
     out
 }
@@ -162,10 +162,7 @@ mod tests {
     use super::*;
 
     fn sample_results() -> ExperimentResults {
-        let mut row = SizeRow {
-            n: 40,
-            ..SizeRow::default()
-        };
+        let mut row = Row::default();
         row.proposals.extend([1.0, 2.0, 3.0]);
         row.floodings.extend([2.0, 2.0]);
         let mut metrics = MetricsRegistry::new();
@@ -173,7 +170,7 @@ mod tests {
         metrics.observe_named("dgmc.convergence_us", 1500);
         ExperimentResults {
             name: "demo".into(),
-            rows: vec![row],
+            rows: vec![(40, row)],
             metrics,
             trace: None,
         }
@@ -190,19 +187,13 @@ mod tests {
 
     #[test]
     fn ascii_chart_scales_bars() {
-        let mut low = SizeRow {
-            n: 20,
-            ..SizeRow::default()
-        };
+        let mut low = Row::default();
         low.proposals.record(1.0);
-        let mut high = SizeRow {
-            n: 40,
-            ..SizeRow::default()
-        };
+        let mut high = Row::default();
         high.proposals.record(4.0);
         let results = ExperimentResults {
             name: "demo".into(),
-            rows: vec![low, high],
+            rows: vec![(20, low), (40, high)],
             metrics: MetricsRegistry::new(),
             trace: None,
         };

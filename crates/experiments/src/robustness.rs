@@ -3,10 +3,11 @@
 //! structurally different families (Waxman, Barabási–Albert, grid) to show
 //! the overhead shapes are properties of the protocol, not of the graphs.
 
-use crate::runner::{run_dgmc, RunOptions};
+use crate::presets::{sweep, Row};
+use crate::runner::{run_dgmc, TraceMode};
 use crate::workload::{self, BurstParams};
 use dgmc_core::switch::DgmcConfig;
-use dgmc_des::stats::Tally;
+use dgmc_des::par;
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, Network};
 use rand::rngs::StdRng;
@@ -52,61 +53,31 @@ impl Family {
     }
 }
 
-/// Aggregated bursty-workload overhead for one family.
-#[derive(Debug, Clone)]
-pub struct FamilyRow {
-    /// The graph family.
-    pub family: Family,
-    /// Proposals per event.
-    pub proposals: Tally,
-    /// Floodings per event.
-    pub floodings: Tally,
-    /// Convergence in rounds.
-    pub convergence: Tally,
-    /// Failed runs (must stay 0).
-    pub failures: usize,
-}
-
-/// Runs the Experiment-1 regime on every family at size `n`.
-pub fn family_sweep(n: usize, graphs: usize, seed: u64) -> Vec<FamilyRow> {
-    Family::all()
-        .into_iter()
-        .map(|family| {
-            let mut row = FamilyRow {
-                family,
-                proposals: Tally::new(),
-                floodings: Tally::new(),
-                convergence: Tally::new(),
-                failures: 0,
-            };
-            for g in 0..graphs {
-                let s = seed
-                    .wrapping_mul(104_729)
-                    .wrapping_add((family.name().len() as u64) << 32)
-                    .wrapping_add(g as u64);
-                let mut rng = StdRng::seed_from_u64(s);
-                let net = family.generate(&mut rng, n);
-                let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
-                match run_dgmc(
-                    &net,
-                    DgmcConfig::computation_dominated(),
-                    &wl,
-                    Rc::new(SphStrategy::new()),
-                    RunOptions::default(),
-                ) {
-                    Ok(m) => {
-                        row.proposals.record(m.proposals_per_event());
-                        row.floodings.record(m.floodings_per_event());
-                        if let Some(r) = m.convergence_rounds {
-                            row.convergence.record(r);
-                        }
-                    }
-                    Err(_) => row.failures += 1,
-                }
-            }
-            row
-        })
-        .collect()
+/// Runs the Experiment-1 regime on every family at size `n`: one [`Row`]
+/// per family.
+pub fn family_sweep(n: usize, graphs: usize, seed: u64) -> Vec<(Family, Row)> {
+    let row = |family: Family| -> Row {
+        let runs = sweep(par::default_jobs(), graphs, |g| {
+            let s = seed
+                .wrapping_mul(104_729)
+                .wrapping_add((family.name().len() as u64) << 32)
+                .wrapping_add(g as u64);
+            let mut rng = StdRng::seed_from_u64(s);
+            let net = family.generate(&mut rng, n);
+            let wl = workload::bursty(&mut rng, &net, &BurstParams::default());
+            let config = DgmcConfig::computation_dominated();
+            run_dgmc(
+                &net,
+                config,
+                &wl,
+                Rc::new(SphStrategy::new()),
+                TraceMode::Off,
+            )
+            .ok()
+        });
+        runs.into_iter().collect()
+    };
+    Family::all().into_iter().map(|f| (f, row(f))).collect()
 }
 
 #[cfg(test)]
@@ -115,12 +86,12 @@ mod tests {
 
     #[test]
     fn every_family_keeps_the_bounded_overhead_shape() {
-        for row in family_sweep(36, 3, 17) {
-            assert_eq!(row.failures, 0, "{}", row.family.name());
+        for (family, row) in family_sweep(36, 3, 17) {
+            assert_eq!(row.failures, 0, "{}", family.name());
             assert!(
                 row.proposals.mean() < 5.0,
                 "{}: {}",
-                row.family.name(),
+                family.name(),
                 row.proposals.mean()
             );
             assert!(row.proposals.mean() >= 1.0);

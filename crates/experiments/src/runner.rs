@@ -3,8 +3,8 @@
 use crate::scenario::{self, Scenario};
 use crate::workload::Workload;
 use dgmc_core::switch::{self, build_dgmc_sim, counters, histograms, DgmcConfig};
-use dgmc_core::{convergence, invariants, McId};
-use dgmc_des::{FaultPlan, FaultyNet, RunOutcome, SimDuration};
+use dgmc_core::{convergence, McId};
+use dgmc_des::{RunOutcome, SimDuration};
 use dgmc_mctree::McAlgorithm;
 use dgmc_obs::{critical_paths, MetricsRegistry, Trace};
 use dgmc_topology::{metrics, Network};
@@ -43,10 +43,9 @@ pub mod gauges {
 }
 
 /// How much causal tracing a measured run performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No tracing: zero overhead on the hot path (one branch per send).
-    #[default]
     Off,
     /// Trace the measured phase, extract per-operation critical paths,
     /// the per-phase profile and the tree-quality gauges into the
@@ -110,8 +109,6 @@ pub enum RunError {
     Diverged,
     /// Switches disagreed after quiescence.
     NoConsensus(convergence::ConsensusError),
-    /// A fault-injected run broke the protocol invariant suite.
-    InvariantViolated(Vec<String>),
 }
 
 impl std::fmt::Display for RunError {
@@ -119,57 +116,32 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::Diverged => f.write_str("simulation exhausted its event budget"),
             RunError::NoConsensus(e) => write!(f, "no consensus after quiescence: {e}"),
-            RunError::InvariantViolated(v) => {
-                write!(f, "invariant violations after quiescence: {}", v.join("; "))
-            }
         }
     }
 }
 
 impl std::error::Error for RunError {}
 
-/// The optional arguments of [`run_dgmc`]; the default is a fault-free,
-/// untraced run.
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions<'a> {
-    /// Seeded fault injection on the delivery path: every message is routed
-    /// through a [`FaultyNet`] built from `(plan, fault_seed)`, and after
-    /// the measured phase the full protocol invariant suite
-    /// ([`invariants::check_invariants`]) is verified on top of the
-    /// consensus check. Fault outcomes (drops, retransmissions, duplicates,
-    /// jitter) appear as span annotations in a traced run.
-    pub faults: Option<(&'a FaultPlan, u64)>,
-    /// Causal tracing of the measured phase. Tracing changes no protocol
-    /// behaviour: the span tree is built on the side of the ordinary
-    /// delivery path.
-    pub trace: TraceMode,
-}
-
 /// Runs one measured D-GMC scenario: warm up the initial membership, inject
 /// the workload events, run to quiescence, verify consensus and extract the
-/// metrics.
+/// metrics. `trace_mode` sets how much of the measured phase is traced;
+/// tracing changes no protocol behaviour (the span tree is built on the
+/// side of the ordinary delivery path). Runs under injected faults are
+/// [`crate::explore::run_scenario`]'s.
 ///
 /// # Errors
 ///
 /// [`RunError::Diverged`] if the event budget is exhausted;
-/// [`RunError::NoConsensus`] if switches disagree afterwards;
-/// [`RunError::InvariantViolated`] if injected faults broke the protocol.
+/// [`RunError::NoConsensus`] if switches disagree afterwards.
 pub fn run_dgmc(
     net: &Network,
     config: DgmcConfig,
     workload: &Workload,
     algorithm: Rc<dyn McAlgorithm>,
-    opts: RunOptions<'_>,
+    trace_mode: TraceMode,
 ) -> Result<RunMetrics, RunError> {
-    let RunOptions {
-        faults,
-        trace: trace_mode,
-    } = opts;
     let mut sim = build_dgmc_sim(net, config, algorithm);
     sim.set_event_budget(200_000_000);
-    if let Some((plan, fault_seed)) = faults {
-        sim.set_net_model(FaultyNet::new(plan.clone(), fault_seed));
-    }
     // Warm-up: initial members join well separated.
     let mut script = Scenario {
         net: net.clone(),
@@ -200,14 +172,6 @@ pub fn run_dgmc(
     }
     let consensus =
         convergence::check_consensus(&sim, EXPERIMENT_MC).map_err(RunError::NoConsensus)?;
-    if faults.is_some() {
-        let violations = invariants::check_invariants(&sim, net);
-        if !violations.is_empty() {
-            return Err(RunError::InvariantViolated(
-                violations.iter().map(|v| v.to_string()).collect(),
-            ));
-        }
-    }
 
     let tf = config.per_hop * u64::from(metrics::flooding_diameter_hops(net));
     let round = tf + config.tc;
@@ -303,7 +267,7 @@ pub fn run_seeded(
     );
     let workload = make_workload(&mut rng, &net);
     let algorithm = Rc::new(dgmc_mctree::SphStrategy::new());
-    run_dgmc(&net, config, &workload, algorithm, RunOptions::default())
+    run_dgmc(&net, config, &workload, algorithm, TraceMode::Off)
 }
 
 #[cfg(test)]
@@ -311,8 +275,8 @@ mod tests {
     use super::*;
     use crate::workload::{self, BurstParams, SparseParams};
 
-    /// `run_seeded`'s default bursty LAN case with explicit options.
-    fn bursty_lan(n: usize, seed: u64, opts: RunOptions<'_>) -> RunMetrics {
+    /// `run_seeded`'s default bursty LAN case with an explicit trace mode.
+    fn bursty_lan(n: usize, seed: u64, mode: TraceMode) -> RunMetrics {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let net = dgmc_topology::generate::waxman(
@@ -327,7 +291,7 @@ mod tests {
             DgmcConfig::computation_dominated(),
             &wl,
             algorithm,
-            opts,
+            mode,
         )
         .unwrap()
     }
@@ -394,28 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_runs_converge_and_reproduce_bit_for_bit() {
-        use dgmc_des::{net_counters, FaultPlan, LinkFaults};
-        let faulty = |seed: u64| {
-            let plan = FaultPlan::uniform(LinkFaults {
-                loss: 0.1,
-                hard_loss: 0.0,
-                duplicate: 0.1,
-                jitter: SimDuration::micros(20),
-            });
-            let opts = RunOptions {
-                faults: Some((&plan, seed ^ 0x55)),
-                ..RunOptions::default()
-            };
-            bursty_lan(25, seed, opts)
-        };
-        let a = faulty(4);
-        let b = faulty(4);
-        assert_eq!(a, b, "same seed, same metrics, same registry");
-        assert!(a.registry.counter_value(net_counters::SENT) > 0);
-    }
-
-    #[test]
     fn run_metrics_ratios_handle_zero_events() {
         let m = RunMetrics {
             events: 0,
@@ -431,17 +373,9 @@ mod tests {
         assert_eq!(m.floodings_per_event(), 0.0);
     }
 
-    fn traced_seeded(seed: u64, mode: TraceMode) -> RunMetrics {
-        let opts = RunOptions {
-            trace: mode,
-            ..RunOptions::default()
-        };
-        bursty_lan(30, seed, opts)
-    }
-
     #[test]
     fn traced_run_extracts_per_op_convergence_and_gauges() {
-        let m = traced_seeded(2, TraceMode::Full);
+        let m = bursty_lan(30, 2, TraceMode::Full);
         let trace = m.trace.as_ref().expect("Full mode keeps the spans");
         assert!(!trace.is_empty());
         trace.validate().unwrap();
@@ -471,9 +405,9 @@ mod tests {
 
     #[test]
     fn trace_modes_agree_on_metrics_and_off_records_nothing() {
-        let full = traced_seeded(2, TraceMode::Full);
-        let metrics_only = traced_seeded(2, TraceMode::Metrics);
-        let off = traced_seeded(2, TraceMode::Off);
+        let full = bursty_lan(30, 2, TraceMode::Full);
+        let metrics_only = bursty_lan(30, 2, TraceMode::Metrics);
+        let off = bursty_lan(30, 2, TraceMode::Off);
         // Metrics mode drops the spans but keeps an identical registry.
         assert!(metrics_only.trace.is_none());
         assert_eq!(full.registry, metrics_only.registry);
@@ -490,43 +424,5 @@ mod tests {
         assert_eq!(full.floodings, off.floodings);
         assert_eq!(full.withdrawn, off.withdrawn);
         assert_eq!(full.convergence_rounds, off.convergence_rounds);
-    }
-
-    #[test]
-    fn loss_sweep_retransmit_spans_appear_iff_faults_fired() {
-        use dgmc_des::{net_counters, LinkFaults};
-        let run = |loss: f64| {
-            let plan = FaultPlan::uniform(LinkFaults {
-                loss,
-                hard_loss: 0.0,
-                duplicate: 0.0,
-                jitter: SimDuration::ZERO,
-            });
-            let opts = RunOptions {
-                faults: Some((&plan, 7 ^ 0x55)),
-                trace: TraceMode::Full,
-            };
-            bursty_lan(25, 7, opts)
-        };
-        for loss in [0.0, 0.15] {
-            let m = run(loss);
-            let trace = m.trace.as_ref().unwrap();
-            let retransmit_spans = trace
-                .spans
-                .iter()
-                .filter(|s| s.notes.iter().any(|n| n.starts_with("fault:retransmit")))
-                .count() as u64;
-            let retransmits = m.registry.counter_value(net_counters::RETRANSMITS);
-            if loss == 0.0 {
-                assert_eq!(retransmits, 0, "lossless sweep point fired no faults");
-                assert_eq!(retransmit_spans, 0, "no faults, no retransmit spans");
-            } else {
-                assert!(retransmits > 0, "lossy sweep point recovered losses");
-                assert!(
-                    retransmit_spans > 0,
-                    "recovered losses must surface as retransmit-annotated spans"
-                );
-            }
-        }
     }
 }

@@ -13,7 +13,7 @@ use dgmc_core::switch::{histograms, DgmcConfig};
 use dgmc_core::EngineMutation;
 use dgmc_des::mc::{self, McConfig};
 use dgmc_experiments::presets::{self, ExperimentSpec, WorkloadKind};
-use dgmc_experiments::runner::{run_dgmc, RunMetrics, RunOptions, TraceMode};
+use dgmc_experiments::runner::{run_dgmc, RunMetrics, TraceMode};
 use dgmc_experiments::systematic::{self, ScriptEvent, SystematicModel, SystematicParams};
 use dgmc_experiments::workload::{self, BurstParams};
 use dgmc_obs::{chrome_trace_json, critical_paths, Histogram};
@@ -32,10 +32,7 @@ fn traced_run(seed: u64) -> RunMetrics {
         DgmcConfig::computation_dominated(),
         &wl,
         Rc::new(dgmc_mctree::SphStrategy::new()),
-        RunOptions {
-            trace: TraceMode::Full,
-            ..RunOptions::default()
-        },
+        TraceMode::Full,
     )
     .expect("traced runs converge")
 }
@@ -104,8 +101,8 @@ proptest! {
             }),
             seed,
         };
-        let serial = presets::run_experiment(&spec, 1, |_| {});
-        let parallel = presets::run_experiment(&spec, 4, |_| {});
+        let serial = presets::run_experiment(&spec, 1, |_, _| {});
+        let parallel = presets::run_experiment(&spec, 4, |_, _| {});
         let a = serial.trace.as_ref().expect("exemplar trace");
         let b = parallel.trace.as_ref().expect("exemplar trace");
         prop_assert_eq!(chrome_trace_json(a), chrome_trace_json(b));

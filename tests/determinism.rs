@@ -123,7 +123,7 @@ fn bursty_runs_write_byte_identical_metrics() {
             DgmcConfig::computation_dominated(),
             &wl,
             std::rc::Rc::new(SphStrategy::new()),
-            runner::RunOptions::default(),
+            runner::TraceMode::Off,
         )
         .unwrap();
         (
@@ -144,9 +144,12 @@ fn experiment_sweeps_are_reproducible() {
     let mut spec = presets::quick(presets::experiment1());
     spec.sizes = vec![20];
     spec.graphs_per_size = 2;
-    let r1 = presets::run_experiment(&spec, 1, |_| {});
-    let r2 = presets::run_experiment(&spec, 1, |_| {});
-    assert_eq!(r1.rows[0].proposals.mean(), r2.rows[0].proposals.mean());
-    assert_eq!(r1.rows[0].floodings.mean(), r2.rows[0].floodings.mean());
-    assert_eq!(r1.rows[0].convergence.mean(), r2.rows[0].convergence.mean());
+    let r1 = presets::run_experiment(&spec, 1, |_, _| {});
+    let r2 = presets::run_experiment(&spec, 1, |_, _| {});
+    assert_eq!(r1.rows[0].1.proposals.mean(), r2.rows[0].1.proposals.mean());
+    assert_eq!(r1.rows[0].1.floodings.mean(), r2.rows[0].1.floodings.mean());
+    assert_eq!(
+        r1.rows[0].1.convergence.mean(),
+        r2.rows[0].1.convergence.mean()
+    );
 }

@@ -120,9 +120,9 @@ fn quick_experiment_sweeps_have_zero_failures() {
         let mut small = spec.clone();
         small.sizes = vec![20, 40];
         small.graphs_per_size = 2;
-        let results = presets::run_experiment(&small, 1, |_| {});
-        for row in &results.rows {
-            assert_eq!(row.failures, 0, "{} n={}", results.name, row.n);
+        let results = presets::run_experiment(&small, 1, |_, _| {});
+        for (n, row) in &results.rows {
+            assert_eq!(row.failures, 0, "{} n={}", results.name, n);
             assert!(row.proposals.mean() >= 1.0);
         }
     }
