@@ -37,9 +37,13 @@ echo "== one-path ratchet: no constructor/runner families, no engine jobs fork =
 # entry point per layer; an option goes in the layer's options struct, not
 # into a second function name. Allowed: `build_dgmc_sim_with_cache` (frozen by
 # perf/) and the seed sweep's pool size, `par::default_jobs`.
-if grep -rnE 'pub fn [a-z0-9_]+_(with_cache|sharded|jobs|faulty|traced)\b|set_jobs' crates/*/src |
+# A `foo` / `foo_with(.., cache)` pair is the same fork: an algorithm takes
+# the `SpfCache` it runs through. Allowed: the two names perf/ calls,
+# `RoutingTable::compute_with` and `build_dgmc_sim_with_cache`.
+if grep -rnE 'pub fn [a-z0-9_]+_(with_cache|sharded|jobs|faulty|traced|with)\b|pub fn [a-z0-9_]+_with_|set_jobs' crates/*/src |
     grep -vE '^crates/des/src/par\.rs:.*pub fn default_jobs\b' |
-    grep -vE 'pub fn build_dgmc_sim_with_cache\b'; then
+    grep -vE 'pub fn build_dgmc_sim_with_cache\b' |
+    grep -vE '^crates/lsr/src/routes\.rs:.*pub fn compute_with\b'; then
     echo "a second entry point for an option (or the engine jobs fork) is back; see DESIGN.md §13"
     exit 1
 fi
@@ -65,8 +69,14 @@ fi
 # inputs are built only by `link_event_inputs` / `node_event_inputs` (match
 # arms that merely read them are fine), and the launcher is an executor of
 # `scenario::play`, not a second decomposition with its own cut-link tracker.
+# Also allowed: `node/src/control.rs`, the control-line codec, which parses a
+# line into the input it names; and `experiments/src/systematic.rs`, the model
+# checker (not an experiment harness), whose fail-stop crash is one
+# `NodeAdmin` with no link detections.
 if grep -rnE 'SwitchMsg::(LinkEvent|NodeAdmin)' crates/*/src tests examples |
-    grep -v '^crates/core/src/switch.rs:' | grep -v '=>'; then
+    grep -v '^crates/core/src/switch.rs:' |
+    grep -v '^crates/node/src/control.rs:' |
+    grep -v '^crates/experiments/src/systematic.rs:' | grep -v '=>'; then
     echo "a link or nodal input is built outside dgmc_core::switch; use {link,node}_event_inputs"
     exit 1
 fi
@@ -77,10 +87,25 @@ fi
 # PR17: the experiment harnesses play their membership events too
 # (`Workload::{warm_up, measured}` or `Step`s built in place), and the
 # explore binary's mode switch is its own: no library read `ExploreMode`.
+# Also allowed: `systematic.rs`, the model checker (not an experiment
+# harness), which fires its scripted joins at the cores itself.
 if grep -rnE 'SwitchMsg::Host(Join|Leave)' crates/experiments/src |
-    grep -v '^crates/experiments/src/scenario.rs:' | grep -v '=>' ||
+    grep -v '^crates/experiments/src/scenario.rs:' |
+    grep -v '^crates/experiments/src/systematic.rs:' | grep -v '=>' ||
     grep -rn 'ExploreMode' crates src tests examples; then
     echo "a membership input built by hand in an experiment harness, or ExploreMode, is back"
+    exit 1
+fi
+
+# One input type: every adapter hands `NodeCore` a `SwitchMsg`. A private
+# input enum in the core or the model checker, or the driver mapping a link
+# to its neighbour, is a second translation layer coming back; the control
+# line is written and read in `node/src/control.rs` alone.
+if grep -nE 'enum Input\b' crates/core/src/proto.rs crates/experiments/src/systematic.rs ||
+    grep -nE 'fn parse_link\b|fn parse_join\b|fn on_(link_event|send_data|admin)\b' \
+        crates/node/src/driver.rs crates/core/src/proto.rs ||
+    grep -n 'fn control_line\b' crates/node/src/launcher.rs; then
+    echo "a second input type or a hand-kept control-line half is back; see DESIGN.md §14"
     exit 1
 fi
 

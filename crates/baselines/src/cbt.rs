@@ -184,7 +184,7 @@ pub fn build_cbt(net: &Network, core: NodeId, members: &BTreeSet<NodeId>) -> (Cb
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgmc_topology::generate;
+    use dgmc_topology::{generate, SpfCache};
 
     fn members(ids: &[u32]) -> BTreeSet<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
@@ -281,7 +281,7 @@ mod tests {
         let net = generate::ring(8);
         let m = members(&[0, 2, 4, 6]);
         let (cbt, _) = build_cbt(&net, NodeId(0), &m);
-        let steiner = dgmc_mctree::algorithms::takahashi_matsuyama(&net, &m);
+        let steiner = dgmc_mctree::algorithms::takahashi_matsuyama(&net, &m, &SpfCache::new());
         assert!(cbt.traffic_concentration() >= dgmc_mctree::metrics::max_link_load(&steiner));
     }
 }

@@ -168,7 +168,7 @@ impl MospfRouter {
                 // modeled computation, counted).
                 ctx.counter(counters::COMPUTATIONS).incr();
                 let members = self.members.get(&group).cloned().unwrap_or_default();
-                let t = algorithms::pruned_spt_with(&self.image, source, &members, &self.spf);
+                let t = algorithms::pruned_spt(&self.image, source, &members, &self.spf);
                 self.cache.insert((source, group), t.clone());
                 t
             }

@@ -6,22 +6,23 @@
 //! [`Lsdb::install`], and the core only brings its routes up to date, by
 //! repairing its routing tree from the delta the LSDB recorded), the routing
 //! table, the local incident-link truth and the data plane. It is sans-IO:
-//! every input is an `on_*` call stamped with the caller's clock, every
-//! effect is an [`Output`] returned in the order it must happen. No sockets,
-//! no clocks, no scheduler — two thin adapters supply those:
-//! [`crate::switch::DgmcSwitch`] (discrete-event simulation) and the
-//! `dgmc-node` UDP driver. What the explorer, the invariant suite and the
-//! fault harness test is therefore what a deployed node runs.
+//! every input is one [`SwitchMsg`], handed to [`NodeCore::handle`] with the
+//! frame's sender and the caller's clock; every effect is an [`Output`]
+//! returned in the order it must happen. No sockets, no clocks, no scheduler
+//! — two thin adapters supply those: [`crate::switch::DgmcSwitch`]
+//! (discrete-event simulation) and the `dgmc-node` UDP driver. What the
+//! explorer, the invariant suite and the fault harness test is therefore
+//! what a deployed node runs.
 //!
-//! All seven `on_*` methods are one function, `NodeCore::step`, applied to
-//! an `Input` with the core's own metrics registry and a fresh output list.
-//! The simulated switch calls `step` itself, so that hundreds of cores count
-//! into the simulation's one registry and each reuses one output buffer.
+//! `handle` is `NodeCore::step` with the core's own metrics registry and a
+//! fresh output list. The simulated switch calls `step` itself, so that
+//! hundreds of cores count into the simulation's one registry and each
+//! reuses one output buffer.
 //!
 //! Input hardening lives here, once: a failed switch drops everything but
-//! its revival, frames from non-neighbours are dropped and counted
-//! ([`counters::UNKNOWN_SENDER`]), and link events naming an unknown
-//! neighbour are ignored.
+//! its revival, frames without a sender or from non-neighbours are dropped
+//! and counted ([`counters::UNKNOWN_SENDER`]), and link events naming a link
+//! that is not incident are ignored.
 //!
 //! A flood is decided on its identity first. Off a wire it arrives as
 //! [`Frame::FloodWire`] — id read, body still bytes — and `NodeCore::frame`
@@ -192,7 +193,7 @@ pub enum Output {
         frame: Frame,
     },
     /// Arm the `Tc` computation timer for `mc`, `after_nanos` from now; on
-    /// expiry feed [`NodeCore::on_computation_done`].
+    /// expiry hand the core [`SwitchMsg::ComputationDone`].
     StartTimer {
         /// The connection being recomputed.
         mc: McId,
@@ -201,16 +202,56 @@ pub enum Output {
     },
 }
 
-/// What can happen to a switch; the `on_*` methods of [`NodeCore`] name the
-/// variants and their fields.
-pub(crate) enum Input {
-    Frame(NodeId, Frame),
-    Join(McId, McType, Role),
-    Leave(McId),
-    Link(NodeId, bool, bool),
-    ComputationDone(McId),
-    SendData(McId, u64),
-    Admin(bool),
+/// Everything a switch is ever handed: the one input type of [`NodeCore`].
+/// The DES delivers these, the node driver parses its control lines into
+/// them, the model checker fires them. A `Frame` comes with its sender; every
+/// other input is local to the switch.
+#[derive(Debug, Clone)]
+pub enum SwitchMsg {
+    /// A frame sent by a neighbouring switch (the `from` it is handed with).
+    Frame(Frame),
+    /// An attached host asks to join connection `mc`.
+    HostJoin {
+        /// The connection.
+        mc: McId,
+        /// Type used if the connection must be created.
+        mc_type: McType,
+        /// The member role.
+        role: Role,
+    },
+    /// An attached host asks to leave connection `mc`.
+    HostLeave {
+        /// The connection.
+        mc: McId,
+    },
+    /// An incident link changed state; `detector` marks the advertising
+    /// endpoint.
+    LinkEvent {
+        /// The incident link.
+        link: LinkId,
+        /// New state.
+        up: bool,
+        /// Whether this endpoint originates the advertisements.
+        detector: bool,
+    },
+    /// The `Tc` computation timer for `mc` fired.
+    ComputationDone {
+        /// The connection being recomputed.
+        mc: McId,
+    },
+    /// A host hands the switch a data packet to inject into `mc`.
+    SendData {
+        /// The connection.
+        mc: McId,
+        /// Unique packet id.
+        packet_id: u64,
+    },
+    /// Administrative node failure/recovery (nodal events).
+    NodeAdmin {
+        /// `false` takes the switch down (it drops all traffic); `true`
+        /// revives it.
+        up: bool,
+    },
 }
 
 /// One step's clock reading and where its effects go: the registry the
@@ -384,7 +425,7 @@ impl NodeCore {
     }
 
     /// The neighbor at the far end of incident `link`, up or down.
-    pub(crate) fn neighbor_of(&self, link: LinkId) -> Option<NodeId> {
+    fn neighbor_of(&self, link: LinkId) -> Option<NodeId> {
         self.incident
             .iter()
             .find(|&&(l, ..)| l == link)
@@ -619,8 +660,8 @@ impl NodeCore {
 
     /// One frame from switch `from`: dropped and counted unless `from` is a
     /// neighbour.
-    fn frame(&mut self, fx: &mut Step<'_>, from: NodeId, frame: Frame) {
-        let Some(via) = self.link_from(from) else {
+    fn frame(&mut self, fx: &mut Step<'_>, from: Option<NodeId>, frame: Frame) {
+        let Some(via) = from.and_then(|from| self.link_from(from)) else {
             fx.bump(counters::UNKNOWN_SENDER, 1);
             return;
         };
@@ -693,13 +734,13 @@ impl NodeCore {
         }
     }
 
-    /// The incident link toward `neighbor` changed state: ignored unless
-    /// `neighbor` is one.
-    fn link_event(&mut self, fx: &mut Step<'_>, neighbor: NodeId, up: bool, detector: bool) {
-        let Some(entry) = self.incident.iter_mut().find(|(_, n, ..)| *n == neighbor) else {
+    /// Incident `link` changed state: ignored unless it is one.
+    fn link_event(&mut self, fx: &mut Step<'_>, link: LinkId, up: bool, detector: bool) {
+        let Some(entry) = self.incident.iter_mut().find(|(l, ..)| *l == link) else {
             return;
         };
         entry.3 = up;
+        let neighbor = entry.1;
         if up {
             // Database exchange toward the (possibly just revived) far
             // endpoint, as OSPF does when an adjacency forms.
@@ -739,65 +780,63 @@ impl NodeCore {
         }
     }
 
-    /// Handles one input, its effects going to `fx`. A failed switch drops
-    /// everything but its own revival.
-    pub(crate) fn step(&mut self, fx: &mut Step<'_>, input: Input) {
+    /// Handles `msg` — a frame from switch `from`, or a local input — its
+    /// effects going to `fx`.
+    pub(crate) fn step(&mut self, fx: &mut Step<'_>, from: Option<NodeId>, msg: SwitchMsg) {
         self.engine.observer().set_now(fx.now_nanos);
-        if let Input::Admin(up) = input {
+        match msg {
             // The switch's own view of its incident links is left as it
             // was: a failed switch reads nothing, and what was up (or cut)
             // before the outage is what comes back with the revival, while
             // the neighbors advertise and sync. (Marking every link up here
             // made the revived switch's next router LSA resurrect a cut.)
-            self.failed = !up;
-        }
-        if self.failed {
-            return;
-        }
-        match input {
-            Input::Frame(from, frame) => self.frame(fx, from, frame),
-            Input::Join(mc, mc_type, role) => {
+            SwitchMsg::NodeAdmin { up } => self.failed = !up,
+            // A failed switch drops everything but its own revival.
+            _ if self.failed => {}
+            SwitchMsg::Frame(frame) => self.frame(fx, from, frame),
+            SwitchMsg::HostJoin { mc, mc_type, role } => {
                 let actions = self.engine.local_join(mc, mc_type, role);
                 self.member_event(fx, actions);
             }
-            Input::Leave(mc) => {
+            SwitchMsg::HostLeave { mc } => {
                 let actions = self.engine.local_leave(mc);
                 self.member_event(fx, actions);
             }
-            Input::Link(neighbor, up, detector) => self.link_event(fx, neighbor, up, detector),
-            Input::ComputationDone(mc) => {
+            SwitchMsg::LinkEvent { link, up, detector } => self.link_event(fx, link, up, detector),
+            SwitchMsg::ComputationDone { mc } => {
                 let before = self.engine.spf_cache().stats();
                 let actions = self.engine.on_computation_done(mc, self.lsdb.image());
                 self.record_spf_delta(fx, before);
                 self.execute(fx, actions);
                 self.forget_if_gone(mc);
             }
-            Input::SendData(mc, packet_id) => self.inject_data(fx, mc, packet_id),
-            Input::Admin(_) => {}
+            SwitchMsg::SendData { mc, packet_id } => self.inject_data(fx, mc, packet_id),
         }
     }
 
-    /// [`step`](Self::step) into the core's own registry (moved out for the
-    /// call, as `step` borrows the whole core) and a fresh list.
-    fn own_step(&mut self, now_nanos: u64, input: Input) -> Vec<Output> {
+    /// Handles one input stamped `now_nanos`: a [`SwitchMsg::Frame`] sent by
+    /// switch `from` (a frame without a sender, or from a switch that is not
+    /// a neighbour, is dropped and counted), or a local input (`from` is not
+    /// read). Counters land in the core's own registry.
+    pub fn handle(&mut self, now_nanos: u64, from: Option<NodeId>, msg: SwitchMsg) -> Vec<Output> {
+        // `step` borrows the whole core, so the registry moves out for it.
         let (mut metrics, mut out) = (std::mem::take(&mut self.metrics), Vec::new());
         let mut fx = Step {
             now_nanos,
             metrics: &mut metrics,
             out: &mut out,
         };
-        self.step(&mut fx, input);
+        self.step(&mut fx, from, msg);
         self.metrics = metrics;
         out
     }
 
-    /// Handles one frame received from switch `from`. Frames from switches
-    /// that are not neighbours are dropped and counted.
+    /// [`handle`](Self::handle) for a frame received from switch `from`.
     pub fn on_frame(&mut self, now_nanos: u64, from: NodeId, frame: Frame) -> Vec<Output> {
-        self.own_step(now_nanos, Input::Frame(from, frame))
+        self.handle(now_nanos, Some(from), SwitchMsg::Frame(frame))
     }
 
-    /// A local host joins `mc`.
+    /// [`handle`](Self::handle) for a local host joining `mc`.
     pub fn on_join(
         &mut self,
         now_nanos: u64,
@@ -805,40 +844,17 @@ impl NodeCore {
         mc_type: McType,
         role: Role,
     ) -> Vec<Output> {
-        self.own_step(now_nanos, Input::Join(mc, mc_type, role))
+        self.handle(now_nanos, None, SwitchMsg::HostJoin { mc, mc_type, role })
     }
 
-    /// A local host leaves `mc`.
+    /// [`handle`](Self::handle) for a local host leaving `mc`.
     pub fn on_leave(&mut self, now_nanos: u64, mc: McId) -> Vec<Output> {
-        self.own_step(now_nanos, Input::Leave(mc))
+        self.handle(now_nanos, None, SwitchMsg::HostLeave { mc })
     }
 
-    /// The incident link toward `neighbor` changed state; `detector` marks
-    /// the advertising endpoint. Unknown neighbors are ignored.
-    pub fn on_link_event(
-        &mut self,
-        now_nanos: u64,
-        neighbor: NodeId,
-        up: bool,
-        detector: bool,
-    ) -> Vec<Output> {
-        self.own_step(now_nanos, Input::Link(neighbor, up, detector))
-    }
-
-    /// The `Tc` computation timer for `mc` fired.
+    /// [`handle`](Self::handle) for the `Tc` computation timer of `mc`.
     pub fn on_computation_done(&mut self, now_nanos: u64, mc: McId) -> Vec<Output> {
-        self.own_step(now_nanos, Input::ComputationDone(mc))
-    }
-
-    /// A local host injects a data packet into `mc`.
-    pub fn on_send_data(&mut self, now_nanos: u64, mc: McId, packet_id: u64) -> Vec<Output> {
-        self.own_step(now_nanos, Input::SendData(mc, packet_id))
-    }
-
-    /// Administrative failure (`up = false`: all traffic is dropped from now
-    /// on) or revival.
-    pub fn on_admin(&mut self, now_nanos: u64, up: bool) -> Vec<Output> {
-        self.own_step(now_nanos, Input::Admin(up))
+        self.handle(now_nanos, None, SwitchMsg::ComputationDone { mc })
     }
 }
 

@@ -2,70 +2,20 @@
 //! protocol implementation, [`NodeCore`].
 //!
 //! [`DgmcSwitch`] holds no protocol state of its own. It hands each
-//! delivered [`SwitchMsg`] to the core as the input its `NodeCore::on_*`
-//! method names, stamped with the simulated instant and counting into the
-//! simulation's registry, and effects the resulting [`Output`]s in order —
+//! delivered [`SwitchMsg`] and its sender to the core as they are, stamped
+//! with the simulated instant and counting into the simulation's registry,
+//! and effects the resulting [`Output`]s in order —
 //! sends after the per-hop delay, `Tc` timers as self-scheduled
 //! [`SwitchMsg::ComputationDone`] — so the paper's timing model lives here
 //! and everything else lives in [`crate::proto`].
 
-pub use crate::proto::{counters, histograms, DataKind, DataMsg, DgmcPayload};
-use crate::proto::{Frame, Input, NodeCore, Output, Step};
-use crate::McId;
+pub use crate::proto::{counters, histograms, DataKind, DataMsg, DgmcPayload, SwitchMsg};
+use crate::proto::{Frame, NodeCore, Output, Step};
 use dgmc_des::{Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation};
-use dgmc_mctree::{McAlgorithm, McType, Role};
+use dgmc_mctree::McAlgorithm;
 use dgmc_obs::SharedObserver;
 use dgmc_topology::{Link, LinkId, Network, NodeId, SpfCache};
 use std::rc::Rc;
-
-/// Messages delivered to a [`DgmcSwitch`].
-#[derive(Debug, Clone)]
-pub enum SwitchMsg {
-    /// A frame sent by the neighboring switch named in [`Envelope::from`].
-    Frame(Frame),
-    /// An attached host asks to join connection `mc`.
-    HostJoin {
-        /// The connection.
-        mc: McId,
-        /// Type used if the connection must be created.
-        mc_type: McType,
-        /// The member role.
-        role: Role,
-    },
-    /// An attached host asks to leave connection `mc`.
-    HostLeave {
-        /// The connection.
-        mc: McId,
-    },
-    /// An incident link changed state; `detector` marks the advertising
-    /// endpoint.
-    LinkEvent {
-        /// The incident link.
-        link: LinkId,
-        /// New state.
-        up: bool,
-        /// Whether this endpoint originates the advertisements.
-        detector: bool,
-    },
-    /// The `Tc` computation timer for `mc` fired.
-    ComputationDone {
-        /// The connection being recomputed.
-        mc: McId,
-    },
-    /// A host hands the switch a data packet to inject into `mc`.
-    SendData {
-        /// The connection.
-        mc: McId,
-        /// Unique packet id.
-        packet_id: u64,
-    },
-    /// Administrative node failure/recovery (nodal events).
-    NodeAdmin {
-        /// `false` takes the switch down (it drops all traffic); `true`
-        /// revives it.
-        up: bool,
-    },
-}
 
 /// Timing parameters of the simulated switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,30 +94,14 @@ impl std::ops::Deref for DgmcSwitch {
 
 impl Actor<SwitchMsg> for DgmcSwitch {
     fn handle(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, env: Envelope<SwitchMsg>) {
-        let input = match env.msg {
-            SwitchMsg::Frame(frame) => {
-                let from = env.from.expect("frames are sent by switches");
-                Input::Frame(NodeId(from.0), frame)
-            }
-            SwitchMsg::HostJoin { mc, mc_type, role } => Input::Join(mc, mc_type, role),
-            SwitchMsg::HostLeave { mc } => Input::Leave(mc),
-            SwitchMsg::LinkEvent { link, up, detector } => {
-                let neighbor = self.core.neighbor_of(link);
-                let neighbor = neighbor
-                    .unwrap_or_else(|| panic!("link {link} is not incident to {}", self.core.id()));
-                Input::Link(neighbor, up, detector)
-            }
-            SwitchMsg::ComputationDone { mc } => Input::ComputationDone(mc),
-            SwitchMsg::SendData { mc, packet_id } => Input::SendData(mc, packet_id),
-            SwitchMsg::NodeAdmin { up } => Input::Admin(up),
-        };
         // Counters land in the simulation's shared registry.
         let mut step = Step {
             now_nanos: ctx.now().as_nanos(),
             metrics: ctx.metrics(),
             out: &mut self.outputs,
         };
-        self.core.step(&mut step, input);
+        let from = env.from.map(|actor| NodeId(actor.0));
+        self.core.step(&mut step, from, env.msg);
         // The simulator breaks time ties by insertion order, so effecting the
         // outputs in the order the core pushed them keeps event order.
         for output in self.outputs.drain(..) {

@@ -8,7 +8,8 @@
 
 use dgmc_core::proto::{DgmcPayload, Frame, NodeCore, Output};
 use dgmc_core::switch::{
-    build_dgmc_sim, counters, inject_link_event, DgmcConfig, DgmcSwitch, SwitchMsg,
+    build_dgmc_sim, counters, inject_link_event, link_event_inputs, DgmcConfig, DgmcSwitch,
+    SwitchMsg,
 };
 use dgmc_des::{ActorId, SimDuration, Simulation};
 use dgmc_lsr::flood::Flooder;
@@ -179,9 +180,9 @@ impl Mesh {
     fn link(&mut self, id: LinkId, up: bool) {
         let state = if up { LinkState::Up } else { LinkState::Down };
         self.truth.set_link_state(id, state).unwrap();
-        let (a, b) = self.truth.link(id).unwrap().endpoints();
-        for (me, other, detector) in [(a, b, true), (b, a, false)] {
-            let outputs = self.cores[me.index()].on_link_event(0, other, up, detector);
+        let link = self.truth.link(id).unwrap().clone();
+        for (me, msg) in link_event_inputs(&link, up) {
+            let outputs = self.cores[me.index()].handle(0, None, msg);
             self.settle(me, outputs);
         }
     }
@@ -190,11 +191,17 @@ impl Mesh {
     /// ground truth detects it.
     fn node(&mut self, node: NodeId, up: bool) {
         self.failed[node.index()] = !up;
-        let outputs = self.cores[node.index()].on_admin(0, up);
+        let outputs = self.cores[node.index()].handle(0, None, SwitchMsg::NodeAdmin { up });
         self.settle(node, outputs);
-        let neighbors: Vec<NodeId> = self.truth.neighbors(node).map(|(n, _)| n).collect();
-        for n in neighbors {
-            let outputs = self.cores[n.index()].on_link_event(0, node, up, true);
+        let neighbors: Vec<(NodeId, LinkId)> =
+            self.truth.neighbors(node).map(|(n, l)| (n, l.id)).collect();
+        for (n, link) in neighbors {
+            let detection = SwitchMsg::LinkEvent {
+                link,
+                up,
+                detector: true,
+            };
+            let outputs = self.cores[n.index()].handle(0, None, detection);
             self.settle(n, outputs);
         }
     }
@@ -208,16 +215,21 @@ impl Mesh {
         for me in self.truth.nodes().filter(|n| !self.failed[n.index()]) {
             // The database as the protocol exports it: what the switch sends
             // a neighbour whose link comes up (here one that is up already).
-            let (live, _) = self
+            let (_, live) = self
                 .truth
                 .neighbors(me)
                 .find(|(n, _)| !self.failed[n.index()])
                 .unwrap();
+            let link_up = SwitchMsg::LinkEvent {
+                link: live.id,
+                up: true,
+                detector: false,
+            };
             let core = &mut self.cores[me.index()];
             let Some(Output::Send {
                 frame: Frame::DbSync { router_lsas, .. },
                 ..
-            }) = core.on_link_event(0, live, true, false).pop()
+            }) = core.handle(0, None, link_up).pop()
             else {
                 panic!("a link-up sends one database exchange");
             };

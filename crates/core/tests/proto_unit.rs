@@ -1,9 +1,11 @@
 //! Focused tests of the sans-IO core's input hardening, driven directly
-//! through `NodeCore::on_*` with no adapter in between.
+//! through `NodeCore::handle` with no adapter in between.
 
 use bytes::BytesMut;
 use dgmc_core::codec::encode_payload;
-use dgmc_core::proto::{counters, DataKind, DataMsg, DgmcPayload, Frame, NodeCore, Output};
+use dgmc_core::proto::{
+    counters, DataKind, DataMsg, DgmcPayload, Frame, NodeCore, Output, SwitchMsg,
+};
 use dgmc_core::{McId, McLsa, McType, Role, Timestamp};
 use dgmc_lsr::lsa::{FloodId, FloodPacket, LinkAdv, RouterLsa};
 use dgmc_mctree::{McTopology, SphStrategy};
@@ -31,6 +33,32 @@ fn sent_frames(outputs: Vec<Output>) -> Vec<Frame> {
         .collect()
 }
 
+/// A link event names its link; the core finds the neighbour at its far
+/// end. On path 0-1-2, link 1 (1-2) is not incident to switch 0 and link 9
+/// does not exist: both events are ignored, whatever their flags.
+#[test]
+fn a_link_event_on_a_link_that_is_not_incident_is_ignored() {
+    let mut core = core_on_path(0);
+    let image_before = core.image().digest();
+    for link in [LinkId(1), LinkId(9)] {
+        for (up, detector) in [(false, true), (true, true), (true, false)] {
+            let msg = SwitchMsg::LinkEvent { link, up, detector };
+            let outputs = core.handle(0, None, msg);
+            assert!(outputs.is_empty(), "{link}: unexpected outputs {outputs:?}");
+        }
+    }
+    assert_eq!(core.image().digest(), image_before);
+    assert_eq!(core.metrics().counter_value(counters::ROUTER_FLOODS), 0);
+    // Its own link 0 is found: the detector floods its router LSA.
+    let down = SwitchMsg::LinkEvent {
+        link: LinkId(0),
+        up: false,
+        detector: true,
+    };
+    core.handle(0, None, down);
+    assert_eq!(core.metrics().counter_value(counters::ROUTER_FLOODS), 1);
+}
+
 /// Path 0-1-2: switch 2 is in range but not a neighbour of switch 0, so
 /// every frame kind it sends must be dropped before touching the flooder,
 /// the LSDB, the engine or the data plane.
@@ -50,7 +78,12 @@ fn frames_from_a_non_neighbour_are_dropped_and_counted() {
     let flood = sent_frames(stranger.on_computation_done(300_000, other))
         .pop()
         .expect("a computed join floods one MC LSA");
-    let db_sync = sent_frames(stranger.on_link_event(300_001, NodeId(1), true, false))
+    let link_up = SwitchMsg::LinkEvent {
+        link: LinkId(1),
+        up: true,
+        detector: false,
+    };
+    let db_sync = sent_frames(stranger.handle(300_001, None, link_up))
         .pop()
         .expect("link-up sends a database exchange");
     assert!(matches!(flood, Frame::Flood(_)));
@@ -68,16 +101,19 @@ fn frames_from_a_non_neighbour_are_dropped_and_counted() {
 
     let engine_before = core.engine().export_sync();
     let image_before = core.image().digest();
+    // A frame handed over without a sender is dropped and counted the same.
     for frame in [flood, wire_flood, db_sync, data] {
-        let outputs = core.on_frame(400_000, NodeId(2), frame);
-        assert!(outputs.is_empty(), "unexpected outputs: {outputs:?}");
+        for from in [Some(NodeId(2)), None] {
+            let outputs = core.handle(400_000, from, SwitchMsg::Frame(frame.clone()));
+            assert!(outputs.is_empty(), "unexpected outputs: {outputs:?}");
+        }
     }
     assert_eq!(core.engine().export_sync(), engine_before);
     assert_eq!(core.engine().state(other), None);
     assert_eq!(core.image().digest(), image_before);
     assert_eq!(core.delivered_copies(MC, 7), 0);
     assert!(core.quiet());
-    assert_eq!(core.metrics().counter_value(counters::UNKNOWN_SENDER), 4);
+    assert_eq!(core.metrics().counter_value(counters::UNKNOWN_SENDER), 8);
     assert_eq!(core.metrics().counter_value(counters::MC_LSAS), 0);
     // The dropped frames did not use the id up: the neighbour's copy is fresh.
     core.on_frame(400_001, NodeId(1), wire(id, &body_of(&lsa)));
@@ -267,7 +303,7 @@ fn a_flood_from_an_origin_outside_the_network_is_insane() {
 fn a_failed_switch_drops_a_wire_flood_before_consulting_its_id() {
     let (id, lsa) = join_flood_of_switch_0();
     let mut core = core_on_path(1);
-    core.on_admin(350_000, false);
+    core.handle(350_000, None, SwitchMsg::NodeAdmin { up: false });
     for body in [body_of(&lsa), vec![0xFF]] {
         let outputs = core.on_frame(400_000, NodeId(0), wire(id, &body));
         assert!(outputs.is_empty(), "unexpected outputs: {outputs:?}");
@@ -279,7 +315,7 @@ fn a_failed_switch_drops_a_wire_flood_before_consulting_its_id() {
     ] {
         assert_eq!(core.metrics().counter_value(name), 0, "{name}");
     }
-    core.on_admin(450_000, true);
+    core.handle(450_000, None, SwitchMsg::NodeAdmin { up: true });
     core.on_frame(500_000, NodeId(0), wire(id, &body_of(&lsa)));
     assert_eq!(core.metrics().counter_value(counters::MC_LSAS), 1);
 }

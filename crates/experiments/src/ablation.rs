@@ -16,7 +16,7 @@ use dgmc_des::par;
 use dgmc_des::stats::Tally;
 use dgmc_des::SimDuration;
 use dgmc_mctree::{algorithms, KmbStrategy, McAlgorithm, SphStrategy};
-use dgmc_topology::generate;
+use dgmc_topology::{generate, SpfCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -63,7 +63,8 @@ pub fn incremental_quality(n: usize, steps: usize, seed: u64) -> Tally {
     let initial: BTreeSet<_> = generate::sample_nodes(&mut rng, &net, 5)
         .into_iter()
         .collect();
-    let mut tree = algorithms::takahashi_matsuyama(&net, &initial);
+    let cache = SpfCache::new();
+    let mut tree = algorithms::takahashi_matsuyama(&net, &initial, &cache);
     let mut members = initial;
     let mut tally = Tally::new();
     use rand::seq::SliceRandom;
@@ -80,7 +81,7 @@ pub fn incremental_quality(n: usize, steps: usize, seed: u64) -> Tally {
                 continue;
             };
             members.insert(new);
-            tree = algorithms::greedy_join(&net, &tree, new);
+            tree = algorithms::greedy_join(&net, &tree, new, &cache);
         }
         if let Some(c) = dgmc_mctree::metrics::competitiveness(&tree, &net) {
             tally.record(c);

@@ -36,9 +36,9 @@ fn main() {
     println!("== (b) Incremental tree quality over a long join/leave trace ==");
     let quality = ablation::incremental_quality(n, if quick { 50 } else { 200 }, 0xAB2);
     println!(
-        "competitiveness vs from-scratch SPH: mean {:.3}, max implied by CI {:.3}",
+        "competitiveness vs from-scratch SPH: mean {:.3} ±{:.3}",
         quality.mean(),
-        quality.mean() + quality.ci95_half_width()
+        quality.ci95_half_width()
     );
 
     println!();

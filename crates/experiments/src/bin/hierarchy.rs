@@ -12,7 +12,7 @@ use dgmc_hierarchy::backbone::Backbone;
 use dgmc_hierarchy::switch::{build_hier_sim, counters, HierMsg};
 use dgmc_hierarchy::{scope, AreaMap, HierarchicalMc};
 use dgmc_mctree::algorithms;
-use dgmc_topology::{generate, NodeId};
+use dgmc_topology::{generate, NodeId, SpfCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -91,7 +91,7 @@ fn main() {
                 .into_iter()
                 .collect();
             let hier = HierarchicalMc::compute(&net, &map, &backbone, &members).ok()?;
-            let flat = algorithms::takahashi_matsuyama(&net, &members);
+            let flat = algorithms::takahashi_matsuyama(&net, &members, &SpfCache::new());
             match (hier.topology().total_cost(&net), flat.total_cost(&net)) {
                 (Some(hc), Some(fc)) if fc > 0 => Some(hc as f64 / fc as f64),
                 _ => None,

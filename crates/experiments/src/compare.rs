@@ -18,7 +18,7 @@ use dgmc_core::{McId, Role};
 use dgmc_des::stats::Tally;
 use dgmc_des::{par, ActorId, SimDuration};
 use dgmc_mctree::{algorithms, metrics as tree_metrics, SphStrategy};
-use dgmc_topology::{generate, NodeId};
+use dgmc_topology::{generate, NodeId, SpfCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -231,7 +231,7 @@ fn one_cbt_comparison(n: usize, run_seed: u64) -> Option<[Option<f64>; 4]> {
         .collect();
     let best = cbt::best_core(&net, &members)?;
     let (tree, hops) = cbt::build_cbt(&net, best, &members);
-    let steiner = algorithms::takahashi_matsuyama(&net, &members);
+    let steiner = algorithms::takahashi_matsuyama(&net, &members, &SpfCache::new());
     let hops = hops as f64 / members.len() as f64;
     let cost = match (tree.cost(&net), steiner.total_cost(&net)) {
         (Some(cc), Some(sc)) if sc > 0 => Some(cc as f64 / sc as f64),

@@ -6,12 +6,13 @@
 use crate::presets::sweep;
 use crate::scenario::{self, Scenario};
 use crate::workload::Workload;
+use dgmc_core::invariants::check_invariants;
 use dgmc_core::switch::{
     build_dgmc_sim, inject_link_event, inject_node_event, DgmcConfig, SwitchMsg,
 };
 use dgmc_core::{convergence, McId};
 use dgmc_des::stats::Tally;
-use dgmc_des::{par, ActorId, RunOutcome, SimDuration};
+use dgmc_des::{par, RunOutcome, SimDuration};
 use dgmc_mctree::SphStrategy;
 use dgmc_topology::{generate, LinkState};
 use rand::rngs::StdRng;
@@ -140,9 +141,9 @@ fn one_node_recovery(n: usize, seed: u64) -> Option<f64> {
     let (net, mut sim, tree, config) = setup(n, seed)?;
     // Fail an on-tree switch that is not a member and not a cut vertex.
     let members = tree.terminals().clone();
-    let victim = tree.nodes().into_iter().find(|&v| {
+    let (victim, degraded) = tree.nodes().into_iter().find_map(|v| {
         if members.contains(&v) {
-            return false;
+            return None;
         }
         let mut degraded = net.clone();
         for l in net.links().filter(|l| l.a == v || l.b == v) {
@@ -156,22 +157,16 @@ fn one_node_recovery(n: usize, seed: u64) -> Option<f64> {
             .map(|x| labels[x.index()])
             .collect();
         survivor_labels.dedup();
-        survivor_labels.len() == 1
+        (survivor_labels.len() == 1).then_some((v, degraded))
     })?;
     let start = sim.now();
     inject_node_event(&mut sim, &net, victim, false, SimDuration::millis(1));
     if sim.run_to_quiescence() != RunOutcome::Quiescent {
         return None;
     }
-    // Survivors must share a tree avoiding the dead switch.
-    let reference = sim
-        .actor_as::<dgmc_core::switch::DgmcSwitch>(ActorId(
-            members.iter().next().expect("has members").0,
-        ))?
-        .engine()
-        .installed(MC)?
-        .clone();
-    if reference.touches(victim) {
+    // Survivors must agree on one settled tree, valid without the dead
+    // switch's links.
+    if !check_invariants(&sim, &degraded).is_empty() {
         return None;
     }
     rounds_since(&sim, &net, config, start)

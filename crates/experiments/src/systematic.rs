@@ -302,21 +302,12 @@ fn tally(core: &NodeCore) -> [u64; 5] {
     TALLIED.map(|name| core.metrics().counter_value(name))
 }
 
-/// An input the model hands one core.
-enum Input {
-    Join,
-    Leave,
-    Link {
-        neighbor: NodeId,
-        up: bool,
-        detector: bool,
-    },
-    Frame {
-        from: NodeId,
-        frame: Frame,
-    },
-    Timer(McId),
-}
+/// The one connection's host join: a symmetric sender-receiver.
+const JOIN: SwitchMsg = SwitchMsg::HostJoin {
+    mc: MC,
+    mc_type: McType::Symmetric,
+    role: Role::SenderReceiver,
+};
 
 /// The D-GMC scenario as a [`mc::Model`]: holds only plain data (network,
 /// script, parameters); the cores and their spec twins are built inside
@@ -521,52 +512,48 @@ impl SystematicModel {
         }
     }
 
-    /// Hands `input` to the core of switch `at`, puts its sends on the links
-    /// and arms its timers, and runs the lockstep oracle: the spec twin is
-    /// fed what the core's engine saw, and the step's MC floods, timers,
+    /// Hands `msg` (a frame from switch `from`, or a local input) to the
+    /// core of switch `at`, puts its sends on the links and arms its timers,
+    /// and runs the lockstep oracle: the spec twin is fed the same message
+    /// as far as the core's engine saw it, and the step's MC floods, timers,
     /// installs, withdrawals and resulting per-MC state must match the
     /// twin's. Returns the violations and the step's effects, rendered.
-    fn step(&self, next: &mut SysState, at: NodeId, input: Input) -> (Vec<Violation>, String) {
+    fn step(
+        &self,
+        next: &mut SysState,
+        at: NodeId,
+        from: Option<NodeId>,
+        msg: SwitchMsg,
+    ) -> (Vec<Violation>, String) {
         let core = Rc::make_mut(&mut next.cores[at.index()]);
         let spec = &mut next.specs[at.index()];
         let before = tally(core);
-        let outputs = match &input {
-            Input::Join => core.on_join(0, MC, McType::Symmetric, Role::SenderReceiver),
-            Input::Leave => core.on_leave(0, MC),
-            &Input::Link {
-                neighbor,
-                up,
-                detector,
-            } => core.on_link_event(0, neighbor, up, detector),
-            Input::Frame { from, frame } => core.on_frame(0, *from, frame.clone()),
-            Input::Timer(mc) => core.on_computation_done(0, *mc),
-        };
+        let outputs = core.handle(0, from, msg.clone());
         let after = tally(core);
         let [floodings, installs, withdrawn, fresh, duplicates]: [u64; 5] =
             std::array::from_fn(|i| after[i] - before[i]);
-        let fed = match &input {
+        let fed = match msg {
             _ if core.is_failed() => None,
-            Input::Join => Some(spec.host_join(MC, McType::Symmetric, Role::SenderReceiver)),
-            Input::Leave => Some(spec.host_leave(MC)),
-            &Input::Link {
-                neighbor,
+            SwitchMsg::HostJoin { mc, mc_type, role } => Some(spec.host_join(mc, mc_type, role)),
+            SwitchMsg::HostLeave { mc } => Some(spec.host_leave(mc)),
+            SwitchMsg::LinkEvent {
+                link,
                 detector: true,
                 ..
-            } => Some(spec.link_event(at, neighbor)),
-            Input::Frame {
-                frame:
-                    Frame::Flood(FloodPacket {
-                        payload: DgmcPayload::Mc(lsa),
-                        ..
-                    }),
+            } => {
+                let far = next.net.link(link).expect("a known link").other(at);
+                Some(spec.link_event(at, far))
+            }
+            SwitchMsg::Frame(Frame::Flood(FloodPacket {
+                payload: DgmcPayload::Mc(lsa),
                 ..
-            } if fresh == 1 => Some(spec.receive_lsa(lsa.clone())),
-            Input::Timer(mc) => {
+            })) if fresh == 1 => Some(spec.receive_lsa(lsa)),
+            SwitchMsg::ComputationDone { mc } => {
                 let (image, algo, cache) = (core.image(), SphStrategy::new(), SpfCache::new());
                 let mut compute = |terminals: &BTreeSet<NodeId>, previous: Option<&_>| {
                     algo.compute_with(image, terminals, previous, &cache)
                 };
-                Some(spec.computation_done(*mc, &mut compute))
+                Some(spec.computation_done(mc, &mut compute))
             }
             _ => None,
         };
@@ -682,18 +669,21 @@ impl SystematicModel {
             }
             SysAction::Complete { switch, mc } => {
                 next.timers.remove(&(switch, mc));
-                let (violations, effects) = self.step(&mut next, switch, Input::Timer(mc));
+                let timer = SwitchMsg::ComputationDone { mc };
+                let (violations, effects) = self.step(&mut next, switch, None, timer);
                 let desc = format!("computation done at {switch} for {mc} -> {effects}");
                 (violations, desc)
             }
             SysAction::Deliver { from, to } => {
                 let frame = pop_head(&mut next.links, (from, to));
                 let label = format!("deliver {} {from}->{to}", describe_frame(&frame));
-                let (violations, effects) = self.step(&mut next, to, Input::Frame { from, frame });
+                let frame = SwitchMsg::Frame(frame);
+                let (violations, effects) = self.step(&mut next, to, Some(from), frame);
                 (violations, format!("{label} -> {effects}"))
             }
             SysAction::Crash(switch) => {
-                Rc::make_mut(&mut next.cores[switch.index()]).on_admin(0, false);
+                let down = SwitchMsg::NodeAdmin { up: false };
+                Rc::make_mut(&mut next.cores[switch.index()]).handle(0, None, down);
                 next.crash_budget -= 1;
                 let desc = format!("crash at {switch} (fail-stop: every later input dropped)");
                 (Vec::new(), desc)
@@ -711,8 +701,8 @@ impl SystematicModel {
 
     fn fire_script(&self, next: &mut SysState, ev: ScriptEvent) -> (Vec<Violation>, String) {
         let (violations, effects) = match ev {
-            ScriptEvent::Join { at } => self.step(next, at, Input::Join),
-            ScriptEvent::Leave { at } => self.step(next, at, Input::Leave),
+            ScriptEvent::Join { at } => self.step(next, at, None, JOIN),
+            ScriptEvent::Leave { at } => self.step(next, at, None, SwitchMsg::HostLeave { mc: MC }),
             ScriptEvent::LinkDown { a, b } | ScriptEvent::LinkUp { a, b, .. } => {
                 let up = matches!(ev, ScriptEvent::LinkUp { .. });
                 let link = next
@@ -727,17 +717,7 @@ impl SystematicModel {
                 // Both endpoints learn at once, the detector first.
                 let (mut violations, mut effects) = (Vec::new(), Vec::new());
                 for (switch, msg) in link_event_inputs(&link, up) {
-                    let detector = match msg {
-                        SwitchMsg::LinkEvent { detector, .. } => detector,
-                        _ => unreachable!("link_event_inputs builds link events"),
-                    };
-                    let neighbor = link.other(switch);
-                    let input = Input::Link {
-                        neighbor,
-                        up,
-                        detector,
-                    };
-                    let (more, did) = self.step(next, switch, input);
+                    let (more, did) = self.step(next, switch, None, msg);
                     violations.extend(more);
                     effects.push(format!("{switch}: {did}"));
                 }
@@ -779,7 +759,7 @@ impl Model for SystematicModel {
             loss_budget: self.losses,
         };
         for &at in &self.warm {
-            let (violations, desc) = self.step(&mut state, at, Input::Join);
+            let (violations, desc) = self.step(&mut state, at, None, JOIN);
             assert!(
                 violations.is_empty(),
                 "warm-up diverged at '{desc}': {violations:?}"

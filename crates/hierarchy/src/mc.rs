@@ -1,7 +1,7 @@
 use crate::backbone::Backbone;
 use crate::{AreaId, AreaMap};
 use dgmc_mctree::{algorithms, McTopology};
-use dgmc_topology::{Network, NodeId};
+use dgmc_topology::{Network, NodeId, SpfCache};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -72,6 +72,7 @@ impl HierarchicalMc {
         let member_areas: BTreeSet<AreaId> = by_area.keys().copied().collect();
         let borders = map.borders(net);
         let multi_area = member_areas.len() > 1;
+        let cache = SpfCache::new();
 
         // Single-area connections never leave their area: plain flat tree.
         if !multi_area {
@@ -83,7 +84,7 @@ impl HierarchicalMc {
                 });
             };
             let sub = map.area_subgraph(net, area);
-            let tree = algorithms::takahashi_matsuyama(&sub, area_members);
+            let tree = algorithms::takahashi_matsuyama(&sub, area_members, &cache);
             for &m in area_members {
                 if !tree.touches(m) || tree.validate(&sub, area_members).is_err() {
                     return Err(HierarchyError::MemberUnreachable(m));
@@ -117,7 +118,7 @@ impl HierarchicalMc {
             attachments.insert(area, attachment);
             let mut terminals = area_members.clone();
             terminals.insert(attachment);
-            let tree = algorithms::takahashi_matsuyama(&sub, &terminals);
+            let tree = algorithms::takahashi_matsuyama(&sub, &terminals, &cache);
             if tree.validate(&sub, &terminals).is_err() {
                 let missing = terminals
                     .iter()
@@ -131,7 +132,7 @@ impl HierarchicalMc {
 
         // 3. Backbone tree over attachment borders.
         let attach_set: BTreeSet<NodeId> = attachments.values().copied().collect();
-        let bb_tree = algorithms::takahashi_matsuyama(backbone.logical(), &attach_set);
+        let bb_tree = algorithms::takahashi_matsuyama(backbone.logical(), &attach_set, &cache);
         if bb_tree.validate(backbone.logical(), &attach_set).is_err() {
             let missing = attach_set
                 .iter()
@@ -282,7 +283,7 @@ mod tests {
         let (net, map, bb) = setup(4);
         let want = members(&[0, 5, 30, 35, 14, 21]);
         let hier = HierarchicalMc::compute(&net, &map, &bb, &want).unwrap();
-        let flat = algorithms::takahashi_matsuyama(&net, &want);
+        let flat = algorithms::takahashi_matsuyama(&net, &want, &SpfCache::new());
         let hc = hier.topology().total_cost(&net).unwrap() as f64;
         let fc = flat.total_cost(&net).unwrap() as f64;
         assert!(hc / fc <= 2.0, "hierarchical {hc} vs flat {fc}");

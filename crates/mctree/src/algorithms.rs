@@ -9,11 +9,10 @@
 //! for further study, and [`crate::McTopology::validate`] flags such
 //! topologies as disconnected.
 
-//! Every heuristic comes in two forms: the historical signature, and a
-//! `*_with` variant whose Dijkstra runs go through the pooled arenas of an
-//! [`SpfCache`](dgmc_topology::SpfCache) and are counted in its stats. The
-//! cache memoizes nothing, so both produce identical results; the plain form
-//! simply runs over a throwaway cache.
+//! Every heuristic runs its Dijkstra searches through the pooled arenas of
+//! the [`SpfCache`](dgmc_topology::SpfCache) it is handed, which counts them
+//! in its stats. The cache memoizes nothing: any cache, a throwaway
+//! `&SpfCache::new()` included, gives the same tree.
 
 use crate::McTopology;
 use dgmc_topology::{spf, unionfind::UnionFind, Network, NodeId, SpfCache};
@@ -31,20 +30,15 @@ use std::rc::Rc;
 ///
 /// ```
 /// use dgmc_mctree::algorithms::takahashi_matsuyama;
-/// use dgmc_topology::{generate, NodeId};
+/// use dgmc_topology::{generate, NodeId, SpfCache};
 /// use std::collections::BTreeSet;
 ///
 /// let net = generate::ring(6);
 /// let terminals: BTreeSet<NodeId> = [NodeId(0), NodeId(3)].into();
-/// let tree = takahashi_matsuyama(&net, &terminals);
+/// let tree = takahashi_matsuyama(&net, &terminals, &SpfCache::new());
 /// assert_eq!(tree.edge_count(), 3);
 /// ```
-pub fn takahashi_matsuyama(net: &Network, terminals: &BTreeSet<NodeId>) -> McTopology {
-    takahashi_matsuyama_with(net, terminals, &SpfCache::new())
-}
-
-/// [`takahashi_matsuyama`] with its shortest-path forests run through `cache`.
-pub fn takahashi_matsuyama_with(
+pub fn takahashi_matsuyama(
     net: &Network,
     terminals: &BTreeSet<NodeId>,
     cache: &SpfCache,
@@ -92,7 +86,7 @@ pub fn takahashi_matsuyama_with(
 /// Fully deterministic; ties break by node/edge ids. The per-terminal
 /// shortest-path trees — the heuristic's dominant cost (one full Dijkstra
 /// per terminal per invocation) — come from `cache`.
-pub fn kmb_with(net: &Network, terminals: &BTreeSet<NodeId>, cache: &SpfCache) -> McTopology {
+pub fn kmb(net: &Network, terminals: &BTreeSet<NodeId>, cache: &SpfCache) -> McTopology {
     let mut result = McTopology::new(terminals.clone());
     if terminals.len() < 2 {
         return result;
@@ -175,16 +169,7 @@ pub fn kmb_with(net: &Network, terminals: &BTreeSet<NodeId>, cache: &SpfCache) -
 /// # Panics
 ///
 /// Panics if `root` is not a node of `net`.
-pub fn pruned_spt(net: &Network, root: NodeId, terminals: &BTreeSet<NodeId>) -> McTopology {
-    pruned_spt_with(net, root, terminals, &SpfCache::new())
-}
-
-/// [`pruned_spt`] with its root tree run through `cache`.
-///
-/// # Panics
-///
-/// Panics if `root` is not a node of `net`.
-pub fn pruned_spt_with(
+pub fn pruned_spt(
     net: &Network,
     root: NodeId,
     terminals: &BTreeSet<NodeId>,
@@ -221,7 +206,7 @@ pub fn pruned_spt_with(
 /// # Panics
 ///
 /// Panics if `root` is not a node of `net`.
-pub fn delay_bounded_with(
+pub fn delay_bounded(
     net: &Network,
     root: NodeId,
     terminals: &BTreeSet<NodeId>,
@@ -341,12 +326,7 @@ fn extract_tree(
 /// The terminal set of the result gains `joining`. If the tree is empty the
 /// result is the singleton tree at `joining`; if the image offers no path
 /// the terminal stays isolated.
-pub fn greedy_join(net: &Network, tree: &McTopology, joining: NodeId) -> McTopology {
-    greedy_join_with(net, tree, joining, &SpfCache::new())
-}
-
-/// [`greedy_join`] with its forest from the tree's nodes run through `cache`.
-pub fn greedy_join_with(
+pub fn greedy_join(
     net: &Network,
     tree: &McTopology,
     joining: NodeId,
@@ -395,8 +375,8 @@ mod tests {
     #[test]
     fn tm_trivial_cases() {
         let net = generate::ring(5);
-        assert!(takahashi_matsuyama(&net, &terminals(&[])).is_empty());
-        let single = takahashi_matsuyama(&net, &terminals(&[2]));
+        assert!(takahashi_matsuyama(&net, &terminals(&[]), &SpfCache::new()).is_empty());
+        let single = takahashi_matsuyama(&net, &terminals(&[2]), &SpfCache::new());
         assert_eq!(single.edge_count(), 0);
         assert!(single.is_tree());
     }
@@ -405,14 +385,14 @@ mod tests {
     fn tm_spans_terminals_on_grid() {
         let net = generate::grid(4, 4);
         let want = terminals(&[0, 3, 12, 15]);
-        let tree = takahashi_matsuyama(&net, &want);
+        let tree = takahashi_matsuyama(&net, &want, &SpfCache::new());
         assert_eq!(tree.validate(&net, &want), Ok(()));
     }
 
     #[test]
     fn tm_on_ring_picks_short_side() {
         let net = generate::ring(8);
-        let tree = takahashi_matsuyama(&net, &terminals(&[0, 2]));
+        let tree = takahashi_matsuyama(&net, &terminals(&[0, 2]), &SpfCache::new());
         assert_eq!(tree.edge_count(), 2, "two hops around the short side");
         assert!(tree.contains_edge(NodeId(0), NodeId(1)));
         assert!(tree.contains_edge(NodeId(1), NodeId(2)));
@@ -423,7 +403,7 @@ mod tests {
         // Path 0-1-2-3-4: terminals {0,2,4}; tree must be the path itself.
         let net = generate::path(5);
         let want = terminals(&[0, 2, 4]);
-        let tree = takahashi_matsuyama(&net, &want);
+        let tree = takahashi_matsuyama(&net, &want, &SpfCache::new());
         assert_eq!(tree.edge_count(), 4);
         assert_eq!(tree.total_cost(&net), Some(4));
     }
@@ -443,7 +423,7 @@ mod tests {
             .link(0, 2, 3)
             .build();
         let want = terminals(&[0, 1, 2]);
-        let tree = kmb_with(&net, &want, &SpfCache::new());
+        let tree = kmb(&net, &want, &SpfCache::new());
         assert_eq!(tree.validate(&net, &want), Ok(()));
         assert_eq!(tree.total_cost(&net), Some(3), "uses the Steiner point 4");
     }
@@ -458,8 +438,8 @@ mod tests {
             let want = generate::sample_nodes(&mut rng, &net, 8)
                 .into_iter()
                 .collect();
-            let t1 = takahashi_matsuyama(&net, &want);
-            let t2 = kmb_with(&net, &want, &SpfCache::new());
+            let t1 = takahashi_matsuyama(&net, &want, &SpfCache::new());
+            let t2 = kmb(&net, &want, &SpfCache::new());
             assert_eq!(t1.validate(&net, &want), Ok(()));
             assert_eq!(t2.validate(&net, &want), Ok(()));
         }
@@ -468,19 +448,19 @@ mod tests {
     #[test]
     fn pruned_spt_follows_shortest_paths() {
         let net = generate::grid(3, 3);
-        let tree = pruned_spt(&net, NodeId(0), &terminals(&[8]));
+        let tree = pruned_spt(&net, NodeId(0), &terminals(&[8]), &SpfCache::new());
         // Shortest 0->8 path in a unit grid is 4 hops.
         assert_eq!(tree.edge_count(), 4);
         assert!(tree.terminals().contains(&NodeId(0)), "root is a terminal");
-        let empty = pruned_spt(&net, NodeId(4), &terminals(&[]));
+        let empty = pruned_spt(&net, NodeId(4), &terminals(&[]), &SpfCache::new());
         assert_eq!(empty.edge_count(), 0);
     }
 
     #[test]
     fn greedy_join_extends_by_shortest_path() {
         let net = generate::path(5);
-        let base = takahashi_matsuyama(&net, &terminals(&[0, 1]));
-        let grown = greedy_join(&net, &base, NodeId(4));
+        let base = takahashi_matsuyama(&net, &terminals(&[0, 1]), &SpfCache::new());
+        let grown = greedy_join(&net, &base, NodeId(4), &SpfCache::new());
         assert_eq!(grown.edge_count(), 4);
         assert!(grown.terminals().contains(&NodeId(4)));
         assert_eq!(grown.validate(&net, &terminals(&[0, 1, 4])), Ok(()));
@@ -489,7 +469,7 @@ mod tests {
     #[test]
     fn greedy_join_on_empty_tree_is_singleton() {
         let net = generate::ring(4);
-        let grown = greedy_join(&net, &McTopology::empty(), NodeId(2));
+        let grown = greedy_join(&net, &McTopology::empty(), NodeId(2), &SpfCache::new());
         assert_eq!(grown.edge_count(), 0);
         assert_eq!(grown.terminals(), &terminals(&[2]));
     }
@@ -497,8 +477,8 @@ mod tests {
     #[test]
     fn greedy_join_of_interior_node_adds_nothing() {
         let net = generate::path(5);
-        let base = takahashi_matsuyama(&net, &terminals(&[0, 4]));
-        let grown = greedy_join(&net, &base, NodeId(2));
+        let base = takahashi_matsuyama(&net, &terminals(&[0, 4]), &SpfCache::new());
+        let grown = greedy_join(&net, &base, NodeId(2), &SpfCache::new());
         assert_eq!(grown.edge_count(), base.edge_count());
         assert!(grown.terminals().contains(&NodeId(2)));
     }
@@ -506,7 +486,7 @@ mod tests {
     #[test]
     fn greedy_leave_prunes_leaf_chain() {
         let net = generate::path(5);
-        let base = takahashi_matsuyama(&net, &terminals(&[0, 2, 4]));
+        let base = takahashi_matsuyama(&net, &terminals(&[0, 2, 4]), &SpfCache::new());
         let shrunk = greedy_leave(&base, NodeId(4));
         assert_eq!(shrunk.edge_count(), 2, "3-4 branch pruned back to 2");
         assert_eq!(shrunk.validate(&net, &terminals(&[0, 2])), Ok(()));
@@ -515,7 +495,7 @@ mod tests {
     #[test]
     fn greedy_leave_keeps_interior_relays() {
         let net = generate::path(5);
-        let base = takahashi_matsuyama(&net, &terminals(&[0, 2, 4]));
+        let base = takahashi_matsuyama(&net, &terminals(&[0, 2, 4]), &SpfCache::new());
         let shrunk = greedy_leave(&base, NodeId(2));
         assert_eq!(
             shrunk.edge_count(),
@@ -532,7 +512,7 @@ mod tests {
         let root = NodeId(0);
         let want = terminals(&[3, 4, 5]);
         for bound in [4u64, 5, 7] {
-            let tree = delay_bounded_with(&net, root, &want, bound, &SpfCache::new()).unwrap();
+            let tree = delay_bounded(&net, root, &want, bound, &SpfCache::new()).unwrap();
             let mut full = want.clone();
             full.insert(root);
             assert_eq!(tree.validate(&net, &full), Ok(()), "bound {bound}");
@@ -548,10 +528,10 @@ mod tests {
         let net = generate::path(5);
         let want = terminals(&[4]);
         assert_eq!(
-            delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::new()),
+            delay_bounded(&net, NodeId(0), &want, 3, &SpfCache::new()),
             Err(NodeId(4))
         );
-        assert!(delay_bounded_with(&net, NodeId(0), &want, 4, &SpfCache::new()).is_ok());
+        assert!(delay_bounded(&net, NodeId(0), &want, 4, &SpfCache::new()).is_ok());
     }
 
     #[test]
@@ -568,11 +548,11 @@ mod tests {
             .link(0, 4, 3)
             .build();
         let want = terminals(&[3, 4]);
-        let loose = delay_bounded_with(&net, NodeId(0), &want, 10, &SpfCache::new()).unwrap();
+        let loose = delay_bounded(&net, NodeId(0), &want, 10, &SpfCache::new()).unwrap();
         assert_eq!(loose.total_cost(&net), Some(4), "shared chain when allowed");
         let loose_delays = crate::metrics::tree_path_costs(&loose, &net, NodeId(0)).unwrap();
         assert_eq!(loose_delays[&NodeId(4)], 4);
-        let tight = delay_bounded_with(&net, NodeId(0), &want, 3, &SpfCache::new()).unwrap();
+        let tight = delay_bounded(&net, NodeId(0), &want, 3, &SpfCache::new()).unwrap();
         let tight_delays = crate::metrics::tree_path_costs(&tight, &net, NodeId(0)).unwrap();
         assert!(tight_delays[&NodeId(4)] <= 3, "bound honored");
         assert_eq!(tight.total_cost(&net), Some(6), "direct link when tight");
@@ -588,8 +568,8 @@ mod tests {
             .into_iter()
             .collect();
         let bound = dgmc_topology::metrics::cost_diameter(&net);
-        let a = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::new()).unwrap();
-        let b = delay_bounded_with(&net, NodeId(0), &want, bound, &SpfCache::new()).unwrap();
+        let a = delay_bounded(&net, NodeId(0), &want, bound, &SpfCache::new()).unwrap();
+        let b = delay_bounded(&net, NodeId(0), &want, bound, &SpfCache::new()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -598,7 +578,7 @@ mod tests {
         let mut net = generate::path(4);
         net.set_link_state(LinkId(1), LinkState::Down).unwrap(); // 1-2 cut
         let want = terminals(&[0, 3]);
-        let tree = takahashi_matsuyama(&net, &want);
+        let tree = takahashi_matsuyama(&net, &want, &SpfCache::new());
         assert_eq!(tree.edge_count(), 0);
         assert!(tree.validate(&net, &want).is_err());
     }
@@ -613,16 +593,16 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(
-            takahashi_matsuyama(&net, &want),
-            takahashi_matsuyama(&net, &want)
+            takahashi_matsuyama(&net, &want, &SpfCache::new()),
+            takahashi_matsuyama(&net, &want, &SpfCache::new())
         );
         assert_eq!(
-            kmb_with(&net, &want, &SpfCache::new()),
-            kmb_with(&net, &want, &SpfCache::new())
+            kmb(&net, &want, &SpfCache::new()),
+            kmb(&net, &want, &SpfCache::new())
         );
         assert_eq!(
-            pruned_spt(&net, NodeId(0), &want),
-            pruned_spt(&net, NodeId(0), &want)
+            pruned_spt(&net, NodeId(0), &want, &SpfCache::new()),
+            pruned_spt(&net, NodeId(0), &want, &SpfCache::new())
         );
     }
 }

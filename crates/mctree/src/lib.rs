@@ -8,7 +8,7 @@
 //!
 //! * [`algorithms::takahashi_matsuyama`] — the shortest-path Steiner
 //!   heuristic (grow the tree toward the nearest terminal),
-//! * [`algorithms::kmb_with`] — the Kou–Markowsky–Berman 2-approximation,
+//! * [`algorithms::kmb`] — the Kou–Markowsky–Berman 2-approximation,
 //! * [`algorithms::pruned_spt`] — source-rooted shortest-path trees pruned
 //!   to the member set (the MOSPF/asymmetric topology),
 //! * [`algorithms::greedy_join`] / [`algorithms::greedy_leave`] — the
@@ -28,12 +28,12 @@
 //!
 //! ```
 //! use dgmc_mctree::{algorithms, McTopology};
-//! use dgmc_topology::{generate, NodeId};
+//! use dgmc_topology::{generate, NodeId, SpfCache};
 //! use std::collections::BTreeSet;
 //!
 //! let net = generate::grid(3, 3);
 //! let terminals: BTreeSet<NodeId> = [NodeId(0), NodeId(2), NodeId(8)].into();
-//! let tree = algorithms::takahashi_matsuyama(&net, &terminals);
+//! let tree = algorithms::takahashi_matsuyama(&net, &terminals, &SpfCache::new());
 //! assert!(tree.validate(&net, &terminals).is_ok());
 //! ```
 

@@ -6,7 +6,7 @@
 //! [`max_link_load`]).
 
 use crate::McTopology;
-use dgmc_topology::{Network, NodeId};
+use dgmc_topology::{Network, NodeId, SpfCache};
 use std::collections::BTreeMap;
 
 /// Total link cost of the tree on `net` (`None` if the tree is stale).
@@ -113,7 +113,7 @@ fn bfs_parents(tree: &McTopology, root: NodeId) -> BTreeMap<NodeId, NodeId> {
 /// Returns `None` if either cost is unavailable.
 pub fn competitiveness(tree: &McTopology, net: &Network) -> Option<f64> {
     let mine = tree.total_cost(net)? as f64;
-    let fresh = crate::algorithms::takahashi_matsuyama(net, tree.terminals());
+    let fresh = crate::algorithms::takahashi_matsuyama(net, tree.terminals(), &SpfCache::new());
     let base = fresh.total_cost(net)? as f64;
     if base == 0.0 {
         return Some(1.0);
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn delay_on_a_path_tree() {
         let net = generate::path(5);
-        let tree = takahashi_matsuyama(&net, &terminals(&[0, 4]));
+        let tree = takahashi_matsuyama(&net, &terminals(&[0, 4]), &SpfCache::new());
         assert_eq!(max_member_delay(&tree, &net), Some(4));
         assert_eq!(tree_cost(&tree, &net), Some(4));
     }
@@ -144,7 +144,7 @@ mod tests {
     fn path_costs_walk_tree_edges_only() {
         // Ring: tree uses the short side; costs follow tree, not graph.
         let net = generate::ring(6);
-        let tree = takahashi_matsuyama(&net, &terminals(&[0, 2]));
+        let tree = takahashi_matsuyama(&net, &terminals(&[0, 2]), &SpfCache::new());
         let d = tree_path_costs(&tree, &net, NodeId(0)).unwrap();
         assert_eq!(d[&NodeId(2)], 2);
         assert!(!d.contains_key(&NodeId(4)), "off-tree nodes unvisited");
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn star_tree_concentrates_load_at_center_edges() {
         let net = generate::star(5); // center 0, leaves 1-4
-        let tree = takahashi_matsuyama(&net, &terminals(&[1, 2, 3, 4]));
+        let tree = takahashi_matsuyama(&net, &terminals(&[1, 2, 3, 4]), &SpfCache::new());
         let loads = link_loads(&tree);
         // Each leaf edge carries the 3 pairs involving that leaf, both ways.
         assert!(loads.values().all(|&l| l == 6));
@@ -163,16 +163,16 @@ mod tests {
     #[test]
     fn loads_zero_without_pairs() {
         let net = generate::path(3);
-        let tree = takahashi_matsuyama(&net, &terminals(&[0]));
+        let tree = takahashi_matsuyama(&net, &terminals(&[0]), &SpfCache::new());
         assert_eq!(max_link_load(&tree), 0);
-        let pair = takahashi_matsuyama(&net, &terminals(&[0, 1]));
+        let pair = takahashi_matsuyama(&net, &terminals(&[0, 1]), &SpfCache::new());
         assert_eq!(max_link_load(&pair), 2);
     }
 
     #[test]
     fn fresh_tree_is_competitive_with_itself() {
         let net = generate::grid(3, 3);
-        let tree = takahashi_matsuyama(&net, &terminals(&[0, 8, 6]));
+        let tree = takahashi_matsuyama(&net, &terminals(&[0, 8, 6]), &SpfCache::new());
         let c = competitiveness(&tree, &net).unwrap();
         assert!((c - 1.0).abs() < 1e-9);
     }

@@ -13,7 +13,7 @@
 //!   tree, reserve its bandwidth atomically, or reject the connection.
 
 use crate::{algorithms, McTopology};
-use dgmc_topology::{Network, NodeId};
+use dgmc_topology::{Network, NodeId, SpfCache};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -324,7 +324,7 @@ pub fn constrained_steiner(
                 .expect("links unique in source network");
         }
     }
-    algorithms::takahashi_matsuyama(&residual, members)
+    algorithms::takahashi_matsuyama(&residual, members, &SpfCache::new())
 }
 
 #[cfg(test)]

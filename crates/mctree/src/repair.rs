@@ -32,7 +32,7 @@ use dgmc_topology::{Network, NodeId, SpfCache};
 /// Returns the pruned-SPT topology for `tree`'s member set plus `joining`,
 /// by grafting `joining`'s canonical root path onto a clone of `tree`.
 ///
-/// Exactly equals `pruned_spt_with(net, root, members ∪ {joining}, cache)`
+/// Exactly equals `pruned_spt(net, root, members ∪ {joining}, cache)`
 /// when `tree` is the pruned SPT of `members` on the same network content.
 /// An unreachable `joining` stays an isolated terminal, matching the full
 /// recompute's partition behavior.
@@ -58,7 +58,7 @@ pub fn graft_member(
 /// Returns the pruned-SPT topology for `tree`'s member set minus `leaving`,
 /// by dropping the terminal and pruning the branch that served only it.
 ///
-/// Exactly equals `pruned_spt_with(net, root, members \ {leaving}, ..)` when
+/// Exactly equals `pruned_spt(net, root, members \ {leaving}, ..)` when
 /// `tree` is the pruned SPT of `members` on the same network content: the
 /// remaining terminals' root paths are untouched, and everything not on one
 /// of them becomes a prunable non-terminal leaf chain. `leaving == root` is
@@ -88,12 +88,16 @@ mod tests {
         let net = generate::grid(3, 4);
         let root = NodeId(0);
         let mut members: BTreeSet<NodeId> = [NodeId(5), NodeId(11)].into();
-        let mut tree = pruned_spt(&net, root, &members);
+        let mut tree = pruned_spt(&net, root, &members, &SpfCache::new());
         let cache = SpfCache::new();
         for join in [NodeId(7), NodeId(3), NodeId(10)] {
             tree = graft_member(&net, root, &tree, join, &cache);
             members.insert(join);
-            assert_eq!(tree, pruned_spt(&net, root, &members), "join {join}");
+            assert_eq!(
+                tree,
+                pruned_spt(&net, root, &members, &SpfCache::new()),
+                "join {join}"
+            );
         }
     }
 
@@ -102,11 +106,15 @@ mod tests {
         let net = generate::grid(3, 4);
         let root = NodeId(0);
         let mut members: BTreeSet<NodeId> = [NodeId(5), NodeId(7), NodeId(10), NodeId(11)].into();
-        let mut tree = pruned_spt(&net, root, &members);
+        let mut tree = pruned_spt(&net, root, &members, &SpfCache::new());
         for leave in [NodeId(11), NodeId(5), NodeId(7), NodeId(10)] {
             tree = prune_member(root, &tree, leave);
             members.remove(&leave);
-            assert_eq!(tree, pruned_spt(&net, root, &members), "leave {leave}");
+            assert_eq!(
+                tree,
+                pruned_spt(&net, root, &members, &SpfCache::new()),
+                "leave {leave}"
+            );
         }
         assert_eq!(tree.edge_count(), 0, "only the root terminal remains");
     }
@@ -116,7 +124,7 @@ mod tests {
         let net = generate::ring(6);
         let root = NodeId(2);
         let members: BTreeSet<NodeId> = [NodeId(0), NodeId(4)].into();
-        let tree = pruned_spt(&net, root, &members);
+        let tree = pruned_spt(&net, root, &members, &SpfCache::new());
         assert_eq!(prune_member(root, &tree, root), tree);
     }
 
@@ -127,10 +135,13 @@ mod tests {
             .unwrap();
         let root = NodeId(0);
         let members: BTreeSet<NodeId> = [NodeId(1)].into();
-        let tree = pruned_spt(&net, root, &members);
+        let tree = pruned_spt(&net, root, &members, &SpfCache::new());
         let grafted = graft_member(&net, root, &tree, NodeId(2), &SpfCache::new());
         let full_members: BTreeSet<NodeId> = [NodeId(1), NodeId(2)].into();
-        assert_eq!(grafted, pruned_spt(&net, root, &full_members));
+        assert_eq!(
+            grafted,
+            pruned_spt(&net, root, &full_members, &SpfCache::new())
+        );
         assert!(grafted.terminals().contains(&NodeId(2)));
         assert_eq!(grafted.degree_in(NodeId(2)), 0, "no edges reach node 2");
     }

@@ -80,14 +80,14 @@ impl McAlgorithm for SphStrategy {
                 tree = algorithms::greedy_leave(&tree, gone);
             }
             for &new in terminals.difference(prev.terminals()) {
-                tree = algorithms::greedy_join_with(net, &tree, new, cache);
+                tree = algorithms::greedy_join(net, &tree, new, cache);
             }
             if tree.validate(net, terminals).is_ok() {
                 return tree;
             }
             // Adverse network change: fall through to a from-scratch build.
         }
-        algorithms::takahashi_matsuyama_with(net, terminals, cache)
+        algorithms::takahashi_matsuyama(net, terminals, cache)
     }
 
     fn name(&self) -> &'static str {
@@ -117,7 +117,7 @@ impl McAlgorithm for KmbStrategy {
         _previous: Option<&McTopology>,
         cache: &SpfCache,
     ) -> McTopology {
-        algorithms::kmb_with(net, terminals, cache)
+        algorithms::kmb(net, terminals, cache)
     }
 
     fn name(&self) -> &'static str {
@@ -156,9 +156,9 @@ impl McAlgorithm for DelayBoundedStrategy {
             return McTopology::empty();
         };
         let others: BTreeSet<NodeId> = terminals.iter().copied().skip(1).collect();
-        match algorithms::delay_bounded_with(net, root, &others, self.bound, cache) {
+        match algorithms::delay_bounded(net, root, &others, self.bound, cache) {
             Ok(tree) => tree,
-            Err(_) => algorithms::takahashi_matsuyama_with(net, terminals, cache),
+            Err(_) => algorithms::takahashi_matsuyama(net, terminals, cache),
         }
     }
 

@@ -25,8 +25,8 @@ proptest! {
     #[test]
     fn heuristics_produce_valid_trees((net, terminals) in arb_case()) {
         for tree in [
-            algorithms::takahashi_matsuyama(&net, &terminals),
-            algorithms::kmb_with(&net, &terminals, &SpfCache::new()),
+            algorithms::takahashi_matsuyama(&net, &terminals, &SpfCache::new()),
+            algorithms::kmb(&net, &terminals, &SpfCache::new()),
         ] {
             prop_assert_eq!(tree.validate(&net, &terminals), Ok(()));
             prop_assert!(tree.is_tree());
@@ -38,7 +38,7 @@ proptest! {
     /// (the trivial star construction TM must not exceed).
     #[test]
     fn steiner_cost_bounds((net, terminals) in arb_case()) {
-        let tree = algorithms::takahashi_matsuyama(&net, &terminals);
+        let tree = algorithms::takahashi_matsuyama(&net, &terminals, &SpfCache::new());
         let cost = tree.total_cost(&net).expect("valid tree");
         let first = *terminals.iter().next().unwrap();
         let spt = spf::shortest_path_tree(&net, first);
@@ -61,7 +61,7 @@ proptest! {
     /// MST(distance graph)/2 <= OPT, so cost(KMB) <= MST(distances).
     #[test]
     fn kmb_within_distance_mst((net, terminals) in arb_case()) {
-        let tree = algorithms::kmb_with(&net, &terminals, &SpfCache::new());
+        let tree = algorithms::kmb(&net, &terminals, &SpfCache::new());
         let cost = tree.total_cost(&net).expect("valid tree");
         // Kruskal MST over the terminal distance graph.
         let terms: Vec<NodeId> = terminals.iter().copied().collect();
@@ -88,10 +88,10 @@ proptest! {
     /// terminal connectivity; leave preserves validity for the rest.
     #[test]
     fn incremental_updates_preserve_validity((net, terminals) in arb_case()) {
-        let tree = algorithms::takahashi_matsuyama(&net, &terminals);
+        let tree = algorithms::takahashi_matsuyama(&net, &terminals, &SpfCache::new());
         // Join a node not yet in the terminal set.
         if let Some(newcomer) = net.nodes().find(|n| !terminals.contains(n)) {
-            let grown = algorithms::greedy_join(&net, &tree, newcomer);
+            let grown = algorithms::greedy_join(&net, &tree, newcomer, &SpfCache::new());
             let mut want = terminals.clone();
             want.insert(newcomer);
             prop_assert_eq!(grown.validate(&net, &want), Ok(()));
@@ -131,7 +131,7 @@ proptest! {
     fn pruned_spt_is_shortest_per_terminal((net, terminals) in arb_case()) {
         let root = *terminals.iter().next().unwrap();
         let others: BTreeSet<NodeId> = terminals.iter().copied().skip(1).collect();
-        let tree = algorithms::pruned_spt(&net, root, &others);
+        let tree = algorithms::pruned_spt(&net, root, &others, &SpfCache::new());
         let spt = spf::shortest_path_tree(&net, root);
         let in_tree = metrics::tree_path_costs(&tree, &net, root).expect("valid");
         for &t in &others {
@@ -143,7 +143,7 @@ proptest! {
     /// pairwise tree path lengths (each direction counted).
     #[test]
     fn link_loads_conserve_path_hops((net, terminals) in arb_case()) {
-        let tree = algorithms::takahashi_matsuyama(&net, &terminals);
+        let tree = algorithms::takahashi_matsuyama(&net, &terminals, &SpfCache::new());
         let loads = metrics::link_loads(&tree);
         let total: u64 = loads.values().sum();
         // Sum over unordered pairs of 2 * hops(path).
@@ -226,7 +226,7 @@ proptest! {
         use dgmc_topology::SpfCache;
         let root = NodeId(0);
         members.remove(&root);
-        let mut tree = algorithms::pruned_spt(&net, root, &members);
+        let mut tree = algorithms::pruned_spt(&net, root, &members, &SpfCache::new());
         let cache = SpfCache::new();
         for (pick, join) in ops {
             let node = NodeId((pick % net.len() as u64) as u32);
@@ -241,7 +241,7 @@ proptest! {
             }
             prop_assert_eq!(
                 &tree,
-                &algorithms::pruned_spt(&net, root, &members),
+                &algorithms::pruned_spt(&net, root, &members, &SpfCache::new()),
                 "after {} of {}", if join { "join" } else { "leave" }, node
             );
         }

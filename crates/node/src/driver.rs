@@ -14,11 +14,7 @@
 //! | command | effect |
 //! |---|---|
 //! | `peers 0=ADDR;1=ADDR;…` | learn every node's UDP address |
-//! | `join MC [TYPE] [ROLE]` | local host joins `MC` |
-//! | `leave MC` | local host leaves `MC` |
-//! | `link ID up\|down 0\|1` | event on incident link `ID`, its position in `--links` (last field: detector) |
-//! | `admin up\|down` | administrative node failure / revival |
-//! | `send MC ID` | inject data packet `ID` into `MC` |
+//! | `join`, `leave`, `link`, `admin`, `send` | hand the core the input the line names ([`crate::control`]); a link that is not incident is `err` |
 //! | `status` | `quiet=… timers=… rx=… tx=… log=… mcs=…` |
 //! | `state` | one-line JSON engine snapshot |
 //! | `metrics` | one-line JSON metrics registry |
@@ -61,13 +57,14 @@
 //! in the kernel for the life of the process and die with it at `quit`.
 
 use crate::clock::{TickClock, Timer, Timers};
+use crate::control;
 use crate::fault::SendShim;
 use crate::frame::{decode_datagram, encode_datagram, frame_is_sane};
 use crate::proto::{node_counters, NodeCore, Output};
 use crate::snapshot::engine_snapshot;
-use dgmc_core::McId;
+use dgmc_core::switch::SwitchMsg;
 use dgmc_des::net::FaultPlan;
-use dgmc_mctree::{McType, Role, SphStrategy};
+use dgmc_mctree::SphStrategy;
 use dgmc_obs::{DecisionLogHandle, JsonValue};
 use dgmc_topology::{Network, NodeId};
 use std::collections::HashMap;
@@ -434,27 +431,20 @@ impl Driver {
         Ok(())
     }
 
-    /// `link ID up|down 0|1` as the core's input: the neighbor at the far
-    /// end of incident link `ID`, the new state, the detector flag.
-    fn parse_link(
-        &self,
-        id: &str,
-        state: &str,
-        detector: &str,
-    ) -> Result<(NodeId, bool, bool), String> {
-        let link = id.parse().ok().and_then(|i: usize| self.links.get(i));
-        let &(a, b, _) = link.ok_or_else(|| format!("bad link id {id:?}"))?;
-        let neighbor = match self.id {
-            me if me == a => b,
-            me if me == b => a,
-            me => return Err(format!("link {a}-{b} is not incident to node {me}")),
+    /// Refuses a link event on a link that is not in `--links` or not
+    /// incident to this node: outside input gets `err`, not silence.
+    fn incident_only(&self, msg: SwitchMsg) -> Result<SwitchMsg, String> {
+        let link = match msg {
+            SwitchMsg::LinkEvent { link, .. } => link,
+            _ => return Ok(msg),
         };
-        let detector = match detector {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("bad detector flag {other:?}")),
+        let Some(&(a, b, _)) = self.links.get(link.index()) else {
+            return Err(format!("bad link id {}", link.0));
         };
-        Ok((NodeId(neighbor), parse_up_down(state)?, detector))
+        if self.id != a && self.id != b {
+            return Err(format!("link {a}-{b} is not incident to node {}", self.id));
+        }
+        Ok(msg)
     }
 
     /// Executes one control command, returning `(reply, quit)`.
@@ -468,46 +458,6 @@ impl Driver {
                     "ok".to_owned()
                 }
                 Err(e) => format!("err {e}"),
-            },
-            ["join", mc, rest @ ..] => match parse_join(mc, rest) {
-                Ok((mc, mc_type, role)) => {
-                    let outs = self.core.on_join(self.now(), mc, mc_type, role);
-                    self.apply(outs)?;
-                    "ok".to_owned()
-                }
-                Err(e) => format!("err {e}"),
-            },
-            ["leave", mc] => match parse_mc(mc) {
-                Ok(mc) => {
-                    let outs = self.core.on_leave(self.now(), mc);
-                    self.apply(outs)?;
-                    "ok".to_owned()
-                }
-                Err(e) => format!("err {e}"),
-            },
-            ["link", id, state, detector] => match self.parse_link(id, state, detector) {
-                Ok((neighbor, up, detector)) => {
-                    let outs = self.core.on_link_event(self.now(), neighbor, up, detector);
-                    self.apply(outs)?;
-                    "ok".to_owned()
-                }
-                Err(e) => format!("err {e}"),
-            },
-            ["admin", state] => match parse_up_down(state) {
-                Ok(up) => {
-                    let outs = self.core.on_admin(self.now(), up);
-                    self.apply(outs)?;
-                    "ok".to_owned()
-                }
-                Err(e) => format!("err {e}"),
-            },
-            ["send", mc, pid] => match (parse_mc(mc), pid.parse::<u64>()) {
-                (Ok(mc), Ok(pid)) => {
-                    let outs = self.core.on_send_data(self.now(), mc, pid);
-                    self.apply(outs)?;
-                    "ok".to_owned()
-                }
-                _ => format!("err bad send arguments {mc:?} {pid:?}"),
             },
             ["status"] => format!(
                 "quiet={} timers={} rx={} tx={} log={} mcs={}",
@@ -524,7 +474,14 @@ impl Driver {
                 self.write_artifacts()?;
                 return Ok(("bye".to_owned(), true));
             }
-            other => format!("err unknown command {other:?}"),
+            words => match control::parse(words).and_then(|msg| self.incident_only(msg)) {
+                Ok(msg) => {
+                    let outs = self.core.handle(self.now(), None, msg);
+                    self.apply(outs)?;
+                    "ok".to_owned()
+                }
+                Err(e) => format!("err {e}"),
+            },
         };
         Ok((reply, false))
     }
@@ -543,35 +500,4 @@ fn parse_peers(spec: &str) -> Result<HashMap<u32, SocketAddr>, String> {
         peers.insert(id, addr);
     }
     Ok(peers)
-}
-
-fn parse_mc(tok: &str) -> Result<McId, String> {
-    tok.parse::<u32>()
-        .map(McId)
-        .map_err(|_| format!("bad mc id {tok:?}"))
-}
-
-fn parse_join(mc: &str, rest: &[&str]) -> Result<(McId, McType, Role), String> {
-    let mc = parse_mc(mc)?;
-    let mc_type = match rest.first() {
-        None | Some(&"symmetric") => McType::Symmetric,
-        Some(&"receiver_only") => McType::ReceiverOnly,
-        Some(&"asymmetric") => McType::Asymmetric,
-        Some(other) => return Err(format!("bad mc type {other:?}")),
-    };
-    let role = match rest.get(1) {
-        None | Some(&"sender_receiver") => Role::SenderReceiver,
-        Some(&"sender") => Role::Sender,
-        Some(&"receiver") => Role::Receiver,
-        Some(other) => return Err(format!("bad role {other:?}")),
-    };
-    Ok((mc, mc_type, role))
-}
-
-fn parse_up_down(tok: &str) -> Result<bool, String> {
-    match tok {
-        "up" => Ok(true),
-        "down" => Ok(false),
-        other => Err(format!("bad state {other:?} (up|down)")),
-    }
 }

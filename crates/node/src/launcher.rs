@@ -5,7 +5,7 @@
 //! The launcher is the socket-world twin of the DES scenario runner
 //! (`dgmc_experiments::scenario::run`): it parses the same scenario
 //! language and is an executor of the same player, `scenario::play` — a
-//! `tell` is one control line, a `settle` waits for the mesh to go quiescent
+//! `tell` is one control line ([`crate::control::line`]), a `settle` waits for the mesh to go quiescent
 //! (the real-time equivalent of `run_to_quiescence`). Which inputs a step
 //! means, and why a stepped run drains between them, is documented there.
 //!
@@ -14,9 +14,9 @@
 //! the run instead of hanging it, and children are killed on drop so a
 //! failing test leaves no orphan processes behind.
 
+use crate::control;
 use crate::snapshot::per_switch_logs;
 use dgmc_core::switch::SwitchMsg;
-use dgmc_core::{McType, Role};
 use dgmc_des::SimDuration;
 use dgmc_experiments::scenario::{self, Executor, Scenario};
 use dgmc_obs::{JsonValue, MetricsRegistry};
@@ -536,26 +536,6 @@ impl MeshReport {
     }
 }
 
-/// The control line that hands a node the input `msg`.
-fn control_line(msg: &SwitchMsg) -> Result<String, MeshError> {
-    let state = |up: bool| if up { "up" } else { "down" };
-    Ok(match *msg {
-        // `join MC` with no type or role is the symmetric sender-receiver join.
-        SwitchMsg::HostJoin {
-            mc,
-            mc_type: McType::Symmetric,
-            role: Role::SenderReceiver,
-        } => format!("join {}", mc.0),
-        SwitchMsg::HostLeave { mc } => format!("leave {}", mc.0),
-        SwitchMsg::LinkEvent { link, up, detector } => {
-            format!("link {} {} {}", link.0, state(up), u8::from(detector))
-        }
-        SwitchMsg::NodeAdmin { up } => format!("admin {}", state(up)),
-        SwitchMsg::SendData { mc, packet_id } => format!("send {} {packet_id}", mc.0),
-        ref other => return Err(mesh_err(format!("no control line for {other:?}"))),
-    })
-}
-
 /// The stepped socket-world executor. Tells are held back until `settle`
 /// and go out last-told first: the player tells the detector of a
 /// `cut`/`repair` first (the simulator's tie-break between two inputs of one
@@ -573,7 +553,9 @@ impl Executor for Mesh {
 
     fn settle(&mut self) -> Result<(), MeshError> {
         while let Some((switch, msg)) = self.told.pop() {
-            self.expect_ok(switch.index(), &control_line(&msg)?)?;
+            let line = control::line(&msg)
+                .ok_or_else(|| mesh_err(format!("no control line for {msg:?}")))?;
+            self.expect_ok(switch.index(), &line)?;
         }
         self.await_quiescence()
     }

@@ -15,6 +15,8 @@
 //!   wire codecs, plus semantic validation of decoded frames.
 //! * [`clock`] — the monotonic wall clock mapped onto the engine's
 //!   nanosecond tick domain, and the timer wheel for `Tc` computations.
+//! * [`control`] — the control-line grammar of a switch's inputs, both
+//!   ways: a `SwitchMsg` to its line (the launcher) and back (the driver).
 //! * [`driver`] — the I/O loop: one UDP socket for protocol traffic, one
 //!   line-oriented TCP control socket for scripting (join/leave/status).
 //! * [`fault`] — the DES's `FaultyNet`, seeded per node, as a shim on the
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod control;
 pub mod driver;
 pub mod fault;
 pub mod frame;

@@ -41,6 +41,35 @@ fn a_huge_tc_arms_a_timer_that_never_fires_instead_of_overflowing() {
     assert!(exit.success(), "{exit}");
 }
 
+/// A link event names its link; one the node does not know, or does not
+/// end, is refused before it reaches the core. Every other input a control
+/// line can carry is handed over.
+#[test]
+fn a_link_line_must_name_a_link_the_node_ends() {
+    let links = ["--nodes", "3", "--links", "0-1:1,1-2:1"];
+    let child = Running::spawn("cli-links", &links);
+    let mut ctl = child.connect();
+    assert_eq!(ctl.ask("link 2 down 1"), "err bad link id 2");
+    assert_eq!(ctl.ask("link x down 1"), "err bad link id \"x\"");
+    let refused = ctl.ask("link 1 down 1");
+    assert_eq!(refused, "err link 1-2 is not incident to node 0");
+    let metrics = ctl.ask("metrics");
+    assert!(!metrics.contains("dgmc.router_floods"), "{metrics}");
+    for line in [
+        "link 0 down 1",
+        "link 0 up 0",
+        "join 2 asymmetric sender",
+        "send 2 7",
+        "leave 2",
+        "admin down",
+        "admin up",
+    ] {
+        assert_eq!(ctl.ask(line), "ok", "{line}");
+    }
+    let metrics = ctl.ask("metrics");
+    assert!(metrics.contains(r#""dgmc.router_floods":1"#), "{metrics}");
+}
+
 /// A peer that never sends a newline is cut off at `MAX_LINE` instead of
 /// growing the node, and the node keeps serving everyone else.
 #[test]

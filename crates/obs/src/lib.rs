@@ -56,7 +56,7 @@ pub use event::{DecisionEvent, DecisionKind, FaultKind, MemberChange, StampSnaps
 pub use json::JsonValue;
 pub use log::{DecisionLog, DecisionLogHandle, TimelineDumpGuard, DROPPED_EVENTS_COUNTER};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use observer::{NoopObserver, Observer, SharedObserver};
+pub use observer::{Observer, SharedObserver};
 pub use trace::{
     chrome_trace_json, critical_paths, phase_durations_ns, render_causal, render_trace_timeline,
     CausalItem, OpCriticalPath, SharedTracer, Span, Trace,

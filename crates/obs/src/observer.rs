@@ -15,14 +15,6 @@ pub trait Observer {
     fn record(&mut self, event: DecisionEvent);
 }
 
-/// An observer that discards everything (explicit opt-out sink).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl Observer for NoopObserver {
-    fn record(&mut self, _event: DecisionEvent) {}
-}
-
 #[derive(Default)]
 struct Inner {
     now_nanos: u64,

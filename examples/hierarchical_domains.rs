@@ -43,7 +43,11 @@ fn main() {
     assert_eq!(tree.validate(&net, &members), Ok(()));
 
     // The hierarchical tree is an ordinary flat proposal; compare its cost.
-    let flat = dgmc::mctree::algorithms::takahashi_matsuyama(&net, &members);
+    let flat = dgmc::mctree::algorithms::takahashi_matsuyama(
+        &net,
+        &members,
+        &dgmc::topology::SpfCache::new(),
+    );
     println!(
         "tree cost: hierarchical {} vs flat heuristic {} ({} edges vs {})",
         tree.total_cost(&net).unwrap(),

@@ -10,7 +10,7 @@ use dgmc::node::proto::node_counters;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 fn scenario_text() -> String {
@@ -124,8 +124,19 @@ fn lossy_mesh_still_converges() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// Held from writing a stand-in until its mesh has spawned. A fork in one
+/// test thread while another still has its script open for writing hands
+/// the child that write descriptor, and exec of the script then fails with
+/// ETXTBSY (text file busy) until the child execs in turn.
+static STAND_IN: Mutex<()> = Mutex::new(());
+
+fn stand_in_lock() -> MutexGuard<'static, ()> {
+    STAND_IN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Writes an executable stand-in for `dgmc-node` that ignores its flags,
-/// runs `body` and then sleeps forever. The launcher kills it on drop.
+/// runs `body` and then sleeps forever. The launcher kills it on drop. Hold
+/// [`stand_in_lock`] from here until the mesh has spawned.
 fn stand_in_node(out_dir: &Path, body: &str) -> PathBuf {
     use std::os::unix::fs::PermissionsExt;
     std::fs::create_dir_all(out_dir).expect("create out dir");
@@ -145,10 +156,12 @@ fn hung_child_fails_within_the_deadline() {
     let out_dir = temp_out("hung");
     // Prints nothing: the degenerate hung child.
     let mut opts = MeshOptions::new(&out_dir);
+    let spawning = stand_in_lock();
     opts.binary = Some(stand_in_node(&out_dir, ""));
     opts.deadline = Duration::from_secs(2);
     let start = Instant::now();
     let result = Mesh::spawn(&scenario, &opts);
+    drop(spawning);
     assert!(result.is_err(), "a silent child must fail the spawn");
     assert!(
         start.elapsed() < Duration::from_secs(30),
@@ -169,6 +182,7 @@ fn a_late_reply_is_never_taken_for_the_next_commands() {
         listener.local_addr().expect("listener address")
     );
     let mut opts = MeshOptions::new(&out_dir);
+    let spawning = stand_in_lock();
     opts.binary = Some(stand_in_node(&out_dir, &ready));
     opts.deadline = Duration::from_secs(1);
 
@@ -193,6 +207,7 @@ fn a_late_reply_is_never_taken_for_the_next_commands() {
         steps: Vec::new(),
     };
     let mut mesh = Mesh::spawn(&scenario, &opts).expect("stand-in completes the handshake");
+    drop(spawning);
     let first = mesh.command(0, "status");
     assert!(first.is_err(), "no reply within the deadline: {first:?}");
     release.send(()).expect("stand-in still running");
