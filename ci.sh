@@ -65,6 +65,23 @@ if grep -rnE 'new_incremental|log_capacity' crates/*/src ||
     exit 1
 fi
 
+# The lines under the given paths that build a `SwitchMsg` of one of the
+# variants in $1. A line is a match pattern, and dropped, only when the
+# variant comes before its `=>`; one written after a match arm's `=>` is a
+# constructor. Each ratchet below first runs on a planted file and must
+# catch the constructor in it and pass the pattern.
+switch_msg_ctors() {
+    variants=$1
+    shift
+    grep -rnE "SwitchMsg::($variants)" "$@" | grep -vE "SwitchMsg::($variants)\b.*=>"
+}
+ci_tmp=$(mktemp -d)
+trap 'rm -rf "$ci_tmp"' EXIT
+plant() {
+    printf '%s\n' "        Step::Cut => out.push(SwitchMsg::$1 { x }),"
+    printf '%s\n' "        SwitchMsg::$2 { .. } => {}"
+} >"$ci_tmp/planted.rs"
+
 # PR16: a scenario step becomes switch inputs in one place. The link/nodal
 # inputs are built only by `link_event_inputs` / `node_event_inputs` (match
 # arms that merely read them are fine), and the launcher is an executor of
@@ -73,10 +90,15 @@ fi
 # line into the input it names; and `experiments/src/systematic.rs`, the model
 # checker (not an experiment harness), whose fail-stop crash is one
 # `NodeAdmin` with no link detections.
-if grep -rnE 'SwitchMsg::(LinkEvent|NodeAdmin)' crates/*/src tests examples |
+plant LinkEvent NodeAdmin
+[ "$(switch_msg_ctors 'LinkEvent|NodeAdmin' "$ci_tmp" | wc -l)" -eq 1 ] || {
+    echo "the link/nodal constructor ratchet missed its planted constructor or flagged a pattern"
+    exit 1
+}
+if switch_msg_ctors 'LinkEvent|NodeAdmin' crates/*/src tests examples |
     grep -v '^crates/core/src/switch.rs:' |
     grep -v '^crates/node/src/control.rs:' |
-    grep -v '^crates/experiments/src/systematic.rs:' | grep -v '=>'; then
+    grep -v '^crates/experiments/src/systematic.rs:'; then
     echo "a link or nodal input is built outside dgmc_core::switch; use {link,node}_event_inputs"
     exit 1
 fi
@@ -89,9 +111,14 @@ fi
 # explore binary's mode switch is its own: no library read `ExploreMode`.
 # Also allowed: `systematic.rs`, the model checker (not an experiment
 # harness), which fires its scripted joins at the cores itself.
-if grep -rnE 'SwitchMsg::Host(Join|Leave)' crates/experiments/src |
+plant HostLeave HostJoin
+[ "$(switch_msg_ctors 'Host(Join|Leave)' "$ci_tmp" | wc -l)" -eq 1 ] || {
+    echo "the membership constructor ratchet missed its planted constructor or flagged a pattern"
+    exit 1
+}
+if switch_msg_ctors 'Host(Join|Leave)' crates/experiments/src |
     grep -v '^crates/experiments/src/scenario.rs:' |
-    grep -v '^crates/experiments/src/systematic.rs:' | grep -v '=>' ||
+    grep -v '^crates/experiments/src/systematic.rs:' ||
     grep -rn 'ExploreMode' crates src tests examples; then
     echo "a membership input built by hand in an experiment harness, or ExploreMode, is back"
     exit 1
@@ -184,6 +211,27 @@ fi
 if grep -rnE '"--(deep-copy|share|copy|cow|layout)[a-z-]*"|DGMC_(SHARE|COPY|COW|LAYOUT)|(share|shared|deep_copy|copy|cow)_(trees?|topolog(y|ies))|(tree|topology|edge)_(share|sharing|copy|cow|layout)\b|deep_copy' \
     crates --include='*.rs' --include='*.toml'; then
     echo "a switch selecting shared vs copied trees, or the edge layout, is back; there is one path"
+    exit 1
+fi
+
+# A stamp is a value, as a tree is. `Timestamp` holds its components behind
+# one `Rc`: a clone is a refcount bump, so a relayed MC LSA, a candidate,
+# `old_r` and the `E = R` reset copy no vector; `incr` and `merge_max` copy
+# on write, and a merge that raises nothing writes nothing. `merge_max`
+# grows the one vector and merges in place, so it names no second `Vec`.
+# Shared is the only path: no flag, environment variable or options field
+# selects copied stamps. No wall-clock gate: the dense reference test and
+# the no-copy pin in `timestamp.rs` and the size ratchet in `mc.rs` are the
+# pins (DESIGN.md §14).
+if ! sed '/^#\[cfg(test)\]/,$d' crates/core/src/timestamp.rs | grep -qE '^    entries: Rc<Vec<\(u32, u64\)>>,' ||
+    sed '/^#\[cfg(test)\]/,$d' crates/core/src/timestamp.rs | grep -nE 'Arc<|entries: Vec<' ||
+    sed -n '/pub fn merge_max/,/^    }/p' crates/core/src/timestamp.rs | grep -nE 'Vec::|vec!|collect|with_capacity'; then
+    echo "Timestamp no longer holds its components behind one Rc, or merge_max builds a second Vec"
+    exit 1
+fi
+if grep -rnE '"--(copy|share|shared|cow|dense)-(stamps?|timestamps?)"|DGMC_(STAMP|TIMESTAMP)|(share|shared|copy|copied|cow|dense)_(stamps?|timestamps?)\b|(stamps?|timestamps?)_(share|shared|sharing|copy|cow|mode|layout)\b' \
+    crates --include='*.rs' --include='*.toml'; then
+    echo "a switch selecting shared vs copied stamps is back; there is one path"
     exit 1
 fi
 
@@ -336,6 +384,30 @@ ls results/systematic-mutation/repro-seed-*.json >/dev/null 2>&1 || {
     echo "no minimized repro bundle written for the seeded mutation"
     exit 1
 }
+
+echo "== every committed repro bundle replays to its recorded violations =="
+# A bundle is a counterexample someone can re-run: its `replay` command must
+# still resolve its trace against the scenario (exit 2 is a stale bundle)
+# and reproduce the violations it records, invariant by invariant (exit 1).
+# The replay writes into a scratch directory, never into results/.
+cargo build -q --offline --release -p dgmc-experiments --bin explore
+for bundle in $(find results -name 'repro-seed-*.json' | sort); do
+    args=$(sed -n 's/.*"replay":"cargo run -p dgmc-experiments --bin explore -- \([^"]*\)".*/\1/p' "$bundle")
+    [ -n "$args" ] || {
+        echo "$bundle: no explore replay command"
+        exit 1
+    }
+    status=0
+    eval "target/release/explore $args --out \"\$ci_tmp/replay\"" >/dev/null 2>"$ci_tmp/replay.err" || status=$?
+    recorded=$(grep -o '"invariant":"[a-z-]*"' "$bundle" | sed 's/.*:"\(.*\)"/\1/' | tr '\n' ' ')
+    replayed=$(sed -n 's/^violated \([a-z-]*\): .*/\1/p' "$ci_tmp/replay.err" | tr '\n' ' ')
+    [ "$status" -eq 1 ] && [ -n "$recorded" ] && [ "$recorded" = "$replayed" ] || {
+        echo "$bundle: replay exited $status and violated [$replayed], the bundle records [$recorded]"
+        cat "$ci_tmp/replay.err"
+        exit 1
+    }
+    echo "$bundle: replays to [$recorded]"
+done
 
 echo "== repaired teardown-race scenario explores to exhaustion, clean =="
 cargo run --offline -q --release -p dgmc-experiments --bin explore -- \

@@ -18,8 +18,9 @@
 //!   reused without reallocating;
 //! * **an inverted edge index** — normalized installed edge → set of MC
 //!   ids whose installed topology uses it, making `using_edge` O(answer);
-//! * **a busy set** — MC ids with a queued LSA or in-flight computation,
-//!   making `is_quiet` O(1).
+//! * **a busy count** — how many slots hold a queued LSA or an in-flight
+//!   computation (each slot keeps its own `busy` flag), making `is_quiet`
+//!   O(1) at the price of one add per flip.
 //!
 //! The views are *derived* data. They are refreshed by [`McArena::sync`],
 //! which every engine entry point calls after mutating a state. A slot keeps
@@ -84,8 +85,9 @@ pub(crate) struct McArena {
     index: BTreeMap<McId, u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// MC ids with a non-empty mailbox or an in-flight computation.
-    busy: BTreeSet<McId>,
+    /// Number of slots whose `busy` flag is set: MCs with a non-empty
+    /// mailbox or an in-flight computation.
+    busy: usize,
     /// Normalized installed edge → ids of MCs whose topology uses it.
     edge_index: EdgeIndex,
 }
@@ -175,13 +177,14 @@ impl McArena {
         for edge in cell.installed.take().iter().flat_map(McTopology::edges) {
             reindex(&mut self.edge_index, mc, edge, false);
         }
-        cell.busy = false;
-        self.busy.remove(&mc);
+        if std::mem::take(&mut cell.busy) {
+            self.busy -= 1;
+        }
         self.free.push(slot);
         state
     }
 
-    /// Refreshes the derived views (busy set, edge index) for `mc` from its
+    /// Refreshes the derived views (busy count, edge index) for `mc` from its
     /// current state. Idempotent; a no-op for non-resident ids.
     pub fn sync(&mut self, mc: McId) {
         let Some(slot) = self.slot_of(mc) else {
@@ -195,9 +198,9 @@ impl McArena {
         if busy != cell.busy {
             cell.busy = busy;
             if busy {
-                self.busy.insert(mc);
+                self.busy += 1;
             } else {
-                self.busy.remove(&mc);
+                self.busy -= 1;
             }
         }
         // Most syncs leave the tree untouched (a stamp bump): the slot then
@@ -213,14 +216,14 @@ impl McArena {
     }
 
     /// `true` when no resident MC has queued LSAs or an in-flight
-    /// computation. O(1) via the busy set.
+    /// computation. O(1) via the busy count.
     pub fn is_quiet(&self) -> bool {
         debug_assert_eq!(
-            self.busy.is_empty(),
+            self.busy == 0,
             self.is_quiet_scan(),
-            "busy set out of sync with states"
+            "busy count out of sync with states"
         );
-        self.busy.is_empty()
+        self.busy == 0
     }
 
     /// Reference linear scan for [`McArena::is_quiet`] (debug oracle).
@@ -313,23 +316,36 @@ mod tests {
     }
 
     #[test]
-    fn busy_set_follows_mailbox_and_computation() {
+    fn busy_count_follows_mailbox_and_computation() {
         let mut arena = McArena::new();
         arena.insert(McId(7), state_with_tree(McId(7), &[]));
         assert!(arena.is_quiet());
-        arena.get_mut(McId(7)).unwrap().computing = Some(crate::state::ComputationJob {
+        let job = || crate::state::ComputationJob {
             old_r: crate::Timestamp::zero(8),
             terminals: BTreeSet::new(),
             previous: None,
             pending_event: None,
             stashed_candidate: None,
             deferred: Vec::new(),
-        });
+        };
+        arena.get_mut(McId(7)).unwrap().computing = Some(job());
         arena.sync(McId(7));
         assert!(!arena.is_quiet());
         arena.get_mut(McId(7)).unwrap().computing = None;
         arena.sync(McId(7));
         assert!(arena.is_quiet());
+        // Removing a busy MC takes it out of the count.
+        arena.insert(McId(8), state_with_tree(McId(8), &[]));
+        arena.get_mut(McId(7)).unwrap().computing = Some(job());
+        arena.get_mut(McId(8)).unwrap().computing = Some(job());
+        arena.sync(McId(7));
+        arena.sync(McId(8));
+        assert_eq!(arena.busy, 2);
+        arena.remove(McId(7));
+        assert!(!arena.is_quiet());
+        arena.remove(McId(8));
+        assert!(arena.is_quiet());
+        assert_eq!(arena.busy, 0);
     }
 
     /// The edge index rebuilt from scratch from the resident states.

@@ -132,11 +132,12 @@ mod tests {
 
     /// Every DES event moves one `SwitchMsg` into and out of the event
     /// queue (a delay's FIFO lane, or the fallback heap): a field that
-    /// inflates it (a tree held inline again) fails here.
+    /// inflates it (a tree or a stamp held inline again) fails here.
     #[test]
     fn lsa_and_switch_message_stay_small() {
         assert!(std::mem::size_of::<McTopology>() <= 8);
-        assert!(std::mem::size_of::<McLsa>() <= 64);
-        assert!(std::mem::size_of::<crate::switch::SwitchMsg>() <= 80);
+        assert!(std::mem::size_of::<Timestamp>() <= 16);
+        assert!(std::mem::size_of::<McLsa>() <= 48);
+        assert!(std::mem::size_of::<crate::switch::SwitchMsg>() <= 64);
     }
 }

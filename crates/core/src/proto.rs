@@ -752,7 +752,16 @@ impl NodeCore {
                 },
             });
         }
-        if detector {
+        // An image link is up only while both ends claim it. The far end of
+        // a repair advertises nothing, unless its own last advertisement (as
+        // the detector of another link) reported this link down: that claim
+        // would keep the link down in every image, so it advertises anew.
+        let stale_claim = up
+            && !detector
+            && self.lsdb.lsas().any(|lsa| {
+                lsa.origin == self.me && lsa.links.iter().any(|adv| adv.link == link && !adv.up)
+            });
+        if detector || stale_claim {
             // Originate the one non-MC LSA for this event...
             let links = self
                 .incident
@@ -774,6 +783,8 @@ impl NodeCore {
             self.recompute_routes(fx);
             fx.bump(counters::ROUTER_FLOODS, 1);
             self.flood(fx, DgmcPayload::Router(lsa));
+        }
+        if detector {
             // ...then the k MC LSAs for affected connections.
             let actions = self.engine.local_link_event(self.me, neighbor);
             self.execute(fx, actions);

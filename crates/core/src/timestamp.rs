@@ -1,6 +1,7 @@
 use dgmc_topology::NodeId;
 use std::cmp::Ordering;
 use std::fmt;
+use std::rc::Rc;
 
 /// A D-GMC vector timestamp.
 ///
@@ -22,6 +23,16 @@ use std::fmt;
 /// The canonical form — strictly increasing indices, no zero values — makes
 /// the derived `Eq`/`Hash` agree with tuple equality.
 ///
+/// A stamp is a shared value: the components live behind one [`Rc`], so a
+/// clone is a reference-count bump, and every relay copy of an MC LSA, every
+/// candidate, `old_r` and the `E = R` reset hold one vector. [`incr`] and
+/// [`merge_max`] copy on write ([`Rc::make_mut`]) and leave other holders
+/// untouched; a merge that raises nothing neither copies nor allocates.
+/// Equality, hashing and `Debug` are by value, as for the bare vector.
+///
+/// [`incr`]: Timestamp::incr
+/// [`merge_max`]: Timestamp::merge_max
+///
 /// # Examples
 ///
 /// ```
@@ -42,7 +53,7 @@ pub struct Timestamp {
     /// Network size: the logical tuple length.
     n: u32,
     /// Nonzero components as `(switch index, count)`, sorted by index.
-    entries: Vec<(u32, u64)>,
+    entries: Rc<Vec<(u32, u64)>>,
 }
 
 impl Timestamp {
@@ -50,7 +61,7 @@ impl Timestamp {
     pub fn zero(n: usize) -> Timestamp {
         Timestamp {
             n: u32::try_from(n).expect("network size exceeds u32"),
-            entries: Vec::new(),
+            entries: Rc::new(Vec::new()),
         }
     }
 
@@ -63,7 +74,10 @@ impl Timestamp {
             .filter(|&(_, v)| v != 0)
             .map(|(i, v)| (u32::try_from(i).expect("index fits: len checked"), v))
             .collect();
-        Timestamp { n, entries }
+        Timestamp {
+            n,
+            entries: Rc::new(entries),
+        }
     }
 
     /// Number of components (network size).
@@ -102,47 +116,70 @@ impl Timestamp {
     pub fn incr(&mut self, x: NodeId) {
         assert!(x.0 < self.n, "timestamp component {} out of range", x.0);
         match self.entries.binary_search_by_key(&x.0, |&(i, _)| i) {
-            Ok(k) => self.entries[k].1 += 1,
-            Err(k) => self.entries.insert(k, (x.0, 1)),
+            Ok(k) => Rc::make_mut(&mut self.entries)[k].1 += 1,
+            Err(k) => Rc::make_mut(&mut self.entries).insert(k, (x.0, 1)),
         }
     }
 
     /// Sets every component to the max of itself and `other`'s
     /// (the `E[y] = max(E[y], T[y])` step of `ReceiveLSA()`).
     ///
+    /// When `self` already covers `other` this reads both and writes
+    /// nothing, so a shared `self` stays shared. Otherwise the one vector
+    /// (unshared first) grows by the components `self` lacks and is merged
+    /// from the back in place.
+    ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn merge_max(&mut self, other: &Timestamp) {
         assert_eq!(self.n, other.n, "timestamp sizes differ");
-        if other.entries.is_empty() {
+        if Rc::ptr_eq(&self.entries, &other.entries) {
             return;
         }
-        // Merge-walk the two sorted sparse vectors.
-        let mut merged = Vec::with_capacity(self.entries.len().max(other.entries.len()));
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.entries.len() && b < other.entries.len() {
-            let (ia, va) = self.entries[a];
-            let (ib, vb) = other.entries[b];
-            match ia.cmp(&ib) {
-                Ordering::Less => {
-                    merged.push((ia, va));
+        // Read-only pass: how many of `other`'s components `self` lacks,
+        // and whether any of the shared ones rises.
+        let (mut missing, mut raises) = (0usize, false);
+        let mut a = 0usize;
+        for &(ib, vb) in other.entries.iter() {
+            while a < self.entries.len() && self.entries[a].0 < ib {
+                a += 1;
+            }
+            match self.entries.get(a) {
+                Some(&(ia, va)) if ia == ib => {
+                    raises |= vb > va;
                     a += 1;
                 }
-                Ordering::Greater => {
-                    merged.push((ib, vb));
-                    b += 1;
-                }
-                Ordering::Equal => {
-                    merged.push((ia, va.max(vb)));
-                    a += 1;
-                    b += 1;
-                }
+                _ => missing += 1,
             }
         }
-        merged.extend_from_slice(&self.entries[a..]);
-        merged.extend_from_slice(&other.entries[b..]);
-        self.entries = merged;
+        if missing == 0 && !raises {
+            return;
+        }
+        let merged = Rc::make_mut(&mut self.entries);
+        let mut a = merged.len();
+        merged.resize(a + missing, (0, 0));
+        // Fill from the back: the write cursor `w` stays ahead of the read
+        // cursor `a` by the number of missing components not yet placed,
+        // so no unread entry is overwritten and the prefix left when
+        // `other` runs out is already in place.
+        let mut w = merged.len();
+        for &(ib, vb) in other.entries.iter().rev() {
+            while a > 0 && merged[a - 1].0 > ib {
+                a -= 1;
+                w -= 1;
+                merged[w] = merged[a];
+            }
+            w -= 1;
+            merged[w] = match a.checked_sub(1).map(|k| merged[k]) {
+                Some((ia, va)) if ia == ib => {
+                    a -= 1;
+                    (ib, va.max(vb))
+                }
+                _ => (ib, vb),
+            };
+        }
+        debug_assert_eq!(w, a, "back merge left a gap");
     }
 
     /// Returns the componentwise max without mutating.
@@ -162,7 +199,7 @@ impl Timestamp {
         // Every nonzero component of `other` must be covered; components
         // absent from `other` are zero and trivially dominated.
         let mut a = 0usize;
-        for &(ib, vb) in &other.entries {
+        for &(ib, vb) in other.entries.iter() {
             while a < self.entries.len() && self.entries[a].0 < ib {
                 a += 1;
             }
@@ -233,6 +270,8 @@ impl fmt::Display for Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ts(v: &[u64]) -> Timestamp {
         Timestamp::from_components(v.to_vec())
@@ -356,5 +395,111 @@ mod tests {
         let c = ts(&[0, 1, 0, 0, 0]);
         assert!(!a.dominates(&c), "missing index 1 must not be skipped");
         assert!(a.merged_max(&c).dominates(&c));
+    }
+
+    /// A random stamp over `n` components, mostly zeros, as the sparse
+    /// value and its dense reference.
+    fn random_stamp(rng: &mut StdRng, n: usize) -> (Timestamp, Vec<u64>) {
+        let dense: Vec<u64> = (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    rng.gen_range(1..4)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        (ts(&dense), dense)
+    }
+
+    fn dense_dominates(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).all(|(x, y)| x >= y)
+    }
+
+    /// Random scripts of merges and increments on sparse stamps, shared
+    /// and unshared, against a dense `Vec<u64>` reference after every step:
+    /// `dominates` and `strictly_dominates` both ways before it, the value,
+    /// its canonical form and every other holder's value after it.
+    #[test]
+    fn sparse_stamps_match_a_dense_reference() {
+        let mut rng = StdRng::seed_from_u64(42);
+        for _ in 0..2000 {
+            let n = rng.gen_range(1..9);
+            let (mut a, mut da) = random_stamp(&mut rng, n);
+            for _ in 0..rng.gen_range(1..8) {
+                let (b, db) = if rng.gen_bool(0.3) {
+                    (a.clone(), da.clone())
+                } else {
+                    random_stamp(&mut rng, n)
+                };
+                assert_eq!(a.dominates(&b), dense_dominates(&da, &db));
+                assert_eq!(b.dominates(&a), dense_dominates(&db, &da));
+                assert_eq!(
+                    a.strictly_dominates(&b),
+                    dense_dominates(&da, &db) && da != db
+                );
+                assert_eq!(
+                    b.strictly_dominates(&a),
+                    dense_dominates(&db, &da) && da != db
+                );
+                // Half the steps mutate a stamp another holder shares (copy
+                // on write), half one that is the vector's only holder (in
+                // place).
+                let held = rng.gen_bool(0.5).then(|| (a.clone(), da.clone()));
+                if rng.gen_bool(0.5) {
+                    let x = rng.gen_range(0..n);
+                    a.incr(NodeId(u32::try_from(x).unwrap()));
+                    da[x] += 1;
+                } else {
+                    a.merge_max(&b);
+                    for (x, y) in da.iter_mut().zip(&db) {
+                        *x = (*x).max(*y);
+                    }
+                }
+                assert_eq!(a, ts(&da), "canonical form after the step");
+                assert_eq!(a.iter().map(|(_, v)| v).collect::<Vec<_>>(), da);
+                if let Some((held, dheld)) = held {
+                    assert_eq!(held, ts(&dheld), "the clone held across the step changed");
+                }
+            }
+        }
+    }
+
+    /// Mutating a clone never reaches the original, through either mutator.
+    #[test]
+    fn a_mutated_clone_leaves_the_original_alone() {
+        let original = ts(&[1, 0, 2, 0]);
+        let mut bumped = original.clone();
+        bumped.incr(NodeId(0));
+        bumped.incr(NodeId(1));
+        let mut merged = original.clone();
+        merged.merge_max(&ts(&[0, 5, 0, 3]));
+        assert_eq!(original, ts(&[1, 0, 2, 0]));
+        assert_eq!(bumped, ts(&[2, 1, 2, 0]));
+        assert_eq!(merged, ts(&[1, 5, 2, 3]));
+        assert!(!Rc::ptr_eq(&bumped.entries, &original.entries));
+        assert!(!Rc::ptr_eq(&merged.entries, &original.entries));
+    }
+
+    /// A clone shares the components, and a merge that raises nothing
+    /// (an equal, a dominated or a zero stamp) keeps it shared.
+    #[test]
+    fn a_covered_merge_copies_nothing() {
+        let original = ts(&[3, 0, 2, 1]);
+        let mut copy = original.clone();
+        assert!(Rc::ptr_eq(&copy.entries, &original.entries), "clone shares");
+        for covered in [
+            original.clone(),
+            ts(&[3, 0, 2, 1]),
+            ts(&[1, 0, 2, 0]),
+            Timestamp::zero(4),
+        ] {
+            copy.merge_max(&covered);
+            assert!(
+                Rc::ptr_eq(&copy.entries, &original.entries),
+                "{covered} copied"
+            );
+        }
+        assert_eq!(copy.merged_max(&ts(&[0, 0, 1, 0])), original);
     }
 }

@@ -293,3 +293,22 @@ fn every_image_follows_its_database_through_cuts_repair_and_revival() {
         "{repairs} repairs of {runs} runs"
     );
 }
+
+/// A repaired link comes back up in every image even when its far end last
+/// advertised it down, as the detector of another link while it was cut:
+/// an image link is up only while both ends claim it, so that claim would
+/// keep it down everywhere until the far end happened to advertise again.
+#[test]
+fn a_repair_outlives_the_far_ends_stale_claim() {
+    let net = generate::grid(3, 3);
+    let link = |a, b| net.link_between(NodeId(a), NodeId(b)).unwrap().id;
+    let (near, far) = (link(0, 1), link(1, 2));
+    let mut mesh = Mesh::new(&net);
+    mesh.link(near, false);
+    // Switch 1 detects both transitions of `far` and advertises `near`
+    // down with them; `near`'s repair is switch 0's to detect.
+    mesh.link(far, false);
+    mesh.link(far, true);
+    mesh.link(near, true);
+    mesh.check("a repair after the far end advertised the cut");
+}
