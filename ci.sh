@@ -188,16 +188,17 @@ fi
 # a refcount bump, the mutators copy on write; nothing moves a tree between
 # threads since the sharded model checker went, so no atomic refcount is paid
 # on every relay) over one sorted `Vec` of edges (binary search, index-merge
-# diffs; a `BTreeSet` of edges is the node walk coming back). An install diffs
-# trees instead of rebuilding them: `McArena::sync` collecting a tree's edges,
-# or `proto.rs` naming an edge set again, is the per-install copy coming back.
-# Shared is the only path: no flag, environment variable or options field
-# selects copied trees or the layout. No wall-clock gate: the arena's rebuild
-# oracle, the two-set reference test in `topology_type.rs` and the size
-# ratchet in `mc.rs` are the pins (DESIGN.md §14).
-if sed -n '/pub fn sync/,/^    }/p' crates/core/src/arena.rs | grep -n 'collect' ||
+# diffs; a `BTreeSet` of edges is the node walk coming back). An install
+# copies no tree: `proto.rs` naming an edge set again is the per-install copy
+# coming back (`dgmc.disrupted_edges` diffs with `McTopology::diff_edges`),
+# and `McArena::sync` keeps only the busy count, so it names no installed
+# tree at all. Shared is the only path: no flag, environment variable or
+# options field selects copied trees or the layout. No wall-clock gate: the
+# two-set reference test in `topology_type.rs` and the size ratchet in
+# `mc.rs` are the pins (DESIGN.md §14).
+if sed -n '/pub fn sync/,/^    }/p' crates/core/src/arena.rs | grep -n 'installed' ||
     grep -n 'BTreeSet<(NodeId, NodeId)>' crates/core/src/proto.rs; then
-    echo "an install copies a tree's edges again; diff with McTopology::diff_edges"
+    echo "an install copies a tree's edges again, or McArena::sync reads the installed tree"
     exit 1
 fi
 # The tests keep a two-`BTreeSet` reference, so only the code above them is
@@ -211,6 +212,48 @@ fi
 if grep -rnE '"--(deep-copy|share|copy|cow|layout)[a-z-]*"|DGMC_(SHARE|COPY|COW|LAYOUT)|(share|shared|deep_copy|copy|cow)_(trees?|topolog(y|ies))|(tree|topology|edge)_(share|sharing|copy|cow|layout)\b|deep_copy' \
     crates --include='*.rs' --include='*.toml'; then
     echo "a switch selecting shared vs copied trees, or the edge layout, is back; there is one path"
+    exit 1
+fi
+
+# The affected set is a scan at the detector. Installs happen at every switch
+# on every event; `McArena::using_edge` runs at the one switch that detects a
+# link event, as one pass over its resident MCs. An edge index (`EdgeIndex`,
+# `edge_index`, `reindex`, a map keyed by a `(NodeId, NodeId)` link) or a slot
+# keeping a snapshot of its `McTopology` above the tests of `arena.rs` is the
+# per-install re-index coming back. The ratchet first runs on a planted file
+# and must flag exactly its four violations, and none of the look-alikes
+# (a tree used outside `Slot`, a link-keyed model in the tests). No
+# wall-clock gate: `using_edge_matches_a_model_after_every_step` and
+# `link_event_fires_for_the_affected_mcs_in_id_order` are the pins
+# (DESIGN.md §13).
+arena_index() {
+    sed '/^#\[cfg(test)\]/,$d' "$1" >"$ci_tmp/code.rs"
+    {
+        grep -nE 'EdgeIndex|edge_index|reindex|(BTreeMap|HashMap)<\(NodeId, NodeId\)' "$ci_tmp/code.rs" || true
+        sed -n '/struct Slot[ <{]/,/^}/p' "$ci_tmp/code.rs" | grep -n 'McTopology' || true
+    }
+}
+cat >"$ci_tmp/arena.rs" <<'PLANTED'
+struct Slot {
+    state: Option<McState>,
+    installed: Option<McTopology>,
+    busy: bool,
+}
+type EdgeIndex = BTreeMap<(NodeId, NodeId), BTreeSet<McId>>;
+    users: HashMap<(NodeId, NodeId), Vec<McId>>,
+fn reindex(users: &mut Users, mc: McId) {}
+fn using_edge(&self, a: NodeId, b: NodeId) -> Vec<McId> {
+    let tree: Option<&McTopology> = self.get(mc).and_then(|st| st.installed.as_ref());
+}
+#[cfg(test)]
+    let mut model: BTreeMap<(NodeId, NodeId), BTreeSet<McId>> = BTreeMap::new();
+PLANTED
+[ "$(arena_index "$ci_tmp/arena.rs" | wc -l)" -eq 4 ] || {
+    echo "the edge-index ratchet missed a planted violation or flagged a look-alike"
+    exit 1
+}
+if arena_index crates/core/src/arena.rs | grep .; then
+    echo "McArena keeps an edge index again; the affected set is a scan at the detector"
     exit 1
 fi
 

@@ -22,9 +22,9 @@
 //!
 //! # Scale (DESIGN.md §13)
 //!
-//! Per-MC state lives in an arena ([`crate::arena`]) with inverted hot
-//! views, so link events and quiescence probes cost O(affected MCs), not
-//! O(resident MCs).
+//! Per-MC state lives in an arena ([`crate::arena`]) with a busy count, so
+//! a quiescence probe is O(1). A link event's affected set is one scan of
+//! the resident MCs at the detector; installs keep no index for it.
 
 use crate::arena::McArena;
 use crate::state::{ComputationJob, McState, McSync, Tombstone};
@@ -244,17 +244,9 @@ impl DgmcEngine {
     }
 
     /// Connections whose installed topology uses the link `(a, b)`, in id
-    /// order. O(answer) via the arena's inverted edge index.
+    /// order. One pass over the resident MCs (DESIGN.md §13).
     pub fn mcs_using_link(&self, a: NodeId, b: NodeId) -> Vec<McId> {
         self.states.using_edge(a, b)
-    }
-
-    /// Reference implementation of [`DgmcEngine::mcs_using_link`]: the
-    /// pre-arena O(resident MCs) scan over every installed topology, the
-    /// oracle of this module's equivalence tests.
-    #[cfg(test)]
-    fn mcs_using_link_scan(&self, a: NodeId, b: NodeId) -> Vec<McId> {
-        self.states.using_edge_scan(a, b)
     }
 
     /// `EventHandler()` for a local host join.
@@ -294,19 +286,6 @@ impl DgmcEngine {
     /// topologies are affected"), in MC-id order.
     pub fn local_link_event(&mut self, a: NodeId, b: NodeId) -> Vec<DgmcAction> {
         let affected = self.mcs_using_link(a, b);
-        let mut actions = Vec::new();
-        for mc in affected {
-            actions.extend(self.event_handler(mc, McEventKind::Link));
-        }
-        actions
-    }
-
-    /// Reference implementation of [`DgmcEngine::local_link_event`]: the
-    /// pre-arena event path (O(resident MCs) affected-set scan), the oracle
-    /// of this module's equivalence tests.
-    #[cfg(test)]
-    fn local_link_event_scan(&mut self, a: NodeId, b: NodeId) -> Vec<DgmcAction> {
-        let affected = self.states.using_edge_scan(a, b);
         let mut actions = Vec::new();
         for mc in affected {
             actions.extend(self.event_handler(mc, McEventKind::Link));
@@ -1068,11 +1047,6 @@ mod tests {
         // Tree now uses links 0-1,1-2,2-3.
         assert_eq!(e0.mcs_using_link(NodeId(1), NodeId(2)), vec![MC]);
         assert!(e0.mcs_using_link(NodeId(0), NodeId(2)).is_empty());
-        // The indexed affected set and the reference scan agree.
-        assert_eq!(
-            e0.mcs_using_link(NodeId(1), NodeId(2)),
-            e0.mcs_using_link_scan(NodeId(1), NodeId(2))
-        );
         // A link event on 1-2 triggers EventHandler for the MC.
         let mut cut = net.clone();
         let l = cut.link_between(NodeId(1), NodeId(2)).unwrap().id;
@@ -1322,86 +1296,93 @@ mod tests {
         assert_eq!(lsas[0].proposal, None);
     }
 
-    /// Builds `k` resident MCs with installed path trees via database
-    /// sync, every tree using the edge `(0, 1)`.
-    fn engine_with_k_mcs(n: usize, k: u32) -> DgmcEngine {
+    /// The database-sync entry of a quiet MC with members `first` and
+    /// `last`, whose installed tree is the path `first-…-last`.
+    fn path_mc(n: usize, mc: McId, first: u32, last: u32) -> McSync {
         use dgmc_mctree::McTopology;
-        use std::collections::BTreeSet;
-        let mut e0 = engine(0, n);
-        let snapshot: Vec<McSync> = (0..k)
-            .map(|i| {
-                let mc = McId(i + 1);
-                // Three members spread over the network; the tree is the
-                // path 0-1-…-last so the edge (0,1) is always used.
-                let last = 2 + (i % u32::try_from(n - 2).expect("test n fits u32"));
-                let member_ids = [0u32, 1, last];
-                let mut members = BTreeMap::new();
-                let mut r = Timestamp::zero(n);
-                for &m in &member_ids {
-                    members.insert(NodeId(m), Role::SenderReceiver);
-                    r.incr(NodeId(m));
-                }
-                let edges = (0..last).map(|a| (NodeId(a), NodeId(a + 1)));
-                let terminals: BTreeSet<NodeId> = members.keys().copied().collect();
-                McSync {
-                    mc,
-                    mc_type: McType::Symmetric,
-                    epoch: 0,
-                    r: r.clone(),
-                    e: r.clone(),
-                    c: r.clone(),
-                    c_source: Some(NodeId(0)),
-                    members,
-                    installed: Some(McTopology::from_edges(edges, terminals)),
-                }
-            })
-            .collect();
-        e0.import_sync(snapshot);
-        e0
-    }
-
-    #[test]
-    fn many_mc_link_event_matches_the_scan_oracle() {
-        let k = 64u32;
-        let seeded = engine_with_k_mcs(8, k);
-        assert_eq!(seeded.mc_ids().len(), k as usize);
-        // Cloned engines share the observer Rc; give each its own so the
-        // two logs record independently.
-        let mut eng = seeded.clone();
-        eng.set_observer(SharedObserver::new());
-        let log = eng.observer().attach_log(usize::MAX);
-        let mut reference = seeded.clone();
-        reference.set_observer(SharedObserver::new());
-        let ref_log = reference.observer().attach_log(usize::MAX);
-        let a = eng.local_link_event(NodeId(0), NodeId(1));
-        let b = reference.local_link_event_scan(NodeId(0), NodeId(1));
-        assert_eq!(a, b, "actions diverge from the scan path");
-        assert_eq!(
-            log.borrow().iter().cloned().collect::<Vec<_>>(),
-            ref_log.borrow().iter().cloned().collect::<Vec<_>>(),
-            "decision events diverge"
-        );
-        // One EventDetected per affected MC, in MC-id order.
-        let detected: Vec<u64> = log.borrow().iter().map(|ev| ev.mc).collect();
-        assert_eq!(detected, (1..=u64::from(k)).collect::<Vec<_>>());
-        for mc in seeded.mc_ids() {
-            assert_eq!(
-                eng.state(mc),
-                reference.state(mc),
-                "state diverges for {mc}"
-            );
+        let mut members = BTreeMap::new();
+        let mut r = Timestamp::zero(n);
+        for m in [first, last] {
+            members.insert(NodeId(m), Role::SenderReceiver);
+            r.incr(NodeId(m));
+        }
+        let edges = (first..last).map(|a| (NodeId(a), NodeId(a + 1)));
+        let terminals = members.keys().copied().collect();
+        McSync {
+            mc,
+            mc_type: McType::Symmetric,
+            epoch: 0,
+            r: r.clone(),
+            e: r.clone(),
+            c: r,
+            c_source: Some(NodeId(0)),
+            members,
+            installed: Some(McTopology::from_edges(edges, terminals)),
         }
     }
 
+    /// A link event runs `EventHandler()` for exactly the MCs whose tree
+    /// uses the link, in id order, although the arena holds them in another
+    /// order: the MCs are imported shuffled, and some of them land in
+    /// slots freed by a prune. Every id `≢ 0 (mod 3)` uses the link
+    /// `(0, 1)` (path `0-…`); the others run `1-…` and must see nothing.
     #[test]
-    fn link_event_index_agrees_with_scan_at_scale() {
-        let eng = engine_with_k_mcs(8, 100);
-        for (a, b) in [(0u32, 1u32), (1, 2), (2, 3), (5, 6), (0, 7)] {
-            assert_eq!(
-                eng.mcs_using_link(NodeId(a), NodeId(b)),
-                eng.mcs_using_link_scan(NodeId(a), NodeId(b)),
-                "edge ({a},{b})"
-            );
+    fn link_event_fires_for_the_affected_mcs_in_id_order() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let n = 8;
+        let uses = |i: &u32| !i.is_multiple_of(3);
+        let mc = |i: u32| path_mc(n, McId(i), u32::from(!uses(&i)), 2 + i % 6);
+        let shuffled = |ids: Vec<u32>, rng: &mut StdRng| {
+            let mut syncs: Vec<McSync> = ids.into_iter().map(mc).collect();
+            syncs.shuffle(rng);
+            syncs
+        };
+        let mut rng = StdRng::seed_from_u64(45);
+        let kept: Vec<u32> = (1u32..=48).filter(|i| !i.is_multiple_of(4)).collect();
+        let fillers: Vec<u32> = (100..112).collect();
+        let late: Vec<u32> = (1u32..=48).filter(|i| i.is_multiple_of(4)).collect();
+        let mut eng = engine(0, n);
+        // The fillers take slots, a prune frees them, and the late ids
+        // (every fourth) reuse them.
+        eng.import_sync(shuffled([kept.clone(), fillers].concat(), &mut rng));
+        eng.import_sync(shuffled(kept.clone(), &mut rng));
+        eng.import_sync(shuffled([kept, late].concat(), &mut rng));
+        assert_eq!(eng.mc_ids(), (1..=48).map(McId).collect::<Vec<_>>());
+        let before: Vec<McState> = (1..=48)
+            .map(|i| eng.state(McId(i)).unwrap().clone())
+            .collect();
+
+        let log = eng.observer().attach_log(usize::MAX);
+        let actions = eng.local_link_event(NodeId(0), NodeId(1));
+        let affected: Vec<u32> = (1..=48).filter(uses).collect();
+        assert_eq!(
+            actions,
+            affected
+                .iter()
+                .map(|&i| DgmcAction::StartComputation { mc: McId(i) })
+                .collect::<Vec<_>>()
+        );
+        let detected: Vec<(u64, bool)> = log
+            .borrow()
+            .iter()
+            .map(|ev| (ev.mc, matches!(ev.kind, DecisionKind::EventDetected { .. })))
+            .collect();
+        assert_eq!(
+            detected,
+            affected
+                .iter()
+                .map(|&i| (u64::from(i), true))
+                .collect::<Vec<_>>(),
+            "one EventDetected per affected MC, in id order"
+        );
+        for (i, old) in (1..=48).zip(before) {
+            let st = eng.state(McId(i)).unwrap();
+            assert_eq!(st.computing.is_some(), uses(&i), "mc {i}");
+            if !uses(&i) {
+                assert_eq!(st, &old, "mc {i} does not use the link");
+            }
         }
     }
 }

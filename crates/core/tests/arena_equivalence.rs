@@ -1,16 +1,18 @@
 //! PR9 arena-equivalence properties.
 //!
-//! The engine's per-MC store is an arena with derived hot views
+//! The engine's per-MC store is an arena of flat slots with a busy count
 //! (`crates/core/src/arena.rs`); the executable specification keeps the
 //! naive `BTreeMap` it always had. This property pins the refactor:
 //!
 //! * **Spec lockstep** — random join/leave/link/delivery/completion scripts
 //!   (including full teardowns and slot-reusing rejoins) drive an engine and
 //!   a [`SpecSwitch`] side by side; after every operation the actions must
-//!   match and [`diff_engine`] must find no state difference. Because tests
-//!   compile with `debug_assertions`, every hot-view query inside the engine
-//!   also re-checks itself against the reference linear scan, so a missed
-//!   arena sync fails loudly here.
+//!   match and [`diff_engine`] must find no state difference. A link op
+//!   compares the engine's affected set (one scan of its arena) with the
+//!   spec's own map, action for action. Because tests compile with
+//!   `debug_assertions`, every quiescence probe inside the engine also
+//!   re-checks the busy count against a linear scan, so a missed arena sync
+//!   fails loudly here.
 
 use dgmc_core::spec::{actions_match, diff_engine, SpecAction, SpecSwitch};
 use dgmc_core::{DgmcAction, DgmcEngine, McId, McLsa, McType, Role};
